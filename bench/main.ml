@@ -366,6 +366,25 @@ let bench_tests () =
                  Anonet_algorithms.Rand_mis.algorithm hg ~bit ~len:10));
       ]
   in
+  let validation =
+    (* The local k-hop check under every validator (solve outputs, mod:K
+       colorings, colored-variant instances).  A unique labelling has no
+       conflict to stop at, so each run scans every node's 2-ball — the
+       check's worst case at this size.  Each fixture is built just before
+       its row is measured and dropped after it (a [uniq] resource), so it
+       neither taxes the other groups' GC slices nor lands in a sample. *)
+    let khop tag n =
+      Test.make_with_resource ~name:("khop2-unique-gnp-" ^ tag) Test.uniq
+        ~allocate:(fun () ->
+          let g = Gen.random_connected ~seed:1 n (8.0 /. float_of_int (n - 1)) in
+          g, Array.init n (fun v -> Label.Int v))
+        ~free:ignore
+        (Staged.stage (fun (g, labels) ->
+             assert (Props.is_k_hop_coloring g 2 (fun v -> labels.(v)))))
+    in
+    Test.make_grouped ~name:"validation"
+      [ khop "1e4" 10_000; khop "1e5" 100_000 ]
+  in
   Test.make_grouped ~name:"anonet"
     [
       fig1;
@@ -379,6 +398,7 @@ let bench_tests () =
       a_star_phases;
       core_pruning;
       huge_graphs;
+      validation;
     ]
 
 let analyze_benchmarks () =

@@ -30,27 +30,18 @@ let solve ?(ctx = Run_ctx.default) ~gran g ?(order = Min_search.Round_major)
     | Ok true ->
       let base = Bit_assignment.empty (Graph.n j) in
       (match
-         Min_search.minimal_successful ~ctx ~solver:gran.Gran.solver j ~base
-           ~order ?pruning ~len:(Min_search.At_most max_len) ()
+         Min_search.catch_limits (fun () ->
+             Min_search.minimal_successful ~ctx ~solver:gran.Gran.solver j
+               ~base ~order ?pruning ~len:(Min_search.At_most max_len) ())
        with
        (* The search's typed limits degrade to ordinary errors here: the
           caller learns the instance is out of reach instead of eating an
           exception from four layers down. *)
-       | exception Min_search.Search_limit_exceeded ->
-         Error
-           "minimal-simulation search exceeded its state budget \
-            (Min_search.Search_limit_exceeded)"
-       | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
-         Error
-           (Printf.sprintf
-              "minimal-simulation search would branch on %d free bits at once \
-               (limit %d) — the view graph is too large for the generic \
-               derandomization"
-              free_bits limit)
-       | None ->
+       | Error m -> Error m
+       | Ok None ->
          Error
            (Printf.sprintf "no successful simulation within %d rounds" max_len)
-       | Some found ->
+       | Ok (Some found) ->
          let sim_outputs = Simulation.outputs_exn found.Min_search.sim in
          let vg = view_graph.View_graph.graph in
          let color_of_instance_node v = Label.snd (Graph.label g v) in

@@ -45,7 +45,8 @@ type result = {
     rejects [J], if no successful simulation exists within [max_len], or
     if the search hits its state/branching limits
     ({!Min_search.Search_limit_exceeded} and
-    {!Min_search.Branching_limit_exceeded} are caught and rendered). *)
+    {!Min_search.Branching_limit_exceeded} are caught and rendered by
+    {!Min_search.catch_limits}). *)
 val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->

@@ -400,6 +400,13 @@ let solve ?(ctx = Run_ctx.default) ~gran g ?(order = Min_search.Round_major)
   in
   let algo = make ~ctx ~gran ~order ?incremental ?search_cache_cap ?pruning () in
   Obs.span (Run_ctx.obs ctx) "a_star.solve" (fun () ->
-      match Executor.run ~ctx algo g ~tape:Tape.zero ~max_rounds with
-      | Ok outcome -> Ok outcome
-      | Error failure -> Error (Format.asprintf "%a" Executor.pp_failure failure))
+      (* Update-Bits runs its searches inside the executor's rounds; their
+         typed limits surface as the same errors A_infinity returns. *)
+      match
+        Min_search.catch_limits (fun () ->
+            Executor.run ~ctx algo g ~tape:Tape.zero ~max_rounds)
+      with
+      | Error m -> Error m
+      | Ok (Ok outcome) -> Ok outcome
+      | Ok (Error failure) ->
+        Error (Format.asprintf "%a" Executor.pp_failure failure))

@@ -90,7 +90,11 @@ val make :
     into the phase computations (see {!make}).
 
     @param max_rounds round budget (default [4 * (n + 4)^2], generous for
-    the quadratic phase schedule). *)
+    the quadratic phase schedule).
+    @return [Error] if the executor fails (round budget, …) or if an
+    Update-Bits search hits its state/branching limits — rendered by
+    {!Min_search.catch_limits}, with the same text {!A_infinity.solve}
+    returns. *)
 val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->

@@ -26,6 +26,21 @@ exception Search_limit_exceeded
 
 exception Branching_limit_exceeded of { free_bits : int; limit : int }
 
+let catch_limits f =
+  match f () with
+  | v -> Ok v
+  | exception Search_limit_exceeded ->
+    Error
+      "minimal-simulation search exceeded its state budget \
+       (Min_search.Search_limit_exceeded)"
+  | exception Branching_limit_exceeded { free_bits; limit } ->
+    Error
+      (Printf.sprintf
+         "minimal-simulation search would branch on %d free bits at once \
+          (limit %d) — the view graph is too large for the generic \
+          derandomization"
+         free_bits limit)
+
 (* Enumerating [2^f] branches at once is hopeless beyond a few dozen free
    bits; the limits below keep a runaway instance from looking like a
    hang.  Round-major branches once per round (on that round's free

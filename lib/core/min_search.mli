@@ -61,6 +61,12 @@ exception Search_limit_exceeded
     stringly-typed assert. *)
 exception Branching_limit_exceeded of { free_bits : int; limit : int }
 
+(** [catch_limits f] runs [f ()] and renders the two typed search limits
+    above as [Error] messages — the text both derandomizers ({!A_infinity}
+    and {!A_star}) return when an instance is out of the search's reach.
+    Any other exception propagates. *)
+val catch_limits : (unit -> 'a) -> ('a, string) result
+
 (** [minimal_successful ?ctx ~solver g ~base ~len ()] finds the smallest
     assignment extending [base] (per the chosen order) whose induced
     simulation on [g] is successful, or [None] if none exists within the

@@ -945,25 +945,17 @@ let greedy_two_hop_palette g =
      per color instead of a clear per node. *)
   let seen = Array.make (max 1 n) (-1) in
   let mark v u = if u <> v && color.(u) >= 0 then seen.(color.(u)) <- v in
-  let ball v ~f =
-    Graph.iter_neighbors g v ~f:(fun u ->
-        f v u;
-        Graph.iter_neighbors g u ~f:(fun w -> f v w))
-  in
   let palette = ref 0 in
   for v = 0 to n - 1 do
-    ball v ~f:mark;
+    Graph.iter_neighbors g v ~f:(fun u ->
+        mark v u;
+        Graph.iter_neighbors g u ~f:(mark v));
     let c = ref 0 in
     while seen.(!c) = v do incr c done;
     color.(v) <- !c;
     if !c >= !palette then palette := !c + 1
   done;
-  (* Re-scan as a direct conflict check — same cost as the coloring pass,
-     so the invariant stays asserted even at ensemble sizes where
-     [Props.is_k_hop_coloring]'s per-node BFS is unaffordable. *)
-  for v = 0 to n - 1 do
-    ball v ~f:(fun v u -> if u <> v then assert (color.(u) <> color.(v)))
-  done;
+  assert (Props.is_k_hop_coloring g 2 (fun v -> Label.Int color.(v)));
   !palette
 
 (* Ensemble sizes: n = 10^3 and 10^4 by default — run_all regenerates

@@ -35,13 +35,41 @@ let k_hop_neighbors g v k =
       if u <> v && dist.(u) <= k then u :: acc else acc)
   |> List.sort Int.compare
 
+(* One depth-bounded BFS per node over the CSR slices, sharing its scratch
+   across nodes: [stamp.(w) = v] marks w as visited in v's ball (no
+   per-node clear), and only nodes at depth < k are expanded. *)
 let is_k_hop_coloring g k labeling =
-  let ok = ref true in
-  Graph.iter_nodes g ~f:(fun v ->
-      List.iter
-        (fun u -> if Label.equal (labeling u) (labeling v) then ok := false)
-        (k_hop_neighbors g v k));
-  !ok
+  let n = Graph.n g in
+  let labels = Array.init n labeling in
+  let offsets = Graph.offsets g and adj = Graph.adjacency g in
+  let stamp = Array.make n (-1) in
+  let depth = Array.make n 0 in
+  let queue = Array.make n 0 in
+  let ball_is_clean v =
+    let lv = labels.(v) in
+    stamp.(v) <- v;
+    depth.(v) <- 0;
+    queue.(0) <- v;
+    let head = ref 0 and tail = ref 1 and clean = ref true in
+    while !clean && !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      if depth.(u) < k then
+        for i = offsets.(u) to offsets.(u + 1) - 1 do
+          let w = adj.(i) in
+          if stamp.(w) <> v then begin
+            stamp.(w) <- v;
+            depth.(w) <- depth.(u) + 1;
+            if Label.equal labels.(w) lv then clean := false;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
+    done;
+    !clean
+  in
+  let rec from v = v >= n || (ball_is_clean v && from (v + 1)) in
+  from 0
 
 let is_two_hop_colored g = is_k_hop_coloring g 2 (Graph.label g)
 

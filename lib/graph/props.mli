@@ -17,7 +17,12 @@ val k_hop_neighbors : Graph.t -> int -> int -> int list
 
 (** [is_k_hop_coloring g k labeling] checks the defining property of
     Section 1.1: any two distinct nodes at distance at most [k] have
-    different labels under [labeling]. *)
+    different labels under [labeling].
+
+    The check is local: it runs one BFS per node bounded at depth [k], so
+    it costs O(Σ_v |B_k(v)|·deg) — not O(n·(n+m)) — and stops at the
+    first conflict.  It allocates O(n) scratch once per call (shared by
+    all nodes) and calls [labeling] exactly once per node. *)
 val is_k_hop_coloring : Graph.t -> int -> (int -> Label.t) -> bool
 
 (** [is_two_hop_colored g] checks that [g]'s own labeling is a 2-hop

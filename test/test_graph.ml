@@ -401,9 +401,98 @@ let prop_bits_order_total =
       && (not (Bits.compare ba bb <= 0 && Bits.compare bb bc <= 0)
           || Bits.compare ba bc <= 0))
 
+(* ---------- the local k-hop check vs the list-based reference ---------- *)
+
+(* [Props.is_k_hop_coloring] as it was before it became a depth-bounded
+   BFS: full-graph distances from every node, then the sorted list of the
+   nodes within k hops.  O(n·(n+m)); kept as the oracle. *)
+let reference_is_k_hop_coloring g k labeling =
+  let ok = ref true in
+  Graph.iter_nodes g ~f:(fun v ->
+      List.iter
+        (fun u -> if Label.equal (labeling u) (labeling v) then ok := false)
+        (Props.k_hop_neighbors g v k));
+  !ok
+
+(* Small graphs of the shapes the checker meets: G(n, p) without the
+   connectivity patch (so disconnected graphs and n = 0/1 occur), cycles,
+   trees and grids. *)
+let gen_khop_graph st =
+  let module G = QCheck.Gen in
+  match G.int_bound 3 st with
+  | 0 ->
+    let n = G.int_bound 12 st and p = G.float_bound_inclusive 0.6 st in
+    let edges = ref [] in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if G.float_bound_exclusive 1.0 st < p then edges := (u, v) :: !edges
+      done
+    done;
+    Printf.sprintf "gnp n=%d p=%.2f" n p, Graph.unlabeled ~n ~edges:!edges
+  | 1 ->
+    let n = G.int_range 3 12 st in
+    Printf.sprintf "cycle:%d" n, Gen.cycle n
+  | 2 ->
+    let n = G.int_range 1 12 st and seed = G.int_bound 1000 st in
+    Printf.sprintf "tree n=%d seed=%d" n seed, Gen.random_tree ~seed n
+  | _ ->
+    let w = G.int_range 1 4 st and h = G.int_range 1 4 st in
+    Printf.sprintf "grid:%dx%d" w h, Gen.grid w h
+
+(* A palette of c colors dealt round-robin over a shuffled node order:
+   small c makes conflicts common, c >= n makes the labeling unique. *)
+let gen_khop_labels n st =
+  let c = QCheck.Gen.int_range 1 (n + 1) st in
+  let perm = Array.init n Fun.id in
+  QCheck.Gen.shuffle_a perm st;
+  Array.map (fun x -> x mod c) perm
+
+let prop_khop_matches_reference =
+  QCheck.Test.make ~name:"k-hop check agrees with the list-based reference"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ((name, _), labels) ->
+         Printf.sprintf "%s labels=[%s]" name
+           (String.concat ";" (Array.to_list (Array.map string_of_int labels))))
+       (fun st ->
+         let ((_, g) as gc) = gen_khop_graph st in
+         gc, gen_khop_labels (Graph.n g) st))
+    (fun ((_, g), labels) ->
+      let labeling v = Label.Int labels.(v) in
+      List.for_all
+        (fun k ->
+          Props.is_k_hop_coloring g k labeling
+          = reference_is_k_hop_coloring g k labeling)
+        [ 0; 1; 2; 3 ])
+
+(* Two nodes a <> b at distance d share a label, every other label is
+   unique: the check must fail iff k >= d (never, if b is unreachable). *)
+let prop_khop_planted_conflict =
+  QCheck.Test.make ~name:"planted conflict at distance d fails iff k >= d"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (gc, a, b) -> Printf.sprintf "%s a=%d b=%d" (fst gc) a b)
+       (fun st ->
+         let ((_, g) as gc) = gen_khop_graph st in
+         let n = Graph.n g in
+         if n < 2 then gc, 0, 0
+         else
+           let a = QCheck.Gen.int_bound (n - 1) st in
+           gc, a, (a + 1 + QCheck.Gen.int_bound (n - 2) st) mod n))
+    (fun ((_, g), a, b) ->
+      QCheck.assume (a <> b);
+      let d = (Props.bfs_distances g a).(b) in
+      let labeling v = Label.Int (if v = b then a else v) in
+      List.for_all
+        (fun k -> Props.is_k_hop_coloring g k labeling = (k < d))
+        [ 0; 1; 2; 3 ])
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_random_connected_simple; prop_lift_always_product; prop_bits_order_total ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]))
+      [ prop_khop_matches_reference; prop_khop_planted_conflict ]
 
 let () =
   Alcotest.run "anonet_graph"

@@ -294,6 +294,26 @@ let test_loopback_failure_code () =
   check_int "remote exit code" expected.Runner.code outcome.Runner.code;
   check_string "remote diagnostic" expected.Runner.err outcome.Runner.err
 
+(* A* on the Petersen graph exhausts its Update-Bits state budget: the
+   job must end like any other derandomization error (code 1, the
+   diagnostic in [err]), not escape as an uncaught exception. *)
+let test_a_star_budget_is_typed_error () =
+  let job =
+    {
+      Job.kind = Job.Derandomize;
+      pairs =
+        [ "problem", "mis"; "graph", "petersen"; "colors", "random:1";
+          "method", "a-star";
+        ];
+    }
+  in
+  let outcome = Runner.execute job in
+  check_int "exit code" 1 outcome.Runner.code;
+  check_string "no stdout" "" outcome.Runner.out;
+  check "names the state budget" true
+    (String.starts_with ~prefix:"minimal-simulation search exceeded its state budget"
+       outcome.Runner.err)
+
 let test_loopback_bad_job_rejected () =
   with_server @@ fun addr ->
   let outcome, _ =
@@ -419,6 +439,10 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest [ qcheck_job_roundtrip ] );
       ("addr", [ t "parses" test_addr_parse ]);
       ("run-error", [ t "net band codes" test_net_error_codes ]);
+      ( "runner",
+        [ t "a-star budget exhaustion is a typed error"
+            test_a_star_budget_is_typed_error;
+        ] );
       ( "loopback",
         [ t "two concurrent jobs byte-identical" test_loopback_two_concurrent_jobs;
           t "failure code survives the wire" test_loopback_failure_code;
