@@ -13,8 +13,8 @@ type result = {
   decider_confirmed : bool;
 }
 
-let solve ?(ctx = Run_ctx.default) ~gran g ?(order = Min_search.Round_major)
-    ?(max_len = 64) ?(decider_seed = 1) ?pruning () =
+let solve ?(ctx = Run_ctx.default) ~gran g ?(max_len = 64) ?(decider_seed = 1)
+    ?pruning () =
   Obs.span (Run_ctx.obs ctx) "a_infinity.solve" @@ fun () ->
   let colored = Problem.colored_variant gran.Gran.problem in
   if not (colored.Problem.is_instance g) then
@@ -32,7 +32,7 @@ let solve ?(ctx = Run_ctx.default) ~gran g ?(order = Min_search.Round_major)
       (match
          Min_search.catch_limits (fun () ->
              Min_search.minimal_successful ~ctx ~solver:gran.Gran.solver j
-               ~base ~order ?pruning ~len:(Min_search.At_most max_len) ())
+               ~base ?pruning ~len:(Min_search.At_most max_len) ())
        with
        (* The search's typed limits degrade to ordinary errors here: the
           caller learns the instance is out of reach instead of eating an

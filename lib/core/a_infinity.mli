@@ -7,8 +7,10 @@
     the problem's decider that the simulation input [J = (V_∞, E_∞, i_∞)]
     is an instance of [Π] (the lifting-lemma argument of Section 2.3.2
     guarantees it); (iii) selects the {e smallest successful simulation}
-    of the randomized solver [A_R] on [J]; and (iv) lifts that simulation's
-    outputs back through the infinite view map.
+    of the randomized solver [A_R] on [J] — smallest in the round-major
+    order of {!Min_search}, one predetermined total order among the many
+    the argument admits; and (iv) lifts that simulation's outputs back
+    through the infinite view map.
 
     This is the centralized ("oracle") form of the derandomization: it
     computes, for every node at once, exactly the value
@@ -34,8 +36,6 @@ type result = {
     and [ctx.obs] instruments it, with the whole derandomization timed
     under an [a_infinity.solve] span.
 
-    @param order        total order for the minimal-simulation search
-                        (default {!Min_search.Round_major})
     @param max_len      simulation length bound (default [64])
     @param decider_seed seed for the (randomized) decider run (default 1)
     @param pruning      core-guided pruning for the search (default
@@ -51,7 +51,6 @@ val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->
   Anonet_graph.Graph.t ->
-  ?order:Min_search.order ->
   ?max_len:int ->
   ?decider_seed:int ->
   ?pruning:bool ->

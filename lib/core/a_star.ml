@@ -1,6 +1,7 @@
 module Graph = Anonet_graph.Graph
 module Label = Anonet_graph.Label
 module Bits = Anonet_graph.Bits
+module Interned = Anonet_views.Interned
 module Algorithm = Anonet_runtime.Algorithm
 module Executor = Anonet_runtime.Executor
 module Run_ctx = Anonet_runtime.Run_ctx
@@ -74,9 +75,9 @@ let cand_evict_locked t =
     done
   end
 
-let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
-    ?(max_search_states = 1_000_000) ?(incremental = true)
-    ?(search_cache_cap = 32) ?(pruning = true) () : Algorithm.t =
+let make ?(ctx = Run_ctx.default) ~gran ?(max_search_states = 1_000_000)
+    ?(incremental = true) ?(search_cache_cap = 32) ?(pruning = true) () :
+    Algorithm.t =
   (module struct
     let name = "a-star:" ^ gran.Gran.problem.Anonet_problems.Problem.name
 
@@ -86,7 +87,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
       b : Bits.t;
       phase : int;
       round_in_phase : int;  (* 1-based; phase p has p rounds *)
-      knowledge : Knowledge.t;
+      knowledge : Interned.t;
       port_colors : Label.t array option;
           (* my neighbors' 2-hop colors, in my own port order — the key
              for translating port-valued alias outputs *)
@@ -123,7 +124,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
        One candidate entry serves every node class that selects it. *)
     type search_entry = {
       sim : Simulation.result;  (* Update-Output on the candidate *)
-      search : Min_search.Resumable.t option;  (* Round_major only *)
+      search : Min_search.Resumable.t;  (* Update-Bits, warm-startable *)
       mutable stamp : int;  (* LRU clock tick of the last use *)
     }
 
@@ -165,12 +166,8 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
         Simulation.run ~obs ~batch ~solver:gran.Gran.solver j ~bits:assignment
       in
       let search =
-        match order with
-        | Min_search.Round_major ->
-          Some
-            (Min_search.Resumable.create ~ctx ~max_states:max_search_states
-               ~pruning ~solver:gran.Gran.solver j ~base:assignment ())
-        | Min_search.Node_major -> None
+        Min_search.Resumable.create ~ctx ~max_states:max_search_states ~pruning
+          ~solver:gran.Gran.solver j ~base:assignment ()
       in
       { sim; search; stamp = 0 }
 
@@ -183,19 +180,12 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
     let lookup encoding j assignment ~phase =
       match Hashtbl.find_opt search_cache encoding with
       | Some e
-        when (match e.search with
-              | Some h ->
-                Min_search.Resumable.level h <= phase
-                || Min_search.Resumable.floor h >= phase
-              | None -> true) ->
+        when Min_search.Resumable.level e.search <= phase
+             || Min_search.Resumable.floor e.search >= phase ->
         Obs.incr cache_hits_c;
-        (match e.search with
-         | Some h ->
-           if Min_search.Resumable.level h > phase then
-             Obs.incr cache_floor_c
-           else
-             Obs.incr ~by:(Min_search.Resumable.level h) cache_resumed_c
-         | None -> ());
+        let level = Min_search.Resumable.level e.search in
+        if level > phase then Obs.incr cache_floor_c
+        else Obs.incr ~by:level cache_resumed_c;
         touch e;
         e
       | stale ->
@@ -214,7 +204,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
     let cand_table = cand_table_for gran.Gran.problem
 
     let candidates knowledge ~phase =
-      let key = Knowledge.id knowledge, phase in
+      let key = Interned.id knowledge, phase in
       let t = cand_table in
       Mutex.lock t.cand_lock;
       let hit =
@@ -243,7 +233,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
         cands
 
     let compute knowledge ~phase =
-      let key = Knowledge.id knowledge, phase in
+      let key = Interned.id knowledge, phase in
       match Hashtbl.find_opt memo key with
       | Some c -> c
       | None ->
@@ -261,22 +251,14 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
                 let entry =
                   lookup selected.Candidates.encoding j assignment ~phase
                 in
-                let found =
-                  match entry.search with
-                  | Some handle -> Min_search.Resumable.extend handle ~len:phase
-                  | None ->
-                    Min_search.minimal_successful ~ctx ~solver:gran.Gran.solver
-                      j ~base:assignment ~order ~max_states:max_search_states
-                      ~pruning ~len:(Min_search.Exactly phase) ()
-                in
-                entry.sim, found
+                entry.sim, Min_search.Resumable.extend entry.search ~len:phase
               end
               else
                 ( Simulation.run ~obs ~batch ~solver:gran.Gran.solver j
                     ~bits:assignment,
                   Min_search.minimal_successful ~ctx ~solver:gran.Gran.solver j
-                    ~base:assignment ~order ~max_states:max_search_states
-                    ~pruning ~len:(Min_search.Exactly phase) () )
+                    ~base:assignment ~max_states:max_search_states ~pruning
+                    ~len:(Min_search.Exactly phase) () )
             in
             let new_output =
               if sim.Simulation.successful then sim.Simulation.outputs.(me)
@@ -324,7 +306,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
         b = Bits.empty;
         phase = 1;
         round_in_phase = 1;
-        knowledge = Knowledge.leaf Label.Unit (* replaced in round 1 *);
+        knowledge = Interned.leaf Label.Unit (* replaced in round 1 *);
         port_colors = None;
         out = None;
       }
@@ -338,13 +320,13 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
         else
           Array.map
             (function
-              | Some m -> Knowledge.of_label m
+              | Some m -> Interned.of_label m
               | None -> invalid_arg "a-star: missing knowledge message")
             inbox
       in
       let knowledge =
-        if s.round_in_phase = 1 then Knowledge.leaf (frozen_label s)
-        else Knowledge.node (Knowledge.mark s.knowledge) (Array.to_list children)
+        if s.round_in_phase = 1 then Interned.leaf (frozen_label s)
+        else Interned.node (Interned.mark s.knowledge) (Array.to_list children)
       in
       (* The first exchange round carries the neighbors' frozen labels in
          port order: harvest the 2-hop colors once. *)
@@ -355,7 +337,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
             port_colors =
               Some
                 (Array.map
-                   (fun (c : Knowledge.t) -> Label.snd (Label.fst (Knowledge.mark c)))
+                   (fun (c : Interned.t) -> Label.snd (Label.fst (Interned.mark c)))
                    children);
           }
         else s
@@ -363,7 +345,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
       if s.round_in_phase < s.phase then
         (* Exchange step: share the gathered view, one level deeper. *)
         ( { s with knowledge; round_in_phase = s.round_in_phase + 1 },
-          Algorithm.broadcast ~degree:s.degree (Knowledge.to_label knowledge) )
+          Algorithm.broadcast ~degree:s.degree (Interned.to_label knowledge) )
       else begin
         (* Final round of the phase: run Update-Graph / Update-Output /
            Update-Bits on the gathered view L_p(v, I^p). *)
@@ -392,13 +374,13 @@ let make ?(ctx = Run_ctx.default) ~gran ?(order = Min_search.Round_major)
       end
   end)
 
-let solve ?(ctx = Run_ctx.default) ~gran g ?(order = Min_search.Round_major)
-    ?max_rounds ?incremental ?search_cache_cap ?pruning () =
+let solve ?(ctx = Run_ctx.default) ~gran g ?max_rounds ?incremental
+    ?search_cache_cap ?pruning () =
   let n = Graph.n g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> 4 * (n + 4) * (n + 4)
   in
-  let algo = make ~ctx ~gran ~order ?incremental ?search_cache_cap ?pruning () in
+  let algo = make ~ctx ~gran ?incremental ?search_cache_cap ?pruning () in
   Obs.span (Run_ctx.obs ctx) "a_star.solve" (fun () ->
       (* Update-Bits runs its searches inside the executor's rounds; their
          typed limits surface as the same errors A_infinity returns. *)

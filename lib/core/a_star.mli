@@ -4,8 +4,9 @@
     with {e no randomness}: it runs in phases [p = 1, 2, ...], where phase
     [p] spends [p] rounds gathering the depth-[p] local view of the
     current graph [I^p = (V, E, i, c, b^p)] (a full-information exchange
-    whose messages are hash-consed view DAGs, see {!Knowledge}) and then
-    executes the three sub-procedures of Figure 3 locally:
+    whose messages are hash-consed view DAGs, see
+    {!Anonet_views.Interned.to_label}) and then executes the three
+    sub-procedures of Figure 3 locally:
 
     - {b Update-Graph}: build the candidate set from the gathered view
       ({!Candidates}), keep the candidates' finite view graphs, select the
@@ -61,8 +62,6 @@
     [search.*], [sim.*] and [cache.search.*] metrics and the
     [a_star.update_bits] events.
 
-    @param order search order for Update-Bits (default
-    {!Min_search.Round_major}).
     @param max_search_states per-search frontier bound (default
     [1_000_000]); for warm searches the bound is cumulative over a
     handle's lifetime.
@@ -75,7 +74,6 @@
 val make :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->
-  ?order:Min_search.order ->
   ?max_search_states:int ->
   ?incremental:bool ->
   ?search_cache_cap:int ->
@@ -99,7 +97,6 @@ val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->
   Anonet_graph.Graph.t ->
-  ?order:Min_search.order ->
   ?max_rounds:int ->
   ?incremental:bool ->
   ?search_cache_cap:int ->

@@ -22,20 +22,6 @@ let compare_lengths a b =
   let lens x = List.sort Int.compare (Array.to_list (Array.map Bits.length x)) in
   List.compare Int.compare (lens a) (lens b)
 
-let compare_node_major a b =
-  let c = compare_lengths a b in
-  if c <> 0 then c
-  else begin
-    let rec go i =
-      if i >= Array.length a then 0
-      else begin
-        let c = Bits.compare_lex a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-      end
-    in
-    go 0
-  end
-
 let compare_round_major a b =
   let c = compare_lengths a b in
   if c <> 0 then c
@@ -58,46 +44,6 @@ let compare_round_major a b =
     in
     by_round 0
   end
-
-let free_bits base ~len =
-  Array.fold_left
-    (fun acc s ->
-      if Bits.length s > len then
-        invalid_arg "Bit_assignment.free_bits: base longer than target length";
-      acc + (len - Bits.length s))
-    0 base
-
-let extensions_range base ~len ~lo ~hi =
-  Array.iter
-    (fun s ->
-      if Bits.length s > len then
-        invalid_arg "Bit_assignment.extensions: base longer than target length")
-    base;
-  (* Free positions in node-major order: node 0's free suffix bits first. *)
-  let free =
-    Array.to_list base
-    |> List.mapi (fun i s -> List.init (len - Bits.length s) (fun j -> i, j))
-    |> List.concat
-  in
-  let f = List.length free in
-  if f > 30 then invalid_arg "Bit_assignment.extensions: too many free bits";
-  if lo < 0 || hi > 1 lsl f || lo > hi then
-    invalid_arg "Bit_assignment.extensions_range: bad code range";
-  let assignment_of code =
-    let suffix = Array.make (Array.length base) [] in
-    List.iteri
-      (fun pos (i, _) ->
-        let bit = code lsr (f - 1 - pos) land 1 = 1 in
-        suffix.(i) <- bit :: suffix.(i))
-      free;
-    Array.mapi
-      (fun i s -> Bits.concat s (Bits.of_list (List.rev suffix.(i))))
-      base
-  in
-  Seq.map (fun i -> assignment_of (lo + i)) (Seq.init (hi - lo) Fun.id)
-
-let extensions base ~len =
-  extensions_range base ~len ~lo:0 ~hi:(1 lsl free_bits base ~len)
 
 let lift ~map b = Array.map (fun c -> b.(c)) map
 

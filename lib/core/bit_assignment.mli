@@ -1,4 +1,4 @@
-(** Bit assignments [b : V -> {0,1}*] and their canonical orders
+(** Bit assignments [b : V -> {0,1}*] and their canonical order
     (Section 2.2).
 
     A [t]-round simulation of the randomized algorithm [A_R] is induced by
@@ -7,11 +7,11 @@
     that all nodes deterministically agree on "the smallest successful"
     one.  The paper fixes: shorter (uniform) length first, then
     lexicographic on the tuple [(b(u_1), ..., b(u_k))] in the canonical
-    node order — {!compare_node_major}.  Any predetermined order supports
-    the same lemmas; the library's default is {!compare_round_major}
-    (compare the round-1 bits of all nodes, then round 2, ...), which
-    admits an efficient prefix-sharing search.  Tests cross-check that both
-    orders yield valid derandomizations. *)
+    node order.  Any predetermined order supports the same lemmas; the
+    library uses {!compare_round_major} (compare the round-1 bits of all
+    nodes, then round 2, ...), which admits an efficient prefix-sharing
+    search.  The paper's node-major order and its exhaustive enumeration
+    live in the test suite, as the oracle the search is checked against. *)
 
 type t = Anonet_graph.Bits.t array
 (** indexed by the canonical node order of the graph being simulated *)
@@ -39,34 +39,9 @@ val is_uniform : t -> bool
     uniformity checked separately). *)
 val is_extension : base:t -> t -> bool
 
-(** The paper's order: length first (uniform lengths compared as
-    integers; non-uniform assignments compare by their sorted length
-    vectors), then node-major lexicographic. *)
-val compare_node_major : t -> t -> int
-
-(** The library default: length first, then round-major lexicographic
+(** The library's order: length first, then round-major lexicographic
     (round-1 bits of [u_1..u_k], then round-2 bits, ...). *)
 val compare_round_major : t -> t -> int
-
-(** [free_bits base ~len] is the number of free bit positions an extension
-    to length [len] must fill — the [f] such that {!extensions} has [2^f]
-    elements.
-    @raise Invalid_argument if some [base] string is longer than [len]. *)
-val free_bits : t -> len:int -> int
-
-(** [extensions base ~len] enumerates every assignment extending [base]
-    with all strings of length exactly [len], in {e node-major}
-    lexicographic order.  The sequence has [2^f] elements where [f] is the
-    number of free bit positions — intended for tiny cross-checks only.
-    @raise Invalid_argument if some [base] string is longer than [len]. *)
-val extensions : t -> len:int -> t Seq.t
-
-(** [extensions_range base ~len ~lo ~hi] is the [lo .. hi-1] slice (by
-    enumeration index, i.e. by the integer whose bits fill the free
-    positions) of {!extensions} — random access for sharding the
-    node-major search by fixed bit-prefix.
-    @raise Invalid_argument on a range outside [0 .. 2^f]. *)
-val extensions_range : t -> len:int -> lo:int -> hi:int -> t Seq.t
 
 (** [lift ~map b] pulls an assignment on a factor back to the product:
     product node [v] receives [b.(map.(v))] — how a simulation on the view

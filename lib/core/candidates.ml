@@ -3,6 +3,7 @@ module Label = Anonet_graph.Label
 module Encode = Anonet_graph.Encode
 module Props = Anonet_graph.Props
 module View_graph = Anonet_views.View_graph
+module Interned = Anonet_views.Interned
 
 type t = {
   graph : Graph.t;
@@ -21,25 +22,25 @@ let assignment_of g =
    [None] when the quotient is not a well-defined simple connected graph. *)
 let quotient k ~q =
   let witnesses =
-    List.filter (fun sub -> Knowledge.depth sub >= q + 1) (Knowledge.subtrees k)
+    List.filter (fun sub -> Interned.depth sub >= q + 1) (Interned.subtrees k)
   in
   if witnesses = [] then None
   else begin
     (* Classes in canonical order of their truncated trees. *)
     let class_trees =
-      List.sort_uniq Knowledge.compare
-        (List.map (fun sub -> Knowledge.truncate sub ~depth:q) witnesses)
+      List.sort_uniq Interned.compare
+        (List.map (fun sub -> Interned.truncate sub ~depth:q) witnesses)
     in
     (* Interned ids make the class lookup O(1): equal trees have equal
        ids, so the id-keyed table is exactly the former linear
-       [Knowledge.equal] scan.  [quotient] runs once per depth per phase
+       [Interned.equal] scan.  [quotient] runs once per depth per phase
        and looks up every witness and every witness child. *)
     let index = Hashtbl.create 16 in
     List.iteri
-      (fun i (t : Knowledge.t) -> Hashtbl.replace index (Knowledge.id t) i)
+      (fun i (t : Interned.t) -> Hashtbl.replace index (Interned.id t) i)
       class_trees;
-    let class_index (tree : Knowledge.t) =
-      Hashtbl.find_opt index (Knowledge.id tree)
+    let class_index (tree : Interned.t) =
+      Hashtbl.find_opt index (Interned.id tree)
     in
     let k_classes = List.length class_trees in
     let exception Reject in
@@ -48,17 +49,17 @@ let quotient k ~q =
       List.iter
         (fun sub ->
           let c =
-            match class_index (Knowledge.truncate sub ~depth:q) with
+            match class_index (Interned.truncate sub ~depth:q) with
             | Some c -> c
             | None -> raise Reject
           in
           let nbrs =
             List.map
               (fun child ->
-                match class_index (Knowledge.truncate child ~depth:q) with
+                match class_index (Interned.truncate child ~depth:q) with
                 | Some c' -> c'
                 | None -> raise Reject (* neighbor class has no witness *))
-              (Knowledge.children sub)
+              (Interned.children sub)
           in
           let nbrs = List.sort Int.compare nbrs in
           (* simple graph: no loops, no parallel edges *)
@@ -85,12 +86,12 @@ let quotient k ~q =
                  adjacency.(c)))
       in
       let labels =
-        Array.of_list (List.map Knowledge.mark class_trees)
+        Array.of_list (List.map Interned.mark class_trees)
       in
       let g = Graph.create ~n:k_classes ~edges ~labels in
       if not (Props.is_connected g) then None
       else begin
-        match class_index (Knowledge.truncate k ~depth:q) with
+        match class_index (Interned.truncate k ~depth:q) with
         | None -> None
         | Some me -> Some (g, me)
       end
@@ -104,7 +105,7 @@ let accept_candidate ~phase:p ~knowledge:k ~is_instance (g, me, q) =
   else if
     (* C2: the candidate's own depth-p view at [me] must reproduce the
        gathered view exactly. *)
-    not (Knowledge.equal k (Knowledge.view_of_graph g ~root:me ~depth:p))
+    not (Interned.equal k (Interned.of_graph g ~root:me ~depth:p))
   then None
   else if not (is_instance (strip_b g)) then None (* C3 *)
   else begin
@@ -127,11 +128,11 @@ let rec dedupe_sorted = function
 
 let from_knowledge k ~phase ~is_instance =
   let p = phase in
-  let depth_k = Knowledge.depth k in
+  let depth_k = Interned.depth k in
   (* The single-node case: a degree-0 root has the whole graph in view. *)
   let singleton =
-    if Knowledge.children k = [] then
-      [ Graph.create ~n:1 ~edges:[] ~labels:[| Knowledge.mark k |], 0, 0 ]
+    if Interned.children k = [] then
+      [ Graph.create ~n:1 ~edges:[] ~labels:[| Interned.mark k |], 0, 0 ]
     else []
   in
   let quotients =

@@ -38,7 +38,7 @@ type t = {
     list is Update-Graph's selection.  [is_instance] decides membership of
     [Π^c] on the [b]-stripped graph (condition C3). *)
 val from_knowledge :
-  Knowledge.t ->
+  Anonet_views.Interned.t ->
   phase:int ->
   is_instance:(Anonet_graph.Graph.t -> bool) ->
   t list
@@ -52,7 +52,7 @@ val from_knowledge :
     selection whenever the paper's minimality argument applies, and that
     every quotient candidate also appears in the literal set). *)
 val literal_candidates :
-  Knowledge.t ->
+  Anonet_views.Interned.t ->
   phase:int ->
   alphabet:Anonet_graph.Label.t list ->
   is_instance:(Anonet_graph.Graph.t -> bool) ->

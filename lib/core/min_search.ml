@@ -8,10 +8,6 @@ module Obs = Anonet_obs.Obs
 module Metrics = Anonet_obs.Metrics
 module Events = Anonet_obs.Events
 
-type order =
-  | Round_major
-  | Node_major
-
 type length_constraint =
   | Exactly of int
   | At_most of int
@@ -42,20 +38,19 @@ let catch_limits f =
          free_bits limit)
 
 (* Enumerating [2^f] branches at once is hopeless beyond a few dozen free
-   bits; the limits below keep a runaway instance from looking like a
-   hang.  Round-major branches once per round (on that round's free
-   bits), node-major once per candidate length (on the whole extension). *)
-let round_branching_limit = 24
-
-let node_branching_limit = 30
-
-let check_branching ~free_bits ~limit =
-  if free_bits > limit then raise (Branching_limit_exceeded { free_bits; limit })
+   bits; the search branches once per round, on that round's free bits,
+   and this limit keeps a runaway instance from looking like a hang. *)
+let branching_limit = 24
 
 (* Dedup on execution-state keys (see [Executor.Incremental.dedup_key]):
    for flat-representation states a key aliases the state's own arenas —
    no Marshal round-trip, which used to be ~45% of per-state search cost. *)
 module KeyTbl = Hashtbl.Make (Executor.Incremental.Key)
+
+(* A one-domain pool computes nothing in parallel: take the sequential
+   path outright so the two are trivially identical. *)
+let parallel_pool ctx =
+  match Run_ctx.pool ctx with Some p when Pool.domains p > 1 -> Some p | _ -> None
 
 (* Split [0 .. size-1] into at most [4 * domains] contiguous chunks —
    enough slack for dynamic balancing without drowning in merge work. *)
@@ -107,7 +102,7 @@ let prescribed_vec ~base ~r =
 
 (* The round vector encoded by [code]: free node at position [pos] (in
    [free] order) carries bit [f - 1 - pos] of [code], so increasing codes
-   enumerate the vectors in node-major lexicographic order. *)
+   enumerate the vectors in lexicographic order over the node index. *)
 let vector_of_code ~prescribed ~free ~f code =
   let bits = Bitvec.copy prescribed in
   List.iteri
@@ -201,7 +196,8 @@ let expand_level t ~consider =
      every frontier entry. *)
   let free = free_nodes ~base:t.base ~r in
   let f = List.length free in
-  check_branching ~free_bits:f ~limit:round_branching_limit;
+  if f > branching_limit then
+    raise (Branching_limit_exceeded { free_bits = f; limit = branching_limit });
   let frontier_size = List.length t.frontier in
   Obs.set t.frontier_g frontier_size;
   Obs.eventf t.obs "search.level" (fun () ->
@@ -477,126 +473,14 @@ let search_round_major ?pool ~obs ~solver g ~base ~max_states ~pruning
   | Some (assignment, sim) ->
     Some { assignment; sim; states_explored = t.explored }
 
-(* ---------- node-major exhaustive enumeration (the paper's order) ------ *)
-
-let search_node_major ?pool ~obs ~solver g ~base ~max_states ~len_constraint =
-  let states_c = Obs.counter obs "search.states_explored" in
-  let max_base = Bit_assignment.max_length base in
-  let lengths =
-    match len_constraint with
-    | Exactly l ->
-      if max_base > l then invalid_arg "Min_search: base longer than exact target";
-      Seq.return l
-    | At_most l -> Seq.init (l - max_base + 1) (fun i -> max_base + i)
-  in
-  let explored = ref 0 in
-  let simulate assignment =
-    let sim = Simulation.run ~solver g ~bits:assignment in
-    if sim.Simulation.successful then Some (assignment, sim) else None
-  in
-  let try_length_sequential len =
-    let free_bits = Bit_assignment.free_bits base ~len in
-    check_branching ~free_bits ~limit:node_branching_limit;
-    Obs.eventf obs "search.length" (fun () ->
-        [ ("len", Events.Int len); ("free_bits", Events.Int free_bits) ]);
-    Seq.find_map
-      (fun assignment ->
-        incr explored;
-        Obs.incr states_c;
-        if !explored > max_states then raise Search_limit_exceeded;
-        simulate assignment)
-      (Bit_assignment.extensions base ~len)
-  in
-  (* Sharded by fixed bit-prefix: the [2^f] extension codes of one length
-     split into contiguous blocks (equal high-order prefixes), raced for
-     the lowest block holding a success — which, blocks being ordered,
-     contains the node-major-least success overall.  The search stays
-     sequential-equivalent including its state budget: the sequential loop
-     simulates at most [max_states - explored] codes before raising, so
-     only that prefix of the space is raced, and the winner's offset
-     recovers the exact sequential [explored] count. *)
-  let try_length_racing p len =
-    let f = Bit_assignment.free_bits base ~len in
-    check_branching ~free_bits:f ~limit:node_branching_limit;
-    Obs.eventf obs "search.length" (fun () ->
-        [ ("len", Events.Int len); ("free_bits", Events.Int f) ]);
-    let space = 1 lsl f in
-    let allowed = max_states - !explored in
-    if allowed <= 0 then raise Search_limit_exceeded;
-    let range = min space allowed in
-    let bounds = chunk_bounds ~size:range ~domains:(Pool.domains p) in
-    let task ~stop c =
-      let lo, hi = bounds.(c) in
-      (* Worker-side claim event only; counters are posted by the caller in
-         the deterministic merge below. *)
-      Obs.eventf obs "search.block" (fun () ->
-          [
-            ("len", Events.Int len);
-            ("lo", Events.Int lo);
-            ("hi", Events.Int hi);
-          ]);
-      let rec scan offset seq =
-        if stop () then None
-        else begin
-          match Seq.uncons seq with
-          | None -> None
-          | Some (assignment, rest) ->
-            (match simulate assignment with
-             | Some found -> Some (lo + offset, found)
-             | None -> scan (offset + 1) rest)
-        end
-      in
-      scan 0 (Bit_assignment.extensions_range base ~len ~lo ~hi)
-    in
-    match Pool.race p ~n:(Array.length bounds) task with
-    | Some (_, (code, found)) ->
-      explored := !explored + code + 1;
-      Obs.incr ~by:(code + 1) states_c;
-      Some found
-    | None ->
-      if range < space then raise Search_limit_exceeded
-      else begin
-        explored := !explored + space;
-        Obs.incr ~by:space states_c;
-        None
-      end
-  in
-  let try_length =
-    match pool with
-    | Some p -> try_length_racing p
-    | None -> try_length_sequential
-  in
-  match Seq.find_map try_length lengths with
-  | None -> None
-  | Some (assignment, sim) ->
-    Some { assignment; sim; states_explored = !explored }
-
-let minimal_successful_with ~obs ~pool ~solver g ~base ?(order = Round_major)
+let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base
     ?(max_states = 1_000_000) ?(pruning = true) ~len () =
   if Array.length base <> Graph.n g then
     invalid_arg "Min_search: assignment size differs from graph size";
-  (* A one-domain pool computes nothing in parallel: take the sequential
-     path outright so the two are trivially identical. *)
-  let pool =
-    match pool with Some p when Pool.domains p > 1 -> Some p | _ -> None
-  in
-  match order with
-  | Round_major ->
-    Obs.span obs "min_search.round_major" (fun () ->
-        search_round_major ?pool ~obs ~solver g ~base ~max_states ~pruning
-          ~len_constraint:len)
-  | Node_major ->
-    (* The paper's reference order stays an exhaustive enumeration —
-       it is what the pruned search is asserted against. *)
-    Obs.span obs "min_search.node_major" (fun () ->
-        search_node_major ?pool ~obs ~solver g ~base ~max_states
-          ~len_constraint:len)
-
-let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base ?order
-    ?max_states ?pruning ~len () =
-  minimal_successful_with ~obs:(Run_ctx.obs ctx) ~pool:(Run_ctx.pool ctx)
-    ~solver g ~base ?order ?max_states ?pruning ~len ()
-
+  let obs = Run_ctx.obs ctx in
+  Obs.span obs "min_search.round_major" (fun () ->
+      search_round_major ?pool:(parallel_pool ctx) ~obs ~solver g ~base
+        ~max_states ~pruning ~len_constraint:len)
 
 (* ---------- resumable round-major search (incremental phase engine) ---- *)
 
@@ -655,17 +539,12 @@ module Resumable = struct
       end
       else false
     in
-    let pool =
-      match Run_ctx.pool ctx with
-      | Some p when Pool.domains p > 1 -> Some p
-      | _ -> None
-    in
     let bfs =
       (* The handle serves [Exactly len] targets, whose completion
          padding breaks cross-level domination — only the per-round
          sensitivity cores apply here, never the subsumption table. *)
-      bfs_start ~obs:(Run_ctx.obs ctx) ~pool ~solver g ~base ~max_states
-        ~pruning ~subsume:false ~consider
+      bfs_start ~obs:(Run_ctx.obs ctx) ~pool:(parallel_pool ctx) ~solver g
+        ~base ~max_states ~pruning ~subsume:false ~consider
     in
     { bfs; best; consider; floor = -1 }
 

@@ -2,38 +2,27 @@
 
     Update-Bits needs, deterministically and identically at every node, the
     smallest bit assignment (under a predetermined total order) whose
-    induced simulation of [A_R] is successful.  The orders:
+    induced simulation of [A_R] is successful.  The paper's lemmas only
+    need {e some} predetermined total order shared by all nodes; the one
+    searched here is: assignments of smaller length first, ties broken by
+    the round-major lexicographic order of
+    {!Bit_assignment.compare_round_major}.  This order admits an efficient
+    search: executions form a tree branching on each round's bit vector,
+    explored breadth-first in lexicographic order while {e deduplicating
+    equal execution states} — two prefixes leading to the same global
+    state have identical futures, and the lexicographically smaller prefix
+    dominates, so the frontier is bounded by the algorithm's reachable
+    state space rather than by [2^(t·k)].  The paper's literal node-major
+    order survives as a brute-force oracle in the test suite, which checks
+    that both orders find successes of the same minimal length.
 
-    - {!Round_major} (default): assignments of smaller length first, ties
-      broken by the round-major lexicographic order of
-      {!Bit_assignment.compare_round_major}.  This order admits an
-      efficient search: executions form a tree branching on each round's
-      bit vector, explored breadth-first in lexicographic order while
-      {e deduplicating equal execution states} — two prefixes leading to
-      the same global state have identical futures, and the
-      lexicographically smaller prefix dominates, so the frontier is
-      bounded by the algorithm's reachable state space rather than by
-      [2^(t·k)].
-    - {!Node_major}: the paper's literal order (Section 2.2), implemented
-      by exhaustive enumeration; only viable for tiny instances, used to
-      cross-check the efficient search.
-
-    All the paper's lemmas are order-agnostic — they only need some
-    predetermined total order shared by all nodes.
-
-    Both searches accept an optional domain {!Anonet_parallel.Pool}:
-    round-major shards each level's frontier expansion by entry chunks
-    (stepping and fingerprinting run on all domains; the order-sensitive
-    dedup and the {!Bit_assignment.compare_round_major} tiebreak merge
-    sequentially, in lexicographic order), node-major shards each length's
-    enumeration by fixed bit-prefix and races the blocks for the lowest
-    success.  The minimal assignment found — indeed the entire {!found}
-    record, [states_explored] included — is identical to the sequential
-    search's. *)
-
-type order =
-  | Round_major
-  | Node_major
+    The search accepts an optional domain {!Anonet_parallel.Pool}: it
+    shards each level's frontier expansion by entry chunks (stepping and
+    fingerprinting run on all domains; the order-sensitive dedup and the
+    {!Bit_assignment.compare_round_major} tiebreak merge sequentially, in
+    lexicographic order).  The minimal assignment found — indeed the entire
+    {!found} record, [states_explored] included — is identical to the
+    sequential search's. *)
 
 type length_constraint =
   | Exactly of int
@@ -51,14 +40,12 @@ type found = {
 
 exception Search_limit_exceeded
 
-(** Raised (by either order, either execution mode) when a single
-    branching step would have to enumerate more than [2^limit]
-    alternatives at once: more than 24 free bits in one round
-    (round-major), more than 30 free bits in one candidate length
-    (node-major).  A typed error rather than [Invalid_argument] so that
-    callers can degrade gracefully — report the instance as out of reach,
-    fall back to a coarser base assignment — instead of dying on a
-    stringly-typed assert. *)
+(** Raised (in either execution mode) when a single branching step would
+    have to enumerate more than [2^limit] alternatives at once: more than
+    24 free bits in one round.  A typed error rather than
+    [Invalid_argument] so that callers can degrade gracefully — report the
+    instance as out of reach, fall back to a coarser base assignment —
+    instead of dying on a stringly-typed assert. *)
 exception Branching_limit_exceeded of { free_bits : int; limit : int }
 
 (** [catch_limits f] runs [f ()] and renders the two typed search limits
@@ -68,7 +55,7 @@ exception Branching_limit_exceeded of { free_bits : int; limit : int }
 val catch_limits : (unit -> 'a) -> ('a, string) result
 
 (** [minimal_successful ?ctx ~solver g ~base ~len ()] finds the smallest
-    assignment extending [base] (per the chosen order) whose induced
+    assignment extending [base] (in the order above) whose induced
     simulation on [g] is successful, or [None] if none exists within the
     length constraint.
 
@@ -79,13 +66,13 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     [states_explored] within one call, in both execution modes), tracks the
     breadth-first frontier in the [search.frontier] gauge (reset to 0 on
     every exit, including raised limits), times the search under a
-    [min_search.round_major] / [min_search.node_major] span, and emits
-    ["search.level"] / ["search.length"] / ["search.block"] events.
+    [min_search.round_major] span, and emits a ["search.level"] event per
+    breadth-first level.
     [ctx.faults] and [ctx.scramble_seed] are not consulted: the search
     semantics is the fault-free deterministic model (a stateful injector
     cannot be shared by branching executions).
 
-    [pruning] (default [true], round-major only) enables core-guided
+    [pruning] (default [true]) enables core-guided
     pruning: per-round bit-sensitivity cores from
     {!Anonet_runtime.Executor.Incremental.bit_sensitivity} collapse
     sibling vectors that provably step an entry to the same child onto
@@ -93,7 +80,7 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     targets — a cross-level state table subsumes children whose execution
     state was already reached at an earlier (hence round-major smaller)
     level.  The search's value is unchanged — same [found] record as the
-    exhaustive search, asserted against {!Node_major} in the test suite —
+    exhaustive search, asserted in the test suite —
     while [states_explored] drops; the skipped siblings and subsumed
     children are counted in the [search.pruned] counter and the
     sensitivity probes in [search.core_probes].  See DESIGN.md
@@ -117,7 +104,6 @@ val minimal_successful :
   solver:Anonet_runtime.Algorithm.t ->
   Anonet_graph.Graph.t ->
   base:Bit_assignment.t ->
-  ?order:order ->
   ?max_states:int ->
   ?pruning:bool ->
   len:length_constraint ->

@@ -80,9 +80,9 @@ let exp_f1 ~ctx:_ () =
     List.map
       (fun d ->
         let v = View.of_graph g ~root:0 ~depth:d in
-        let k = Anonet.Knowledge.view_of_graph g ~root:0 ~depth:d in
+        let k = Anonet_views.Interned.of_graph g ~root:0 ~depth:d in
         let size = View.size v in
-        let distinct = List.length (Anonet.Knowledge.subtrees k) in
+        let distinct = List.length (Anonet_views.Interned.subtrees k) in
         row ~experiment:"f1"
           ~label:(Printf.sprintf "depth-%d" d)
           ~fields:

@@ -1,6 +1,6 @@
 let parse_ints s = List.map int_of_string (String.split_on_char ',' s)
 
-let graph spec =
+let build spec =
   let fail () = failwith (Printf.sprintf "unknown graph spec %S" spec) in
   match String.split_on_char ':' spec with
   | [ "file"; path ] -> Graph_io.load path
@@ -53,3 +53,10 @@ let graph spec =
       | _ -> fail ()
     end
   | _ -> fail ()
+
+(* Generators and the graph-file parser reject out-of-range arguments
+   with [Invalid_argument]; to a caller holding a spec string those are
+   malformed specs like any other. *)
+let graph spec =
+  try build spec with
+  | Invalid_argument m -> failwith (Printf.sprintf "bad graph spec %S: %s" spec m)

@@ -7,5 +7,7 @@
     the natural knob for huge sparse ensembles. *)
 
 (** [graph spec] builds the described graph.
-    @raise Failure on an unknown or malformed spec. *)
+    @raise Failure on an unknown or malformed spec, including arguments a
+    generator rejects ([cycle:2], [regular:5,3,1]) and a [file:] whose
+    contents do not parse. *)
 val graph : string -> Graph.t

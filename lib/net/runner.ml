@@ -37,6 +37,7 @@ let coloring_of_spec g spec =
   | [ "unique" ] -> Array.init n (fun v -> Label.Int v)
   | [ "mod"; k ] ->
     let k = try int_of_string k with Failure _ -> bad_spec "bad mod spec %S" spec in
+    if k < 1 then bad_spec "bad mod spec %S (want K >= 1)" spec;
     let c = Array.init n (fun v -> Label.Int (v mod k)) in
     if not (Props.is_k_hop_coloring g 2 (fun v -> c.(v))) then
       bad_spec "mod:%d is not a 2-hop coloring of this graph" k;

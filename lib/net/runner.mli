@@ -28,11 +28,13 @@ val bundle_of_spec : string -> Anonet_problems.Gran.t
 val coloring_of_spec :
   Anonet_graph.Graph.t -> string -> Anonet_graph.Label.t array
 (** [unique], [mod:K] or [random:SEED] (the latter runs the Las-Vegas
-    2-hop solver).  @raise Bad_spec on unknown specs or a [mod:K] that is
-    not a 2-hop coloring of the graph. *)
+    2-hop solver).  @raise Bad_spec on unknown specs, on [mod:K] with
+    [K < 1], and on a [mod:K] that is not a 2-hop coloring of the graph. *)
 
 val graph_of_spec : string -> Anonet_graph.Graph.t
-(** {!Anonet_graph.Spec.graph} with failures mapped to {!Bad_spec}. *)
+(** {!Anonet_graph.Spec.graph} with failures — unknown specs, arguments a
+    generator rejects, unreadable or unparsable files — mapped to
+    {!Bad_spec}. *)
 
 val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
 (** Runs the job to completion on the calling thread.  Job keys:

@@ -270,6 +270,113 @@ let subtrees t =
   visit t;
   !acc
 
+(* ---------- label (de)serialization ---------- *)
+
+(* DAG serialization: entries listed children-first; each entry is
+   (mark, indices of children among earlier entries); the root is the last
+   entry. *)
+let build_label t =
+  let index : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let entries = ref [] in
+  let count = ref 0 in
+  let rec visit t =
+    if not (Hashtbl.mem index (id t)) then begin
+      let children = children t in
+      List.iter visit children;
+      Hashtbl.add index (id t) !count;
+      incr count;
+      let child_ixs =
+        List.map (fun c -> Label.Int (Hashtbl.find index (id c))) children
+      in
+      entries := Label.Pair (mark t, Label.List child_ixs) :: !entries
+    end
+  in
+  visit t;
+  Label.List (List.rev !entries)
+
+(* Serialization is a pure function of the handle, and A* broadcasts
+   the same gathered view to every neighbor each exchange round — memoizing
+   per domain means one DAG walk (and one label value) per distinct view
+   instead of one per (node, round).  The shared label value also feeds the
+   identity-keyed [of_label] cache on the receiving side. *)
+let to_label_memo_key =
+  Domain.DLS.new_key (fun () : (int, Label.t) Hashtbl.t -> Hashtbl.create 1024)
+
+let to_label t =
+  let memo = Domain.DLS.get to_label_memo_key in
+  match Hashtbl.find_opt memo (id t) with
+  | Some l -> l
+  | None ->
+    let l = build_label t in
+    Hashtbl.add memo (id t) l;
+    l
+
+let decode_label l =
+  match l with
+  | Label.List [] -> invalid_arg "Interned.of_label: empty"
+  | Label.List entries ->
+    let arr = Array.make (List.length entries) None in
+    List.iteri
+      (fun i entry ->
+        match entry with
+        | Label.Pair (mark, Label.List child_ixs) ->
+          let children =
+            List.map
+              (fun ix ->
+                let j = Label.to_int ix in
+                if j < 0 || j >= i then
+                  invalid_arg "Interned.of_label: bad child index";
+                Option.get arr.(j))
+              child_ixs
+          in
+          arr.(i) <- Some (node mark children)
+        | _ -> invalid_arg "Interned.of_label: malformed entry")
+      entries;
+    (match arr.(Array.length arr - 1) with
+     | Some t -> t
+     | None -> invalid_arg "Interned.of_label: empty")
+  | _ -> invalid_arg "Interned.of_label: not a list"
+
+(* Identity-keyed decode cache: the memoized [to_label] hands every receiver
+   the same physical label value, so equality here is pointer equality with
+   a structural hash (stable across GC moves; physically equal values are
+   structurally equal, so they land in the same bucket).  Distinct-but-equal
+   labels merely miss and decode — interning still yields the same tree. *)
+module Label_key = struct
+  type t = Label.t
+
+  let equal = ( == )
+
+  (* Serialized DAGs list entries children-first, so their heads (the leaf
+     marks) are poor discriminators; the root entry — the last — and the
+     entry count are.  One spine walk, no deep traversal. *)
+  let hash (l : Label.t) =
+    match l with
+    | Label.List (e0 :: rest) ->
+      let rec last_len n last = function
+        | [] -> n, last
+        | [ e ] -> n + 1, e
+        | _ :: tl -> last_len (n + 1) last tl
+      in
+      let len, last = last_len 1 e0 rest in
+      (Hashtbl.hash last * 31) + len
+    | l -> Hashtbl.hash l
+end
+
+module Label_tbl = Hashtbl.Make (Label_key)
+
+let of_label_cache_key =
+  Domain.DLS.new_key (fun () : t Label_tbl.t -> Label_tbl.create 1024)
+
+let of_label l =
+  let cache = Domain.DLS.get of_label_cache_key in
+  match Label_tbl.find_opt cache l with
+  | Some t -> t
+  | None ->
+    let t = decode_label l in
+    Label_tbl.add cache l t;
+    t
+
 (* ---------- statistics ---------- *)
 
 type stats = {

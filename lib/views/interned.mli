@@ -95,6 +95,28 @@ val truncate : t -> depth:int -> t
     [t] itself), each once. *)
 val subtrees : t -> t list
 
+(** {2 Serialization}
+
+    [A*]'s nodes gather and exchange their local views as interned trees
+    (the full-information "knowledge" of the paper).  Trees serialize to
+    {!Anonet_graph.Label.t} values as minimal DAGs, so exchanging a view
+    costs messages polynomial in [n·p], not exponential. *)
+
+(** [to_label t] serializes [t] as a minimal-DAG label: entries listed
+    children-first, each a pair of the mark and the indices of its
+    children among earlier entries, the root last.  [of_label] inverts it.
+
+    Both directions are cached per domain: [to_label] memoizes on the
+    handle (so re-broadcasting the same view re-uses one label value,
+    physically), and [of_label] keeps an identity-keyed cache — receivers
+    that are handed the {e same} label value (the common case under the
+    memoized [to_label]) skip the decode entirely.  Both caches are pure
+    function caches; results are identical with or without them.
+    @raise Invalid_argument on malformed input. *)
+val to_label : t -> Anonet_graph.Label.t
+
+val of_label : Anonet_graph.Label.t -> t
+
 (** {2 Cache statistics} *)
 
 type stats = {

@@ -1,6 +1,7 @@
-(* Tests for the derandomization core: Knowledge, Bit_assignment,
-   Simulation, Min_search, Candidates, A_infinity, A_star, Lifting,
-   Decouple — the constructive content of Theorems 1 and 2. *)
+(* Tests for the derandomization core: the gathered views ("knowledge")
+   and their DAG labels, Bit_assignment, Simulation, Min_search,
+   Candidates, A_infinity, A_star, Lifting, Decouple — the constructive
+   content of Theorems 1 and 2. *)
 
 open Anonet_graph
 open Anonet
@@ -9,6 +10,8 @@ module Gran = Anonet_problems.Gran
 module Catalog = Anonet_problems.Catalog
 module Bundles = Anonet_algorithms.Bundles
 module Executor = Anonet_runtime.Executor
+module Interned = Anonet_views.Interned
+module View_graph = Anonet_views.View_graph
 
 let check = Alcotest.(check bool)
 
@@ -22,29 +25,29 @@ let c6_instance () =
 
 let prime_instance g = colored_instance g (Array.init (Graph.n g) (fun v -> Label.Int v))
 
-(* ---------- Knowledge ---------- *)
+(* ---------- Knowledge: interned views and their DAG labels ---------- *)
 
 let test_knowledge_hashcons () =
-  let a = Knowledge.node (Label.Int 1) [ Knowledge.leaf (Label.Int 2) ] in
-  let b = Knowledge.node (Label.Int 1) [ Knowledge.leaf (Label.Int 2) ] in
-  check "same id" true (Knowledge.id a = Knowledge.id b);
-  check "equal" true (Knowledge.equal a b);
+  let a = Interned.node (Label.Int 1) [ Interned.leaf (Label.Int 2) ] in
+  let b = Interned.node (Label.Int 1) [ Interned.leaf (Label.Int 2) ] in
+  check "same id" true (Interned.id a = Interned.id b);
+  check "equal" true (Interned.equal a b);
   (* children are canonicalized *)
-  let c1 = Knowledge.leaf (Label.Int 1) and c2 = Knowledge.leaf (Label.Int 2) in
-  let x = Knowledge.node Label.Unit [ c1; c2 ] in
-  let y = Knowledge.node Label.Unit [ c2; c1 ] in
-  check "sorted children" true (Knowledge.equal x y)
+  let c1 = Interned.leaf (Label.Int 1) and c2 = Interned.leaf (Label.Int 2) in
+  let x = Interned.node Label.Unit [ c1; c2 ] in
+  let y = Interned.node Label.Unit [ c2; c1 ] in
+  check "sorted children" true (Interned.equal x y)
 
 let test_knowledge_view_matches_view_module () =
   let g = Gen.c6_figure1 () in
   for d = 1 to 6 do
-    let k = Knowledge.view_of_graph g ~root:0 ~depth:d in
+    let k = Interned.of_graph g ~root:0 ~depth:d in
     let v = Anonet_views.View.of_graph g ~root:0 ~depth:d in
     (* Compare shapes via a common rendering: mark sequence of a canonical
        preorder walk. *)
-    let rec flat_k (t : Knowledge.t) =
-      Label.encode (Knowledge.mark t)
-      :: List.concat_map flat_k (Knowledge.children t)
+    let rec flat_k (t : Interned.t) =
+      Label.encode (Interned.mark t)
+      :: List.concat_map flat_k (Interned.children t)
     in
     let rec flat_v (t : Anonet_views.View.t) =
       Label.encode t.Anonet_views.View.mark
@@ -56,26 +59,26 @@ let test_knowledge_view_matches_view_module () =
 
 let test_knowledge_label_roundtrip () =
   let g = Gen.petersen () in
-  let k = Knowledge.view_of_graph (Gen.label_with_ints g) ~root:3 ~depth:5 in
-  let k' = Knowledge.of_label (Knowledge.to_label k) in
-  check "roundtrip" true (Knowledge.equal k k');
-  check_int "same id (hash-consed)" (Knowledge.id k) (Knowledge.id k')
+  let k = Interned.of_graph (Gen.label_with_ints g) ~root:3 ~depth:5 in
+  let k' = Interned.of_label (Interned.to_label k) in
+  check "roundtrip" true (Interned.equal k k');
+  check_int "same id (hash-consed)" (Interned.id k) (Interned.id k')
 
 let test_knowledge_truncate_depth () =
   let g = Gen.c6_figure1 () in
-  let k = Knowledge.view_of_graph g ~root:0 ~depth:6 in
-  check_int "depth" 6 (Knowledge.depth k);
-  let t = Knowledge.truncate k ~depth:3 in
-  check_int "truncated depth" 3 (Knowledge.depth t);
+  let k = Interned.of_graph g ~root:0 ~depth:6 in
+  check_int "depth" 6 (Interned.depth k);
+  let t = Interned.truncate k ~depth:3 in
+  check_int "truncated depth" 3 (Interned.depth t);
   check "truncate = direct view" true
-    (Knowledge.equal t (Knowledge.view_of_graph g ~root:0 ~depth:3))
+    (Interned.equal t (Interned.of_graph g ~root:0 ~depth:3))
 
 let test_knowledge_subtrees_shared () =
   (* C6-figure1 has 3 view classes, so each level contributes at most 3
      distinct subtrees: the DAG stays linear in depth. *)
   let g = Gen.c6_figure1 () in
-  let k = Knowledge.view_of_graph g ~root:0 ~depth:10 in
-  let count = List.length (Knowledge.subtrees k) in
+  let k = Interned.of_graph g ~root:0 ~depth:10 in
+  let count = List.length (Interned.subtrees k) in
   check "DAG is small" true (count <= 3 * 10)
 
 (* ---------- Bit_assignment ---------- *)
@@ -84,11 +87,11 @@ let b s = Bits.of_string s
 
 let test_assignment_orders () =
   let a1 = [| b "0"; b "1" |] and a2 = [| b "1"; b "0" |] in
-  check "node-major" true (Bit_assignment.compare_node_major a1 a2 < 0);
+  check "node-major" true (Search_oracle.compare_node_major a1 a2 < 0);
   check "round-major agrees here" true (Bit_assignment.compare_round_major a1 a2 < 0);
   (* length dominates *)
   let short = [| b "1"; b "1" |] and long = [| b "00"; b "00" |] in
-  check "shorter first (node-major)" true (Bit_assignment.compare_node_major short long < 0);
+  check "shorter first (node-major)" true (Search_oracle.compare_node_major short long < 0);
   check "shorter first (round-major)" true
     (Bit_assignment.compare_round_major short long < 0);
   (* the two orders genuinely differ: a = (01, 10), b = (10, 00).
@@ -96,12 +99,12 @@ let test_assignment_orders () =
      a < b too... pick a = (01,00), b = (00,10): node-major: a > b;
      round-major: round1 (0,0) vs (0,1): a < b. *)
   let x = [| b "01"; b "00" |] and y = [| b "00"; b "10" |] in
-  check "orders differ (node-major)" true (Bit_assignment.compare_node_major x y > 0);
+  check "orders differ (node-major)" true (Search_oracle.compare_node_major x y > 0);
   check "orders differ (round-major)" true (Bit_assignment.compare_round_major x y < 0)
 
 let test_assignment_extensions () =
   let base = [| b "1"; Bits.empty |] in
-  let exts = List.of_seq (Bit_assignment.extensions base ~len:2) in
+  let exts = List.of_seq (Search_oracle.extensions base ~len:2) in
   check_int "2^3 extensions" 8 (List.length exts);
   List.iter
     (fun e ->
@@ -110,18 +113,18 @@ let test_assignment_extensions () =
       check_int "length" 2 (Bit_assignment.max_length e))
     exts;
   (* enumeration is sorted node-major *)
-  let sorted = List.sort Bit_assignment.compare_node_major exts in
-  check "sorted" true (List.equal (fun x y -> Bit_assignment.compare_node_major x y = 0) exts sorted);
+  let sorted = List.sort Search_oracle.compare_node_major exts in
+  check "sorted" true (List.equal (fun x y -> Search_oracle.compare_node_major x y = 0) exts sorted);
   (* first extension is all-zero completion *)
   check "first is zero-fill" true
-    (Bit_assignment.compare_node_major (List.hd exts) [| b "10"; b "00" |] = 0)
+    (Search_oracle.compare_node_major (List.hd exts) [| b "10"; b "00" |] = 0)
 
 let test_assignment_lift () =
   let map = [| 0; 1; 0; 1 |] in
   let bits = [| b "01"; b "10" |] in
   let lifted = Bit_assignment.lift ~map bits in
   check "lift" true
-    (Bit_assignment.compare_node_major lifted [| b "01"; b "10"; b "01"; b "10" |] = 0)
+    (Search_oracle.compare_node_major lifted [| b "01"; b "10"; b "01"; b "10" |] = 0)
 
 (* ---------- Simulation ---------- *)
 
@@ -143,51 +146,29 @@ let test_simulation_length_semantics () =
 let test_min_search_cross_check_orders () =
   (* On tiny instances, exhaustively verify that the BFS (round-major)
      result equals the brute-force minimum under the round-major order,
-     and that the node-major search returns the brute-force node-major
-     minimum. *)
+     and that the paper's node-major order finds its minimum at the same
+     length. *)
   let g = Gen.complete 2 in
   let solver = Anonet_algorithms.Rand_coloring.algorithm in
   let base = Bit_assignment.empty 2 in
-  let brute_force order_cmp len =
-    Seq.fold_left
-      (fun acc a ->
-        let sim = Simulation.run ~solver g ~bits:a in
-        if not sim.Simulation.successful then acc
-        else
-          match acc with
-          | None -> Some a
-          | Some current -> if order_cmp a current < 0 then Some a else Some current)
-      None
-      (Bit_assignment.extensions base ~len)
+  let brute_rm, _ =
+    Option.get (Search_oracle.round_major_at_most ~solver g ~base ~max_len:8)
   in
-  (* find minimal length with any success *)
-  let rec first_len l =
-    if l > 8 then Alcotest.fail "no success within 8 rounds"
-    else
-      match brute_force Bit_assignment.compare_round_major l with
-      | Some a -> l, a
-      | None -> first_len (l + 1)
-  in
-  let len, brute_rm = first_len 1 in
   (match
-     Min_search.minimal_successful ~solver g ~base ~order:Min_search.Round_major
-       ~len:(Min_search.At_most 8) ()
+     Min_search.minimal_successful ~solver g ~base ~len:(Min_search.At_most 8) ()
    with
    | None -> Alcotest.fail "BFS found nothing"
    | Some f ->
-     check_int "same minimal length" len
-       (Bit_assignment.max_length f.Min_search.assignment);
      check "BFS = brute force (round-major)" true
        (Bit_assignment.compare_round_major f.Min_search.assignment brute_rm = 0));
-  let brute_nm = Option.get (brute_force Bit_assignment.compare_node_major len) in
-  (match
-     Min_search.minimal_successful ~solver g ~base ~order:Min_search.Node_major
-       ~len:(Min_search.At_most 8) ()
-   with
-   | None -> Alcotest.fail "node-major found nothing"
-   | Some f ->
-     check "node-major = brute force" true
-       (Bit_assignment.compare_node_major f.Min_search.assignment brute_nm = 0))
+  let brute_nm, _ =
+    Option.get (Search_oracle.node_major_at_most ~solver g ~base ~max_len:8)
+  in
+  check_int "same minimal length"
+    (Bit_assignment.max_length brute_rm)
+    (Bit_assignment.max_length brute_nm);
+  check "node-major pick is node-major least" true
+    (Search_oracle.compare_node_major brute_nm brute_rm <= 0)
 
 let test_min_search_exact_mode () =
   let g = Gen.complete 2 in
@@ -195,26 +176,16 @@ let test_min_search_exact_mode () =
   let base = Bit_assignment.empty 2 in
   (* exact length 6: compare BFS against brute force *)
   let len = 6 in
-  let brute =
-    Seq.fold_left
-      (fun acc a ->
-        let sim = Simulation.run ~solver g ~bits:a in
-        if not sim.Simulation.successful then acc
-        else
-          match acc with
-          | None -> Some a
-          | Some c ->
-            if Bit_assignment.compare_round_major a c < 0 then Some a else Some c)
-      None
-      (Bit_assignment.extensions base ~len)
-  in
+  let brute = Search_oracle.round_major_exactly ~solver g ~base ~len in
   match
     Min_search.minimal_successful ~solver g ~base ~len:(Min_search.Exactly len) ()
   with
   | None -> Alcotest.fail "exact search found nothing"
   | Some f ->
     check "exact = brute force" true
-      (Bit_assignment.compare_round_major f.Min_search.assignment (Option.get brute) = 0);
+      (Bit_assignment.compare_round_major f.Min_search.assignment
+         (fst (Option.get brute))
+       = 0);
     check "is extension" true
       (Bit_assignment.is_extension ~base f.Min_search.assignment)
 
@@ -250,7 +221,7 @@ let test_candidates_select_view_graph_at_large_phase () =
   let inst = c6_instance () in
   let with_b = Graph.map_labels inst (fun l -> Label.Pair (l, Label.Bits Bits.empty)) in
   let p = 2 * 6 in
-  let k = Knowledge.view_of_graph with_b ~root:0 ~depth:p in
+  let k = Interned.of_graph with_b ~root:0 ~depth:p in
   let is_instance = (Problem.colored_variant Catalog.mis).Problem.is_instance in
   match Candidates.from_knowledge k ~phase:p ~is_instance with
   | [] -> Alcotest.fail "no candidates at phase 2n"
@@ -266,7 +237,7 @@ let test_candidates_singleton () =
   let g = Graph.create ~n:1 ~edges:[]
       ~labels:[| Label.Pair (Label.Pair (Label.Unit, Label.Int 0), Label.Bits Bits.empty) |]
   in
-  let k = Knowledge.view_of_graph g ~root:0 ~depth:1 in
+  let k = Interned.of_graph g ~root:0 ~depth:1 in
   let is_instance = (Problem.colored_variant Catalog.mis).Problem.is_instance in
   match Candidates.from_knowledge k ~phase:1 ~is_instance with
   | [ c ] ->
@@ -280,7 +251,7 @@ let test_candidates_respect_c1 () =
   let inst = prime_instance (Gen.cycle 5) in
   let with_b = Graph.map_labels inst (fun l -> Label.Pair (l, Label.Bits Bits.empty)) in
   let p = 3 in
-  let k = Knowledge.view_of_graph with_b ~root:0 ~depth:p in
+  let k = Interned.of_graph with_b ~root:0 ~depth:p in
   let is_instance = (Problem.colored_variant Catalog.mis).Problem.is_instance in
   List.iter
     (fun c -> check "C1 holds" true (Graph.n c.Candidates.graph <= p))
@@ -358,14 +329,26 @@ let test_a_infinity_rejects_bad_instance () =
   | Ok _ -> Alcotest.fail "expected rejection of uncolored instance"
 
 let test_a_infinity_node_major_also_valid () =
+  (* Theorem 1 holds for any predetermined order: the paper's node-major
+     minimum on A_infinity's simulation input J, lifted through the view
+     map, is a valid MIS of the instance too. *)
   let inst = c6_instance () in
-  match A_infinity.solve ~gran:Bundles.mis inst ~order:Min_search.Node_major
-          ~max_len:6 () with
+  match A_infinity.solve ~gran:Bundles.mis inst () with
   | Error m -> Alcotest.fail m
   | Ok r ->
-    check "node-major valid" true
-      (Catalog.mis.Problem.is_valid_output (Problem.strip_coloring inst)
-         r.A_infinity.outputs)
+    let vg = r.A_infinity.view_graph in
+    let j = Graph.map_labels vg.View_graph.graph Label.fst in
+    let solver = Anonet_algorithms.Rand_mis.algorithm in
+    (match
+       Search_oracle.node_major_at_most ~solver j
+         ~base:(Bit_assignment.empty (Graph.n j)) ~max_len:6
+     with
+     | None -> Alcotest.fail "node-major oracle found nothing"
+     | Some (_, sim) ->
+       let outputs = Simulation.outputs_exn sim in
+       check "node-major valid" true
+         (Catalog.mis.Problem.is_valid_output (Problem.strip_coloring inst)
+            (Array.map (fun c -> outputs.(c)) vg.View_graph.map)))
 
 (* ---------- Lifting lemma ---------- *)
 
@@ -491,18 +474,6 @@ let test_port_outputs_translated () =
 
 (* ---------- Decouple ---------- *)
 
-let test_a_star_node_major_order () =
-  (* The analysis is order-agnostic: A* with the paper's node-major order
-     must also solve Π^c (on a tiny instance, since that order is searched
-     exhaustively). *)
-  let inst = prime_instance (Gen.cycle 3) in
-  match A_star.solve ~gran:Bundles.mis inst ~order:Min_search.Node_major () with
-  | Error m -> Alcotest.fail m
-  | Ok outcome ->
-    check "node-major A* valid" true
-      (Catalog.mis.Problem.is_valid_output (Problem.strip_coloring inst)
-         outcome.Executor.outputs)
-
 let test_decouple_all_stages () =
   let g = Gen.cycle 6 in
   List.iter
@@ -541,11 +512,11 @@ let test_literal_candidates_cross_check () =
   let inst = prime_instance (Gen.cycle 3) in
   let with_b = Graph.map_labels inst (fun l -> Label.Pair (l, Label.Bits Bits.empty)) in
   let p = 6 in
-  let k = Knowledge.view_of_graph with_b ~root:0 ~depth:p in
+  let k = Interned.of_graph with_b ~root:0 ~depth:p in
   let is_instance = (Problem.colored_variant Catalog.mis).Problem.is_instance in
   let alphabet =
     List.sort_uniq Label.compare
-      (List.map Knowledge.mark (Knowledge.subtrees k))
+      (List.map Interned.mark (Interned.subtrees k))
   in
   let quotient_based = Candidates.from_knowledge k ~phase:p ~is_instance in
   let literal = Candidates.literal_candidates k ~phase:p ~alphabet ~is_instance in
@@ -571,11 +542,11 @@ let test_literal_candidates_small_phase () =
   let inst = c6_instance () in
   let with_b = Graph.map_labels inst (fun l -> Label.Pair (l, Label.Bits Bits.empty)) in
   let p = 3 in
-  let k = Knowledge.view_of_graph with_b ~root:0 ~depth:p in
+  let k = Interned.of_graph with_b ~root:0 ~depth:p in
   let is_instance = (Problem.colored_variant Catalog.mis).Problem.is_instance in
   let alphabet =
     List.sort_uniq Label.compare
-      (List.map Knowledge.mark (Knowledge.subtrees k))
+      (List.map Interned.mark (Interned.subtrees k))
   in
   let quotient_based = Candidates.from_knowledge k ~phase:p ~is_instance in
   let literal = Candidates.literal_candidates k ~phase:p ~alphabet ~is_instance in
@@ -619,7 +590,7 @@ let test_a_star_phase_lemmas () =
     in
     let new_b = Array.copy !b in
     Graph.iter_nodes inst ~f:(fun v ->
-        let k = Knowledge.view_of_graph ip ~root:v ~depth:p in
+        let k = Interned.of_graph ip ~root:v ~depth:p in
         let candidates = Candidates.from_knowledge k ~phase:p ~is_instance in
         (* Lemma 6: I*^p is a candidate from phase n_star on (our quotient
            construction sees the whole graph once p covers it). *)
@@ -793,23 +764,24 @@ let prop_knowledge_roundtrip =
     arb_colored_instance (fun (seed, n, p) ->
       let g = Gen.random_connected ~seed n p in
       let depth = 1 + (seed mod (n + 2)) in
-      let k = Knowledge.view_of_graph (Gen.label_with_ints g) ~root:0 ~depth in
-      let k' = Knowledge.of_label (Knowledge.to_label k) in
-      Knowledge.equal k k')
+      let k = Interned.of_graph (Gen.label_with_ints g) ~root:0 ~depth in
+      let k' = Interned.of_label (Interned.to_label k) in
+      Interned.equal k k')
 
 let prop_knowledge_truncate_coherent =
   QCheck.Test.make ~name:"Knowledge truncate = direct shallow view" ~count:50
     arb_colored_instance (fun (seed, n, p) ->
       let g = Gen.label_with_ints (Gen.random_connected ~seed n p) in
-      let deep = Knowledge.view_of_graph g ~root:(seed mod n) ~depth:(n + 2) in
+      let deep = Interned.of_graph g ~root:(seed mod n) ~depth:(n + 2) in
       let d = 1 + (seed mod (n + 1)) in
-      Knowledge.equal
-        (Knowledge.truncate deep ~depth:d)
-        (Knowledge.view_of_graph g ~root:(seed mod n) ~depth:d))
+      Interned.equal
+        (Interned.truncate deep ~depth:d)
+        (Interned.of_graph g ~root:(seed mod n) ~depth:d))
 
 let prop_min_search_orders_same_length =
-  (* Both orders find a successful assignment of the same minimal length
-     (the orders differ only in the lexicographic tiebreak). *)
+  (* The round-major search and the paper's node-major order find a
+     successful assignment of the same minimal length (the orders differ
+     only in the lexicographic tiebreak). *)
   QCheck.Test.make ~name:"round-major and node-major agree on minimal length"
     ~count:20
     (QCheck.make QCheck.Gen.(int_bound 1000))
@@ -817,13 +789,15 @@ let prop_min_search_orders_same_length =
       let g = Gen.label_with_ints (if seed mod 2 = 0 then Gen.path 2 else Gen.cycle 3) in
       let base = Bit_assignment.empty (Graph.n g) in
       let solver = Anonet_algorithms.Rand_mis.algorithm in
-      let len order =
-        match Min_search.minimal_successful ~solver g ~base ~order
-                ~len:(Min_search.At_most 10) () with
-        | Some f -> Bit_assignment.max_length f.Min_search.assignment
-        | None -> -1
+      let length = Bit_assignment.max_length in
+      let rm =
+        Min_search.minimal_successful ~solver g ~base ~len:(Min_search.At_most 10) ()
       in
-      len Min_search.Round_major = len Min_search.Node_major)
+      let nm = Search_oracle.node_major_at_most ~solver g ~base ~max_len:10 in
+      match rm, nm with
+      | Some f, Some (a, _) -> length f.Min_search.assignment = length a
+      | None, None -> true
+      | _ -> false)
 
 let prop_a_star_random_instances =
   QCheck.Test.make ~name:"A* valid on random colored instances (small)" ~count:8
@@ -838,6 +812,115 @@ let prop_a_star_random_instances =
       with
       | Error m -> QCheck.Test.fail_report m
       | Ok r -> Catalog.mis.Problem.is_valid_output g r.Decouple.outputs)
+
+(* Min_search against the brute-force oracles, on random tiny instances:
+   path, cycle, complete and star graphs with at most 4 nodes, a random
+   base prefix of up to 2 bits per node, and the MIS or coloring solver.
+   The length bound keeps every enumerated length within 2^12
+   assignments. *)
+let arb_tiny_search =
+  let open QCheck.Gen in
+  let gen =
+    let* family = int_bound 3 in
+    let* n =
+      match family with
+      | 0 -> int_range 1 4 (* path *)
+      | 1 -> int_range 3 4 (* cycle *)
+      | 2 -> int_range 1 4 (* complete *)
+      | _ -> int_range 1 3 (* star: n leaves, n + 1 nodes *)
+    in
+    let nodes = if family = 3 then n + 1 else n in
+    let* coloring = bool in
+    let* base = array_repeat nodes (list_size (int_bound 2) bool) in
+    return (family, n, coloring, base)
+  in
+  let print (family, n, coloring, base) =
+    Printf.sprintf "%s %d, %s, base [%s]"
+      [| "path"; "cycle"; "complete"; "star" |].(family) n
+      (if coloring then "coloring" else "mis")
+      (String.concat "; "
+         (Array.to_list
+            (Array.map (fun bs -> Bits.to_string (Bits.of_list bs)) base)))
+  in
+  QCheck.make ~print gen
+
+let prop_min_search_matches_oracles =
+  QCheck.Test.make ~name:"min-search = brute-force oracles on tiny instances"
+    ~count:100 arb_tiny_search (fun (family, n, coloring, base) ->
+      let g =
+        Gen.label_with_ints
+          ((match family with
+            | 0 -> Gen.path
+            | 1 -> Gen.cycle
+            | 2 -> Gen.complete
+            | _ -> Gen.star)
+             n)
+      in
+      let solver =
+        if coloring then Anonet_algorithms.Rand_coloring.algorithm
+        else Anonet_algorithms.Rand_mis.algorithm
+      in
+      let base = Array.map Bits.of_list base in
+      let lo = Bit_assignment.max_length base in
+      let rec bound l =
+        if l < 6 && Search_oracle.free_bits base ~len:(l + 1) <= 12 then
+          bound (l + 1)
+        else l
+      in
+      let max_len = bound lo in
+      let exact =
+        Array.init (max_len + 1) (fun len ->
+            if len < lo then None
+            else Search_oracle.round_major_exactly ~solver g ~base ~len)
+      in
+      let same_value (found : Min_search.found option) oracle =
+        match found, oracle with
+        | None, None -> true
+        | Some f, Some (bits, sim) ->
+          Array.for_all2 Bits.equal f.Min_search.assignment bits
+          && f.Min_search.sim.Simulation.rounds_run = sim.Simulation.rounds_run
+          && Array.for_all2 (Option.equal Label.equal)
+               f.Min_search.sim.Simulation.outputs sim.Simulation.outputs
+        | _ -> false
+      in
+      let same_found (a : Min_search.found option) b =
+        same_value a
+          (Option.map (fun f -> f.Min_search.assignment, f.Min_search.sim) b)
+        && Option.map (fun f -> f.Min_search.states_explored) a
+           = Option.map (fun f -> f.Min_search.states_explored) b
+      in
+      let search ?pool () =
+        Min_search.minimal_successful ~ctx:(Anonet_runtime.Run_ctx.make ?pool ())
+          ~solver g ~base ~len:(Min_search.At_most max_len) ()
+      in
+      (* Extend through every length, then re-ask the lengths at or below
+         the hardened floor, which the handle answers without its
+         frontier. *)
+      let extends ?pool () =
+        let h =
+          Min_search.Resumable.create ~ctx:(Anonet_runtime.Run_ctx.make ?pool ())
+            ~solver g ~base ()
+        in
+        let ascending = List.init (max_len - lo + 1) (fun i -> lo + i) in
+        let results = List.map (fun len -> len, Min_search.Resumable.extend h ~len) ascending in
+        let floor = Min_search.Resumable.floor h in
+        results
+        @ List.map (fun len -> len, Min_search.Resumable.extend h ~len)
+            (List.filter (fun len -> len <= floor) ascending)
+      in
+      let at_most = search () in
+      let oracle_at_most = Array.to_list exact |> List.find_map Fun.id in
+      let node_major = Search_oracle.node_major_at_most ~solver g ~base ~max_len in
+      let length = Option.map (fun (bits, _) -> Bit_assignment.max_length bits) in
+      let sequential = extends () in
+      same_value at_most oracle_at_most
+      && length oracle_at_most = length node_major
+      && List.for_all (fun (len, found) -> same_value found exact.(len)) sequential
+      && Anonet_parallel.Pool.with_pool ~domains:2 (fun p ->
+             same_found at_most (search ~pool:p ())
+             && List.for_all2
+                  (fun (_, a) (_, b) -> same_found a b)
+                  sequential (extends ~pool:p ())))
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -873,6 +956,8 @@ let () =
           Alcotest.test_case "respects base" `Quick test_min_search_respects_base;
           Alcotest.test_case "none when impossible" `Quick
             test_min_search_none_when_impossible;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
+            prop_min_search_matches_oracles;
         ] );
       ( "candidates",
         [
@@ -904,7 +989,6 @@ let () =
           Alcotest.test_case "matching" `Slow test_a_star_matches_validity_on_matching;
           Alcotest.test_case "port outputs translated" `Slow
             test_port_outputs_translated;
-          Alcotest.test_case "node-major order" `Slow test_a_star_node_major_order;
         ] );
       ( "decouple",
         [

@@ -314,16 +314,48 @@ let test_a_star_budget_is_typed_error () =
     (String.starts_with ~prefix:"minimal-simulation search exceeded its state budget"
        outcome.Runner.err)
 
+(* Out-of-range generator arguments and a [mod:K] with K < 1 are spec
+   errors: [Runner] raises [Bad_spec] with a message, never the
+   generator's [Invalid_argument] or a [Division_by_zero]. *)
+let test_bad_graph_and_coloring_specs () =
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Runner.Bad_spec m ->
+      check (name ^ ": message names the spec") true
+        (String.length m > 0 && not (String.starts_with ~prefix:"job failed" m))
+  in
+  List.iter
+    (fun spec -> rejects spec (fun () -> Runner.graph_of_spec spec))
+    [ "cycle:0"; "path:0"; "grid:0x3"; "random:10,2.0,7"; "regular:5,3,1";
+      "gnp:0,8,1"; "torus:1x1"; "wheel:2"; "star:0"; "complete:0";
+      "hypercube:-1"; "bintree:0"; "hamiltonian:2,0.5,1" ];
+  let c6 = Runner.graph_of_spec "cycle:6" in
+  List.iter
+    (fun spec -> rejects spec (fun () -> Runner.coloring_of_spec c6 spec))
+    [ "mod:0"; "mod:-3" ];
+  (* through a whole job, both kinds *)
+  List.iter
+    (fun (kind, pairs) ->
+      rejects "job" (fun () -> Runner.execute { Job.kind; pairs }))
+    [ Job.Solve, [ "problem", "mis"; "graph", "cycle:0" ];
+      Job.Derandomize, [ "problem", "mis"; "graph", "cycle:6"; "colors", "mod:0" ];
+    ]
+
 let test_loopback_bad_job_rejected () =
   with_server @@ fun addr ->
-  let outcome, _ =
-    submit_collecting addr
-      { Job.kind = Job.Solve; pairs = [ "problem", "mis"; "graph", "nope:1" ] }
-  in
-  check_int "rejected code" 11 outcome.Runner.code;
-  check "message names the spec" true
-    (let m = outcome.Runner.err in
-     String.length m > 0 && m <> "cancelled")
+  List.iter
+    (fun (kind, pairs) ->
+      let outcome, _ = submit_collecting addr { Job.kind; pairs } in
+      check_int "rejected code" 11 outcome.Runner.code;
+      check "message names the spec" true
+        (let m = outcome.Runner.err in
+         String.length m > 0 && m <> "cancelled"
+         && not (String.starts_with ~prefix:"job failed" m)))
+    [ Job.Solve, [ "problem", "mis"; "graph", "nope:1" ];
+      Job.Solve, [ "problem", "mis"; "graph", "cycle:0" ];
+      Job.Derandomize, [ "problem", "mis"; "graph", "cycle:6"; "colors", "mod:0" ];
+    ]
 
 let test_loopback_queue_full () =
   (* max_queue 0 rejects every submit before it reaches a worker *)
@@ -382,15 +414,22 @@ let test_stream_reuse_after_stale_cancel () =
 
 let test_duplicate_stream_rejected () =
   (* two submits on the same still-in-flight stream: the second is a
-     protocol error, the first still completes normally *)
+     protocol error, the first still completes normally.  The first job
+     must outlast the reader's turn to the second frame, or the stream is
+     free again and the duplicate is a legal reuse: a derandomization
+     that searches ~10^5 states takes about a second, where the tiny
+     solve jobs finish in about a millisecond. *)
   with_server @@ fun addr ->
   with_raw_conn addr @@ fun fd ->
-  let submit seed =
-    Frame.write fd
-      { Frame.typ = Frame.Submit; stream = 3; payload = Job.encode (solve_job seed) }
+  let submit job =
+    Frame.write fd { Frame.typ = Frame.Submit; stream = 3; payload = Job.encode job }
   in
-  submit 5;
-  submit 42;
+  submit
+    {
+      Job.kind = Job.Derandomize;
+      pairs = [ "problem", "coloring"; "graph", "grid:3x3"; "colors", "unique" ];
+    };
+  submit (solve_job 42);
   (* per-connection frames are FIFO: the duplicate's rejection (enqueued
      by the reader) precedes the first job's result (enqueued later by a
      worker) *)
@@ -442,6 +481,8 @@ let () =
       ( "runner",
         [ t "a-star budget exhaustion is a typed error"
             test_a_star_budget_is_typed_error;
+          t "bad graph and coloring specs are spec errors"
+            test_bad_graph_and_coloring_specs;
         ] );
       ( "loopback",
         [ t "two concurrent jobs byte-identical" test_loopback_two_concurrent_jobs;

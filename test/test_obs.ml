@@ -4,7 +4,7 @@
    (nesting, exception safety), and the acceptance bar of the Run_ctx
    redesign — live-handle byte-identity of instrumented runs, and live
    counters matching the runtime's own reports exactly on the three fixed
-   scenarios (fault-free run, lossy retransmitted solve, node-major
+   scenarios (fault-free run, lossy retransmitted solve, round-major
    search). *)
 
 open Anonet_graph
@@ -432,21 +432,20 @@ let test_counters_lossy_solve () =
       (Catalog.two_hop_coloring.Problem.is_valid_output g
          r.Las_vegas.outcome.Executor.outputs)
 
-(* Scenario 3 (node-major search): search.states_explored = found record. *)
-let test_counters_node_major_search () =
+(* Scenario 3 (round-major search): search.states_explored = found record. *)
+let test_counters_round_major_search () =
   let registry, ctx = live_ctx () in
   match
     Min_search.minimal_successful ~ctx
       ~solver:Anonet_algorithms.Rand_coloring.algorithm (Gen.complete 2)
-      ~base:(Bit_assignment.empty 2) ~order:Min_search.Node_major
-      ~len:(Min_search.At_most 8) ()
+      ~base:(Bit_assignment.empty 2) ~len:(Min_search.At_most 8) ()
   with
   | None -> Alcotest.fail "search found nothing"
   | Some f ->
     check_int "search.states_explored" f.Min_search.states_explored
       (counter_of registry "search.states_explored");
     check "span present" true
-      (List.mem_assoc "span.min_search.node_major.ns"
+      (List.mem_assoc "span.min_search.round_major.ns"
          (Metrics.snapshot registry).Metrics.histograms)
 
 (* ---------- acceptance: live handles are byte-identical to null ---------- *)
@@ -635,7 +634,7 @@ let () =
       ( "acceptance",
         [ t "counters: fault-free run" test_counters_fault_free_run;
           t "counters: lossy retransmitted solve" test_counters_lossy_solve;
-          t "counters: node-major search" test_counters_node_major_search;
+          t "counters: round-major search" test_counters_round_major_search;
           t "obs identity: executor" test_executor_obs_identity;
           t "obs identity: las-vegas, jobs 1 and 4" test_las_vegas_obs_identity;
           t "ndjson golden solve" test_ndjson_golden_solve;

@@ -297,38 +297,29 @@ let test_search_equivalence_round_major () =
           Min_search.minimal_successful
             ~solver:Anonet_algorithms.Rand_mis.algorithm g
             ~base:(Bit_assignment.empty (Graph.n g))
-            ~order:Min_search.Round_major ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 16) ()))
-    search_graphs
-
-let test_search_equivalence_node_major () =
-  List.iter
-    (fun (name, g) ->
-      check_search_equivalent (name ^ "/node-major") (fun pool ->
-          Min_search.minimal_successful
-            ~solver:Anonet_algorithms.Rand_mis.algorithm g
-            ~base:(Bit_assignment.empty (Graph.n g))
-            ~order:Min_search.Node_major ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 4) ()))
+            ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 16) ()))
     search_graphs
 
 let test_search_equivalence_orders_agree () =
-  (* Round-major's minimal assignment, re-checked against the exhaustive
-     node-major enumeration under both execution modes: all four runs
-     must find a successful assignment of the same minimal length. *)
+  (* Round-major's minimal assignment, sequential and pooled, re-checked
+     against the brute-force node-major enumeration: all runs must find a
+     successful assignment of the same minimal length. *)
   let g = Gen.label_with_ints (Gen.cycle 4) in
-  let run order pool =
-    Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm g
-      ~base:(Bit_assignment.empty 4) ~order ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 4) ()
+  let solver = Anonet_algorithms.Rand_mis.algorithm in
+  let base = Bit_assignment.empty 4 in
+  let run pool =
+    Min_search.minimal_successful ~solver g ~base ~ctx:(Run_ctx.make ?pool ())
+      ~len:(Min_search.At_most 4) ()
   in
-  match run Min_search.Round_major None, run Min_search.Node_major None with
-  | Some rm, Some nm ->
-    let len f = Bit_assignment.max_length f.Min_search.assignment in
-    check_int "orders agree on minimal length" (len rm) (len nm);
+  match run None, Search_oracle.node_major_at_most ~solver g ~base ~max_len:4 with
+  | Some rm, Some (nm, _) ->
+    check_int "orders agree on minimal length"
+      (Bit_assignment.max_length rm.Min_search.assignment)
+      (Bit_assignment.max_length nm);
     Pool.with_pool ~domains:4 (fun p ->
-        match run Min_search.Round_major (Some p), run Min_search.Node_major (Some p) with
-        | Some rm', Some nm' ->
-          check "round-major parallel identical" true (found_equal rm rm');
-          check "node-major parallel identical" true (found_equal nm nm')
-        | _ -> Alcotest.fail "parallel search lost the assignment")
+        match run (Some p) with
+        | Some rm' -> check "round-major parallel identical" true (found_equal rm rm')
+        | None -> Alcotest.fail "parallel search lost the assignment")
   | _ -> Alcotest.fail "sequential search found nothing"
 
 let test_search_equivalence_search_limit () =
@@ -350,7 +341,7 @@ let test_search_equivalence_search_limit () =
     (fun domains -> Pool.with_pool ~domains (fun p -> run (Some p)))
     pool_sizes
 
-(* ---------- Branching_limit_exceeded: typed, both orders ---------- *)
+(* ---------- Branching_limit_exceeded: typed, both execution modes ---------- *)
 
 let test_branching_limit_round_major () =
   (* 25 free bits in round 1 exceeds the 2^24 branching limit: the typed
@@ -379,30 +370,6 @@ let test_branching_limit_round_major () =
   | _ -> Alcotest.fail "expected Search_limit_exceeded at the boundary"
   | exception Min_search.Search_limit_exceeded -> ()
 
-let test_branching_limit_node_major () =
-  (* Node-major branches once per candidate length on all free bits at
-     once: 31 nodes x length 1 = 31 bits > 30. *)
-  let g31 = Gen.label_with_ints (Gen.cycle 31) in
-  (match
-     Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
-       g31
-       ~base:(Bit_assignment.empty 31)
-       ~order:Min_search.Node_major ~len:(Min_search.At_most 2) ()
-   with
-   | _ -> Alcotest.fail "expected Branching_limit_exceeded"
-   | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
-     check_int "free bits" 31 free_bits;
-     check_int "limit" 30 limit);
-  let g30 = Gen.label_with_ints (Gen.cycle 30) in
-  match
-    Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
-      g30
-      ~base:(Bit_assignment.empty 30)
-      ~order:Min_search.Node_major ~max_states:100 ~len:(Min_search.At_most 2) ()
-  with
-  | _ -> Alcotest.fail "expected Search_limit_exceeded at the boundary"
-  | exception Min_search.Search_limit_exceeded -> ()
-
 let test_branching_limit_parallel_agrees () =
   (* The parallel paths enforce the same limits with the same payload. *)
   Pool.with_pool ~domains:2 (fun p ->
@@ -416,31 +383,17 @@ let test_branching_limit_parallel_agrees () =
        | _ -> Alcotest.fail "expected Branching_limit_exceeded"
        | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
          check_int "free bits" 25 free_bits;
-         check_int "limit" 24 limit);
-      let g31 = Gen.label_with_ints (Gen.cycle 31) in
-      match
-        Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
-          g31
-          ~base:(Bit_assignment.empty 31)
-          ~order:Min_search.Node_major ~ctx:(Run_ctx.make ~pool:p ()) ~len:(Min_search.At_most 2) ()
-      with
-      | _ -> Alcotest.fail "expected Branching_limit_exceeded"
-      | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
-        check_int "free bits" 31 free_bits;
-        check_int "limit" 30 limit)
+         check_int "limit" 24 limit))
 
 let test_a_infinity_degrades_gracefully () =
   (* Through A_infinity the typed limits come back as Error strings, not
      exceptions.  A prime coloring keeps the view graph at 31 nodes, so
-     node-major's very first candidate length branches on 31 free bits. *)
+     the search's very first round branches on 31 free bits (limit 24). *)
   let g =
     Anonet_problems.Problem.attach_coloring (Gen.cycle 31)
       (Array.init 31 (fun v -> Label.Int v))
   in
-  match
-    A_infinity.solve ~gran:Anonet_algorithms.Bundles.mis g
-      ~order:Min_search.Node_major ()
-  with
+  match A_infinity.solve ~gran:Anonet_algorithms.Bundles.mis g () with
   | Ok _ -> Alcotest.fail "expected a graceful error"
   | Error m ->
     let contains s sub =
@@ -480,24 +433,21 @@ let qcheck_search_equivalence =
     QCheck.(int_range 1 1000)
     (fun seed ->
       let g = Gen.label_with_ints (Gen.random_connected ~seed 4 0.5) in
-      let search order pool =
+      let search pool =
         Min_search.minimal_successful
           ~solver:Anonet_algorithms.Rand_mis.algorithm g
-          ~base:(Bit_assignment.empty 4) ~order ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 6)
+          ~base:(Bit_assignment.empty 4) ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 6)
           ()
       in
+      let sequential = search None in
       List.for_all
-        (fun order ->
-          let sequential = search order None in
-          List.for_all
-            (fun domains ->
-              Pool.with_pool ~domains (fun p ->
-                  match sequential, search order (Some p) with
-                  | None, None -> true
-                  | Some a, Some b -> found_equal a b
-                  | _ -> false))
-            [ 2; 4 ])
-        [ Min_search.Round_major; Min_search.Node_major ])
+        (fun domains ->
+          Pool.with_pool ~domains (fun p ->
+              match sequential, search (Some p) with
+              | None, None -> true
+              | Some a, Some b -> found_equal a b
+              | _ -> false))
+        [ 2; 4 ])
 
 let () =
   Alcotest.run "parallel"
@@ -536,8 +486,6 @@ let () =
         [
           Alcotest.test_case "equivalence: round-major" `Quick
             test_search_equivalence_round_major;
-          Alcotest.test_case "equivalence: node-major" `Quick
-            test_search_equivalence_node_major;
           Alcotest.test_case "equivalence: orders agree" `Quick
             test_search_equivalence_orders_agree;
           Alcotest.test_case "equivalence: search limit" `Quick
@@ -548,8 +496,6 @@ let () =
         [
           Alcotest.test_case "round-major boundary" `Quick
             test_branching_limit_round_major;
-          Alcotest.test_case "node-major boundary" `Quick
-            test_branching_limit_node_major;
           Alcotest.test_case "parallel agrees" `Quick
             test_branching_limit_parallel_agrees;
           Alcotest.test_case "a-infinity degrades gracefully" `Quick

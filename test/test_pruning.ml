@@ -6,12 +6,13 @@
    instance, while [states_explored] only shrinks.  These tests pin that
    contract on fixed fixtures, on random connected graphs, across
    domain pools of 1/2/4, for both [At_most] and [Exactly] targets, and
-   cross-check the minimal length against the node-major reference
-   enumeration.  The budget-exhaustion scan additionally asserts the
-   PR's truncation semantics: for every budget value, the pooled and
-   sequential searches either both raise [Search_limit_exceeded] or
-   both return the same minimal assignment (the in-budget lexicographic
-   prefix is expanded identically at any [--jobs]). *)
+   cross-check the minimal length against the brute-force node-major
+   enumeration of [Search_oracle].  The budget-exhaustion scan
+   additionally asserts the truncation semantics: for every budget
+   value, the pooled and sequential searches either both raise
+   [Search_limit_exceeded] or both return the same minimal assignment
+   (the in-budget lexicographic prefix is expanded identically at any
+   [--jobs]). *)
 
 open Anonet_graph
 open Anonet
@@ -48,7 +49,7 @@ let found_value_equal (a : Min_search.found) (b : Min_search.found) =
 let search ?pool ?max_states ~solver ~pruning ~len g =
   Min_search.minimal_successful ~solver g
     ~base:(Bit_assignment.empty (Graph.n g))
-    ~order:Min_search.Round_major ?max_states ~pruning
+    ?max_states ~pruning
     ~ctx:(Run_ctx.make ?pool ()) ~len ()
 
 (* Asserts the pruned search's value identity and effort reduction on
@@ -122,8 +123,8 @@ let test_pruned_exactly () =
   done
 
 let test_pruned_vs_node_major () =
-  (* The node-major enumeration uses a different total order, so only
-     the minimal length is comparable — but it is exhaustive by
+  (* The brute-force node-major enumeration uses a different total order,
+     so only the minimal length is comparable — but it is exhaustive by
      construction, making it the reference the pruned search must not
      undershoot or overshoot. *)
   List.iter
@@ -133,16 +134,15 @@ let test_pruned_vs_node_major () =
           ~len:(Min_search.At_most 4) g
       in
       let nm =
-        Min_search.minimal_successful
+        Search_oracle.node_major_at_most
           ~solver:Anonet_algorithms.Rand_mis.algorithm g
-          ~base:(Bit_assignment.empty (Graph.n g))
-          ~order:Min_search.Node_major ~len:(Min_search.At_most 4) ()
+          ~base:(Bit_assignment.empty (Graph.n g)) ~max_len:4
       in
       match rm, nm with
-      | Some rm, Some nm ->
+      | Some rm, Some (nm, _) ->
         check_int
           (name ^ ": pruned minimal length = node-major minimal length")
-          (Bit_assignment.max_length nm.Min_search.assignment)
+          (Bit_assignment.max_length nm)
           (Bit_assignment.max_length rm.Min_search.assignment)
       | None, None -> ()
       | _ -> Alcotest.fail (name ^ ": presence differs from node-major"))
