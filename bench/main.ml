@@ -471,6 +471,12 @@ let ols_rows results =
     results []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
+(* Domain counts the pool-scaling rows time: 1, 2 and 4, but none beyond
+   what the host recommends — a 4-domain row on a 2-core host times
+   oversubscription, not scaling. *)
+let scaling_domains () =
+  List.filter (fun d -> d <= Domain.recommended_domain_count ()) [ 1; 2; 4 ]
+
 (* Wall-clock scaling of Pool.map on a batch of independent replicas of
    the hot workloads (the ablate-bits searches and the decouple pipeline
    rows).  Speedups only materialize on multicore hosts — the JSON
@@ -518,7 +524,7 @@ let pool_scaling_rows () =
         (fun domains ->
           let t = if domains = 1 then t1 else time domains in
           (group, name, domains, t, t1 /. t))
-        [ 1; 2; 4 ])
+        (scaling_domains ()))
     workloads
 
 (* Allocation telemetry: GC word deltas per run of the hot workloads, the
@@ -687,8 +693,9 @@ let run_bench_json ?history path =
   header "Bechamel micro-benchmarks -> JSON telemetry";
   let results, _instances = analyze_benchmarks () in
   let tests = ols_rows results in
-  Printf.printf "measured %d tests; timing pool scaling (domains 1/2/4)...\n%!"
-    (List.length tests);
+  Printf.printf "measured %d tests; timing pool scaling (domains %s)...\n%!"
+    (List.length tests)
+    (String.concat "/" (List.map string_of_int (scaling_domains ())));
   let scaling = pool_scaling_rows () in
   Printf.printf "measuring GC allocation deltas...\n%!";
   let allocs = alloc_rows () in

@@ -36,7 +36,6 @@ module Las_vegas = Anonet_runtime.Las_vegas
 module Run_ctx = Anonet_runtime.Run_ctx
 module Run_error = Anonet_runtime.Run_error
 module Bundles = Anonet_algorithms.Bundles
-module Pool = Anonet_parallel.Pool
 module Obs = Anonet_obs.Obs
 module Metrics = Anonet_obs.Metrics
 module Obs_events = Anonet_obs.Events
@@ -63,15 +62,6 @@ let problem_arg pos_ix =
 let seed_arg =
   let doc = "Random seed for Las-Vegas stages." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
-
-let jobs_arg =
-  let doc =
-    "Number of domains (OS threads) for parallel execution.  1 runs \
-     sequentially; higher values race Las-Vegas attempts / shard the \
-     minimal-simulation search / fan out experiment rows, with results \
-     identical to a sequential run."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* ---------- observability flags ---------- *)
 
@@ -200,7 +190,7 @@ let factor_cmd =
 
 let solve_cmd =
   let run_solve problem spec seed trace faults_spec adversary_spec divergence
-      retransmit jobs metrics events =
+      retransmit metrics events =
     if trace then begin
       (* the round-by-round timeline is a local diagnostic: it records and
          renders in-process and has no job-spec equivalent *)
@@ -255,8 +245,7 @@ let solve_cmd =
          serve` executes the same job record, so socket and CLI runs are
          byte-identical by construction *)
       let pairs =
-        [ "problem", problem; "graph", spec; "seed", string_of_int seed;
-          "jobs", string_of_int jobs ]
+        [ "problem", problem; "graph", spec; "seed", string_of_int seed ]
         @ (match faults_spec with None -> [] | Some s -> [ "faults", s ])
         @ (match adversary_spec with None -> [] | Some s -> [ "adversary", s ])
         @ (match divergence with
@@ -274,14 +263,14 @@ let solve_cmd =
     end
   in
   let run problem spec seed trace faults_spec adversary_spec divergence
-      retransmit jobs metrics events =
+      retransmit metrics events =
     (* Fault injection can feed an algorithm messages its protocol never
        anticipated (a loss-induced null mid-phase, a corrupted payload);
        decoders are entitled to reject them.  Report that as the diagnosis
        it is, not as an internal error. *)
     try
       run_solve problem spec seed trace faults_spec adversary_spec divergence
-        retransmit jobs metrics events
+        retransmit metrics events
     with Invalid_argument m when faults_spec <> None || adversary_spec <> None ->
       Printf.eprintf
         "fault injection broke the algorithm's protocol: %s\n\
@@ -331,14 +320,14 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Run the randomized anonymous algorithm (Las-Vegas).")
     Term.(const run $ problem_arg 0 $ Arg.(required & pos 1 (some string) None
                                            & info [] ~docv:"GRAPH") $ seed_arg $ trace
-          $ faults_spec $ adversary_spec $ divergence $ retransmit $ jobs_arg
-          $ metrics_arg $ events_arg)
+          $ faults_spec $ adversary_spec $ divergence $ retransmit $ metrics_arg
+          $ events_arg)
 
 let derandomize_cmd =
-  let run problem spec coloring method_ jobs metrics events =
+  let run problem spec coloring method_ metrics events =
     let pairs =
       [ "problem", problem; "graph", spec; "colors", coloring;
-        "method", method_; "jobs", string_of_int jobs ]
+        "method", method_ ]
     in
     with_obs metrics events @@ fun obs ->
     let outcome = Runner.execute ~obs { Job.kind = Job.Derandomize; pairs } in
@@ -361,7 +350,7 @@ let derandomize_cmd =
        ~doc:"Solve the 2-hop colored variant deterministically (Theorems 1-2).")
     Term.(const run $ problem_arg 0
           $ Arg.(required & pos 1 (some string) None & info [] ~docv:"GRAPH")
-          $ coloring $ method_ $ jobs_arg $ metrics_arg $ events_arg)
+          $ coloring $ method_ $ metrics_arg $ events_arg)
 
 let decouple_cmd =
   let run problem spec seed stage2 =
@@ -465,6 +454,14 @@ let experiments_cmd =
       exit outcome.Runner.code
     end
   in
+  let jobs =
+    let doc =
+      "Number of domains (OS threads) that compute independent experiment \
+       rows concurrently; at least 1, clamped to the machine's recommended \
+       domain count.  The output is identical to a sequential run."
+    in
+    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  in
   let id =
     let doc =
       "Experiment id (f1, f2, f3, t2, t3, lemmas, a1, a2, a3, a4, e1, e2, r1, \
@@ -475,7 +472,7 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's figures/theorem validations (EXPERIMENTS.md).")
-    Term.(const run $ id $ jobs_arg $ metrics_arg $ events_arg)
+    Term.(const run $ id $ jobs $ metrics_arg $ events_arg)
 
 let serve_cmd =
   let run listen jobs max_queue metrics events =

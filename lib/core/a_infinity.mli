@@ -31,10 +31,9 @@ type result = {
 (** [solve ?ctx ~gran g ()] derandomizes [gran.solver] on the
     [Π^c]-instance [g] (labels [<i, c>] with [c] a 2-hop coloring).
 
-    The context is forwarded to the minimal-simulation search: [ctx.pool]
-    shards it across a domain pool (identical results; see {!Min_search})
-    and [ctx.obs] instruments it, with the whole derandomization timed
-    under an [a_infinity.solve] span.
+    The context is forwarded to the minimal-simulation search, which runs
+    sequentially: [ctx.obs] instruments it, with the whole derandomization
+    timed under an [a_infinity.solve] span.
 
     @param max_len      simulation length bound (default [64])
     @param decider_seed seed for the (randomized) decider run (default 1)

@@ -56,11 +56,11 @@
     with [c] a 2-hop coloring); on other inputs no candidate ever passes
     validation and the algorithm never produces outputs.
 
-    [ctx] is captured by the algorithm's phase computations: its pool
-    parallelizes the Update-Bits searches (byte-identical results, as
-    {!Min_search} guarantees) and its observability handle receives the
-    [search.*], [sim.*] and [cache.search.*] metrics and the
-    [a_star.update_bits] events.
+    [ctx] is captured by the algorithm's phase computations: its
+    observability handle receives the [search.*], [sim.*] and
+    [cache.search.*] metrics and the [a_star.update_bits] events.  The
+    Update-Bits searches run sequentially, inside each node's phase
+    computation.
 
     @param max_search_states per-search frontier bound (default
     [1_000_000]); for warm searches the bound is cumulative over a

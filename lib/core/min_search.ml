@@ -3,7 +3,6 @@ module Bits = Anonet_graph.Bits
 module Bitvec = Anonet_graph.Bitvec
 module Executor = Anonet_runtime.Executor
 module Run_ctx = Anonet_runtime.Run_ctx
-module Pool = Anonet_parallel.Pool
 module Obs = Anonet_obs.Obs
 module Metrics = Anonet_obs.Metrics
 module Events = Anonet_obs.Events
@@ -46,17 +45,6 @@ let branching_limit = 24
    for flat-representation states a key aliases the state's own arenas —
    no Marshal round-trip, which used to be ~45% of per-state search cost. *)
 module KeyTbl = Hashtbl.Make (Executor.Incremental.Key)
-
-(* A one-domain pool computes nothing in parallel: take the sequential
-   path outright so the two are trivially identical. *)
-let parallel_pool ctx =
-  match Run_ctx.pool ctx with Some p when Pool.domains p > 1 -> Some p | _ -> None
-
-(* Split [0 .. size-1] into at most [4 * domains] contiguous chunks —
-   enough slack for dynamic balancing without drowning in merge work. *)
-let chunk_bounds ~size ~domains =
-  let chunks = max 1 (min size (4 * domains)) in
-  Array.init chunks (fun c -> c * size / chunks, (c + 1) * size / chunks)
 
 (* ---------- round-major breadth-first search with state dedup ---------- *)
 
@@ -127,7 +115,6 @@ type bfs = {
   base : Bit_assignment.t;
   max_states : int;
   obs : Obs.t;
-  pool : Pool.t option;
   pruning : bool;
   subsume : unit KeyTbl.t option;
   max_base : int;
@@ -140,7 +127,7 @@ type bfs = {
   mutable explored : int;
 }
 
-let bfs_start ~obs ~pool ~solver g ~base ~max_states ~pruning ~subsume
+let bfs_start ~obs ~solver g ~base ~max_states ~pruning ~subsume
     ~consider =
   let start = { rev_rounds = []; exec = Executor.Incremental.start solver g } in
   let max_base = Bit_assignment.max_length base in
@@ -160,7 +147,6 @@ let bfs_start ~obs ~pool ~solver g ~base ~max_states ~pruning ~subsume
     base;
     max_states;
     obs;
-    pool;
     pruning;
     subsume;
     max_base;
@@ -176,9 +162,9 @@ let bfs_start ~obs ~pool ~solver g ~base ~max_states ~pruning ~subsume
 (* Result of expanding one level: [Truncated] means the state budget ran
    out mid-level.  The in-budget lexicographic prefix of the level has
    then been fully absorbed — any success in it was recorded via
-   [consider], and the explored counters hold [max_states + 1] at any
-   [--jobs] — but [level]/[frontier] are left untouched; the caller
-   decides whether truncation is fatal. *)
+   [consider], and the explored counters hold [max_states + 1] — but
+   [level]/[frontier] are left untouched; the caller decides whether
+   truncation is fatal. *)
 type level_outcome =
   | Complete
   | Truncated
@@ -249,9 +235,9 @@ let expand_level t ~consider =
         a
   in
   (* Open an entry for expansion: probe its sensitivity core and account
-     the collapsed siblings.  Shared by both paths so [search.core_probes]
-     and [search.pruned] are identical at any [--jobs] — an entry counts
-     exactly when the expansion loop reaches it within budget. *)
+     the collapsed siblings.  An entry counts in [search.core_probes] and
+     [search.pruned] exactly when the expansion loop reaches it within
+     budget. *)
   let open_entry exec =
     if not pruning then vectors
     else begin
@@ -266,14 +252,9 @@ let expand_level t ~consider =
   in
   let seen = KeyTbl.create (max 16 (min 4096 (frontier_size * nvec))) in
   let next = ref [] in
-  (* Successors in lexicographic prefix order: entries outer (the
-     frontier is sorted), this round's vectors inner.  The first
-     occurrence of an execution state is its lexicographically smallest
-     prefix, so deduplication must scan in exactly this order.
-     [absorb_new] takes a child already known novel within this level:
-     it registers the state, then either prunes it as cross-level
-     subsumed, prunes it as a recorded success ([consider]), or pushes
-     it onto the next frontier. *)
+  (* A child already known novel within this level: register its state,
+     then either prune it as cross-level subsumed, prune it as a recorded
+     success ([consider]), or push it onto the next frontier. *)
   let absorb_new entry bits exec fp =
     KeyTbl.add seen fp ();
     let subsumed =
@@ -291,103 +272,38 @@ let expand_level t ~consider =
       if not (consider child r) then next := child :: !next
     end
   in
-  let outcome = ref Complete in
-  (match t.pool with
-   | Some p ->
-     (* Shard the expensive work across domains in two waves — first the
-        per-entry sensitivity probes, then the child steps — while all
-        order-sensitive accounting (budget, probe/pruned counters,
-        dedup/merge) stays sequential, in index order, mirroring the
-        sequential path's per-child loop exactly.  Masks computed for
-        entries beyond a budget cut are simply unused (and uncounted). *)
-     let entries = Array.of_list t.frontier in
-     let nent = Array.length entries in
-     let masks =
-       if not pruning then [||]
-       else
-         Array.concat
-           (Array.to_list
-              (Pool.map p
-                 (fun (lo, hi) ->
-                   Array.init (hi - lo) (fun i ->
-                       mask_of
-                         (Executor.Incremental.bit_sensitivity
-                            entries.(lo + i).exec)))
-                 (chunk_bounds ~size:nent ~domains:(Pool.domains p))))
-     in
-     let work = ref [] in
-     (try
-        for i = 0 to nent - 1 do
-          let reps =
-            if not pruning then vectors
-            else begin
-              Obs.incr t.probes_c;
-              let reps = reps_of_mask masks.(i) in
-              let collapsed = nvec - Array.length reps in
-              if collapsed > 0 then Obs.incr ~by:collapsed t.pruned_c;
-              reps
-            end
-          in
-          Array.iter
-            (fun bits ->
-              t.explored <- t.explored + 1;
-              Obs.incr t.states_c;
-              if t.explored > t.max_states then raise_notrace Budget;
-              work := (i, bits) :: !work)
-            reps
-        done
-      with Budget -> outcome := Truncated);
-     let work = Array.of_list (List.rev !work) in
-     let stepped =
-       Pool.map p
-         (fun (lo, hi) ->
-           Array.init (hi - lo) (fun k ->
-               let i, bits = work.(lo + k) in
-               let exec =
-                 Executor.Incremental.step_vec entries.(i).exec ~bits
-               in
-               i, bits, exec, Executor.Incremental.dedup_key exec))
-         (chunk_bounds ~size:(Array.length work) ~domains:(Pool.domains p))
-     in
-     Array.iter
-       (Array.iter (fun (i, bits, exec, fp) ->
-            if not (KeyTbl.mem seen fp) then
-              absorb_new entries.(i) bits exec fp))
-       stepped
-   | None ->
-     (* Probe/commit stepping: write the child into the per-domain probe
-        buffer, test the seen-set against the transient key, and only
-        materialize (allocate) the child when it is genuinely new —
-        duplicates, the common case on symmetric graphs, cost nothing.
-        Dedup semantics (and hence the explored count and first-occurrence
-        order) are identical to the pooled path's step-then-absorb. *)
-     (try
-        List.iter
-          (fun entry ->
-            let reps = open_entry entry.exec in
-            Array.iter
-              (fun bits ->
-                t.explored <- t.explored + 1;
-                Obs.incr t.states_c;
-                if t.explored > t.max_states then raise_notrace Budget;
-                let probe = Executor.Incremental.probe_vec entry.exec ~bits in
-                if
-                  not (KeyTbl.mem seen (Executor.Incremental.probe_key probe))
-                then begin
-                  let exec, fp = Executor.Incremental.probe_commit probe in
-                  absorb_new entry bits exec fp
-                end)
-              reps)
-          t.frontier
-      with Budget -> outcome := Truncated));
-  (match !outcome with
-   | Complete ->
-     t.level <- r;
-     t.frontier <- List.rev !next
-   | Truncated -> ());
-  !outcome
+  (* Successors in lexicographic prefix order: entries outer (the
+     frontier is sorted), this round's vectors inner.  The first
+     occurrence of an execution state is its lexicographically smallest
+     prefix, so deduplication must scan in exactly this order.
+     Probe/commit stepping: write the child into the per-domain probe
+     buffer, test the seen-set against the transient key, and only
+     materialize (allocate) the child when it is genuinely new —
+     duplicates, the common case on symmetric graphs, cost nothing. *)
+  match
+    List.iter
+      (fun entry ->
+        Array.iter
+          (fun bits ->
+            t.explored <- t.explored + 1;
+            Obs.incr t.states_c;
+            if t.explored > t.max_states then raise_notrace Budget;
+            let probe = Executor.Incremental.probe_vec entry.exec ~bits in
+            if not (KeyTbl.mem seen (Executor.Incremental.probe_key probe))
+            then begin
+              let exec, fp = Executor.Incremental.probe_commit probe in
+              absorb_new entry bits exec fp
+            end)
+          (open_entry entry.exec))
+      t.frontier
+  with
+  | () ->
+    t.level <- r;
+    t.frontier <- List.rev !next;
+    Complete
+  | exception Budget -> Truncated
 
-let search_round_major ?pool ~obs ~solver g ~base ~max_states ~pruning
+let search_round_major ~obs ~solver g ~base ~max_states ~pruning
     ~len_constraint =
   let max_base = Bit_assignment.max_length base in
   let hard_cap =
@@ -438,7 +354,7 @@ let search_round_major ?pool ~obs ~solver g ~base ~max_states ~pruning
   in
   let subsume = match len_constraint with At_most _ -> true | Exactly _ -> false in
   let t =
-    bfs_start ~obs ~pool ~solver g ~base ~max_states ~pruning ~subsume
+    bfs_start ~obs ~solver g ~base ~max_states ~pruning ~subsume
       ~consider
   in
   let truncated = ref false in
@@ -453,8 +369,7 @@ let search_round_major ?pool ~obs ~solver g ~base ~max_states ~pruning
       done);
   if !truncated then begin
     (* Budget exhaustion mid-level.  The in-budget lexicographic prefix
-       of the truncated level [r] was expanded (identically at any
-       [--jobs]), so a recorded best may already be the global minimum:
+       of the truncated level [r] was expanded, so a recorded best may already be the global minimum:
        for [At_most] with [max_base <= r], every unexplored completion is
        either strictly longer than the best (length-first domination) or
        a lex-later same-level prefix — in both cases round-major larger.
@@ -479,7 +394,7 @@ let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base
     invalid_arg "Min_search: assignment size differs from graph size";
   let obs = Run_ctx.obs ctx in
   Obs.span obs "min_search.round_major" (fun () ->
-      search_round_major ?pool:(parallel_pool ctx) ~obs ~solver g ~base
+      search_round_major ~obs ~solver g ~base
         ~max_states ~pruning ~len_constraint:len)
 
 (* ---------- resumable round-major search (incremental phase engine) ---- *)
@@ -543,8 +458,7 @@ module Resumable = struct
       (* The handle serves [Exactly len] targets, whose completion
          padding breaks cross-level domination — only the per-round
          sensitivity cores apply here, never the subsumption table. *)
-      bfs_start ~obs:(Run_ctx.obs ctx) ~pool:(parallel_pool ctx) ~solver g
-        ~base ~max_states ~pruning ~subsume:false ~consider
+      bfs_start ~obs:(Run_ctx.obs ctx) ~solver g ~base ~max_states ~pruning ~subsume:false ~consider
     in
     { bfs; best; consider; floor = -1 }
 

@@ -16,13 +16,9 @@
     order survives as a brute-force oracle in the test suite, which checks
     that both orders find successes of the same minimal length.
 
-    The search accepts an optional domain {!Anonet_parallel.Pool}: it
-    shards each level's frontier expansion by entry chunks (stepping and
-    fingerprinting run on all domains; the order-sensitive dedup and the
-    {!Bit_assignment.compare_round_major} tiebreak merge sequentially, in
-    lexicographic order).  The minimal assignment found — indeed the entire
-    {!found} record, [states_explored] included — is identical to the
-    sequential search's. *)
+    The search runs sequentially on the calling domain.  Its executor
+    scratch is per-domain, so independent searches (server workers,
+    experiment rows) may run concurrently on different domains. *)
 
 type length_constraint =
   | Exactly of int
@@ -40,7 +36,7 @@ type found = {
 
 exception Search_limit_exceeded
 
-(** Raised (in either execution mode) when a single branching step would
+(** Raised when a single branching step would
     have to enumerate more than [2^limit] alternatives at once: more than
     24 free bits in one round.  A typed error rather than
     [Invalid_argument] so that callers can degrade gracefully — report the
@@ -59,11 +55,9 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     simulation on [g] is successful, or [None] if none exists within the
     length constraint.
 
-    From the context: [ctx.pool] shards the search across a domain pool
-    (see above) — the result is bit-for-bit identical to the sequential
-    search; [ctx.obs], when live, mirrors the search effort in the
-    [search.states_explored] counter (equal to the returned
-    [states_explored] within one call, in both execution modes), tracks the
+    From the context: [ctx.obs], when live, mirrors the search effort in
+    the [search.states_explored] counter (equal to the returned
+    [states_explored] within one call), tracks the
     breadth-first frontier in the [search.frontier] gauge (reset to 0 on
     every exit, including raised limits), times the search under a
     [min_search.round_major] span, and emits a ["search.level"] event per
@@ -92,9 +86,7 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     level already recorded a success that provably dominates every
     unexplored completion ([At_most] with the truncated level at or past
     the longest base string), in which case that success is returned with
-    [states_explored = max_states + 1].  Identical at any [--jobs]: the
-    pooled search expands the same in-budget prefix as the sequential
-    one before deciding.
+    [states_explored = max_states + 1].
     @raise Branching_limit_exceeded if one branching step exceeds the
     enumeration limits above.
     @raise Invalid_argument if some [base] string already exceeds an
@@ -137,9 +129,8 @@ module Resumable : sig
   type t
 
   (** [create ?ctx ?max_states ?pruning ~solver g ~base ()] opens a
-      search at level 0.  [ctx] supplies the pool (sequential ≡ parallel
-      byte-identity, as for {!minimal_successful}) and the observability
-      handle; [max_states] bounds the {e cumulative} states explored
+      search at level 0.  [ctx] supplies the observability handle;
+      [max_states] bounds the {e cumulative} states explored
       over the handle's lifetime (default [1_000_000]).  [pruning]
       (default [true]) enables the per-round bit-sensitivity cores; the
       cross-level subsumption table never applies here (the handle

@@ -44,10 +44,10 @@ let banner title =
    compute them concurrently — each task returns its finished row(s)
    (asserts included), and the rows merge in input order regardless of
    completion order, keeping the output identical to a sequential run. *)
-let fan_out ~ctx (tasks : (unit -> 'a) list) : 'a list =
+let fan_out ~pool (tasks : (unit -> 'a) list) : 'a list =
   let tasks = Array.of_list tasks in
   let out =
-    match Run_ctx.parallel ctx with
+    match pool with
     | Some p -> Pool.map p (fun f -> f ()) tasks
     | None -> Array.map (fun f -> f ()) tasks
   in
@@ -67,7 +67,7 @@ let cycle_mod_colors n k =
 (* F1: Figure 1 — local views                                          *)
 (* ------------------------------------------------------------------ *)
 
-let exp_f1 ~ctx:_ () =
+let exp_f1 ~ctx:_ ~pool:_ () =
   let title = "F1  Figure 1: depth-d local views of the labeled C6" in
   let g = Gen.c6_figure1 () in
   let prelude =
@@ -103,7 +103,7 @@ let exp_f1 ~ctx:_ () =
 (* F2: Figure 2 — factor chain                                         *)
 (* ------------------------------------------------------------------ *)
 
-let exp_f2 ~ctx:_ () =
+let exp_f2 ~ctx:_ ~pool:_ () =
   let title = "F2  Figure 2: the C3 <= C6 <= C12 factor chain and beyond" in
   let c12 = Lift.c12_over_c6 () in
   let c6l = Lift.c6_over_c3 () in
@@ -159,7 +159,7 @@ let exp_f2 ~ctx:_ () =
 (* F3: Figure 3 / Theorem 1 — A*                                       *)
 (* ------------------------------------------------------------------ *)
 
-let exp_f3 ~ctx () =
+let exp_f3 ~ctx:_ ~pool () =
   let title = "F3  Figure 3 / Theorem 1: the deterministic algorithm A*" in
   let prelude =
     banner title
@@ -189,7 +189,7 @@ let exp_f3 ~ctx () =
            outcome.Executor.rounds outcome.Executor.messages valid)
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.concat_map
          (fun (name, inst) ->
            [ run name inst Bundles.mis; run name inst Bundles.coloring ])
@@ -212,7 +212,7 @@ let exp_f3 ~ctx () =
 (* T2: Theorem 2 — A∞, cost tracks |V*| not |V|                        *)
 (* ------------------------------------------------------------------ *)
 
-let exp_t2 ~ctx () =
+let exp_t2 ~ctx:_ ~pool () =
   let title = "T2  Theorem 2: A_infinity — cost tracks |V*|, not |V|" in
   let prelude =
     banner title
@@ -247,7 +247,7 @@ let exp_t2 ~ctx () =
            (Graph.n inst) vstar sim_len states valid)
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       [ run "c6/3colors" (c6_instance ());
         run "c12/3colors" (cycle_mod_colors 12 3);
         run "c24/3colors" (cycle_mod_colors 24 3);
@@ -270,7 +270,7 @@ let exp_t2 ~ctx () =
 (* T3: Theorem 3 — Norris                                              *)
 (* ------------------------------------------------------------------ *)
 
-let exp_t3 ~ctx () =
+let exp_t3 ~ctx:_ ~pool () =
   let title = "T3  Theorem 3 (Norris): view stabilization depth <= n" in
   let prelude =
     banner title
@@ -289,7 +289,7 @@ let exp_t3 ~ctx () =
       (Printf.sprintf "%-20s | %4d | %12d | %8b\n" name (Graph.n g) d within)
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.map (fun n -> show (Printf.sprintf "path-%d" n) (Gen.path n))
          [ 3; 5; 9; 17; 33 ]
       @ List.map
@@ -321,7 +321,7 @@ let exp_t3 ~ctx () =
 (* L: Lemmas 2-4 — factors and prime factors                           *)
 (* ------------------------------------------------------------------ *)
 
-let exp_lemmas ~ctx () =
+let exp_lemmas ~ctx:_ ~pool () =
   let title = "L   Lemmas 2-4: view graphs are factors; prime factor unique" in
   let prelude =
     banner title
@@ -329,7 +329,7 @@ let exp_lemmas ~ctx () =
         "base (prime-labeled)" "k" "|lift|" "factor ok?" "same prime?" "lift ok?"
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.map
          (fun (name, base, k, seed) () ->
            let l = Lift.random ~seed base ~k in
@@ -376,7 +376,7 @@ let exp_lemmas ~ctx () =
 (* A1: ablation — search cost vs |V*|                                  *)
 (* ------------------------------------------------------------------ *)
 
-let exp_a1 ~ctx () =
+let exp_a1 ~ctx ~pool:_ () =
   let title = "A1  ablation: minimal-simulation search cost vs |V*|" in
   let prelude =
     banner title
@@ -384,8 +384,7 @@ let exp_a1 ~ctx () =
         "sim length" "search st" "time (s)"
   in
   (* Rows stay sequential — they report wall-clock time, which fanning
-     them out would distort.  The context's pool instead shards each
-     search itself. *)
+     them out would distort. *)
   let search solver name g =
     let t0 = Unix.gettimeofday () in
     let label = Printf.sprintf "%s/%d" name (Graph.n g) in
@@ -442,7 +441,7 @@ let exp_a1 ~ctx () =
 (* A2: ablation — coloring granularity                                 *)
 (* ------------------------------------------------------------------ *)
 
-let exp_a2 ~ctx () =
+let exp_a2 ~ctx ~pool:_ () =
   let title = "A2  ablation: coloring granularity vs view graph size vs cost" in
   let prelude =
     banner title
@@ -486,7 +485,7 @@ let exp_a2 ~ctx () =
 (* A3: ablation — decoupled vs direct                                  *)
 (* ------------------------------------------------------------------ *)
 
-let exp_a3 ~ctx () =
+let exp_a3 ~ctx:_ ~pool () =
   let title = "A3  ablation: decoupled pipeline vs direct randomized algorithm" in
   let prelude =
     banner title
@@ -536,7 +535,7 @@ let exp_a3 ~ctx () =
          direct (!s1 /. k) (!s2 /. k))
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.concat_map
          (fun family ->
            List.map (make_row family)
@@ -559,7 +558,7 @@ let exp_a3 ~ctx () =
 (* A4: ablation — 2-hop palette reduction                              *)
 (* ------------------------------------------------------------------ *)
 
-let exp_a4 ~ctx () =
+let exp_a4 ~ctx:_ ~pool () =
   let title = "A4  ablation: Las-Vegas palette vs greedy 2-hop recoloring" in
   let prelude =
     banner title
@@ -570,7 +569,7 @@ let exp_a4 ~ctx () =
     Array.to_list outputs |> List.sort_uniq Label.compare |> List.length
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.map
          (fun (name, g) () ->
            let lv =
@@ -621,7 +620,7 @@ let exp_a4 ~ctx () =
 (* E1: extension — the stone-age model (Section 1.3)                   *)
 (* ------------------------------------------------------------------ *)
 
-let exp_e1 ~ctx () =
+let exp_e1 ~ctx:_ ~pool () =
   let title = "E1  extension: 2-hop coloring in the stone-age FSM model" in
   let prelude =
     banner title
@@ -629,7 +628,7 @@ let exp_e1 ~ctx () =
         "maxdeg" "palette" "mis rounds" "2hop rounds" "valid?"
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.map
          (fun (name, g) () ->
            let d = Graph.max_degree g in
@@ -686,7 +685,7 @@ let exp_e1 ~ctx () =
 (* E2: extension — asynchronous execution (α-synchronizer)             *)
 (* ------------------------------------------------------------------ *)
 
-let exp_e2 ~ctx () =
+let exp_e2 ~ctx:_ ~pool () =
   let title = "E2  extension: the α-synchronizer on adversarial schedules" in
   let prelude =
     banner title
@@ -703,7 +702,7 @@ let exp_e2 ~ctx () =
     | Error e -> failwith (Format.asprintf "%a" Anonet_runtime.Executor.pp_failure e)
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.map
          (fun (name, scheduler) () ->
            match Async.run algo g ~tape ~scheduler ~max_events:2_000_000 with
@@ -738,7 +737,7 @@ let exp_e2 ~ctx () =
 (* R1: robustness — retransmission under seeded message loss           *)
 (* ------------------------------------------------------------------ *)
 
-let exp_r1 ~ctx () =
+let exp_r1 ~ctx:_ ~pool () =
   let title = "R1  robustness: retransmission wrapper under seeded message loss" in
   let module Faults = Anonet_runtime.Faults in
   let module Retransmit = Anonet_runtime.Retransmit in
@@ -765,7 +764,7 @@ let exp_r1 ~ctx () =
      column divides by the loss-0 mean. *)
   let rows =
     List.concat
-      (fan_out ~ctx
+      (fan_out ~pool
          (List.map
             (fun (name, g, algo, problem) () ->
               let wrapped = Retransmit.wrap algo in
@@ -825,7 +824,7 @@ let exp_r1 ~ctx () =
 (* R2: robustness — degradation curves under an adaptive adversary     *)
 (* ------------------------------------------------------------------ *)
 
-let exp_r2 ~ctx () =
+let exp_r2 ~ctx:_ ~pool () =
   let title = "R2  robustness: degradation curves under an adaptive adversary" in
   let module Adversary = Anonet_runtime.Adversary in
   let trials = 8 in
@@ -883,7 +882,7 @@ let exp_r2 ~ctx () =
   (* One task per (algorithm, strength) point: the points are independent,
      so the whole grid fans out across the pool. *)
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.concat_map
          (fun (name, case) ->
            List.map
@@ -969,7 +968,7 @@ let avg_sizes () =
   | None | Some "" -> [ 1_000; 10_000 ]
   | Some s -> List.map int_of_string (String.split_on_char ',' s)
 
-let exp_avg ~ctx () =
+let exp_avg ~ctx:_ ~pool () =
   let title =
     "AVG average case: Norris depth, greedy 2-hop palette, MIS rounds on \
      random ensembles"
@@ -994,7 +993,7 @@ let exp_avg ~ctx () =
       List.fold_left max min_int xs )
   in
   let rows =
-    fan_out ~ctx
+    fan_out ~pool
       (List.concat_map
          (fun n ->
            List.map
@@ -1056,7 +1055,10 @@ let exp_avg ~ctx () =
 (* Registry and drivers                                                *)
 (* ------------------------------------------------------------------ *)
 
-let registry : (string * (string * (ctx:Run_ctx.t -> unit -> output))) list =
+let registry :
+    (string
+    * (string * (ctx:Run_ctx.t -> pool:Pool.t option -> unit -> output)))
+    list =
   [ "f1", ("Figure 1: depth-d local views", exp_f1);
     "f2", ("Figure 2: factor chain", exp_f2);
     "f3", ("Figure 3 / Theorem 1: A*", exp_f3);
@@ -1094,7 +1096,7 @@ let emit_rows ~ctx out =
     out.rows;
   out
 
-let run ?(ctx = Run_ctx.default) id =
+let run ?(ctx = Run_ctx.default) ?pool id =
   match List.assoc_opt (String.lowercase_ascii id) registry with
   | None ->
     Error
@@ -1104,11 +1106,12 @@ let run ?(ctx = Run_ctx.default) id =
     let id = String.lowercase_ascii id in
     Ok
       (emit_rows ~ctx
-         (Obs.span (Run_ctx.obs ctx) ("experiment." ^ id) (fun () -> f ~ctx ())))
+         (Obs.span (Run_ctx.obs ctx) ("experiment." ^ id) (fun () ->
+              f ~ctx ~pool ())))
 
-let run_all ?(ctx = Run_ctx.default) () =
+let run_all ?(ctx = Run_ctx.default) ?pool () =
   List.map
     (fun (id, _) ->
-      match run ~ctx id with Ok o -> o | Error m -> failwith m)
+      match run ~ctx ?pool id with Ok o -> o | Error m -> failwith m)
     registry
 

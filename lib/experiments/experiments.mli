@@ -16,13 +16,13 @@
     random-regular ensembles; sizes default to n = 10^3, 10^4 and scale
     to 10^6 via the ANONET_AVG_NS environment variable).
 
-    From the context: [ctx.pool] fans independent graph-family rows out
-    across the pool's domains (results are merged in input order — the
-    output is identical to a sequential run); [a1]/[a2] instead thread
-    the context into the minimal-simulation search itself (their rows
-    report wall-clock time, which fanning would distort).  [ctx.obs],
-    when live, gets one ["experiment.row"] event per row (fields
-    included) and an [experiment.<id>] span per experiment, plus
+    [?pool] fans independent graph-family rows out across the pool's
+    domains (results are merged in input order — the output is identical
+    to a sequential run).  It is the harness's only parallelism: each row
+    runs its own search or solve sequentially, and [a1]/[a2] never fan
+    out (their rows report wall-clock time, which fanning would distort).
+    [ctx.obs], when live, gets one ["experiment.row"] event per row
+    (fields included) and an [experiment.<id>] span per experiment, plus
     whatever the instrumented runtime underneath emits. *)
 
 type row = {
@@ -49,10 +49,18 @@ type output = {
 val all : (string * string) list
 
 (** Run one experiment by id (case-insensitive). *)
-val run : ?ctx:Anonet_runtime.Run_ctx.t -> string -> (output, string) result
+val run :
+  ?ctx:Anonet_runtime.Run_ctx.t ->
+  ?pool:Anonet_parallel.Pool.t ->
+  string ->
+  (output, string) result
 
 (** Run every experiment in order. *)
-val run_all : ?ctx:Anonet_runtime.Run_ctx.t -> unit -> output list
+val run_all :
+  ?ctx:Anonet_runtime.Run_ctx.t ->
+  ?pool:Anonet_parallel.Pool.t ->
+  unit ->
+  output list
 
 (** [render oc out] writes the experiment in the historical stdout
     format: prelude, then each row's [line], then the coda. *)

@@ -8,6 +8,6 @@
 
 (** [graph spec] builds the described graph.
     @raise Failure on an unknown or malformed spec, including arguments a
-    generator rejects ([cycle:2], [regular:5,3,1]) and a [file:] whose
-    contents do not parse. *)
+    generator rejects ([cycle:2], [regular:5,3,1]), non-numeric arguments
+    ([cycle:x], [gnp:10,x,1]) and a [file:] whose contents do not parse. *)
 val graph : string -> Graph.t

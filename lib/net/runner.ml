@@ -109,10 +109,6 @@ let outputs_lines b outputs =
     (fun v o -> Printf.bprintf b "  node %2d: %s\n" v (Label.to_string o))
     outputs
 
-let with_jobs ~obs jobs f =
-  if jobs <= 1 then f None
-  else Pool.with_pool ~obs ~domains:jobs (fun p -> f (Some p))
-
 (* ---------- the three job kinds ---------- *)
 
 let run_solve ~obs job =
@@ -120,7 +116,6 @@ let run_solve ~obs job =
   let problem = required job "problem" in
   let bundle = bundle_of_spec problem in
   let seed = int_key job "seed" 1 in
-  let jobs = int_key job "jobs" 1 in
   let divergence = float_opt_key job "divergence" in
   let plan = faults_key job in
   let adversary = adversary_key job in
@@ -136,11 +131,8 @@ let run_solve ~obs job =
       Anonet_runtime.Retransmit.wrap ~obs bundle.Gran.solver
     else bundle.Gran.solver
   in
-  match
-    with_jobs ~obs jobs (fun pool ->
-        let ctx = Run_ctx.make ?faults:plan ?adversary ?pool ~obs () in
-        Las_vegas.solve ~ctx solver g ~seed ?divergence ())
-  with
+  let ctx = Run_ctx.make ?faults:plan ?adversary ~obs () in
+  match Las_vegas.solve ~ctx solver g ~seed ?divergence () with
   | Error f ->
     {
       code = Run_error.exit_code (Run_error.Las_vegas f);
@@ -165,15 +157,11 @@ let run_derandomize ~obs job =
     coloring_of_spec g (Option.value ~default:"random:1" (Job.get job "colors"))
   in
   let inst = Problem.attach_coloring g colors in
-  let jobs = int_key job "jobs" 1 in
+  let ctx = Run_ctx.make ~obs () in
   let b = Buffer.create 256 in
   match Option.value ~default:"a-infinity" (Job.get job "method") with
   | "a-star" -> begin
-      match
-        with_jobs ~obs jobs (fun pool ->
-            Anonet.A_star.solve ~ctx:(Run_ctx.make ?pool ~obs ()) ~gran:bundle
-              inst ())
-      with
+      match Anonet.A_star.solve ~ctx ~gran:bundle inst () with
       | Error m -> { code = 1; out = ""; err = m }
       | Ok outcome ->
         Printf.bprintf b "A* solved %s^c deterministically in %d rounds:\n"
@@ -185,11 +173,7 @@ let run_derandomize ~obs job =
         { code = 0; out = Buffer.contents b; err = "" }
     end
   | "a-infinity" -> begin
-      match
-        with_jobs ~obs jobs (fun pool ->
-            Anonet.A_infinity.solve ~ctx:(Run_ctx.make ?pool ~obs ())
-              ~gran:bundle inst ())
-      with
+      match Anonet.A_infinity.solve ~ctx ~gran:bundle inst () with
       | Error m -> { code = 1; out = ""; err = m }
       | Ok r ->
         Printf.bprintf b
@@ -217,29 +201,57 @@ let render_output out =
 let run_experiment ~obs job =
   let module E = Anonet_experiments.Experiments in
   let jobs = int_key job "jobs" 1 in
+  if jobs < 1 then bad_spec "bad jobs=%d (want N >= 1)" jobs;
   (* validate the id before spinning up a pool *)
   (match Job.get job "id" with
   | None -> ()
   | Some id ->
     if not (List.mem_assoc (String.lowercase_ascii id) E.all) then
       bad_spec "unknown experiment id %S" id);
-  with_jobs ~obs jobs (fun pool ->
-      let ctx = Run_ctx.make ?pool ~obs () in
-      match Job.get job "id" with
-      | None ->
-        let outs = E.run_all ~ctx () in
-        {
-          code = 0;
-          out = String.concat "" (List.map render_output outs);
-          err = "";
-        }
-      | Some id -> begin
-          match E.run ~ctx id with
-          | Ok out -> { code = 0; out = render_output out; err = "" }
-          | Error m -> { code = 1; out = ""; err = m }
-        end)
+  let ctx = Run_ctx.make ~obs () in
+  let run pool =
+    match Job.get job "id" with
+    | None ->
+      let outs = E.run_all ~ctx ?pool () in
+      { code = 0; out = String.concat "" (List.map render_output outs); err = "" }
+    | Some id -> begin
+        match E.run ~ctx ?pool id with
+        | Ok out -> { code = 0; out = render_output out; err = "" }
+        | Error m -> { code = 1; out = ""; err = m }
+      end
+  in
+  (* The output is identical at any domain count, so a request beyond the
+     host's recommended count (a remote peer's jobs=1000000, say) is
+     clamped rather than spawning that many domains. *)
+  match min jobs (Domain.recommended_domain_count ()) with
+  | 1 -> run None
+  | domains -> Pool.with_pool ~obs ~domains (fun p -> run (Some p))
+
+(* The keys each kind reads.  Anything else — a typo, a knob of another
+   kind — would be silently ignored, so it is a rejection instead, and so
+   is a key given twice (only its first value would count). *)
+let accepted_keys = function
+  | Job.Solve ->
+    [ "problem"; "graph"; "seed"; "faults"; "adversary"; "divergence";
+      "retransmit" ]
+  | Job.Derandomize -> [ "problem"; "graph"; "colors"; "method" ]
+  | Job.Experiment -> [ "id"; "jobs" ]
+
+let check_keys job =
+  let kind = Job.kind_to_string job.Job.kind in
+  let accepted = accepted_keys job.Job.kind in
+  ignore
+    (List.fold_left
+       (fun seen (k, _) ->
+         if not (List.mem k accepted) then
+           bad_spec "%s job takes no %s=... key (accepted: %s)" kind k
+             (String.concat ", " accepted);
+         if List.mem k seen then bad_spec "%s job gives %s=... twice" kind k;
+         k :: seen)
+       [] job.Job.pairs)
 
 let execute ?(obs = Obs.null) job =
+  check_keys job;
   match job.Job.kind with
   | Job.Solve -> run_solve ~obs job
   | Job.Derandomize -> run_derandomize ~obs job

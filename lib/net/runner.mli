@@ -37,16 +37,19 @@ val graph_of_spec : string -> Anonet_graph.Graph.t
     {!Bad_spec}. *)
 
 val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
-(** Runs the job to completion on the calling thread.  Job keys:
+(** Runs the job to completion.  Solves and derandomizations run
+    sequentially on the calling thread.  The accepted keys, per kind:
 
     - [solve]: [problem], [graph] (required); [seed] (default 1),
-      [faults], [adversary], [divergence], [retransmit] ([true]/[false]),
-      [jobs] (domains for attempt racing, default 1);
+      [faults], [adversary], [divergence], [retransmit] ([true]/[false]);
     - [derandomize]: [problem], [graph] (required); [colors] (default
-      [random:1]), [method] ([a-infinity], default, or [a-star]), [jobs];
-    - [experiment]: [id] (all experiments when absent), [jobs].
+      [random:1]), [method] ([a-infinity], default, or [a-star]);
+    - [experiment]: [id] (all experiments when absent); [jobs] (default
+      1): the domains that fan independent experiment rows out.  It must
+      be at least 1 and is clamped to [Domain.recommended_domain_count ()];
+      the output is the same at any value.
 
-    @raise Bad_spec on unknown keys' values that do not parse, missing
-    required keys, or unparseable specs.  Exceptions from the run itself
-    (e.g. [Invalid_argument] when fault injection breaks an unwrapped
-    algorithm's protocol) propagate. *)
+    @raise Bad_spec on a key its kind does not accept, a key given twice,
+    values that do not parse, missing required keys, or unparseable
+    specs.  Exceptions from the run itself (e.g. [Invalid_argument] when
+    fault injection breaks an unwrapped algorithm's protocol) propagate. *)

@@ -89,6 +89,17 @@ let rec worker t ~seen =
     worker t ~seen
   end
 
+let shutdown t =
+  Mutex.lock t.lock;
+  if t.stopped then Mutex.unlock t.lock
+  else begin
+    t.stopped <- true;
+    Condition.broadcast t.wake;
+    Mutex.unlock t.lock;
+    List.iter Domain.join t.workers;
+    t.workers <- []
+  end
+
 let create ?(obs = Obs.null) ?domains () =
   let domains =
     match domains with
@@ -110,21 +121,17 @@ let create ?(obs = Obs.null) ?domains () =
       wait_h = Obs.histogram obs "pool.task.wait_ns";
     }
   in
-  if domains > 1 then
-    t.workers <-
-      List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker t ~seen:0));
+  (* Spawn one worker at a time, so that a [Domain.spawn] failing partway
+     (at the runtime's domain limit, say) can stop and join the workers
+     already running before the exception propagates. *)
+  (try
+     for _ = 2 to domains do
+       t.workers <- Domain.spawn (fun () -> worker t ~seen:0) :: t.workers
+     done
+   with e ->
+     shutdown t;
+     raise e);
   t
-
-let shutdown t =
-  Mutex.lock t.lock;
-  if t.stopped then Mutex.unlock t.lock
-  else begin
-    t.stopped <- true;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.lock;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
 
 let with_pool ?obs ?domains f =
   let t = create ?obs ?domains () in
@@ -186,43 +193,4 @@ let map t f arr =
     let out = Array.make n None in
     run t ~n (fun i -> out.(i) <- Some (f arr.(i)));
     Array.map (function Some v -> v | None -> assert false) out
-  end
-
-let race t ~n task =
-  if n <= 0 then None
-  else if t.domains = 1 then begin
-    (* The literal sequential first-success loop: nothing past the winner
-       is ever started. *)
-    let stop () = false in
-    let rec go i =
-      if i >= n then None
-      else begin
-        match task ~stop i with Some v -> Some (i, v) | None -> go (i + 1)
-      end
-    in
-    go 0
-  end
-  else begin
-    let best = Atomic.make max_int in
-    let results = Array.make n None in
-    let body i =
-      (* Skip tasks that already lost; [best] only ever decreases, so a
-         skipped index is always above the final winner. *)
-      if Atomic.get best > i then begin
-        let stop () = Atomic.get best < i in
-        match task ~stop i with
-        | None -> ()
-        | Some v ->
-          results.(i) <- Some v;
-          let rec lower () =
-            let cur = Atomic.get best in
-            if i < cur && not (Atomic.compare_and_set best cur i) then lower ()
-          in
-          lower ()
-      end
-    in
-    run t ~n body;
-    match Atomic.get best with
-    | b when b = max_int -> None
-    | b -> (match results.(b) with Some v -> Some (b, v) | None -> assert false)
   end

@@ -29,8 +29,8 @@
     every substitution or corruption spends one unit of the optional
     budget — an exhausted adversary observes but no longer acts.  Equal
     plans on equal executions therefore tamper identically, so adversarial
-    runs are exactly reproducible (including across [--jobs 1/2/4]: the
-    racing harness instantiates a fresh adversary per attempt).
+    runs are exactly reproducible (the Las-Vegas harness instantiates a
+    fresh adversary per attempt).
 
     A {!plan} is a pure description; {!make} instantiates the stateful
     adversary threaded through one execution.  Instances must not be shared

@@ -220,7 +220,8 @@ module Incremental = struct
   (* Per-domain scratch for the persistent flat step: the send buffer and
      sent flags live only within one [step] call, and the probe buffer
      only until the next probe, so one growable record per domain serves
-     every concurrent search shard without locking. *)
+     searches running concurrently on other domains (server workers,
+     experiment rows) without locking. *)
   type step_scratch = {
     mutable ss_send : int array;
     mutable ss_sent : Bytes.t;

@@ -71,7 +71,7 @@ type outcome = {
       run's result is byte-identical and the overhead is a few branches
       per round.
 
-    [ctx.pool] and [ctx.max_rounds_policy] are not consulted (the round
+    [ctx.max_rounds_policy] is not consulted (the round
     budget is the explicit [max_rounds]).
 
     @raise Invalid_argument if the algorithm revokes or changes an output

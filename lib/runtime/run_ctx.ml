@@ -1,6 +1,5 @@
 module Graph = Anonet_graph.Graph
 module Prng = Anonet_graph.Prng
-module Pool = Anonet_parallel.Pool
 module Obs = Anonet_obs.Obs
 module Events = Anonet_obs.Events
 
@@ -11,7 +10,6 @@ type max_rounds_policy =
 type t = {
   faults : Faults.plan option;
   adversary : Adversary.plan option;
-  pool : Pool.t option;
   obs : Obs.t;
   scramble_seed : int option;
   max_rounds_policy : max_rounds_policy;
@@ -23,23 +21,18 @@ let default =
   {
     faults = None;
     adversary = None;
-    pool = None;
     obs = Obs.null;
     scramble_seed = None;
     max_rounds_policy = default_policy;
   }
 
-let make ?faults ?adversary ?pool ?(obs = Obs.null) ?scramble_seed
+let make ?faults ?adversary ?(obs = Obs.null) ?scramble_seed
     ?(max_rounds_policy = default_policy) () =
-  { faults; adversary; pool; obs; scramble_seed; max_rounds_policy }
+  { faults; adversary; obs; scramble_seed; max_rounds_policy }
 
 let obs t = t.obs
-let pool t = t.pool
 let faults t = t.faults
 let adversary t = t.adversary
-
-let parallel t =
-  match t.pool with Some p when Pool.domains p > 1 -> Some p | Some _ | None -> None
 
 let max_rounds t ~n =
   match t.max_rounds_policy with

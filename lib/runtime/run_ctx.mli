@@ -3,7 +3,7 @@
     points as [?ctx] (defaulting to {!default}).
 
     Before this module, each concern was a separate optional argument
-    ([?scramble_seed ?faults ?pool ...]) threaded inconsistently through
+    ([?scramble_seed ?faults ...]) threaded inconsistently through
     [Executor], [Async], [Las_vegas], [Min_search], [A_infinity] and
     [Experiments]; every new concern multiplied signatures.  A [Run_ctx.t]
     is built once (typically by the CLI or the serve frontend) and passed
@@ -25,7 +25,6 @@ type t = {
   faults : Faults.plan option;  (** fault plan applied to (each) run *)
   adversary : Adversary.plan option;
       (** adaptive adversary layered on top of the faults (see {!Adversary}) *)
-  pool : Anonet_parallel.Pool.t option;  (** domain pool for parallel paths *)
   obs : Anonet_obs.Obs.t;  (** metrics + event sink; [Obs.null] = off *)
   scramble_seed : int option;
       (** per-round inbox scrambling (see [Executor.run]) *)
@@ -33,13 +32,12 @@ type t = {
 }
 
 val default : t
-(** No faults, no pool, null observability, no scrambling,
+(** No faults, null observability, no scrambling,
     [Scaled { per_node = 64; slack = 4 }]. *)
 
 val make :
   ?faults:Faults.plan ->
   ?adversary:Adversary.plan ->
-  ?pool:Anonet_parallel.Pool.t ->
   ?obs:Anonet_obs.Obs.t ->
   ?scramble_seed:int ->
   ?max_rounds_policy:max_rounds_policy ->
@@ -47,14 +45,8 @@ val make :
   t
 
 val obs : t -> Anonet_obs.Obs.t
-val pool : t -> Anonet_parallel.Pool.t option
 val faults : t -> Faults.plan option
 val adversary : t -> Adversary.plan option
-
-val parallel : t -> Anonet_parallel.Pool.t option
-(** The pool, but only when it actually runs more than one domain — the
-    guard every parallel path uses before choosing its racing/sharding
-    strategy over the sequential one. *)
 
 val max_rounds : t -> n:int -> int
 (** Apply {!max_rounds_policy} to an [n]-node graph. *)

@@ -883,24 +883,15 @@ let prop_min_search_matches_oracles =
                f.Min_search.sim.Simulation.outputs sim.Simulation.outputs
         | _ -> false
       in
-      let same_found (a : Min_search.found option) b =
-        same_value a
-          (Option.map (fun f -> f.Min_search.assignment, f.Min_search.sim) b)
-        && Option.map (fun f -> f.Min_search.states_explored) a
-           = Option.map (fun f -> f.Min_search.states_explored) b
-      in
-      let search ?pool () =
-        Min_search.minimal_successful ~ctx:(Anonet_runtime.Run_ctx.make ?pool ())
-          ~solver g ~base ~len:(Min_search.At_most max_len) ()
+      let at_most =
+        Min_search.minimal_successful ~solver g ~base
+          ~len:(Min_search.At_most max_len) ()
       in
       (* Extend through every length, then re-ask the lengths at or below
          the hardened floor, which the handle answers without its
          frontier. *)
-      let extends ?pool () =
-        let h =
-          Min_search.Resumable.create ~ctx:(Anonet_runtime.Run_ctx.make ?pool ())
-            ~solver g ~base ()
-        in
+      let extends =
+        let h = Min_search.Resumable.create ~solver g ~base () in
         let ascending = List.init (max_len - lo + 1) (fun i -> lo + i) in
         let results = List.map (fun len -> len, Min_search.Resumable.extend h ~len) ascending in
         let floor = Min_search.Resumable.floor h in
@@ -908,19 +899,12 @@ let prop_min_search_matches_oracles =
         @ List.map (fun len -> len, Min_search.Resumable.extend h ~len)
             (List.filter (fun len -> len <= floor) ascending)
       in
-      let at_most = search () in
       let oracle_at_most = Array.to_list exact |> List.find_map Fun.id in
       let node_major = Search_oracle.node_major_at_most ~solver g ~base ~max_len in
       let length = Option.map (fun (bits, _) -> Bit_assignment.max_length bits) in
-      let sequential = extends () in
       same_value at_most oracle_at_most
       && length oracle_at_most = length node_major
-      && List.for_all (fun (len, found) -> same_value found exact.(len)) sequential
-      && Anonet_parallel.Pool.with_pool ~domains:2 (fun p ->
-             same_found at_most (search ~pool:p ())
-             && List.for_all2
-                  (fun (_, a) (_, b) -> same_found a b)
-                  sequential (extends ~pool:p ())))
+      && List.for_all (fun (len, found) -> same_value found exact.(len)) extends)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest

@@ -3,13 +3,16 @@
    semantics — same neighbor order, same ports, same degrees — and every
    functional update must keep minting fresh ids (the canonical-encoding
    cache is keyed by them).  On top, the end-to-end solve/derandomize text
-   must stay byte-identical across --jobs 1/2/4 on fixed and random
-   graphs: the parallel executor aliases the CSR arrays instead of copying
-   them, so any mutation slip in the flat layout would surface here. *)
+   must stay byte-identical when the same job runs concurrently on 2 or 4
+   domains, as `anonet serve --jobs 2/4` workers run it, on fixed and
+   random graphs: concurrent runs share the process-wide caches (interned
+   views, canonical encodings) and each domain's executor scratch, so a
+   leak between them would surface here. *)
 
 open Anonet_graph
 module Job = Anonet_net.Job
 module Runner = Anonet_net.Runner
+module Pool = Anonet_parallel.Pool
 
 let check = Alcotest.(check bool)
 
@@ -189,23 +192,26 @@ let test_encode_streaming_vs_sorting () =
         (Encode.canonical g) (Encode.canonical gp))
     graphs
 
-(* ---------- solve/derandomize byte-identity across --jobs ---------- *)
+(* ---------- solve/derandomize byte-identity across serve --jobs ---------- *)
 
-let run_job kind pairs ~jobs =
-  Runner.execute { Job.kind; pairs = pairs @ [ "jobs", string_of_int jobs ] }
-
+(* The job on the calling domain, then [jobs] copies of it at once on a
+   pool of [jobs] domains — one graph per copy, built from the spec. *)
 let check_jobs_invariant name kind pairs =
-  let base = run_job kind pairs ~jobs:1 in
+  let job = { Job.kind; pairs } in
+  let base = Runner.execute job in
   check_int (name ^ ": sequential exit code") 0 base.Runner.code;
   List.iter
     (fun jobs ->
-      let o = run_job kind pairs ~jobs in
-      check_int (Printf.sprintf "%s: exit code at --jobs %d" name jobs)
-        base.Runner.code o.Runner.code;
-      check_string (Printf.sprintf "%s: stdout at --jobs %d" name jobs)
-        base.Runner.out o.Runner.out;
-      check_string (Printf.sprintf "%s: stderr at --jobs %d" name jobs)
-        base.Runner.err o.Runner.err)
+      Pool.with_pool ~domains:jobs (fun p ->
+          Array.iter
+            (fun o ->
+              check_int (Printf.sprintf "%s: exit code at --jobs %d" name jobs)
+                base.Runner.code o.Runner.code;
+              check_string (Printf.sprintf "%s: stdout at --jobs %d" name jobs)
+                base.Runner.out o.Runner.out;
+              check_string (Printf.sprintf "%s: stderr at --jobs %d" name jobs)
+                base.Runner.err o.Runner.err)
+            (Pool.map p (fun () -> Runner.execute job) (Array.make jobs ()))))
     [ 2; 4 ]
 
 let test_solve_byte_identity () =

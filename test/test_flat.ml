@@ -2,9 +2,9 @@
    the probe/commit stepping API and the flat simulation fast path must be
    byte-identical to the boxed reference — same outputs, rounds, message
    counts, dedup keys and search results — on fixed and random graphs,
-   sequentially and under pools, and must fall back to (identical) boxed
-   execution whenever fault or adversary plans are in play.  This is the
-   contract [Algorithm.register_flat] documents. *)
+   sequentially and side by side on pool domains, and must fall back to
+   (identical) boxed execution whenever fault or adversary plans are in
+   play.  This is the contract [Algorithm.register_flat] documents. *)
 
 module Gen = Anonet_graph.Gen
 module Graph = Anonet_graph.Graph
@@ -267,7 +267,7 @@ let test_flat_rejects_injection () =
            exec
            ~bits:(Array.make 3 false)))
 
-(* ---------- search results across pools 1/2/4 ---------- *)
+(* ---------- search results, concurrently on pools 1/2/4 ---------- *)
 
 let check_found_equal ~name flat_f boxed_f =
   match flat_f, boxed_f with
@@ -281,8 +281,8 @@ let check_found_equal ~name flat_f boxed_f =
   | Some _, None | None, Some _ ->
     Alcotest.failf "%s: flat and boxed searches disagree on existence" name
 
-let min_search_found ~ctx algo g =
-  Min_search.minimal_successful ?ctx ~solver:algo g
+let min_search_found algo g =
+  Min_search.minimal_successful ~solver:algo g
     ~base:(Bit_assignment.empty (Graph.n g))
     ~len:(Min_search.At_most 8) ()
 
@@ -295,21 +295,27 @@ let test_search_pools () =
   let algo = Anonet_algorithms.Rand_mis.algorithm in
   List.iter
     (fun (gname, g) ->
-      let reference = min_search_found ~ctx:None (boxed_variant algo) g in
-      let sequential = min_search_found ~ctx:None algo g in
+      let reference = min_search_found (boxed_variant algo) g in
+      let sequential = min_search_found algo g in
       check_found_equal ~name:(gname ^ "/seq") sequential reference;
+      (* Flat and boxed searches side by side on the pool's domains: the
+         flat path's per-domain scratch must not leak between them. *)
       List.iter
         (fun domains ->
           Pool.with_pool ~domains (fun p ->
-              let ctx = Some (Run_ctx.make ~pool:p ()) in
-              check_found_equal
-                ~name:(Printf.sprintf "%s/pool%d" gname domains)
-                (min_search_found ~ctx algo g)
-                reference;
-              check_found_equal
-                ~name:(Printf.sprintf "%s/pool%d-boxed" gname domains)
-                (min_search_found ~ctx (boxed_variant algo) g)
-                reference))
+              Array.iteri
+                (fun i found ->
+                  check_found_equal
+                    ~name:
+                      (Printf.sprintf "%s/pool%d-%s" gname domains
+                         (if i mod 2 = 0 then "flat" else "boxed"))
+                    found reference)
+                (Pool.map p
+                   (fun i ->
+                     min_search_found
+                       (if i mod 2 = 0 then algo else boxed_variant algo)
+                       g)
+                   (Array.init (2 * domains) Fun.id))))
         [ 1; 2; 4 ])
     graphs
 
@@ -322,17 +328,11 @@ let prop_search_random =
     (fun seed ->
       let g = Gen.label_with_ints (Gen.random_connected ~seed 4 0.5) in
       let algo = Anonet_algorithms.Rand_mis.algorithm in
-      let reference = min_search_found ~ctx:None (boxed_variant algo) g in
+      let reference = min_search_found (boxed_variant algo) g in
       check_found_equal
         ~name:(Printf.sprintf "seed=%d/seq" seed)
-        (min_search_found ~ctx:None algo g)
+        (min_search_found algo g)
         reference;
-      Pool.with_pool ~domains:2 (fun p ->
-          let ctx = Some (Run_ctx.make ~pool:p ()) in
-          check_found_equal
-            ~name:(Printf.sprintf "seed=%d/pool2" seed)
-            (min_search_found ~ctx algo g)
-            reference);
       true)
 
 let () =

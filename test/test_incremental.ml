@@ -1,7 +1,8 @@
 (* Tests for the incremental phase engine: Min_search.Resumable warm
    starts against cold searches, A*'s cross-phase search/simulation
-   cache (value identity, eviction), and the round-major budget parity
-   across pool sizes. *)
+   cache (value identity, eviction), and the round-major budget parity.
+   The value checks also run as concurrent replicas on 2- and 4-domain pools,
+   as server workers run searches side by side. *)
 
 open Anonet_graph
 open Anonet
@@ -24,12 +25,19 @@ let c6_instance () =
 
 let prime_instance g = colored_instance g (Array.init (Graph.n g) (fun v -> Label.Int v))
 
-let ctx_of_pool pool = Run_ctx.make ?pool ()
+(* [f] run as [domains] concurrent replicas on a pool of that size. *)
+let concurrently ~domains f =
+  Pool.with_pool ~domains (fun p -> Pool.map p f (Array.make domains ()))
 
-(* Run [f] sequentially and under 2- and 4-domain pools. *)
-let with_pool_sizes f =
-  f None;
-  List.iter (fun domains -> Pool.with_pool ~domains (fun p -> f (Some p))) [ 2; 4 ]
+(* [check ~domains (f ())] on the calling domain, then on each result of
+   [f] run as concurrent replicas on 2- and 4-domain pools.  The checks
+   stay on the calling domain: Alcotest's assertion log is not
+   domain-safe. *)
+let with_pool_sizes f check =
+  check ~domains:1 (f ());
+  List.iter
+    (fun domains -> Array.iter (check ~domains) (concurrently ~domains f))
+    [ 2; 4 ]
 
 let bits_testable =
   Alcotest.testable
@@ -73,37 +81,46 @@ let search_fixtures () =
     "path3-mis-base01", Gen.label_with_ints (Gen.path 3), base_p3, 6;
   ]
 
-let check_resumable_matches_cold ~name ~solver g ~base ~max_len pool =
-  let ctx = ctx_of_pool pool in
-  let handle = Min_search.Resumable.create ~ctx ~solver g ~base () in
-  let lo = Bit_assignment.max_length base in
-  for len = max 1 lo to max_len do
-    let warm = Min_search.Resumable.extend handle ~len in
-    let cold =
-      Min_search.minimal_successful ~ctx ~solver g ~base
-        ~len:(Min_search.Exactly len) ()
-    in
-    let name = Printf.sprintf "%s len=%d" name len in
-    check_found_equal name warm cold;
-    (match cold with
-     | Some c ->
-       check_int (name ^ ": cumulative states")
-         c.Min_search.states_explored
-         (Min_search.Resumable.states_explored handle)
-     | None -> ());
-    check (name ^ ": level <= len") true (Min_search.Resumable.level handle <= len)
-  done
+(* One handle extended through every length next to a cold search per
+   length: (len, warm, cold, cumulative states, level) after each extend. *)
+let resumable_vs_cold ~solver g ~base ~max_len () =
+  let handle = Min_search.Resumable.create ~solver g ~base () in
+  let lo = max 1 (Bit_assignment.max_length base) in
+  List.init (max 0 (max_len - lo + 1)) (fun i ->
+      let len = lo + i in
+      let warm = Min_search.Resumable.extend handle ~len in
+      let cold =
+        Min_search.minimal_successful ~solver g ~base
+          ~len:(Min_search.Exactly len) ()
+      in
+      ( len,
+        warm,
+        cold,
+        Min_search.Resumable.states_explored handle,
+        Min_search.Resumable.level handle ))
+
+let check_resumable_matches_cold ~name runs =
+  List.iter
+    (fun (len, warm, cold, states, level) ->
+      let name = Printf.sprintf "%s len=%d" name len in
+      check_found_equal name warm cold;
+      (match cold with
+       | Some c ->
+         check_int (name ^ ": cumulative states") c.Min_search.states_explored
+           states
+       | None -> ());
+      check (name ^ ": level <= len") true (level <= len))
+    runs
 
 let test_resumable_equals_cold () =
   List.iter
     (fun (name, g, base, max_len) ->
-      with_pool_sizes (fun pool ->
-          let name =
-            Printf.sprintf "%s/domains=%d" name
-              (match pool with None -> 1 | Some p -> Pool.domains p)
-          in
-          check_resumable_matches_cold ~name
-            ~solver:Anonet_algorithms.Rand_mis.algorithm g ~base ~max_len pool))
+      with_pool_sizes
+        (resumable_vs_cold ~solver:Anonet_algorithms.Rand_mis.algorithm g ~base
+           ~max_len)
+        (fun ~domains ->
+          check_resumable_matches_cold
+            ~name:(Printf.sprintf "%s/domains=%d" name domains)))
     (search_fixtures ())
 
 let prop_resumable_equals_cold =
@@ -114,11 +131,11 @@ let prop_resumable_equals_cold =
        QCheck.Gen.(int_bound 10_000))
     (fun seed ->
       let g = Gen.label_with_ints (Gen.random_connected ~seed 4 0.5) in
-      with_pool_sizes (fun pool ->
-          check_resumable_matches_cold
-            ~name:(Printf.sprintf "seed=%d" seed)
-            ~solver:Anonet_algorithms.Rand_mis.algorithm g
-            ~base:(Bit_assignment.empty 4) ~max_len:5 pool);
+      with_pool_sizes
+        (resumable_vs_cold ~solver:Anonet_algorithms.Rand_mis.algorithm g
+           ~base:(Bit_assignment.empty 4) ~max_len:5)
+        (fun ~domains:_ ->
+          check_resumable_matches_cold ~name:(Printf.sprintf "seed=%d" seed));
       true)
 
 (* extend must refuse to shrink *)
@@ -158,11 +175,9 @@ let check_a_star_warm_equals_cold ~name ~gran inst =
   let cold = solve_outcome ~incremental:false ~gran inst in
   let warm = solve_outcome ~gran inst in
   check_same_outcome (name ^ " seq") cold warm;
-  Pool.with_pool ~domains:4 (fun p ->
-      let warm_pooled =
-        solve_outcome ~ctx:(Run_ctx.make ~pool:p ()) ~gran inst
-      in
-      check_same_outcome (name ^ " pool4") cold warm_pooled)
+  Array.iter
+    (check_same_outcome (name ^ " pool4") cold)
+    (concurrently ~domains:4 (fun () -> solve_outcome ~gran inst))
 
 let test_a_star_warm_equals_cold () =
   List.iter
@@ -236,15 +251,15 @@ let test_a_star_eviction_path () =
   check "evictions happened" true (value "cache.search.evictions" > 0);
   check "misses happened" true (value "cache.search.misses" > 1)
 
-(* ---------- budget parity across pool sizes ---------- *)
+(* ---------- budget parity, concurrently on pools of 1/2/4 ---------- *)
 
 let test_budget_parity () =
   let g = Gen.label_with_ints (Gen.cycle 4) in
   let max_states = 50 in
-  let explored_at_raise pool =
+  let explored_at_raise () =
     let registry = Metrics.create () in
     let obs = Obs.make ~metrics:registry () in
-    let ctx = Run_ctx.make ?pool ~obs () in
+    let ctx = Run_ctx.make ~obs () in
     (try
        ignore
          (Min_search.minimal_successful ~ctx
@@ -255,15 +270,13 @@ let test_budget_parity () =
      with Min_search.Search_limit_exceeded -> ());
     Metrics.counter_value (Metrics.counter registry "search.states_explored")
   in
-  let seq = explored_at_raise None in
+  let seq = explored_at_raise () in
   check_int "sequential counts one past the budget" (max_states + 1) seq;
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          check_int
-            (Printf.sprintf "domains=%d matches sequential" domains)
-            seq
-            (explored_at_raise (Some p))))
+      Array.iter
+        (check_int (Printf.sprintf "domains=%d matches sequential" domains) seq)
+        (concurrently ~domains explored_at_raise))
     [ 2; 4 ]
 
 let () =

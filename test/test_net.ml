@@ -330,6 +330,16 @@ let test_bad_graph_and_coloring_specs () =
     [ "cycle:0"; "path:0"; "grid:0x3"; "random:10,2.0,7"; "regular:5,3,1";
       "gnp:0,8,1"; "torus:1x1"; "wheel:2"; "star:0"; "complete:0";
       "hypercube:-1"; "bintree:0"; "hamiltonian:2,0.5,1" ];
+  (* non-numeric arguments: the message names the spec and the argument *)
+  List.iter
+    (fun (spec, expected) ->
+      match Runner.graph_of_spec spec with
+      | _ -> Alcotest.failf "%s: accepted" spec
+      | exception Runner.Bad_spec m -> check_string (spec ^ ": message") expected m)
+    [ "cycle:x", {|bad graph spec "cycle:x": "x" is not an integer|};
+      "gnp:10,x,1", {|bad graph spec "gnp:10,x,1": "x" is not a number|};
+      "grid:3xq", {|bad graph spec "grid:3xq": "q" is not an integer|};
+      "torus:ax2", {|bad graph spec "torus:ax2": "a" is not an integer|} ];
   let c6 = Runner.graph_of_spec "cycle:6" in
   List.iter
     (fun spec -> rejects spec (fun () -> Runner.coloring_of_spec c6 spec))
@@ -341,6 +351,68 @@ let test_bad_graph_and_coloring_specs () =
     [ Job.Solve, [ "problem", "mis"; "graph", "cycle:0" ];
       Job.Derandomize, [ "problem", "mis"; "graph", "cycle:6"; "colors", "mod:0" ];
     ]
+
+(* A key the job's kind does not read, or a key given twice, is a spec
+   error naming the key, not silently ignored. *)
+let test_unread_job_keys () =
+  let rejects kind pairs key =
+    match Runner.execute { Job.kind; pairs } with
+    | _ -> Alcotest.failf "%s=...: accepted" key
+    | exception Runner.Bad_spec m ->
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length m && (String.sub m i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      check (key ^ ": message names the key") true (contains (key ^ "="))
+  in
+  let solve = [ "problem", "mis"; "graph", "cycle:6" ] in
+  let derandomize = [ "problem", "mis"; "graph", "cycle:6"; "colors", "mod:3" ] in
+  rejects Job.Solve (solve @ [ "seeds", "5" ]) "seeds";
+  rejects Job.Solve (solve @ [ "bogus", "1" ]) "bogus";
+  rejects Job.Solve (solve @ [ "jobs", "2" ]) "jobs";
+  rejects Job.Solve (solve @ [ "colors", "mod:3" ]) "colors";
+  rejects Job.Solve (solve @ [ "seed", "1"; "seed", "2" ]) "seed";
+  rejects Job.Derandomize (derandomize @ [ "jobs", "2" ]) "jobs";
+  rejects Job.Derandomize (derandomize @ [ "seed", "3" ]) "seed";
+  rejects Job.Derandomize (derandomize @ [ "method", "a-star"; "method", "a-infinity" ])
+    "method";
+  rejects Job.Experiment [ "id", "f1"; "graph", "cycle:6" ] "graph";
+  rejects Job.Experiment [ "id", "f1"; "jobs", "1"; "jobs", "2" ] "jobs";
+  (* every accepted key still runs *)
+  check_int "solve with every key" 0
+    (Runner.execute
+       { Job.kind = Job.Solve;
+         pairs =
+           solve
+           @ [ "seed", "2"; "faults", "loss=0.1,seed=3"; "adversary", "sniper=1";
+               "divergence", "50."; "retransmit", "true" ] })
+      .Runner.code;
+  check_int "derandomize with every key" 0
+    (Runner.execute
+       { Job.kind = Job.Derandomize; pairs = derandomize @ [ "method", "a-star" ] })
+      .Runner.code
+
+(* [jobs] on an experiment job must be at least 1, and is clamped to the
+   host's recommended domain count: the output is the same at any value,
+   so a huge request runs on at most that many domains. *)
+let test_experiment_jobs_bounds () =
+  let run jobs =
+    Runner.execute
+      { Job.kind = Job.Experiment; pairs = [ "id", "t3"; "jobs", jobs ] }
+  in
+  List.iter
+    (fun jobs ->
+      match run jobs with
+      | _ -> Alcotest.failf "jobs=%s: accepted" jobs
+      | exception Runner.Bad_spec m ->
+        check_string ("jobs=" ^ jobs) (Printf.sprintf "bad jobs=%s (want N >= 1)" jobs) m)
+    [ "0"; "-4" ];
+  let one = run "1" in
+  check_int "jobs=1 exit code" 0 one.Runner.code;
+  check_string "clamped jobs=1000000 = jobs=1" one.Runner.out (run "1000000").Runner.out
 
 let test_loopback_bad_job_rejected () =
   with_server @@ fun addr ->
@@ -354,7 +426,10 @@ let test_loopback_bad_job_rejected () =
          && not (String.starts_with ~prefix:"job failed" m)))
     [ Job.Solve, [ "problem", "mis"; "graph", "nope:1" ];
       Job.Solve, [ "problem", "mis"; "graph", "cycle:0" ];
+      Job.Solve, [ "problem", "mis"; "graph", "cycle:x" ];
+      Job.Solve, [ "problem", "mis"; "graph", "cycle:6"; "seeds", "5" ];
       Job.Derandomize, [ "problem", "mis"; "graph", "cycle:6"; "colors", "mod:0" ];
+      Job.Experiment, [ "id", "t3"; "jobs", "0" ];
     ]
 
 let test_loopback_queue_full () =
@@ -483,6 +558,9 @@ let () =
             test_a_star_budget_is_typed_error;
           t "bad graph and coloring specs are spec errors"
             test_bad_graph_and_coloring_specs;
+          t "job keys its kind does not read are spec errors"
+            test_unread_job_keys;
+          t "experiment jobs= is bounded" test_experiment_jobs_bounds;
         ] );
       ( "loopback",
         [ t "two concurrent jobs byte-identical" test_loopback_two_concurrent_jobs;

@@ -1,10 +1,12 @@
 (* Tests for the multicore execution layer: the domain pool itself, and
-   the sequential-equivalence guarantees of the three parallelized hot
-   paths — Las-Vegas attempt racing, the sharded minimal-simulation
-   search, and (indirectly via those) the experiment row fan-out.  All
-   equivalence tests run the same call with no pool and with pools of
-   1, 2 and 4 domains and demand identical results, down to attempt
-   counts, state counters and error strings. *)
+   the concurrency that remains once a job runs on one domain —
+   independent Las-Vegas solves and minimal-simulation searches running
+   side by side on pool domains, as server workers and experiment rows
+   run them.  The equivalence tests run one call on the calling domain
+   and again as concurrent replicas on pools of 1, 2 and 4 domains, and
+   demand identical results, down to attempt counts, state counters and
+   error strings: per-domain executor scratch must not leak between
+   concurrent runs. *)
 
 open Anonet_graph
 open Anonet
@@ -22,6 +24,10 @@ let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
 let pool_sizes = [ 1; 2; 4 ]
+
+(* [f] run as [domains] concurrent replicas on a pool of that size. *)
+let concurrently ~domains f =
+  Pool.with_pool ~domains (fun p -> Pool.map p f (Array.make domains ()))
 
 (* ---------- Pool: the combinators themselves ---------- *)
 
@@ -76,45 +82,6 @@ let test_pool_run_propagates_exception () =
             out))
     pool_sizes
 
-let test_pool_race_lowest_wins () =
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          (* Several tasks succeed; the lowest index must win even if a
-             higher one finishes first. *)
-          let result =
-            Pool.race p ~n:10 (fun ~stop:_ i ->
-                if i = 3 || i = 5 || i = 8 then Some (i * 100) else None)
-          in
-          check (Printf.sprintf "winner 3 on %d domains" domains) true
-            (result = Some (3, 300));
-          let nobody = Pool.race p ~n:10 (fun ~stop:_ _ -> None) in
-          check "all-None race" true (nobody = None);
-          let empty = Pool.race p ~n:0 (fun ~stop:_ _ -> None) in
-          check "empty race" true (empty = None)))
-    pool_sizes
-
-let test_pool_race_runs_everything_below_winner () =
-  (* Sequential-equivalence core: every index below the winner must have
-     run to completion (and returned None). *)
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          let ran = Array.init 20 (fun _ -> Atomic.make false) in
-          let result =
-            Pool.race p ~n:20 (fun ~stop:_ i ->
-                Atomic.set ran.(i) true;
-                if i >= 11 then Some i else None)
-          in
-          check "winner 11" true (result = Some (11, 11));
-          for i = 0 to 11 do
-            check
-              (Printf.sprintf "index %d ran (%d domains)" i domains)
-              true
-              (Atomic.get ran.(i))
-          done))
-    pool_sizes
-
 let test_pool_shutdown () =
   let p = Pool.create ~domains:3 () in
   let out = Pool.map p string_of_int (Array.init 5 (fun i -> i)) in
@@ -128,7 +95,7 @@ let test_pool_shutdown () =
    | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
    | exception Invalid_argument _ -> ())
 
-(* ---------- Las-Vegas racing = sequential ---------- *)
+(* ---------- concurrent Las-Vegas solves = calling domain ---------- *)
 
 let equivalence_graphs =
   [ "cycle-6", Gen.cycle 6;
@@ -148,11 +115,11 @@ let report_equal (a : Las_vegas.report) (b : Las_vegas.report) =
        b.Las_vegas.outcome.Executor.outputs
 
 let check_lv_equivalent name solve =
-  let sequential = solve None in
+  let sequential = solve () in
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          let parallel = solve (Some p) in
+      Array.iter
+        (fun parallel ->
           match sequential, parallel with
           | Ok a, Ok b ->
             check
@@ -174,55 +141,55 @@ let check_lv_equivalent name solve =
           | Error f, Ok _ ->
             Alcotest.fail
               (Printf.sprintf "%s: sequential Error %s but %d domains Ok" name
-                 f.Las_vegas.message domains)))
+                 f.Las_vegas.message domains))
+        (concurrently ~domains solve))
     pool_sizes
 
 let test_lv_equivalence_easy () =
-  (* Default budgets: the first attempt almost always succeeds; racing
-     must agree on attempt 1 and its outcome. *)
+  (* Default budgets: the first attempt almost always succeeds; every
+     concurrent replica must agree on attempt 1 and its outcome. *)
   List.iter
     (fun (name, g) ->
-      check_lv_equivalent name (fun pool ->
-          Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm g ~seed:7 ~ctx:(Run_ctx.make ?pool ()) ()))
+      check_lv_equivalent name (fun () ->
+          Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm g ~seed:7 ()))
     equivalence_graphs
 
 let test_lv_equivalence_forced_retries () =
   (* A starvation budget forces several failed attempts before the
-     backoff escalates far enough: racing must charge exactly the same
-     failed budgets and stop at the same attempt. *)
+     backoff escalates far enough: every replica must charge exactly the
+     same failed budgets and stop at the same attempt. *)
   List.iter
     (fun (name, g) ->
-      check_lv_equivalent (name ^ "/tight") (fun pool ->
+      check_lv_equivalent (name ^ "/tight") (fun () ->
           Las_vegas.solve Anonet_algorithms.Rand_two_hop.algorithm g ~seed:3
-            ~max_rounds:1 ~attempts:25 ~ctx:(Run_ctx.make ?pool ()) ()))
+            ~max_rounds:1 ~attempts:25 ()))
     equivalence_graphs
 
 let test_lv_equivalence_no_success_error () =
   (* backoff 1.0 with a hopeless budget: every attempt fails, and the
      no-success error string must match the sequential one verbatim. *)
-  check_lv_equivalent "no-success" (fun pool ->
+  check_lv_equivalent "no-success" (fun () ->
       Las_vegas.solve Anonet_algorithms.Rand_two_hop.algorithm (Gen.cycle 6)
-        ~seed:2 ~max_rounds:1 ~backoff:1.0 ~attempts:6 ~ctx:(Run_ctx.make ?pool ()) ())
+        ~seed:2 ~max_rounds:1 ~backoff:1.0 ~attempts:6 ())
 
 let test_lv_equivalence_giveup_error () =
-  (* The give-up truncation point is budget arithmetic only; both paths
+  (* The give-up truncation point is budget arithmetic only; every replica
      must cut the schedule at the same attempt and render the same cap
      message. *)
-  check_lv_equivalent "giveup" (fun pool ->
+  check_lv_equivalent "giveup" (fun () ->
       Las_vegas.solve Anonet_algorithms.Rand_two_hop.algorithm (Gen.cycle 6)
-        ~seed:2 ~max_rounds:2 ~giveup:20 ~attempts:10 ~ctx:(Run_ctx.make ?pool ()) ())
+        ~seed:2 ~max_rounds:2 ~giveup:20 ~attempts:10 ())
 
 let test_lv_equivalence_under_faults () =
   (* A lossy fault plan (fresh injector per attempt) behind the
-     retransmission wrapper: outcomes stay pure functions of the attempt
-     index, so racing still reconstructs the sequential report. *)
+     retransmission wrapper: one shared context, concurrent replicas —
+     outcomes stay pure functions of the attempt index. *)
   let wrapped = Retransmit.wrap Anonet_algorithms.Rand_mis.algorithm in
+  let ctx = Run_ctx.make ~faults:(Faults.with_loss 0.15 ~seed:9) () in
   List.iter
     (fun (name, g) ->
-      check_lv_equivalent (name ^ "/faults") (fun pool ->
-          Las_vegas.solve
-            ~ctx:(Run_ctx.make ~faults:(Faults.with_loss 0.15 ~seed:9) ?pool ())
-            wrapped g ~seed:11 ()))
+      check_lv_equivalent (name ^ "/faults") (fun () ->
+          Las_vegas.solve ~ctx wrapped g ~seed:11 ()))
     [ "cycle-6", Gen.cycle 6; "petersen", Gen.petersen () ]
 
 let test_lv_backoff_overflow_clamped () =
@@ -257,7 +224,7 @@ let test_lv_backoff_overflow_clamped () =
   | Ok r -> check "eventually succeeds" true (r.Las_vegas.attempts >= 1)
   | Error m -> Alcotest.fail ("expected success with clamped budgets: " ^ m)
 
-(* ---------- Min_search sharding = sequential ---------- *)
+(* ---------- concurrent Min_search = calling domain ---------- *)
 
 let found_equal (a : Min_search.found) (b : Min_search.found) =
   a.Min_search.states_explored = b.Min_search.states_explored
@@ -267,11 +234,11 @@ let found_equal (a : Min_search.found) (b : Min_search.found) =
   && a.Min_search.sim.Simulation.rounds_run = b.Min_search.sim.Simulation.rounds_run
 
 let check_search_equivalent name search =
-  let sequential = search None in
+  let sequential = search () in
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          let parallel = search (Some p) in
+      Array.iter
+        (fun parallel ->
           match sequential, parallel with
           | None, None -> ()
           | Some a, Some b ->
@@ -280,7 +247,8 @@ let check_search_equivalent name search =
               true (found_equal a b)
           | Some _, None | None, Some _ ->
             Alcotest.fail
-              (Printf.sprintf "%s: presence differs at %d domains" name domains)))
+              (Printf.sprintf "%s: presence differs at %d domains" name domains))
+        (concurrently ~domains search))
     pool_sizes
 
 let search_graphs =
@@ -293,55 +261,55 @@ let search_graphs =
 let test_search_equivalence_round_major () =
   List.iter
     (fun (name, g) ->
-      check_search_equivalent (name ^ "/round-major") (fun pool ->
+      check_search_equivalent (name ^ "/round-major") (fun () ->
           Min_search.minimal_successful
             ~solver:Anonet_algorithms.Rand_mis.algorithm g
             ~base:(Bit_assignment.empty (Graph.n g))
-            ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 16) ()))
+            ~len:(Min_search.At_most 16) ()))
     search_graphs
 
 let test_search_equivalence_orders_agree () =
-  (* Round-major's minimal assignment, sequential and pooled, re-checked
-     against the brute-force node-major enumeration: all runs must find a
-     successful assignment of the same minimal length. *)
+  (* Round-major's minimal assignment, on the calling domain and on four
+     concurrent domains, re-checked against the brute-force node-major
+     enumeration: all runs must find a successful assignment of the same
+     minimal length. *)
   let g = Gen.label_with_ints (Gen.cycle 4) in
   let solver = Anonet_algorithms.Rand_mis.algorithm in
   let base = Bit_assignment.empty 4 in
-  let run pool =
-    Min_search.minimal_successful ~solver g ~base ~ctx:(Run_ctx.make ?pool ())
-      ~len:(Min_search.At_most 4) ()
+  let run () =
+    Min_search.minimal_successful ~solver g ~base ~len:(Min_search.At_most 4) ()
   in
-  match run None, Search_oracle.node_major_at_most ~solver g ~base ~max_len:4 with
+  match run (), Search_oracle.node_major_at_most ~solver g ~base ~max_len:4 with
   | Some rm, Some (nm, _) ->
     check_int "orders agree on minimal length"
       (Bit_assignment.max_length rm.Min_search.assignment)
       (Bit_assignment.max_length nm);
-    Pool.with_pool ~domains:4 (fun p ->
-        match run (Some p) with
-        | Some rm' -> check "round-major parallel identical" true (found_equal rm rm')
-        | None -> Alcotest.fail "parallel search lost the assignment")
+    Array.iter
+      (function
+        | Some rm' -> check "round-major concurrent identical" true (found_equal rm rm')
+        | None -> Alcotest.fail "concurrent search lost the assignment")
+      (concurrently ~domains:4 run)
   | _ -> Alcotest.fail "sequential search found nothing"
 
 let test_search_equivalence_search_limit () =
-  (* When the state budget bites, it must bite identically: both modes
-     raise Search_limit_exceeded on the same instance. *)
+  (* When the state budget bites, it must bite identically: every
+     concurrent replica raises Search_limit_exceeded on the same
+     instance. *)
   let g = Gen.label_with_ints (Gen.cycle 6) in
-  let run pool =
+  let run () =
     match
       Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
         g
         ~base:(Bit_assignment.empty 6)
-        ~max_states:40 ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 16) ()
+        ~max_states:40 ~len:(Min_search.At_most 16) ()
     with
     | _ -> Alcotest.fail "expected Search_limit_exceeded"
     | exception Min_search.Search_limit_exceeded -> ()
   in
-  run None;
-  List.iter
-    (fun domains -> Pool.with_pool ~domains (fun p -> run (Some p)))
-    pool_sizes
+  run ();
+  List.iter (fun domains -> ignore (concurrently ~domains run)) pool_sizes
 
-(* ---------- Branching_limit_exceeded: typed, both execution modes ---------- *)
+(* ---------- Branching_limit_exceeded: typed, on any domain ---------- *)
 
 let test_branching_limit_round_major () =
   (* 25 free bits in round 1 exceeds the 2^24 branching limit: the typed
@@ -371,19 +339,20 @@ let test_branching_limit_round_major () =
   | exception Min_search.Search_limit_exceeded -> ()
 
 let test_branching_limit_parallel_agrees () =
-  (* The parallel paths enforce the same limits with the same payload. *)
-  Pool.with_pool ~domains:2 (fun p ->
-      let g25 = Gen.label_with_ints (Gen.cycle 25) in
-      (match
-         Min_search.minimal_successful
-           ~solver:Anonet_algorithms.Rand_mis.algorithm g25
-           ~base:(Bit_assignment.empty 25)
-           ~ctx:(Run_ctx.make ~pool:p ()) ~len:(Min_search.At_most 4) ()
-       with
-       | _ -> Alcotest.fail "expected Branching_limit_exceeded"
-       | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
-         check_int "free bits" 25 free_bits;
-         check_int "limit" 24 limit))
+  (* A search on a pool worker raises the same limit with the same
+     payload, and the pool hands it back to the caller. *)
+  let g25 = Gen.label_with_ints (Gen.cycle 25) in
+  match
+    concurrently ~domains:2 (fun () ->
+        Min_search.minimal_successful
+          ~solver:Anonet_algorithms.Rand_mis.algorithm g25
+          ~base:(Bit_assignment.empty 25)
+          ~len:(Min_search.At_most 4) ())
+  with
+  | _ -> Alcotest.fail "expected Branching_limit_exceeded"
+  | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
+    check_int "free bits" 25 free_bits;
+    check_int "limit" 24 limit
 
 let test_a_infinity_degrades_gracefully () =
   (* Through A_infinity the typed limits come back as Error strings, not
@@ -403,52 +372,6 @@ let test_a_infinity_degrades_gracefully () =
     in
     check "mentions free bits" true (contains m "free bits")
 
-(* ---------- QCheck: equivalence on random graphs ---------- *)
-
-let qcheck_lv_equivalence =
-  QCheck.Test.make ~name:"las-vegas racing = sequential on random graphs"
-    ~count:12
-    QCheck.(pair (int_range 4 10) (int_range 1 1000))
-    (fun (n, seed) ->
-      let g = Gen.random_connected ~seed n 0.35 in
-      let solve pool =
-        Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm g ~seed
-          ~max_rounds:4 ~attempts:15 ~ctx:(Run_ctx.make ?pool ()) ()
-      in
-      let sequential = solve None in
-      List.for_all
-        (fun domains ->
-          Pool.with_pool ~domains (fun p ->
-              match sequential, solve (Some p) with
-              | Ok a, Ok b -> report_equal a b
-              | Error a, Error b ->
-                a.Las_vegas.reason = b.Las_vegas.reason
-                && String.equal a.Las_vegas.message b.Las_vegas.message
-              | _ -> false))
-        [ 2; 4 ])
-
-let qcheck_search_equivalence =
-  QCheck.Test.make ~name:"sharded min-search = sequential on random graphs"
-    ~count:8
-    QCheck.(int_range 1 1000)
-    (fun seed ->
-      let g = Gen.label_with_ints (Gen.random_connected ~seed 4 0.5) in
-      let search pool =
-        Min_search.minimal_successful
-          ~solver:Anonet_algorithms.Rand_mis.algorithm g
-          ~base:(Bit_assignment.empty 4) ~ctx:(Run_ctx.make ?pool ()) ~len:(Min_search.At_most 6)
-          ()
-      in
-      let sequential = search None in
-      List.for_all
-        (fun domains ->
-          Pool.with_pool ~domains (fun p ->
-              match sequential, search (Some p) with
-              | None, None -> true
-              | Some a, Some b -> found_equal a b
-              | _ -> false))
-        [ 2; 4 ])
-
 let () =
   Alcotest.run "parallel"
     [
@@ -460,10 +383,6 @@ let () =
             test_pool_run_each_index_once;
           Alcotest.test_case "run propagates exceptions" `Quick
             test_pool_run_propagates_exception;
-          Alcotest.test_case "race: lowest index wins" `Quick
-            test_pool_race_lowest_wins;
-          Alcotest.test_case "race: runs everything below winner" `Quick
-            test_pool_race_runs_everything_below_winner;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
         ] );
       ( "las-vegas",
@@ -480,7 +399,6 @@ let () =
             test_lv_equivalence_under_faults;
           Alcotest.test_case "backoff overflow clamped" `Quick
             test_lv_backoff_overflow_clamped;
-          QCheck_alcotest.to_alcotest qcheck_lv_equivalence;
         ] );
       ( "min-search",
         [
@@ -490,7 +408,6 @@ let () =
             test_search_equivalence_orders_agree;
           Alcotest.test_case "equivalence: search limit" `Quick
             test_search_equivalence_search_limit;
-          QCheck_alcotest.to_alcotest qcheck_search_equivalence;
         ] );
       ( "branching-limit",
         [

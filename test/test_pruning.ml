@@ -4,15 +4,15 @@
    approximation: the returned [found] record — assignment and
    simulation — is identical to the exhaustive search's on every
    instance, while [states_explored] only shrinks.  These tests pin that
-   contract on fixed fixtures, on random connected graphs, across
-   domain pools of 1/2/4, for both [At_most] and [Exactly] targets, and
-   cross-check the minimal length against the brute-force node-major
-   enumeration of [Search_oracle].  The budget-exhaustion scan
-   additionally asserts the truncation semantics: for every budget
-   value, the pooled and sequential searches either both raise
-   [Search_limit_exceeded] or both return the same minimal assignment
-   (the in-budget lexicographic prefix is expanded identically at any
-   [--jobs]). *)
+   contract on fixed fixtures, on random connected graphs, run as
+   concurrent replicas on domain pools of 1/2/4, for both [At_most] and
+   [Exactly] targets, and cross-check the minimal length against the
+   brute-force node-major enumeration of [Search_oracle].  The
+   budget-exhaustion scan additionally asserts the truncation semantics:
+   at every budget value the search either raises
+   [Search_limit_exceeded] or returns the unlimited search's minimal
+   assignment, with exact states accounting when it returns from a
+   truncated level. *)
 
 open Anonet_graph
 open Anonet
@@ -28,7 +28,8 @@ let pool_sizes = [ 1; 2; 4 ]
 let assignment_equal a b =
   Array.length a = Array.length b && Array.for_all2 Bits.equal a b
 
-(* Full identity, states included — for sequential-vs-pooled checks. *)
+(* Full identity, states included — for calling-domain-vs-concurrent
+   checks. *)
 let found_equal (a : Min_search.found) (b : Min_search.found) =
   a.Min_search.states_explored = b.Min_search.states_explored
   && assignment_equal a.Min_search.assignment b.Min_search.assignment
@@ -46,11 +47,10 @@ let found_value_equal (a : Min_search.found) (b : Min_search.found) =
   && a.Min_search.sim.Simulation.rounds_run
      = b.Min_search.sim.Simulation.rounds_run
 
-let search ?pool ?max_states ~solver ~pruning ~len g =
+let search ?max_states ~solver ~pruning ~len g =
   Min_search.minimal_successful ~solver g
     ~base:(Bit_assignment.empty (Graph.n g))
-    ?max_states ~pruning
-    ~ctx:(Run_ctx.make ?pool ()) ~len ()
+    ?max_states ~pruning ~len ()
 
 (* Asserts the pruned search's value identity and effort reduction on
    one (graph, solver, len) point; returns (pruned, exhaustive) state
@@ -151,32 +151,33 @@ let test_pruned_vs_node_major () =
       "cycle-4", Gen.label_with_ints (Gen.cycle 4) ]
 
 let test_pruned_pools_identical () =
-  (* The pooled pruned search must be bit-identical to the sequential
-     pruned search — found record, states_explored included. *)
+  (* Pruned searches run side by side on a pool's domains must be
+     bit-identical to the pruned search on the calling domain — found
+     record, states_explored included. *)
   List.iter
     (fun (name, g) ->
-      let sequential =
+      let run () =
         search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
           ~len:(Min_search.At_most 16) g
       in
+      let sequential = run () in
       List.iter
         (fun domains ->
           Pool.with_pool ~domains (fun p ->
-              let pooled =
-                search ~pool:p ~solver:Anonet_algorithms.Rand_mis.algorithm
-                  ~pruning:true ~len:(Min_search.At_most 16) g
-              in
-              match sequential, pooled with
-              | Some a, Some b ->
-                check
-                  (Printf.sprintf "%s: pooled pruned identical (%d domains)"
-                     name domains)
-                  true (found_equal a b)
-              | None, None -> ()
-              | _ ->
-                Alcotest.fail
-                  (Printf.sprintf "%s: presence differs at %d domains" name
-                     domains)))
+              Array.iter
+                (fun pooled ->
+                  match sequential, pooled with
+                  | Some a, Some b ->
+                    check
+                      (Printf.sprintf "%s: pooled pruned identical (%d domains)"
+                         name domains)
+                      true (found_equal a b)
+                  | None, None -> ()
+                  | _ ->
+                    Alcotest.fail
+                      (Printf.sprintf "%s: presence differs at %d domains" name
+                         domains))
+                (Pool.map p run (Array.make domains ()))))
         pool_sizes)
     fixtures
 
@@ -193,33 +194,13 @@ let prop_pruned_random =
         (check_pruned_vs_exhaustive name
            ~solver:Anonet_algorithms.Rand_mis.algorithm
            ~len:(Min_search.At_most 8) g);
-      let sequential =
-        search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
-          ~len:(Min_search.At_most 8) g
-      in
-      Pool.with_pool ~domains:2 (fun pl ->
-          let pooled =
-            search ~pool:pl ~solver:Anonet_algorithms.Rand_mis.algorithm
-              ~pruning:true ~len:(Min_search.At_most 8) g
-          in
-          match sequential, pooled with
-          | Some a, Some b ->
-            check (name ^ ": pooled identical") true (found_equal a b)
-          | None, None -> ()
-          | _ -> Alcotest.fail (name ^ ": pooled presence differs"));
       true)
 
-(* ---------- budget exhaustion: pooled = sequential at every budget --- *)
+(* ---------- budget exhaustion: the truncation semantics --- *)
 
 type budget_outcome =
   | Found of Min_search.found
   | Limit
-
-let outcome_equal a b =
-  match a, b with
-  | Limit, Limit -> true
-  | Found a, Found b -> found_equal a b
-  | _ -> false
 
 let budget_scan ~pruning ~budgets g =
   (* The reference: the unlimited minimal assignment.  Every in-budget
@@ -232,9 +213,9 @@ let budget_scan ~pruning ~budgets g =
     | Some f -> f
     | None -> Alcotest.fail "budget scan: unlimited search found nothing"
   in
-  let run ?pool budget =
+  let run budget =
     match
-      search ?pool ~max_states:budget
+      search ~max_states:budget
         ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning
         ~len:(Min_search.At_most 16) g
     with
@@ -244,37 +225,25 @@ let budget_scan ~pruning ~budgets g =
   in
   let truncated_returns = ref 0 in
   let limits = ref 0 in
-  Pool.with_pool ~domains:1 @@ fun p1 ->
-  Pool.with_pool ~domains:2 @@ fun p2 ->
-  Pool.with_pool ~domains:4 @@ fun p4 ->
   List.iter
     (fun budget ->
-      let sequential = run budget in
-      (match sequential with
-       | Limit -> incr limits
-       | Found f ->
-         check
-           (Printf.sprintf "budget %d: returned the minimal assignment" budget)
-           true
-           (assignment_equal f.Min_search.assignment
-              unlimited.Min_search.assignment);
-         if budget < unlimited.Min_search.states_explored then begin
-           (* The budget bit mid-level yet the in-budget prefix already
-              held the winner: the early return must record the
-              overflowing probe, exactly [budget + 1]. *)
-           incr truncated_returns;
-           check_int
-             (Printf.sprintf "budget %d: truncated states accounting" budget)
-             (budget + 1) f.Min_search.states_explored
-         end);
-      List.iter
-        (fun (domains, p) ->
-          check
-            (Printf.sprintf "budget %d: pooled outcome identical (%d domains)"
-               budget domains)
-            true
-            (outcome_equal sequential (run ~pool:p budget)))
-        [ 1, p1; 2, p2; 4, p4 ])
+      match run budget with
+      | Limit -> incr limits
+      | Found f ->
+        check
+          (Printf.sprintf "budget %d: returned the minimal assignment" budget)
+          true
+          (assignment_equal f.Min_search.assignment
+             unlimited.Min_search.assignment);
+        if budget < unlimited.Min_search.states_explored then begin
+          (* The budget bit mid-level yet the in-budget prefix already
+             held the winner: the early return must record the
+             overflowing probe, exactly [budget + 1]. *)
+          incr truncated_returns;
+          check_int
+            (Printf.sprintf "budget %d: truncated states accounting" budget)
+            (budget + 1) f.Min_search.states_explored
+        end)
     budgets;
   !truncated_returns, !limits
 
@@ -303,19 +272,12 @@ let test_budget_exactly_always_raises () =
      same-level completion could still be round-major smaller once
      padded, so only the exception is sound. *)
   let g = Gen.label_with_ints (Gen.cycle 4) in
-  let run ?pool () =
-    match
-      search ?pool ~max_states:40
-        ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
-        ~len:(Min_search.Exactly 6) g
-    with
-    | (Some _ | None) -> Alcotest.fail "Exactly under budget did not raise"
-    | exception Min_search.Search_limit_exceeded -> ()
-  in
-  run ();
-  List.iter
-    (fun domains -> Pool.with_pool ~domains (fun p -> run ~pool:p ()))
-    pool_sizes
+  match
+    search ~max_states:40 ~solver:Anonet_algorithms.Rand_mis.algorithm
+      ~pruning:true ~len:(Min_search.Exactly 6) g
+  with
+  | Some _ | None -> Alcotest.fail "Exactly under budget did not raise"
+  | exception Min_search.Search_limit_exceeded -> ()
 
 (* ---------- Resumable: floor hardening ---------- *)
 
