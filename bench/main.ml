@@ -56,33 +56,23 @@ let cycle_mod_colors n k =
 open Bechamel
 open Toolkit
 
-(* The pre-CSR adjacency build, preserved verbatim as the bench baseline
-   for the huge-graphs group: validate through a Hashtbl of canonicalized
-   tuples, scatter into per-node bucket lists, then List.sort +
-   Array.of_list each bucket.  This was [Graph.create]'s implementation
-   before the flat builder; keeping it callable is what lets BENCH.json
-   track the representation swap as a measured ratio instead of a
-   historical claim. *)
-let legacy_adjacency ~n edges =
-  let seen = Hashtbl.create (List.length edges) in
-  let canonical (u, v) = if u < v then u, v else v, u in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg (Printf.sprintf "legacy: edge (%d, %d) out of range" u v);
-      if u = v then invalid_arg (Printf.sprintf "legacy: self-loop at %d" u);
-      let e = canonical (u, v) in
-      if Hashtbl.mem seen e then
-        invalid_arg (Printf.sprintf "legacy: duplicate edge (%d, %d)" u v);
-      Hashtbl.add seen e ())
-    edges;
-  let buckets = Array.make n [] in
-  List.iter
-    (fun (u, v) ->
-      buckets.(u) <- v :: buckets.(u);
-      buckets.(v) <- u :: buckets.(v))
-    edges;
-  Array.map (fun nbrs -> Array.of_list (List.sort Int.compare nbrs)) buckets
+(* [rounds] rounds of rand_mis on [g] through [Executor.run], the driver
+   behind `anonet solve`; the rounds actually run (fewer if every node
+   output earlier).  Fails when the flat representation would not be
+   used, so a silent fallback to the boxed path cannot pass. *)
+let mis_rounds g ~rounds =
+  let algo = Anonet_algorithms.Rand_mis.algorithm in
+  (match Anonet_runtime.Algorithm.find_flat algo with
+   | Some flat when Option.is_some (flat.plan g) -> ()
+   | _ -> failwith "huge: rand_mis has no flat path");
+  match
+    Anonet_runtime.Executor.run algo g
+      ~tape:(Anonet_runtime.Tape.random ~seed:1)
+      ~max_rounds:rounds
+  with
+  | Ok o -> o.Anonet_runtime.Executor.rounds
+  | Error (Anonet_runtime.Executor.Max_rounds_exceeded r) -> r
+  | Error f -> failwith (Format.asprintf "huge: %a" Anonet_runtime.Executor.pp_failure f)
 
 let bench_tests () =
   let c6 = Gen.c6_figure1 () in
@@ -322,14 +312,11 @@ let bench_tests () =
   in
   let huge_graphs =
     (* Million-node-scale graph machinery, measured at n = 10^5 where
-       bechamel still gets several samples per quota.  The legacy row
-       replicates the pre-CSR [Graph.create] pipeline byte for byte
-       (Hashtbl-of-tuples dedup, per-node bucket lists, List.sort,
-       Array.of_list) against the same materialized edge list the CSR row
-       consumes, so the pair isolates exactly the representation swap; CI
-       asserts legacy/csr >= 5x.  The generate rows measure the streaming
-       emitters end to end (no edge list at all), and the simulate row the
-       flat executor's per-round throughput over the CSR layout. *)
+       bechamel still gets several samples per quota.  The build row
+       turns a materialized edge list into the CSR layout; the generate
+       rows measure the streaming emitters end to end (no edge list at
+       all), and the simulate row the round driver's per-round throughput
+       over the CSR layout. *)
     let hn = 100_000 in
     let hp = 8.0 /. float_of_int (hn - 1) in
     (* The fixtures (a 10^5-node graph plus its materialized edge list,
@@ -343,18 +330,12 @@ let bench_tests () =
         (let hg = Gen.random_connected ~seed:1 hn hp in
          hg, Graph.edges hg, Array.make hn Label.Unit)
     in
-    let scratch = Anonet_runtime.Executor.Scratch.create () in
-    let bit ~node ~round = Prng.hash2 (node + 1) round land 1 = 1 in
     Test.make_grouped ~name:"huge-graphs"
       [
         Test.make ~name:"build-csr-gnp-1e5"
           (Staged.stage (fun () ->
                let _, hedges, hlabels = Lazy.force fixtures in
                Graph.create ~n:hn ~edges:hedges ~labels:hlabels));
-        Test.make ~name:"build-legacy-gnp-1e5"
-          (Staged.stage (fun () ->
-               let _, hedges, _ = Lazy.force fixtures in
-               legacy_adjacency ~n:hn hedges));
         Test.make ~name:"generate-gnp-1e5"
           (Staged.stage (fun () -> Gen.random_connected ~seed:1 hn hp));
         Test.make ~name:"generate-regular-d8-1e5"
@@ -362,8 +343,7 @@ let bench_tests () =
         Test.make ~name:"simulate-10rounds-mis-gnp-1e5"
           (Staged.stage (fun () ->
                let hg, _, _ = Lazy.force fixtures in
-               Anonet_runtime.Executor.simulate_flat ~scratch
-                 Anonet_algorithms.Rand_mis.algorithm hg ~bit ~len:10));
+               mis_rounds hg ~rounds:10));
       ]
   in
   let validation =
@@ -477,10 +457,20 @@ let ols_rows results =
 let scaling_domains () =
   List.filter (fun d -> d <= Domain.recommended_domain_count ()) [ 1; 2; 4 ]
 
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
 (* Wall-clock scaling of Pool.map on a batch of independent replicas of
    the hot workloads (the ablate-bits searches and the decouple pipeline
-   rows).  Speedups only materialize on multicore hosts — the JSON
-   records [domains_available] so a 1-core CI row is read as what it is. *)
+   rows), and of the experiment harness's row fan-out (every experiment,
+   rows spread over the pool as `anonet experiments --jobs N` does).
+   Each (workload, domains) cell is the median of [samples] runs on one
+   pool after one warm-up run on it: a single batch of millisecond tasks
+   is too short to time once.  Speedups only materialize on multicore
+   hosts — the JSON records [domains_available] so a 1-core CI row is
+   read as what it is. *)
 let pool_scaling_rows () =
   let k5 = Gen.label_with_ints (Gen.cycle 5) in
   let k4 = Gen.label_with_ints (Gen.cycle 4) in
@@ -491,34 +481,42 @@ let pool_scaling_rows () =
          ~base:(Bit_assignment.empty (Graph.n g))
          ~len:(Min_search.At_most 16) ())
   in
+  let batch_size = 8 in
+  let batched task =
+    let batch = Array.make batch_size task in
+    fun p -> ignore (Pool.map p (fun f -> f ()) batch)
+  in
   let workloads =
-    [ "ablate-bits", "min-search-mis-k5", min_search k5;
-      "ablate-bits", "min-search-mis-k4", min_search k4;
+    [ "ablate-bits", "min-search-mis-k5", batched (min_search k5);
+      "ablate-bits", "min-search-mis-k4", batched (min_search k4);
       ( "decouple", "direct-rand-mis-petersen",
-        fun () ->
-          ignore
-            (Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm (Gen.petersen ())
-               ~seed:5 ()) );
+        batched (fun () ->
+            ignore
+              (Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm
+                 (Gen.petersen ()) ~seed:5 ())) );
       ( "decouple", "decoupled-mis-petersen",
-        fun () ->
-          ignore
-            (Decouple.solve ~gran:Bundles.mis (Gen.petersen ()) ~seed:5
-               ~stage_two:
-                 (Decouple.Specific Anonet_algorithms.Det_from_two_hop.mis)
-               ()) );
+        batched (fun () ->
+            ignore
+              (Decouple.solve ~gran:Bundles.mis (Gen.petersen ()) ~seed:5
+                 ~stage_two:
+                   (Decouple.Specific Anonet_algorithms.Det_from_two_hop.mis)
+                 ())) );
+      ( "experiments", "row-fan-out-all",
+        fun p -> ignore (Anonet_experiments.Experiments.run_all ~pool:p ()) );
     ]
   in
-  let batch_size = 8 in
+  let samples = 5 in
   List.concat_map
-    (fun (group, name, task) ->
-      let batch = Array.make batch_size task in
+    (fun (group, name, run) ->
       let time domains =
         Pool.with_pool ~domains (fun p ->
-            let t0 = Unix.gettimeofday () in
-            ignore (Pool.map p (fun f -> f ()) batch);
-            Unix.gettimeofday () -. t0)
+            run p (* warm up: page in the code paths once *);
+            median
+              (List.init samples (fun _ ->
+                   let t0 = Unix.gettimeofday () in
+                   run p;
+                   Unix.gettimeofday () -. t0)))
       in
-      ignore (time 1) (* warm up: page in the code paths once *);
       let t1 = time 1 in
       List.map
         (fun domains ->
@@ -613,25 +611,16 @@ let search_states_rows () =
 
 (* One-shot wall-clock rows for the graph sizes bechamel cannot sample
    repeatedly: build (streaming generate into the CSR builder) and a
-   10-round flat simulation at n = 10^5 and 10^6.  Single measurements —
-   at seconds per run the sampling noise is far below the 2-orders-of-
-   magnitude effects these rows exist to witness. *)
+   10-round rand_mis run through the round driver at n = 10^5 and 10^6.
+   Single measurements — at seconds per run the sampling noise is far
+   below the 2-orders-of-magnitude effects these rows exist to witness. *)
 let huge_one_shot ~tag ~n ~avg_degree ~seed ~rounds =
   let p = avg_degree /. float_of_int (n - 1) in
   let t0 = Unix.gettimeofday () in
   let g = Gen.random_connected ~seed n p in
   let build_s = Unix.gettimeofday () -. t0 in
-  let scratch = Anonet_runtime.Executor.Scratch.create () in
-  let bit ~node ~round = Prng.hash2 (node + 1) round land 1 = 1 in
   let t1 = Unix.gettimeofday () in
-  let rounds_run =
-    match
-      Anonet_runtime.Executor.simulate_flat ~scratch
-        Anonet_algorithms.Rand_mis.algorithm g ~bit ~len:rounds
-    with
-    | Some (_, r, _) -> r
-    | None -> failwith "huge: rand_mis has no flat path"
-  in
+  let rounds_run = mis_rounds g ~rounds in
   let sim_s = Unix.gettimeofday () -. t1 in
   (tag, n, Graph.num_edges g, build_s, rounds_run, sim_s)
 
@@ -806,10 +795,11 @@ let run_harness () =
     (Anonet_experiments.Experiments.run_all ())
 
 (* CI smoke for the million-node pipeline: generate a seeded G(n, p) with
-   the given average degree, run a fixed number of flat rounds, and emit
-   one JSON line — run under `ulimit -v` and a wall-clock cap by the
-   workflow.  Exits non-zero if the flat path declines or the graph comes
-   out empty, so a silent fallback to the boxed path cannot pass. *)
+   the given average degree, run a fixed number of rounds through the
+   round driver, and emit one JSON line — run under `ulimit -v` and a
+   wall-clock cap by the workflow.  Exits non-zero if the flat path
+   declines or the graph comes out empty, so a silent fallback to the
+   boxed path cannot pass. *)
 let run_huge_smoke n avg_degree seed rounds =
   let (tag, n, m, build_s, rounds_run, sim_s) =
     huge_one_shot

@@ -476,11 +476,21 @@ let experiments_cmd =
 
 let serve_cmd =
   let run listen jobs max_queue metrics events =
+    (* As for an experiment job's jobs=N: a request beyond the host's
+       recommended domain count is clamped, not spawned. *)
+    let domains =
+      match jobs with
+      | Some n when n < 1 ->
+        Printf.eprintf "anonet serve: bad --jobs %d (want N >= 1)\n" n;
+        exit 1
+      | Some n -> Some (min n (Domain.recommended_domain_count ()))
+      | None -> None
+    in
     match Anonet_net.Addr.of_string listen with
     | Error m -> prerr_endline m; exit 1
     | Ok addr -> (
       with_obs metrics events @@ fun obs ->
-      match Anonet_net.Server.start ~obs ?domains:jobs ~max_queue addr with
+      match Anonet_net.Server.start ~obs ?domains ~max_queue addr with
       | Error m -> prerr_endline ("anonet serve: " ^ m); exit 1
       | Ok server ->
         Printf.printf "anonet serve: listening on %s\n%!" listen;
@@ -495,9 +505,9 @@ let serve_cmd =
   in
   let jobs =
     let doc =
-      "Number of domains jobs are multiplexed across (defaults to the \
-       machine's recommended domain count).  Up to this many jobs execute \
-       concurrently."
+      "Number of domains jobs are multiplexed across (defaults to, and is \
+       capped at, the machine's recommended domain count).  Up to this \
+       many jobs execute concurrently."
     in
     Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in

@@ -106,11 +106,6 @@ let make ?(ctx = Run_ctx.default) ~gran ?(max_search_states = 1_000_000)
 
     let memo : (int * int, computation) Hashtbl.t = Hashtbl.create 256
 
-    (* One scratch for every Update-Output simulation this solver ever
-       runs: candidates are simulated in bursts each phase, and the batch
-       reuses the flat executor's arenas across all of them. *)
-    let batch = Simulation.Batch.create ()
-
     (* ---- incremental phase engine -------------------------------------
        When Update-Graph selects the same candidate as a previous phase —
        the steady state once Lemma 6–7 stabilization kicks in — the phase
@@ -163,7 +158,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(max_search_states = 1_000_000)
 
     let fresh_entry j assignment =
       let sim =
-        Simulation.run ~obs ~batch ~solver:gran.Gran.solver j ~bits:assignment
+        Simulation.run ~obs ~solver:gran.Gran.solver j ~bits:assignment
       in
       let search =
         Min_search.Resumable.create ~ctx ~max_states:max_search_states ~pruning
@@ -254,7 +249,7 @@ let make ?(ctx = Run_ctx.default) ~gran ?(max_search_states = 1_000_000)
                 entry.sim, Min_search.Resumable.extend entry.search ~len:phase
               end
               else
-                ( Simulation.run ~obs ~batch ~solver:gran.Gran.solver j
+                ( Simulation.run ~obs ~solver:gran.Gran.solver j
                     ~bits:assignment,
                   Min_search.minimal_successful ~ctx ~solver:gran.Gran.solver j
                     ~base:assignment ~max_states:max_search_states ~pruning

@@ -1,6 +1,6 @@
 module Graph = Anonet_graph.Graph
-module Bits = Anonet_graph.Bits
 module Executor = Anonet_runtime.Executor
+module Tape = Anonet_runtime.Tape
 module Obs = Anonet_obs.Obs
 
 type result = {
@@ -9,66 +9,21 @@ type result = {
   rounds_run : int;
 }
 
-module Batch = struct
-  type t = Executor.Scratch.t
-
-  let create () = Executor.Scratch.create ()
-end
-
-(* Simulations that are not explicitly batched still deserve the in-place
-   flat path: one scratch per domain (never shared, never locked) backs
-   every [run] without a [?batch] argument. *)
-let default_batch_key = Domain.DLS.new_key (fun () -> Executor.Scratch.create ())
-
-let run ?(obs = Obs.null) ?batch ~solver g ~bits =
-  let n = Graph.n g in
-  if Array.length bits <> n then invalid_arg "Simulation.run: wrong assignment size";
-  let l = Bit_assignment.min_length bits in
-  let scratch =
-    match batch with Some b -> b | None -> Domain.DLS.get default_batch_key
-  in
-  let result =
-    match
-      (* Flat fast path: the whole run executes in place over the scratch
-         arenas — zero allocation per round — when the solver has a flat
-         companion.  Byte-identical to the loop below (test_flat.ml). *)
-      Executor.simulate_flat ~scratch solver g
-        ~bit:(fun ~node ~round -> Bits.get bits.(node) (round - 1))
-        ~len:l
-    with
-    | Some (outputs, rounds_run, successful) -> { successful; outputs; rounds_run }
-    | None ->
-      (* One bit buffer for the whole run: [step] consumes the bits before
-         returning and never retains the array, so reusing it across rounds
-         is safe and spares an allocation per round (visible in the
-         ablate-bits bench group, where millions of short simulations run
-         back to back). *)
-      let round_bits = Array.make n false in
-      let rec loop exec r =
-        if Executor.Incremental.all_output exec then
-          {
-            successful = true;
-            outputs = Executor.Incremental.outputs exec;
-            rounds_run = Executor.Incremental.round exec;
-          }
-        else if r > l then
-          {
-            successful = false;
-            outputs = Executor.Incremental.outputs exec;
-            rounds_run = Executor.Incremental.round exec;
-          }
-        else begin
-          for v = 0 to n - 1 do
-            round_bits.(v) <- Bits.get bits.(v) (r - 1)
-          done;
-          loop (Executor.Incremental.step exec ~bits:round_bits) (r + 1)
-        end
-      in
-      loop (Executor.Incremental.start solver g) 1
+(* The simulation is the driver on the assignment's fixed tape: the tape
+   runs out after [min_length bits] rounds, which is exactly the
+   simulation's length, and a run with no round budget can fail in no
+   other way.  The driver's own counters stay off ([executor.*] counts
+   runs, not simulations). *)
+let run ?(obs = Obs.null) ~solver g ~bits =
+  if Array.length bits <> Graph.n g then
+    invalid_arg "Simulation.run: wrong assignment size";
+  let e =
+    Executor.drive Executor.no_hooks solver g ~tape:(Tape.fixed bits)
+      ~max_rounds:max_int
   in
   Obs.incr (Obs.counter obs "sim.runs");
-  Obs.incr ~by:result.rounds_run (Obs.counter obs "sim.rounds");
-  result
+  Obs.incr ~by:e.last_round (Obs.counter obs "sim.rounds");
+  { successful = e.failure = None; outputs = e.last_outputs; rounds_run = e.last_round }
 
 let outputs_exn r =
   if not r.successful then invalid_arg "Simulation.outputs_exn: not successful";

@@ -15,30 +15,14 @@ type result = {
           length if some node never did *)
 }
 
-(** A reusable simulation scratch: one [Batch.t] owns the flat executor's
-    state/inbox arenas plus a memo of the last (solver, graph) layout, so
-    running all candidates of an [A*] phase (or any burst of simulations)
-    through one batch reuses a single buffer instead of re-allocating
-    executor state per candidate.  Purely an allocation vehicle — results
-    are identical with or without it.  Not thread-safe: use one per
-    domain (runs without [?batch] fall back to a per-domain default). *)
-module Batch : sig
-  type t
-
-  val create : unit -> t
-end
-
-(** [run ?obs ?batch ~solver g ~bits] simulates.  Stops early once every
-    node has output (continuing cannot change anything observable:
-    outputs are irrevocable).  A live [obs] counts each call in
-    [sim.runs] and the rounds executed in [sim.rounds] (default
-    {!Anonet_obs.Obs.null}).  When the solver registered a flat companion
-    ({!Anonet_runtime.Algorithm.Flat}) the run executes in place over
-    [batch]'s arenas (or a per-domain default scratch) with zero per-round
-    allocation. *)
+(** [run ?obs ~solver g ~bits] simulates: it is
+    {!Anonet_runtime.Executor.drive} on the fixed tape [bits], so it
+    stops early once every node has output (continuing cannot change
+    anything observable: outputs are irrevocable).  A live [obs] counts
+    each call in [sim.runs] and the rounds executed in [sim.rounds]
+    (default {!Anonet_obs.Obs.null}). *)
 val run :
   ?obs:Anonet_obs.Obs.t ->
-  ?batch:Batch.t ->
   solver:Anonet_runtime.Algorithm.t ->
   Anonet_graph.Graph.t ->
   bits:Bit_assignment.t ->

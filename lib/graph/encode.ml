@@ -76,7 +76,7 @@ let canonical_uncached g =
    unique, never reused — can never go stale; the only policy needed is a
    size cap.  At the cap the least-recently-used {e quartile} is evicted in
    one scan (entries are stamped with a logical clock on every touch; the
-   scan sorts by stamp and drops the oldest fourth).  Batch eviction keeps
+   scan sorts by stamp and drops the oldest fourth).  Evicting a quartile keeps
    the hot working set resident — under the former epoch reset, a single
    insert past the cap forced every live candidate encoding to be
    recomputed — while amortizing the scan to O(log cap) per insert: graph

@@ -92,9 +92,10 @@ let of_text text =
   | Some e -> Error e
   | None ->
     let pairs = List.filter_map Result.to_option pairs in
-    (match List.assoc_opt "kind" pairs with
-    | None -> Error "job file needs a kind=solve|derandomize|experiment line"
-    | Some k -> begin
+    (match List.filter (fun (k, _) -> k = "kind") pairs with
+    | [] -> Error "job file needs a kind=solve|derandomize|experiment line"
+    | _ :: _ :: _ -> Error "job file has more than one kind= line"
+    | [ (_, k) ] -> begin
         match kind_of_string k with
         | None -> Error (Printf.sprintf "unknown job kind %S" k)
         | Some kind ->

@@ -52,6 +52,120 @@ let hash_int_array seed a =
   if !i < n then h1 := (!h1 * 31) + Array.unsafe_get a !i;
   ((!h1 * 31) + !h2) land max_int
 
+(* Injection hooks, instantiated once when an execution starts: a fault
+   injector and an adversary are stateful, so each execution owns its own
+   and no step can swap them. *)
+type hooks = {
+  scramble : (node:int -> degree:int -> round:int -> int array) option;
+  faults : Faults.t option;
+  adversary : Adversary.t option;
+}
+
+let no_hooks = { scramble = None; faults = None; adversary = None }
+
+let hooks ctx =
+  {
+    scramble = Run_ctx.scramble ctx;
+    faults = Run_ctx.injector ctx;
+    adversary = Run_ctx.adversary_instance ctx;
+  }
+
+(* ---------- flat arenas ---------- *)
+
+(* Graph-shaped immutable geometry shared by every flat state of one
+   execution.  [slot_off.(v)] is the first directed-edge slot of node [v]
+   (its port [p] is slot [slot_off.(v) + p]); [src.(s)] is the neighbor
+   whose broadcast lands in slot [s]. *)
+type layout = {
+  n : int;
+  degrees : int array;
+  state_words : int;
+  msg_words : int;
+  total_slots : int;
+  slot_off : int array;
+  src : int array;
+  inst : Algorithm.Flat.instance;
+}
+
+(* The flat layout of [algo] on [g], or [None] when the algorithm has no
+   registered companion, its plan declines [g], or a hook is set — faults,
+   adversaries and scrambles act on boxed [Label.t] payloads (and their
+   observable event streams are defined over them). *)
+let flat_layout hooks algo g =
+  match hooks, Algorithm.find_flat algo with
+  | { scramble = None; faults = None; adversary = None }, Some flat ->
+    (match flat.Algorithm.Flat.plan g with
+     | None -> None
+     | Some inst ->
+       let n = Graph.n g in
+       (* The graph already stores its adjacency as exactly this CSR
+          shape: [Graph.offsets] is the slot-offset array and
+          [Graph.adjacency] the per-slot source node.  Alias both — the
+          layout never mutates them — so building a layout is O(n). *)
+       let slot_off = Graph.offsets g in
+       Some
+         {
+           n;
+           degrees = Array.init n (fun v -> slot_off.(v + 1) - slot_off.(v));
+           state_words = inst.state_words;
+           msg_words = inst.msg_words;
+           total_slots = slot_off.(n);
+           slot_off;
+           src = Graph.adjacency g;
+           inst;
+         })
+  | _ -> None
+
+let count_outputs lay states =
+  let out = ref 0 in
+  for v = 0 to lay.n - 1 do
+    if lay.inst.has_output ~state:states ~off:(v * lay.state_words) then incr out
+  done;
+  !out
+
+let init_flat_states lay g states =
+  for v = 0 to lay.n - 1 do
+    lay.inst.init ~node:v ~input:(Graph.label g v) ~degree:lay.degrees.(v)
+      ~state:states ~off:(v * lay.state_words)
+  done
+
+(* The one flat round, shared by the driver's in-place run and
+   [Incremental]'s persistent step: run every node's transition on its
+   span of [state] (arrivals read from [inbox] starting at [ioff]), then
+   route the broadcasts into [next] starting at [noff], which the caller
+   has zeroed.  [bits] holds each node's bit this round; it is a packed
+   vector, not a closure, so the hot loops pay no indirect call per node.
+   Returns the nodes with output after the round and [messages] plus the
+   messages delivered in it. *)
+let flat_round lay ~(bits : Bitvec.t) ~send ~sent ~state ~inbox ~ioff ~next ~noff
+    ~messages =
+  let inst = lay.inst in
+  let sw = lay.state_words and mw = lay.msg_words in
+  let out = ref 0 in
+  for v = 0 to lay.n - 1 do
+    let broadcast =
+      inst.round ~node:v ~bit:(Bitvec.unsafe_get bits v)
+        ~degree:(Array.unsafe_get lay.degrees v)
+        ~state ~off:(v * sw) ~inbox
+        ~ioff:(ioff + (Array.unsafe_get lay.slot_off v * mw))
+        ~send ~soff:(v * mw)
+    in
+    Bytes.unsafe_set sent v (if broadcast then '\001' else '\000');
+    if inst.has_output ~state ~off:(v * sw) then incr out
+  done;
+  let messages = ref messages in
+  for s = 0 to lay.total_slots - 1 do
+    let u = Array.unsafe_get lay.src s in
+    if Bytes.unsafe_get sent u = '\001' then begin
+      let src_off = u * mw and dst_off = noff + (s * mw) in
+      for k = 0 to mw - 1 do
+        Array.unsafe_set next (dst_off + k) (Array.unsafe_get send (src_off + k))
+      done;
+      incr messages
+    end
+  done;
+  !out, !messages
+
 module Incremental = struct
   (* Existentially packed execution state.  [inboxes.(v).(p)] holds the
      message node [v] will receive on port [p] this round (sent by its
@@ -67,29 +181,9 @@ module Incremental = struct
         outputs : Label.t option array;
         round : int;
         messages : int;
-        (* Context defaults captured at [start ?ctx]; explicit [step]
-           arguments override them.  [None] for pre-context callers. *)
-        d_scramble : (node:int -> degree:int -> round:int -> int array) option;
-        d_faults : Faults.t option;
-        d_adversary : Adversary.t option;
+        hooks : hooks;
       }
         -> boxed
-
-  (* Graph-shaped immutable geometry shared by every flat state of one
-     execution (and, via [Scratch], across many executions on the same
-     graph).  [slot_off.(v)] is the first directed-edge slot of node [v]
-     (its port [p] is slot [slot_off.(v) + p]); [src.(s)] is the neighbor
-     whose broadcast lands in slot [s]. *)
-  type layout = {
-    n : int;
-    degrees : int array;
-    state_words : int;
-    msg_words : int;
-    total_slots : int;
-    slot_off : int array;
-    src : int array;
-    inst : Algorithm.Flat.instance;
-  }
 
   (* Flat execution state: one int arena holds the whole network — node
      states first ([state_words] ints per node), then the inbox
@@ -120,65 +214,12 @@ module Incremental = struct
             let u = Graph.neighbor g v p in
             u, Graph.port_to g u v))
 
-  let layout_of (flat : Algorithm.Flat.t) g =
-    match flat.plan g with
-    | None -> None
-    | Some inst ->
-      let n = Graph.n g in
-      (* The graph already stores its adjacency as exactly this CSR shape:
-         [Graph.offsets] is the slot-offset array (port [p] of node [v] is
-         directed slot [offsets.(v) + p]) and [Graph.adjacency] is the
-         per-slot source node.  Alias both — the layout never mutates
-         them, and sharing makes layout construction O(n) (the degree
-         diff) instead of re-walking every edge through the accessor
-         API. *)
-      let slot_off = Graph.offsets g in
-      let degrees = Array.init n (fun v -> slot_off.(v + 1) - slot_off.(v)) in
-      Some
-        {
-          n;
-          degrees;
-          state_words = inst.state_words;
-          msg_words = inst.msg_words;
-          total_slots = slot_off.(n);
-          slot_off;
-          src = Graph.adjacency g;
-          inst;
-        }
+  let start_flat lay g =
+    let arena = Array.make (arena_size lay) 0 in
+    init_flat_states lay g arena;
+    { lay; arena; fout = count_outputs lay arena; fround = 0; fmessages = 0 }
 
-  let count_outputs lay states =
-    let out = ref 0 in
-    for v = 0 to lay.n - 1 do
-      if lay.inst.has_output ~state:states ~off:(v * lay.state_words) then
-        incr out
-    done;
-    !out
-
-  let init_flat_states lay g states =
-    for v = 0 to lay.n - 1 do
-      lay.inst.init ~node:v ~input:(Graph.label g v) ~degree:lay.degrees.(v)
-        ~state:states ~off:(v * lay.state_words)
-    done
-
-  let start_flat algo g =
-    match Algorithm.find_flat algo with
-    | None -> None
-    | Some flat ->
-      (match layout_of flat g with
-       | None -> None
-       | Some lay ->
-         let arena = Array.make (arena_size lay) 0 in
-         init_flat_states lay g arena;
-         Some
-           {
-             lay;
-             arena;
-             fout = count_outputs lay arena;
-             fround = 0;
-             fmessages = 0;
-           })
-
-  let start_boxed ~d_scramble ~d_faults ~d_adversary (module A : Algorithm.S) g =
+  let start_boxed hooks (module A : Algorithm.S) g =
     let n = Graph.n g in
     let states =
       Array.init n (fun v ->
@@ -194,28 +235,13 @@ module Incremental = struct
         outputs = Array.init n (fun v -> A.output states.(v));
         round = 0;
         messages = 0;
-        d_scramble;
-        d_faults;
-        d_adversary;
+        hooks;
       }
 
-  let start ?(ctx = Run_ctx.default) ?(use_flat = true) algo g =
-    let d_scramble = Run_ctx.scramble ctx in
-    let d_faults = Run_ctx.injector ctx in
-    let d_adversary = Run_ctx.adversary_instance ctx in
-    let flat =
-      (* Faults, adversaries and scrambles operate on boxed [Label.t]
-         payloads (and their observable event streams are defined over
-         them), so any injection hook pins the boxed representation. *)
-      if
-        use_flat && Option.is_none d_scramble && Option.is_none d_faults
-        && Option.is_none d_adversary
-      then start_flat algo g
-      else None
-    in
-    match flat with
-    | Some f -> Flat f
-    | None -> Boxed (start_boxed ~d_scramble ~d_faults ~d_adversary algo g)
+  let start ?(hooks = no_hooks) algo g =
+    match flat_layout hooks algo g with
+    | Some lay -> Flat (start_flat lay g)
+    | None -> Boxed (start_boxed hooks algo g)
 
   (* Per-domain scratch for the persistent flat step: the send buffer and
      sent flags live only within one [step] call, and the probe buffer
@@ -241,51 +267,20 @@ module Incremental = struct
 
   (* One persistent flat round into a caller-provided [child] arena
      (exactly [arena_size], inbox section already zeroed): copy the
-     parent's states into it, run every node's transition in place, then
-     route broadcasts into the child's inbox section — the parent arena
-     supplies this round's arrivals.  [bits] holds each node's random bit
-     this round.  Takes the packed vector directly (not a [get_bit]
-     closure) so the hot search loops pay neither a closure allocation nor
-     an indirect call per node.  Returns the child's (output count,
-     cumulative message count). *)
-  let flat_step_into f scratch ~(bits : Bitvec.t) child =
+     parent's states into it, then run [flat_round] on the child's states
+     with the parent's inbox section as this round's arrivals.  Returns
+     the child's (output count, cumulative message count). *)
+  let flat_step_into f scratch ~bits child =
     let lay = f.lay in
-    let inst = lay.inst in
-    let sw = lay.state_words and mw = lay.msg_words in
-    let n = lay.n in
     let ssize = state_size lay in
-    (* Manual word loops rather than [Array.blit]: arenas are a few dozen
+    (* Manual word loop rather than [Array.blit]: arenas are a few dozen
        words, far below where memmove's call overhead pays for itself. *)
-    let parent0 = f.arena in
-    for i = 0 to ssize - 1 do
-      Array.unsafe_set child i (Array.unsafe_get parent0 i)
-    done;
-    let send = scratch.ss_send and sent = scratch.ss_sent in
     let parent = f.arena in
-    let out = ref 0 in
-    for v = 0 to n - 1 do
-      let broadcast =
-        inst.round ~node:v ~bit:(Bitvec.unsafe_get bits v)
-          ~degree:(Array.unsafe_get lay.degrees v)
-          ~state:child ~off:(v * sw) ~inbox:parent
-          ~ioff:(ssize + (Array.unsafe_get lay.slot_off v * mw))
-          ~send ~soff:(v * mw)
-      in
-      Bytes.unsafe_set sent v (if broadcast then '\001' else '\000');
-      if inst.has_output ~state:child ~off:(v * sw) then incr out
+    for i = 0 to ssize - 1 do
+      Array.unsafe_set child i (Array.unsafe_get parent i)
     done;
-    let messages = ref f.fmessages in
-    for s = 0 to lay.total_slots - 1 do
-      let u = Array.unsafe_get lay.src s in
-      if Bytes.unsafe_get sent u = '\001' then begin
-        let src_off = u * mw and dst_off = ssize + (s * mw) in
-        for k = 0 to mw - 1 do
-          Array.unsafe_set child (dst_off + k) (Array.unsafe_get send (src_off + k))
-        done;
-        incr messages
-      end
-    done;
-    !out, !messages
+    flat_round lay ~bits ~send:scratch.ss_send ~sent:scratch.ss_sent ~state:child
+      ~inbox:parent ~ioff:ssize ~next:child ~noff:ssize ~messages:f.fmessages
 
   let flat_step f ~bits =
     let scratch =
@@ -295,12 +290,8 @@ module Incremental = struct
     let out, messages = flat_step_into f scratch ~bits child in
     { f with arena = child; fout = out; fround = f.fround + 1; fmessages = messages }
 
-  let boxed_step ?scramble ?faults ?adversary (Pack e) ~get_bit =
-    let scramble = match scramble with Some _ as s -> s | None -> e.d_scramble in
-    let faults = match faults with Some _ as f -> f | None -> e.d_faults in
-    let adversary =
-      match adversary with Some _ as a -> a | None -> e.d_adversary
-    in
+  let boxed_step (Pack e) ~bits =
+    let { scramble; faults; adversary } = e.hooks in
     let module A = (val e.algo) in
     let g = e.graph in
     let n = Graph.n g in
@@ -318,7 +309,9 @@ module Incremental = struct
       (* A crashed node neither computes nor sends; its round's inbox is
          lost (the per-round inbox array is simply not read). *)
       if not crashed then begin
-        let state', sends = A.round states.(v) ~bit:(get_bit v) ~inbox:e.inboxes.(v) in
+        let state', sends =
+          A.round states.(v) ~bit:(Bitvec.unsafe_get bits v) ~inbox:e.inboxes.(v)
+        in
         if Array.length sends <> Graph.degree g v then
           invalid_arg
             (Printf.sprintf "Executor.step: %s sent on %d ports at a degree-%d node"
@@ -379,59 +372,32 @@ module Incremental = struct
         Array.mapi
           (fun v inbox ->
             let d = Array.length inbox in
-            let p = permutation ~node:v ~degree:d ~round:(e.round + 1) in
+            let p = permutation ~node:v ~degree:d ~round in
             if Array.length p <> d then
               invalid_arg "Executor.step: scramble returned wrong-size permutation";
             Array.init d (fun j -> inbox.(p.(j))))
           next_inboxes
     in
-    Pack
-      {
-        e with
-        states;
-        inboxes = next_inboxes;
-        outputs;
-        round = e.round + 1;
-        messages = !messages;
-      }
+    Pack { e with states; inboxes = next_inboxes; outputs; round; messages = !messages }
 
-  let reject_injection () =
-    invalid_arg
-      "Executor.step: faults/scramble/adversary require the boxed execution \
-       path — pass them via the ctx given to start (or start ~use_flat:false)"
+  let n_of = function Boxed (Pack e) -> Graph.n e.graph | Flat f -> f.lay.n
 
-  let step ?scramble ?faults ?adversary t ~bits =
+  let step t ~bits =
+    if Bitvec.length bits <> n_of t then invalid_arg "Executor.step: wrong bits length";
     match t with
-    | Boxed (Pack e as b) ->
-      if Array.length bits <> Graph.n e.graph then
-        invalid_arg "Executor.step: wrong bits length";
-      Boxed
-        (boxed_step ?scramble ?faults ?adversary b
-           ~get_bit:(fun v -> Array.unsafe_get bits v))
-    | Flat f ->
-      (match scramble, faults, adversary with
-       | None, None, None ->
-         if Array.length bits <> f.lay.n then
-           invalid_arg "Executor.step: wrong bits length";
-         Flat (flat_step f ~bits:(Bitvec.of_bool_array bits))
-       | _ -> reject_injection ())
-
-  let step_vec t ~bits =
-    match t with
-    | Boxed (Pack e as b) ->
-      if Bitvec.length bits <> Graph.n e.graph then
-        invalid_arg "Executor.step_vec: wrong bits length";
-      Boxed (boxed_step b ~get_bit:(fun v -> Bitvec.unsafe_get bits v))
-    | Flat f ->
-      if Bitvec.length bits <> f.lay.n then
-        invalid_arg "Executor.step_vec: wrong bits length";
-      Flat (flat_step f ~bits)
+    | Boxed b -> Boxed (boxed_step b ~bits)
+    | Flat f -> Flat (flat_step f ~bits)
 
   let outputs = function
     | Boxed (Pack e) -> Array.copy e.outputs
     | Flat f ->
       Array.init f.lay.n (fun v ->
           f.lay.inst.output ~state:f.arena ~off:(v * f.lay.state_words))
+
+  let has_output t v =
+    match t with
+    | Boxed (Pack e) -> Option.is_some e.outputs.(v)
+    | Flat f -> f.lay.inst.has_output ~state:f.arena ~off:(v * f.lay.state_words)
 
   let all_output = function
     | Boxed (Pack e) -> Array.for_all Option.is_some e.outputs
@@ -501,7 +467,7 @@ module Incremental = struct
   let probe_vec t ~bits =
     match t with
     | Boxed _ ->
-      let t' = step_vec t ~bits in
+      let t' = step t ~bits in
       Pboxed (t', dedup_key t')
     | Flat f ->
       if Bitvec.length bits <> f.lay.n then
@@ -620,179 +586,133 @@ module Incremental = struct
         Kflat { khash = p.phash; karena = arena } )
 end
 
-(* Reusable whole-run scratch: lets [simulate_flat] run a complete
-   simulation with zero per-round allocation by double-buffering the inbox
-   arena in place.  Also memoizes the layout of the last (algorithm, graph)
-   pair — batched candidate searches simulate the same graph millions of
-   times — including negative answers (no flat companion / plan declined). *)
-module Scratch = struct
-  type t = {
-    mutable c_algo : Algorithm.t option;
-    mutable c_gid : int;
-    mutable c_lay : Incremental.layout option;
-    mutable states : int array;
-    mutable inbox_a : int array;
-    mutable inbox_b : int array;
-    mutable send : int array;
-    mutable sent : Bytes.t;
-  }
 
-  let create () =
-    {
-      c_algo = None;
-      c_gid = -1;
-      c_lay = None;
-      states = [||];
-      inbox_a = [||];
-      inbox_b = [||];
-      send = [||];
-      sent = Bytes.empty;
-    }
+(* ---------- the round driver ---------- *)
 
-  let layout t algo g =
-    let gid = Graph.id g in
-    match t.c_algo with
-    | Some a when a == algo && t.c_gid = gid -> t.c_lay
-    | _ ->
-      let lay =
-        match Algorithm.find_flat algo with
-        | None -> None
-        | Some flat -> Incremental.layout_of flat g
-      in
-      t.c_algo <- Some algo;
-      t.c_gid <- gid;
-      t.c_lay <- lay;
-      lay
+(* An execution in progress as the driver sees it: [advance] runs one
+   round on the given bits and returns the messages delivered in it. *)
+type machine = {
+  advance : Bitvec.t -> int;
+  all_output : unit -> bool;
+  has_output : int -> bool;
+  outputs : unit -> Label.t option array;
+}
 
-  let ensure_ints arr len = if Array.length arr < len then Array.make len 0 else arr
-end
-
-let simulate_flat ~(scratch : Scratch.t) algo g ~bit ~len =
-  match Scratch.layout scratch algo g with
-  | None -> None
-  | Some lay ->
-    let open Incremental in
-    let inst = lay.inst in
-    let n = lay.n and sw = lay.state_words and mw = lay.msg_words in
-    let inbox_len = lay.total_slots * mw in
-    let states = Scratch.ensure_ints scratch.states (n * sw) in
-    scratch.states <- states;
-    let inbox_a = Scratch.ensure_ints scratch.inbox_a inbox_len in
-    scratch.inbox_a <- inbox_a;
-    let inbox_b = Scratch.ensure_ints scratch.inbox_b inbox_len in
-    scratch.inbox_b <- inbox_b;
-    let send = Scratch.ensure_ints scratch.send (n * mw) in
-    scratch.send <- send;
-    if Bytes.length scratch.sent < n then scratch.sent <- Bytes.make n '\000';
-    let sent = scratch.sent in
-    Array.fill states 0 (n * sw) 0;
-    Array.fill inbox_a 0 inbox_len 0;
-    init_flat_states lay g states;
-    let out = ref (count_outputs lay states) in
-    let cur = ref inbox_a and nxt = ref inbox_b in
-    let rec loop r =
-      if !out = n then (true, r - 1)
-      else if r > len then (false, r - 1)
-      else begin
-        let inbox = !cur in
-        for v = 0 to n - 1 do
-          let broadcast =
-            inst.round ~node:v ~bit:(bit ~node:v ~round:r)
-              ~degree:(Array.unsafe_get lay.degrees v)
-              ~state:states ~off:(v * sw) ~inbox
-              ~ioff:(Array.unsafe_get lay.slot_off v * mw)
-              ~send ~soff:(v * mw)
-          in
-          Bytes.unsafe_set sent v (if broadcast then '\001' else '\000')
-        done;
-        let next = !nxt in
+(* A run that never branches needs no persistence: the states arena is
+   mutated in place and two inbox arenas alternate as this round's
+   arrivals and the next round's deliveries, so a round allocates
+   nothing. *)
+let in_place lay g =
+  let n = lay.n and sw = lay.state_words in
+  let states = Array.make (n * sw) 0 in
+  init_flat_states lay g states;
+  let inbox_len = lay.total_slots * lay.msg_words in
+  let cur = ref (Array.make inbox_len 0) and nxt = ref (Array.make inbox_len 0) in
+  let send = Array.make (n * lay.msg_words) 0 and sent = Bytes.make n '\000' in
+  let out = ref (count_outputs lay states) in
+  {
+    advance =
+      (fun bits ->
+        let inbox = !cur and next = !nxt in
         Array.fill next 0 inbox_len 0;
-        for s = 0 to lay.total_slots - 1 do
-          let u = Array.unsafe_get lay.src s in
-          if Bytes.unsafe_get sent u = '\001' then begin
-            let src_off = u * mw and dst_off = s * mw in
-            for k = 0 to mw - 1 do
-              Array.unsafe_set next (dst_off + k)
-                (Array.unsafe_get send (src_off + k))
-            done
-          end
-        done;
+        let o, messages =
+          flat_round lay ~bits ~send ~sent ~state:states ~inbox ~ioff:0 ~next ~noff:0
+            ~messages:0
+        in
         cur := next;
         nxt := inbox;
-        out := count_outputs lay states;
-        loop (r + 1)
-      end
-    in
-    let successful, rounds_run = loop 1 in
-    let outputs =
-      Array.init n (fun v -> inst.output ~state:states ~off:(v * sw))
-    in
-    Some (outputs, rounds_run, successful)
+        out := o;
+        messages);
+    all_output = (fun () -> !out = n);
+    has_output = (fun v -> lay.inst.has_output ~state:states ~off:(v * sw));
+    outputs =
+      (fun () -> Array.init n (fun v -> lay.inst.output ~state:states ~off:(v * sw)));
+  }
 
-let run_with ~scramble ~faults ~adversary ~obs algo g ~tape ~max_rounds =
+let stepped exec =
+  let exec = ref exec in
+  {
+    advance =
+      (fun bits ->
+        let before = Incremental.messages !exec in
+        exec := Incremental.step !exec ~bits;
+        Incremental.messages !exec - before);
+    all_output = (fun () -> Incremental.all_output !exec);
+    has_output = (fun v -> Incremental.has_output !exec v);
+    outputs = (fun () -> Incremental.outputs !exec);
+  }
+
+type ending = {
+  last_outputs : Label.t option array;
+  last_round : int;
+  delivered : int;
+  failure : failure option;
+}
+
+let drive ?(obs = Obs.null) ?(span = "executor.run") ?note hooks algo g ~tape
+    ~max_rounds =
   let n = Graph.n g in
   let rounds_c = Obs.counter obs "executor.rounds" in
   let msgs_c = Obs.counter obs "executor.messages" in
-  let use_flat =
-    Option.is_none scramble && Option.is_none faults && Option.is_none adversary
-  in
-  let result =
-    Obs.span obs "executor.run" (fun () ->
-        let rec loop exec =
-          if Incremental.all_output exec then begin
-            let outputs = Array.map Option.get (Incremental.outputs exec) in
-            Ok
-              {
-                outputs;
-                rounds = Incremental.round exec;
-                messages = Incremental.messages exec;
-              }
-          end
+  let ending =
+    Obs.span obs span (fun () ->
+        let m =
+          match flat_layout hooks algo g with
+          | Some lay -> in_place lay g
+          | None -> stepped (Incremental.start ~hooks algo g)
+        in
+        let notify round messages =
+          match note with
+          | None -> ()
+          | Some f -> f ~round ~messages ~has_output:m.has_output
+        in
+        let bits = Bitvec.create n in
+        let rec loop last_round delivered =
+          let stop failure =
+            { last_outputs = m.outputs (); last_round; delivered; failure }
+          in
+          if m.all_output () then stop None
           else begin
-            let round = Incremental.round exec + 1 in
-            if round > max_rounds then Error (Max_rounds_exceeded max_rounds)
+            let round = last_round + 1 in
+            if round > max_rounds then stop (Some (Max_rounds_exceeded max_rounds))
+            else if
+              match hooks.faults with
+              | Some f -> Faults.doomed f ~round ~nodes:n
+              | None -> false
+            then stop (Some (All_nodes_crashed { round }))
+            else if not (Tape.fill tape ~round bits) then
+              stop (Some (Tape_exhausted { round }))
             else begin
-              match faults with
-              | Some f when Faults.doomed f ~round ~nodes:n ->
-                Error (All_nodes_crashed { round })
-              | _ ->
-                let exhausted = ref false in
-                let bits =
-                  Array.init n (fun v ->
-                      match Tape.bit tape ~node:v ~round with
-                      | Some b -> b
-                      | None ->
-                        exhausted := true;
-                        false)
-                in
-                if !exhausted then Error (Tape_exhausted { round })
-                else begin
-                  let exec' =
-                    Incremental.step exec ?scramble ?faults ?adversary ~bits
-                  in
-                  Obs.incr rounds_c;
-                  Obs.incr ~by:(Incremental.messages exec' - Incremental.messages exec)
-                    msgs_c;
-                  Obs.eventf obs "round" (fun () ->
-                      [
-                        ("round", Events.Int round);
-                        ( "messages",
-                          Events.Int
-                            (Incremental.messages exec' - Incremental.messages exec) );
-                      ]);
-                  loop exec'
-                end
+              let messages = m.advance bits in
+              Obs.incr rounds_c;
+              Obs.incr ~by:messages msgs_c;
+              notify round messages;
+              loop round (delivered + messages)
             end
           end
         in
-        loop (Incremental.start ~use_flat algo g))
+        notify 0 0;
+        loop 0 0)
   in
-  (match faults with Some f -> Run_ctx.observe_faults obs f | None -> ());
-  (match adversary with Some a -> Run_ctx.observe_adversary obs a | None -> ());
-  result
+  Option.iter (Run_ctx.observe_faults obs) hooks.faults;
+  Option.iter (Run_ctx.observe_adversary obs) hooks.adversary;
+  ending
+
+let to_result = function
+  | { failure = Some f; _ } -> Error f
+  | { last_outputs; last_round; delivered; failure = None } ->
+    Ok
+      {
+        outputs = Array.map Option.get last_outputs;
+        rounds = last_round;
+        messages = delivered;
+      }
 
 let run ?(ctx = Run_ctx.default) algo g ~tape ~max_rounds =
-  run_with ~scramble:(Run_ctx.scramble ctx) ~faults:(Run_ctx.injector ctx)
-    ~adversary:(Run_ctx.adversary_instance ctx) ~obs:(Run_ctx.obs ctx) algo g
-    ~tape ~max_rounds
-
+  let obs = Run_ctx.obs ctx in
+  let note ~round ~messages ~has_output:_ =
+    if round > 0 then
+      Obs.eventf obs "round" (fun () ->
+          [ ("round", Events.Int round); ("messages", Events.Int messages) ])
+  in
+  to_result (drive ~obs ~note (hooks ctx) algo g ~tape ~max_rounds)

@@ -6,8 +6,12 @@
     message per port.  Execution stops when every node has produced its
     irrevocable output, when the tape is exhausted, or at [max_rounds].
 
-    {!Incremental} exposes a persistent (copy-on-step) execution state so
-    that searches over bit assignments can branch cheaply — the
+    Every run that never branches — {!run}, [Trace.record] and
+    [Simulation.run] — goes through one round driver, {!drive}, which
+    holds the round policy once: tape bits, the [max_rounds] budget, the
+    all-crashed check, the [executor.rounds]/[executor.messages] counters
+    and the per-round notes.  {!Incremental} exposes a persistent
+    (copy-on-step) execution state for the searches that do branch — the
     derandomization's minimal-simulation search explores a tree of
     executions and backtracks without re-simulating shared prefixes.
 
@@ -15,12 +19,15 @@
     one holds each node's state as an OCaml value and messages as
     [Label.t option]s; it supports the full model (faults, adversaries,
     port scrambles).  The {e flat} one — used automatically whenever the
-    algorithm registered an {!Algorithm.Flat} companion and the run is
-    free of injection hooks — packs all node states into one int array and
-    all in-flight messages into one inbox arena, making a step two array
-    allocations and a state key an alias instead of a Marshal round-trip.
-    The two are observably identical (outputs, rounds, message counts,
-    search results); the qcheck suite in [test/test_flat.ml] enforces it. *)
+    algorithm registered an {!Algorithm.Flat} companion and the execution
+    has no injection {!hooks} — packs all node states into one int array
+    and all in-flight messages into one inbox arena.  Both flat uses run
+    the same per-round body: the driver mutates one states arena in place
+    and alternates two inbox arenas (a round allocates nothing), while
+    {!Incremental.step} writes each round into a fresh immutable arena
+    that doubles as a dedup key.  The representations are observably
+    identical (outputs, rounds, message counts, search results); the
+    qcheck suite in [test/test_flat.ml] enforces it. *)
 
 type failure =
   | Max_rounds_exceeded of int
@@ -39,7 +46,66 @@ type outcome = {
   messages : int;  (** total messages delivered *)
 }
 
-(** [run ?ctx algo g ~tape ~max_rounds] executes to completion.
+(** The injection hooks of one execution.  They are fixed when the
+    execution starts: an injector and an adversary are stateful, so every
+    execution owns fresh ones. *)
+type hooks = {
+  scramble : (node:int -> degree:int -> round:int -> int array) option;
+      (** [scramble ~node ~degree ~round] permutes [0 .. degree-1]: node's
+          inbox delivered in [round] is read in that port order *)
+  faults : Faults.t option;
+  adversary : Adversary.t option;
+}
+
+(** No hooks: the paper's reliable network. *)
+val no_hooks : hooks
+
+(** [hooks ctx] instantiates the context's scramble seed, fault plan and
+    adversary plan (fresh injector and adversary). *)
+val hooks : Run_ctx.t -> hooks
+
+(** How a {!drive} ended: the outputs reached ([None] for nodes still
+    undecided), the rounds executed, the messages delivered, and the
+    failure, if the run stopped before every node had output. *)
+type ending = {
+  last_outputs : Anonet_graph.Label.t option array;
+  last_round : int;
+  delivered : int;
+  failure : failure option;
+}
+
+(** [drive ?obs ?span ?note hooks algo g ~tape ~max_rounds] is the round
+    loop behind every run that never branches.  Before each round it stops
+    when every node has output, when the round would exceed [max_rounds],
+    when the fault injector has crash-stopped every node for good, or when
+    the tape cannot feed the round.  Each round executed counts into
+    [obs]'s [executor.rounds] and [executor.messages]; the whole loop runs
+    under the [span] span (default ["executor.run"]); afterwards the
+    injector's and adversary's logs are tallied into [obs] as in {!run}.
+    [note ~round ~messages ~has_output] sees the initial state as round 0
+    and then every executed round with the messages delivered in it;
+    [has_output v] is valid only during the call.
+
+    Hook-free runs of an algorithm with a flat companion use the in-place
+    flat representation; every other run steps the boxed one.
+    @raise Invalid_argument as {!run} does. *)
+val drive :
+  ?obs:Anonet_obs.Obs.t ->
+  ?span:string ->
+  ?note:(round:int -> messages:int -> has_output:(int -> bool) -> unit) ->
+  hooks ->
+  Algorithm.t ->
+  Anonet_graph.Graph.t ->
+  tape:Tape.t ->
+  max_rounds:int ->
+  ending
+
+(** [to_result e] is the outcome of a run that ended with every node's
+    output, or its failure. *)
+val to_result : ending -> (outcome, failure) result
+
+(** [run ?ctx algo g ~tape ~max_rounds] executes to completion through
+    {!drive}, with hooks instantiated from [ctx].
 
     The context ({!Run_ctx.t}, default {!Run_ctx.default}) supplies the
     cross-cutting configuration:
@@ -93,55 +159,27 @@ module Incremental : sig
       from, and stepped again arbitrarily later.  This retention contract
       is load-bearing for [Min_search.Resumable]-style incremental
       searches, which park whole BFS frontiers of executions between
-      [A*] phases and resume them; the one caveat is stateful injection
-      ([ctx.faults] captured by {!start}, or per-{!step} [faults]), which
-      makes replays of a retained state diverge — branching or resuming
-      searches must run fault-free. *)
+      [A*] phases and resume them; the one caveat is injection: a
+      [Faults.t] or [Adversary.t] in the hooks is stateful, so replays of
+      a retained state diverge — branching or resuming searches must run
+      without hooks. *)
   type t
 
-  (** [start ?ctx ?use_flat algo g] is the execution before round 1.  The
-      context's scramble seed, fault plan and adversary plan (an
-      injector/adversary is instantiated here) become the defaults that
-      every subsequent {!step} applies; the default context supplies none
-      of them, preserving the plain executor.
+  (** [start ?hooks algo g] is the execution before round 1, with its
+      injection hooks (default {!no_hooks}) fixed for every later
+      {!step}.  The flat representation is chosen when the algorithm has
+      a registered {!Algorithm.Flat} companion whose plan accepts [g] and
+      there are no hooks — injection is defined over boxed payloads.  An
+      algorithm with no registered companion (for example a re-packed
+      copy of a module that has one) always runs boxed. *)
+  val start : ?hooks:hooks -> Algorithm.t -> Anonet_graph.Graph.t -> t
 
-      The flat representation is chosen when [use_flat] (default [true]),
-      the algorithm has a registered {!Algorithm.Flat} companion whose
-      plan accepts [g], {e and} the context supplies no scramble, faults
-      or adversary — injection hooks are defined over boxed payloads.
-      Pass [~use_flat:false] to pin the boxed path (the equivalence tests
-      do; so does {!Trace.record}, which replays boxed inboxes). *)
-  val start :
-    ?ctx:Run_ctx.t -> ?use_flat:bool -> Algorithm.t -> Anonet_graph.Graph.t -> t
-
-  (** [step t ~bits] advances one round; [bits.(v)] is node [v]'s bit.
-      [scramble], if given, permutes each node's freshly delivered inbox:
-      [scramble ~node ~degree ~round] must return a permutation of
-      [0 .. degree-1] (see {!run}'s [scramble_seed]).  [faults], if given,
-      filters message delivery and node activation (see {!run});
-      [adversary] taps delivered payloads after it (see {!run}).  Explicit
-      arguments override the defaults captured by [start ?ctx].
-      Persistent: [t] remains valid — but note a [Faults.t] (and an
-      [Adversary.t]) is itself stateful, so branching searches should not
-      inject faults or adversaries.
-      @raise Invalid_argument on wrong array length or output revocation,
-      or if injection arguments are passed to a flat-representation state
-      (start boxed — [~use_flat:false] or a ctx carrying the hooks —
-      when a run needs them). *)
-  val step :
-    ?scramble:(node:int -> degree:int -> round:int -> int array) ->
-    ?faults:Faults.t ->
-    ?adversary:Adversary.t ->
-    t ->
-    bits:bool array ->
-    t
-
-  (** [step_vec t ~bits] is [step] taking the round's bits as a packed
-      {!Anonet_graph.Bitvec.t} — the search loops fill one preallocated
-      vector per round instead of boxing a [bool array] per branch.
-      Applies the defaults captured at [start] (no per-call overrides).
-      @raise Invalid_argument on wrong vector length. *)
-  val step_vec : t -> bits:Anonet_graph.Bitvec.t -> t
+  (** [step t ~bits] advances one round; bit [v] of [bits] is node [v]'s
+      random bit, and the hooks given to {!start} act on the round.
+      Persistent: [t] remains valid.
+      @raise Invalid_argument on wrong vector length or output
+      revocation. *)
+  val step : t -> bits:Anonet_graph.Bitvec.t -> t
 
   val outputs : t -> Anonet_graph.Label.t option array
 
@@ -178,7 +216,7 @@ module Incremental : sig
   module Key : Hashtbl.HashedType with type t = key
 
   (** Probe/commit stepping for dedup-heavy searches.  [probe_vec t ~bits]
-      performs the round of {!step_vec} but, for flat states, writes the
+      performs the round of {!step} but, for flat states, writes the
       child arena into a reusable per-domain buffer instead of a fresh
       allocation; {!probe_key} then gives a dedup key for a seen-set
       membership test, and {!probe_commit} materializes the stable child
@@ -213,34 +251,6 @@ module Incremental : sig
       proof.  Defined over the fault-free synchronous semantics — do not
       use it to prune executions driven by fault/scramble/adversary
       hooks.  Cost: two single-node transition re-runs per node into
-      per-domain scratch (≈ one full {!step_vec} per call). *)
+      per-domain scratch (≈ one full {!step} per call). *)
   val bit_sensitivity : t -> Anonet_graph.Bitvec.t
 end
-
-(** Reusable whole-run scratch for {!simulate_flat}: owns the state arena,
-    a double-buffered pair of inbox arenas and the send buffer, and
-    memoizes the flat layout of the last (algorithm, graph) pair — batched
-    candidate searches simulate the same graph millions of times.  Not
-    thread-safe; use one per domain (see [Simulation]'s per-domain
-    default).  Buffers only grow, so one scratch serves mixed workloads. *)
-module Scratch : sig
-  type t
-
-  val create : unit -> t
-end
-
-(** [simulate_flat ~scratch algo g ~bit ~len] runs a complete fault-free
-    simulation in place over [scratch], mutating arenas instead of
-    allocating per round: [bit ~node ~round] feeds node bits (rounds are
-    1-based), the run stops as soon as every node has output or after
-    [len] rounds.  Returns [Some (outputs, rounds_run, successful)] —
-    exactly the boxed loop's result — or [None] when the algorithm has no
-    flat companion (or its plan declines [g]); callers fall back to the
-    persistent path. *)
-val simulate_flat :
-  scratch:Scratch.t ->
-  Algorithm.t ->
-  Anonet_graph.Graph.t ->
-  bit:(node:int -> round:int -> bool) ->
-  len:int ->
-  (Anonet_graph.Label.t option array * int * bool) option

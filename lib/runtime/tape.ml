@@ -1,5 +1,6 @@
 module Bits = Anonet_graph.Bits
 module Prng = Anonet_graph.Prng
+module Bitvec = Anonet_graph.Bitvec
 
 type t =
   | Random of int
@@ -12,14 +13,15 @@ let fixed bits = Fixed (Array.copy bits)
 
 let zero = Zero
 
+(* Counter-mode splitmix: derive the bit from (seed, node, round) so the
+   tape supports random access and is reproducible. *)
+let random_bit seed ~node ~round =
+  Prng.bool (Prng.create ((seed * 1_000_003) + (node * 7_919) + round))
+
 let bit t ~node ~round =
   match t with
   | Zero -> Some false
-  | Random seed ->
-    (* Counter-mode splitmix: derive the bit from (seed, node, round) so the
-       tape supports random access and is reproducible. *)
-    let mixed = Prng.create ((seed * 1_000_003) + (node * 7_919) + round) in
-    Some (Prng.bool mixed)
+  | Random seed -> Some (random_bit seed ~node ~round)
   | Fixed bits ->
     if node >= Array.length bits then None
     else begin
@@ -37,3 +39,23 @@ let horizon t ~nodes =
       if len < !h then h := len
     done;
     !h
+
+let fill t ~round bits =
+  let n = Bitvec.length bits in
+  match t with
+  | Fixed b ->
+    horizon t ~nodes:n >= round
+    && begin
+      for v = 0 to n - 1 do
+        Bitvec.unsafe_set bits v (Bits.get b.(v) (round - 1))
+      done;
+      true
+    end
+  | Zero ->
+    Bitvec.clear bits;
+    true
+  | Random seed ->
+    for v = 0 to n - 1 do
+      Bitvec.unsafe_set bits v (random_bit seed ~node:v ~round)
+    done;
+    true

@@ -27,6 +27,11 @@ val zero : t
     if the tape is exhausted there. *)
 val bit : t -> node:int -> round:int -> bool option
 
+(** [fill t ~round bits] writes the bit of every node [v < length bits]
+    for the given 1-based round into [bits]; [false] (with [bits] partly
+    written) if the tape is exhausted there for some node. *)
+val fill : t -> round:int -> Anonet_graph.Bitvec.t -> bool
+
 (** [horizon t ~nodes] is the number of whole rounds the tape can feed for
     all of nodes [0 .. nodes-1]: the minimum prescribed length for fixed
     tapes, [max_int] otherwise. *)

@@ -1,108 +1,48 @@
 module Graph = Anonet_graph.Graph
-module Obs = Anonet_obs.Obs
 
 type t = {
   n : int;
   output_rounds : int option array;
-  messages_by_round : int list;  (* reversed while recording *)
+  messages_by_round : int list;
   rounds : int;
   fault_events : Faults.event list;
   adversary_events : Adversary.event list;
   crashed : int -> round:int -> bool;  (* node crashed in the given round? *)
 }
 
-let record_with ~scramble ~faults ~adversary ~obs algo g ~tape ~max_rounds =
-  let n = Graph.n g in
-  let rounds_c = Obs.counter obs "executor.rounds" in
-  let msgs_c = Obs.counter obs "executor.messages" in
-  let output_rounds = Array.make n None in
-  let note exec round =
-    Array.iteri
-      (fun v o ->
-        if o <> None && output_rounds.(v) = None then output_rounds.(v) <- Some round)
-      (Executor.Incremental.outputs exec)
-  in
-  let rec loop exec messages_acc prev_messages =
-    let finish_trace () =
-      {
-        n;
-        output_rounds = Array.copy output_rounds;
-        messages_by_round = List.rev messages_acc;
-        rounds = Executor.Incremental.round exec;
-        fault_events =
-          (match faults with None -> [] | Some f -> Faults.events f);
-        adversary_events =
-          (match adversary with None -> [] | Some a -> Adversary.events a);
-        crashed =
-          (match faults with
-           | None -> fun _ ~round:_ -> false
-           | Some f -> fun v ~round -> not (Faults.active f ~node:v ~round));
-      }
-    in
-    if Executor.Incremental.all_output exec then begin
-      let outcome =
-        {
-          Executor.outputs = Array.map Option.get (Executor.Incremental.outputs exec);
-          rounds = Executor.Incremental.round exec;
-          messages = Executor.Incremental.messages exec;
-        }
-      in
-      Ok (finish_trace (), outcome)
-    end
-    else begin
-      let round = Executor.Incremental.round exec + 1 in
-      if round > max_rounds then
-        Error (finish_trace (), Executor.Max_rounds_exceeded max_rounds)
-      else if
-        match faults with
-        | None -> false
-        | Some f -> Faults.doomed f ~round ~nodes:n
-      then Error (finish_trace (), Executor.All_nodes_crashed { round })
-      else begin
-        let exhausted = ref false in
-        let bits =
-          Array.init n (fun v ->
-              match Tape.bit tape ~node:v ~round with
-              | Some b -> b
-              | None ->
-                exhausted := true;
-                false)
-        in
-        if !exhausted then Error (finish_trace (), Executor.Tape_exhausted { round })
-        else begin
-          let exec =
-            Executor.Incremental.step exec ?scramble ?faults ?adversary ~bits
-          in
-          note exec round;
-          let total = Executor.Incremental.messages exec in
-          Obs.incr rounds_c;
-          Obs.incr ~by:(total - prev_messages) msgs_c;
-          loop exec ((total - prev_messages) :: messages_acc) total
-        end
-      end
-    end
-  in
-  (* The per-step injection arguments below only type-check against the
-     boxed representation; a hook-free recording may use the flat one
-     (traces read just outputs/rounds/messages, which both provide). *)
-  let use_flat =
-    Option.is_none scramble && Option.is_none faults && Option.is_none adversary
-  in
-  let result =
-    Obs.span obs "trace.record" (fun () ->
-        let exec = Executor.Incremental.start ~use_flat algo g in
-        note exec 0;
-        loop exec [] 0)
-  in
-  (match faults with Some f -> Run_ctx.observe_faults obs f | None -> ());
-  (match adversary with Some a -> Run_ctx.observe_adversary obs a | None -> ());
-  result
-
 let record ?(ctx = Run_ctx.default) algo g ~tape ~max_rounds =
-  record_with ~scramble:(Run_ctx.scramble ctx) ~faults:(Run_ctx.injector ctx)
-    ~adversary:(Run_ctx.adversary_instance ctx) ~obs:(Run_ctx.obs ctx) algo g
-    ~tape ~max_rounds
-
+  let n = Graph.n g in
+  let hooks = Executor.hooks ctx in
+  let output_rounds = Array.make n None in
+  let messages_by_round = ref [] in
+  let note ~round ~messages ~has_output =
+    for v = 0 to n - 1 do
+      if output_rounds.(v) = None && has_output v then output_rounds.(v) <- Some round
+    done;
+    if round > 0 then messages_by_round := messages :: !messages_by_round
+  in
+  let e =
+    Executor.drive ~obs:(Run_ctx.obs ctx) ~span:"trace.record" ~note hooks algo g
+      ~tape ~max_rounds
+  in
+  let trace =
+    {
+      n;
+      output_rounds;
+      messages_by_round = List.rev !messages_by_round;
+      rounds = e.last_round;
+      fault_events = (match hooks.faults with None -> [] | Some f -> Faults.events f);
+      adversary_events =
+        (match hooks.adversary with None -> [] | Some a -> Adversary.events a);
+      crashed =
+        (match hooks.faults with
+         | None -> fun _ ~round:_ -> false
+         | Some f -> fun v ~round -> not (Faults.active f ~node:v ~round));
+    }
+  in
+  match Executor.to_result e with
+  | Ok outcome -> Ok (trace, outcome)
+  | Error f -> Error (trace, f)
 
 let output_rounds t = Array.copy t.output_rounds
 

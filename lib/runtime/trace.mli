@@ -11,9 +11,10 @@ type t
 (** [record ?ctx algo g ~tape ~max_rounds] executes while recording.  On
     failure the partial trace is still returned alongside the failure.
 
-    [ctx.faults], when set, instantiates an injector threaded to
-    {!Executor.Incremental.step}; its event log and crash schedule are
-    captured in the trace and shown by {!render}.  [ctx.scramble_seed]
+    The run goes through {!Executor.drive}, so outcome and failure are
+    exactly {!Executor.run}'s.  [ctx.faults], when set, instantiates an
+    injector for this run; its event log and crash schedule are captured
+    in the trace and shown by {!render}.  [ctx.scramble_seed]
     scrambles inbox port orders as in {!Executor.run}.  [ctx.obs] gets the
     same [executor.rounds]/[executor.messages] counters and [faults.*]
     tallies as a plain run, under a [trace.record] span. *)

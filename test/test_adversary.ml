@@ -166,8 +166,8 @@ let test_sniper_targets_busiest_link () =
 let test_deterministic_traces () =
   (* Equal plans (faults + adversary) on equal seeds: the full trace —
      timeline, fault events, adversary events — renders identically.
-     The trace recorder drives Incremental.step, so this pins the whole
-     executor + injector + adversary pipeline. *)
+     The trace recorder runs the executor's round driver, so this pins
+     the whole executor + injector + adversary pipeline. *)
   let g = Gen.cycle 6 in
   let algo = Retransmit.wrap Anonet_algorithms.Rand_two_hop.algorithm in
   let record () =

@@ -1,10 +1,11 @@
 (* Flat-path equivalence suite: the executor's flat (arena) representation,
-   the probe/commit stepping API and the flat simulation fast path must be
-   byte-identical to the boxed reference — same outputs, rounds, message
-   counts, dedup keys and search results — on fixed and random graphs,
-   sequentially and side by side on pool domains, and must fall back to
-   (identical) boxed execution whenever fault or adversary plans are in
-   play.  This is the contract [Algorithm.register_flat] documents. *)
+   the probe/commit stepping API and the driver's in-place flat runs must
+   be byte-identical to the boxed reference — same outputs, rounds,
+   message counts, dedup keys and search results — on fixed and random
+   graphs, sequentially and side by side on pool domains, and must fall
+   back to (identical) boxed execution whenever fault or adversary plans
+   are in play.  This is the contract [Algorithm.register_flat]
+   documents. *)
 
 module Gen = Anonet_graph.Gen
 module Graph = Anonet_graph.Graph
@@ -74,7 +75,7 @@ let check_state_equal ~name flat boxed =
 let lockstep ~name ~seed ~rounds algo g =
   let n = Graph.n g in
   let flat = ref (Executor.Incremental.start algo g) in
-  let boxed = ref (Executor.Incremental.start ~use_flat:false algo g) in
+  let boxed = ref (Executor.Incremental.start (boxed_variant algo) g) in
   check Alcotest.bool (name ^ ": flat path engaged") true
     (Executor.Incremental.is_flat !flat);
   check Alcotest.bool (name ^ ": boxed reference stayed boxed") false
@@ -82,8 +83,8 @@ let lockstep ~name ~seed ~rounds algo g =
   check_state_equal ~name:(name ^ " r0") !flat !boxed;
   for r = 1 to rounds do
     let bits = bits_vec ~seed ~round:r n in
-    flat := Executor.Incremental.step_vec !flat ~bits;
-    boxed := Executor.Incremental.step_vec !boxed ~bits;
+    flat := Executor.Incremental.step !flat ~bits;
+    boxed := Executor.Incremental.step !boxed ~bits;
     check_state_equal ~name:(Printf.sprintf "%s r%d" name r) !flat !boxed
   done
 
@@ -112,14 +113,14 @@ let prop_lockstep_random =
         algorithms;
       true)
 
-(* ---------- probe/commit = step_vec ---------- *)
+(* ---------- probe/commit = step ---------- *)
 
 let probe_matches_step ~name ~seed ~rounds algo g =
   let n = Graph.n g in
   let exec = ref (Executor.Incremental.start algo g) in
   for r = 1 to rounds do
     let bits = bits_vec ~seed ~round:r n in
-    let stepped = Executor.Incremental.step_vec !exec ~bits in
+    let stepped = Executor.Incremental.step !exec ~bits in
     let probe = Executor.Incremental.probe_vec !exec ~bits in
     (* The transient key must already identify the stepped state... *)
     check Alcotest.bool
@@ -158,7 +159,7 @@ let test_probe_fixed () =
     algorithms
 
 let prop_probe_random =
-  QCheck.Test.make ~name:"probe/commit = step_vec on random graphs" ~count:25
+  QCheck.Test.make ~name:"probe/commit = step on random graphs" ~count:25
     (QCheck.make
        ~print:(fun (seed, n, p) -> Printf.sprintf "seed=%d n=%d p=%f" seed n p)
        QCheck.Gen.(
@@ -209,63 +210,42 @@ let prop_simulation_random =
 (* ---------- fault / adversary plans pin the boxed path ---------- *)
 
 let injection_plans =
-  [ ( "loss",
-      (fun () -> Run_ctx.make ~faults:(Faults.with_loss 0.4 ~seed:7) ()),
-      fun () -> Some (Faults.make (Faults.with_loss 0.4 ~seed:7)), None );
+  [ "loss", (fun () -> Run_ctx.make ~faults:(Faults.with_loss 0.4 ~seed:7) ());
     ( "byzantine",
-      (fun () ->
-        Run_ctx.make ~adversary:(Adversary.byzantine [ 0 ] ~strength:0.5 ~seed:9) ()),
       fun () ->
-        None, Some (Adversary.make (Adversary.byzantine [ 0 ] ~strength:0.5 ~seed:9))
-    ) ]
+        Run_ctx.make ~adversary:(Adversary.byzantine [ 0 ] ~strength:0.5 ~seed:9) () ) ]
 
-(* A ctx carrying injection hooks must (a) force the boxed representation
+(* Hooks instantiated from a ctx must (a) force the boxed representation
    even for algorithms with flat companions and (b) behave exactly like
-   explicit per-step injection with an injector built from the same plan —
-   plans are pure descriptions with reproducible schedules.  Only rand-mis
+   the companion-free twin under hooks built from the same plans — plans
+   are pure descriptions with reproducible schedules.  Only rand-mis
    here: rand-2hop assumes reliable delivery and rejects lossy inboxes by
    design, in both representations. *)
 let test_injection_pins_boxed () =
   let g = Gen.label_with_ints (Gen.cycle 5) in
   let n = Graph.n g in
   List.iter
-    (fun (pname, make_ctx, make_hooks) ->
+    (fun (pname, make_ctx) ->
       List.iter
         (fun (aname, algo) ->
           let name = aname ^ "/" ^ pname in
-          let via_ctx = ref (Executor.Incremental.start ~ctx:(make_ctx ()) algo g) in
-          check Alcotest.bool (name ^ ": ctx run falls back to boxed") false
-            (Executor.Incremental.is_flat !via_ctx);
-          let faults, adversary = make_hooks () in
-          let explicit =
-            ref (Executor.Incremental.start ~use_flat:false algo g)
+          let start algo =
+            ref (Executor.Incremental.start ~hooks:(Executor.hooks (make_ctx ())) algo g)
           in
+          let hooked = start algo in
+          check Alcotest.bool (name ^ ": hooked run falls back to boxed") false
+            (Executor.Incremental.is_flat !hooked);
+          let reference = start (boxed_variant algo) in
           for r = 1 to 6 do
-            let bits = Array.init n (bit_of ~seed:31 ~round:r) in
-            via_ctx := Executor.Incremental.step !via_ctx ~bits;
-            explicit :=
-              Executor.Incremental.step ?faults ?adversary !explicit ~bits;
+            let bits = bits_vec ~seed:31 ~round:r n in
+            hooked := Executor.Incremental.step !hooked ~bits;
+            reference := Executor.Incremental.step !reference ~bits;
             check_state_equal
               ~name:(Printf.sprintf "%s r%d" name r)
-              !via_ctx !explicit
+              !hooked !reference
           done)
         [ "rand-mis", Anonet_algorithms.Rand_mis.algorithm ])
     injection_plans
-
-let test_flat_rejects_injection () =
-  let g = Gen.label_with_ints (Gen.cycle 3) in
-  let exec = Executor.Incremental.start Anonet_algorithms.Rand_mis.algorithm g in
-  check Alcotest.bool "flat without hooks" true (Executor.Incremental.is_flat exec);
-  Alcotest.check_raises "flat step refuses late injection"
-    (Invalid_argument
-       "Executor.step: faults/scramble/adversary require the boxed execution \
-        path — pass them via the ctx given to start (or start ~use_flat:false)")
-    (fun () ->
-      ignore
-        (Executor.Incremental.step
-           ~faults:(Faults.make (Faults.with_loss 0.5 ~seed:3))
-           exec
-           ~bits:(Array.make 3 false)))
 
 (* ---------- search results, concurrently on pools 1/2/4 ---------- *)
 
@@ -346,7 +326,7 @@ let () =
         ] );
       ( "probe",
         [
-          Alcotest.test_case "probe/commit = step_vec on fixed graphs" `Quick
+          Alcotest.test_case "probe/commit = step on fixed graphs" `Quick
             test_probe_fixed;
           QCheck_alcotest.to_alcotest prop_probe_random;
         ] );
@@ -356,8 +336,6 @@ let () =
         [
           Alcotest.test_case "fault/adversary plans pin the boxed path" `Quick
             test_injection_pins_boxed;
-          Alcotest.test_case "flat rejects late injection" `Quick
-            test_flat_rejects_injection;
         ] );
       ( "search",
         [

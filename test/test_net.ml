@@ -415,6 +415,11 @@ let test_experiment_jobs_bounds () =
   check_string "clamped jobs=1000000 = jobs=1" one.Runner.out (run "1000000").Runner.out
 
 let test_loopback_bad_job_rejected () =
+  (* A job text with two kind= lines is refused before any submit: it
+     used to run as the first kind with the second line dropped. *)
+  check "repeated kind= rejected" true
+    (Result.is_error
+       (Job.of_text "kind=experiment\nkind=solve\nproblem=mis\ngraph=cycle:6\n"));
   with_server @@ fun addr ->
   List.iter
     (fun (kind, pairs) ->

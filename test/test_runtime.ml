@@ -182,14 +182,14 @@ let test_executor_rejects_revocation () =
 
 let test_incremental_persistence () =
   let g = Gen.path 2 in
+  let step e bits = Executor.Incremental.step e ~bits:(Bitvec.of_bool_array bits) in
   let e0 = Executor.Incremental.start bit_collector g in
-  let bits1 = [| true; false |] in
-  let e1 = Executor.Incremental.step e0 ~bits:bits1 in
+  let e1 = step e0 [| true; false |] in
   (* branch: from e1, two different second rounds *)
-  let e2a = Executor.Incremental.step e1 ~bits:[| true; true |] in
-  let e2b = Executor.Incremental.step e1 ~bits:[| false; false |] in
-  let e3a = Executor.Incremental.step e2a ~bits:[| true; true |] in
-  let e3b = Executor.Incremental.step e2b ~bits:[| false; false |] in
+  let e2a = step e1 [| true; true |] in
+  let e2b = step e1 [| false; false |] in
+  let e3a = step e2a [| true; true |] in
+  let e3b = step e2b [| false; false |] in
   check "branch a done" true (Executor.Incremental.all_output e3a);
   check "branch b done" true (Executor.Incremental.all_output e3b);
   let out3a = Executor.Incremental.outputs e3a in
@@ -478,6 +478,95 @@ let test_async_event_limit () =
   | Error (Async.Event_limit_exceeded 5) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected event-limit failure"
 
+(* ---------- one round policy: Trace.record = Executor.run = Simulation.run ---------- *)
+
+let driver_algorithms =
+  [ "rand-mis", Anonet_algorithms.Rand_mis.algorithm;
+    "rand-2hop", Anonet_algorithms.Rand_two_hop.algorithm;
+    "rand-coloring", Anonet_algorithms.Rand_coloring.algorithm;
+    "rand-matching", Anonet_algorithms.Rand_matching.algorithm ]
+
+(* A fresh context per run: a context only holds plans, but each run
+   instantiates its own injector from them, so equal contexts must give
+   equal runs. *)
+let driver_contexts seed =
+  [ "no hooks", (fun () -> Run_ctx.default);
+    ( "faults",
+      fun () ->
+        match Faults.plan_of_string (Printf.sprintf "loss=0.2,crash=0@2..4,seed=%d" seed) with
+        | Ok plan -> Run_ctx.make ~faults:plan ()
+        | Error m -> failwith m );
+    "scramble", (fun () -> Run_ctx.make ~scramble_seed:seed ());
+    ( "adversary",
+      fun () ->
+        Run_ctx.make ~adversary:(Adversary.byzantine [ 0 ] ~strength:0.5 ~seed) () ) ]
+
+(* An algorithm may reject a message a fault mangled; both entry points
+   must then raise the same exception. *)
+let catch f = match f () with r -> Ok r | exception Invalid_argument m -> Error m
+
+let prop_trace_equals_run =
+  QCheck.Test.make ~name:"Trace.record = Executor.run on random graphs" ~count:30
+    (QCheck.make
+       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+       QCheck.Gen.(pair (int_bound 10_000) (int_range 2 9)))
+    (fun (seed, n) ->
+      let g = Gen.random_connected ~seed n 0.4 in
+      List.for_all
+        (fun (aname, algo) ->
+          List.for_all
+            (fun (cname, ctx) ->
+              let tape = Tape.random ~seed in
+              let run =
+                catch (fun () -> Executor.run ~ctx:(ctx ()) algo g ~tape ~max_rounds:300)
+              in
+              let traced =
+                catch (fun () ->
+                    match Trace.record ~ctx:(ctx ()) algo g ~tape ~max_rounds:300 with
+                    | Ok (t, o) ->
+                      check_int
+                        (Printf.sprintf "%s/%s: trace rounds" aname cname)
+                        o.Executor.rounds (Trace.rounds t);
+                      Ok o
+                    | Error (_, f) -> Error f)
+              in
+              if run <> traced then
+                QCheck.Test.fail_reportf "%s under %s: traced run differs" aname cname;
+              true)
+            (driver_contexts seed))
+        driver_algorithms)
+
+let prop_simulation_equals_run =
+  QCheck.Test.make ~name:"Simulation.run = Executor.run on a fixed tape" ~count:40
+    (QCheck.make
+       ~print:(fun (seed, n, len) -> Printf.sprintf "seed=%d n=%d len=%d" seed n len)
+       QCheck.Gen.(triple (int_bound 10_000) (int_range 2 8) (int_range 0 14)))
+    (fun (seed, n, len) ->
+      let g = Gen.random_connected ~seed n 0.4 in
+      let rng = Prng.create seed in
+      let bits =
+        Array.init (Graph.n g) (fun _ ->
+            Bits.of_list (List.init (len + Prng.int rng 3) (fun _ -> Prng.bool rng)))
+      in
+      List.for_all
+        (fun (aname, algo) ->
+          let sim = Anonet.Simulation.run ~solver:algo g ~bits in
+          let run = Executor.run algo g ~tape:(Tape.fixed bits) ~max_rounds:max_int in
+          (match run with
+           | Ok o when sim.Anonet.Simulation.successful ->
+             if
+               o.Executor.rounds <> sim.rounds_run
+               || o.Executor.outputs <> Array.map Option.get sim.outputs
+             then QCheck.Test.fail_reportf "%s: outcomes differ" aname
+           | Error (Executor.Tape_exhausted { round })
+             when not sim.Anonet.Simulation.successful ->
+             check_int (aname ^ ": exhausted after the simulation") (sim.rounds_run + 1)
+               round
+           | Ok _ | Error _ ->
+             QCheck.Test.fail_reportf "%s: simulation and run disagree on success" aname);
+          true)
+        driver_algorithms)
+
 let () =
   Alcotest.run "anonet_runtime"
     [
@@ -516,6 +605,13 @@ let () =
         [
           Alcotest.test_case "records a run" `Quick test_trace_records;
           Alcotest.test_case "partial on failure" `Quick test_trace_partial_on_failure;
+        ] );
+      ( "driver",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
+            prop_trace_equals_run;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
+            prop_simulation_equals_run;
         ] );
       ( "async",
         [
