@@ -56,15 +56,14 @@ let cycle_mod_colors n k =
 open Bechamel
 open Toolkit
 
-(* [rounds] rounds of rand_mis on [g] through [Executor.run], the driver
+(* [rounds] rounds of [algo] on [g] through [Executor.run], the driver
    behind `anonet solve`; the rounds actually run (fewer if every node
    output earlier).  Fails when the flat representation would not be
    used, so a silent fallback to the boxed path cannot pass. *)
-let mis_rounds g ~rounds =
-  let algo = Anonet_algorithms.Rand_mis.algorithm in
+let flat_rounds ~name algo g ~rounds =
   (match Anonet_runtime.Algorithm.find_flat algo with
    | Some flat when Option.is_some (flat.plan g) -> ()
-   | _ -> failwith "huge: rand_mis has no flat path");
+   | _ -> failwith (Printf.sprintf "huge: %s has no flat path" name));
   match
     Anonet_runtime.Executor.run algo g
       ~tape:(Anonet_runtime.Tape.random ~seed:1)
@@ -73,6 +72,13 @@ let mis_rounds g ~rounds =
   | Ok o -> o.Anonet_runtime.Executor.rounds
   | Error (Anonet_runtime.Executor.Max_rounds_exceeded r) -> r
   | Error f -> failwith (Format.asprintf "huge: %a" Anonet_runtime.Executor.pp_failure f)
+
+(* The catalog solvers the huge-graph rows and [huge-smoke] run, by CLI
+   problem name. *)
+let huge_solver = function
+  | "mis" -> Anonet_algorithms.Rand_mis.algorithm
+  | "coloring" -> Anonet_algorithms.Rand_coloring.algorithm
+  | p -> invalid_arg (Printf.sprintf "huge: unknown problem %S (want mis or coloring)" p)
 
 let bench_tests () =
   let c6 = Gen.c6_figure1 () in
@@ -315,8 +321,8 @@ let bench_tests () =
        bechamel still gets several samples per quota.  The build row
        turns a materialized edge list into the CSR layout; the generate
        rows measure the streaming emitters end to end (no edge list at
-       all), and the simulate row the round driver's per-round throughput
-       over the CSR layout. *)
+       all), and the execute rows the round driver's per-round throughput
+       over the CSR layout, one per flat companion. *)
     let hn = 100_000 in
     let hp = 8.0 /. float_of_int (hn - 1) in
     (* The fixtures (a 10^5-node graph plus its materialized edge list,
@@ -330,6 +336,12 @@ let bench_tests () =
         (let hg = Gen.random_connected ~seed:1 hn hp in
          hg, Graph.edges hg, Array.make hn Label.Unit)
     in
+    let execute problem =
+      Test.make ~name:(Printf.sprintf "execute-10rounds-%s-gnp-1e5" problem)
+        (Staged.stage (fun () ->
+             let hg, _, _ = Lazy.force fixtures in
+             flat_rounds ~name:problem (huge_solver problem) hg ~rounds:10))
+    in
     Test.make_grouped ~name:"huge-graphs"
       [
         Test.make ~name:"build-csr-gnp-1e5"
@@ -340,10 +352,8 @@ let bench_tests () =
           (Staged.stage (fun () -> Gen.random_connected ~seed:1 hn hp));
         Test.make ~name:"generate-regular-d8-1e5"
           (Staged.stage (fun () -> Gen.random_regular ~seed:2 hn 8));
-        Test.make ~name:"simulate-10rounds-mis-gnp-1e5"
-          (Staged.stage (fun () ->
-               let hg, _, _ = Lazy.force fixtures in
-               mis_rounds hg ~rounds:10));
+        execute "mis";
+        execute "coloring";
       ]
   in
   let validation =
@@ -614,20 +624,22 @@ let search_states_rows () =
    10-round rand_mis run through the round driver at n = 10^5 and 10^6.
    Single measurements — at seconds per run the sampling noise is far
    below the 2-orders-of-magnitude effects these rows exist to witness. *)
-let huge_one_shot ~tag ~n ~avg_degree ~seed ~rounds =
+let huge_one_shot ~problem ~tag ~n ~avg_degree ~seed ~rounds =
   let p = avg_degree /. float_of_int (n - 1) in
   let t0 = Unix.gettimeofday () in
   let g = Gen.random_connected ~seed n p in
   let build_s = Unix.gettimeofday () -. t0 in
   let t1 = Unix.gettimeofday () in
-  let rounds_run = mis_rounds g ~rounds in
+  let rounds_run = flat_rounds ~name:problem (huge_solver problem) g ~rounds in
   let sim_s = Unix.gettimeofday () -. t1 in
   (tag, n, Graph.num_edges g, build_s, rounds_run, sim_s)
 
 let huge_rows () =
   [
-    huge_one_shot ~tag:"gnp-1e5" ~n:100_000 ~avg_degree:8.0 ~seed:1 ~rounds:10;
-    huge_one_shot ~tag:"gnp-1e6" ~n:1_000_000 ~avg_degree:8.0 ~seed:1 ~rounds:10;
+    huge_one_shot ~problem:"mis" ~tag:"gnp-1e5" ~n:100_000 ~avg_degree:8.0 ~seed:1
+      ~rounds:10;
+    huge_one_shot ~problem:"mis" ~tag:"gnp-1e6" ~n:1_000_000 ~avg_degree:8.0 ~seed:1
+      ~rounds:10;
   ]
 
 (* A metrics snapshot of the instrumented pipeline — a Las-Vegas solve,
@@ -795,15 +807,17 @@ let run_harness () =
     (Anonet_experiments.Experiments.run_all ())
 
 (* CI smoke for the million-node pipeline: generate a seeded G(n, p) with
-   the given average degree, run a fixed number of rounds through the
-   round driver, and emit one JSON line — run under `ulimit -v` and a
-   wall-clock cap by the workflow.  Exits non-zero if the flat path
-   declines or the graph comes out empty, so a silent fallback to the
-   boxed path cannot pass. *)
-let run_huge_smoke n avg_degree seed rounds =
+   the given average degree, run a fixed number of rounds of [problem]'s
+   solver (mis or coloring) through the round driver, and emit one JSON
+   line — run under `ulimit -v` and a wall-clock cap by the workflow.
+   Exits non-zero if the flat path declines or the graph comes out
+   empty, so a silent fallback to the boxed path cannot pass. *)
+let run_huge_smoke ~problem n avg_degree seed rounds =
   let (tag, n, m, build_s, rounds_run, sim_s) =
-    huge_one_shot
-      ~tag:(Printf.sprintf "gnp-n%d-d%g" n avg_degree)
+    huge_one_shot ~problem
+      ~tag:
+        ((if problem = "mis" then "" else problem ^ "-")
+        ^ Printf.sprintf "gnp-n%d-d%g" n avg_degree)
       ~n ~avg_degree ~seed ~rounds
   in
   if m < n - 1 then failwith "huge-smoke: generated graph is too sparse";
@@ -823,11 +837,12 @@ let () =
   | _ :: "bench-json" :: [] ->
     prerr_endline "usage: main.exe bench-json PATH [--history DIR]";
     exit 2
-  | _ :: "huge-smoke" :: n :: deg :: seed :: rounds :: _ ->
-    run_huge_smoke (int_of_string n) (float_of_string deg) (int_of_string seed)
-      (int_of_string rounds)
+  | _ :: "huge-smoke" :: n :: deg :: seed :: rounds :: rest ->
+    let problem = match rest with p :: _ -> p | [] -> "mis" in
+    run_huge_smoke ~problem (int_of_string n) (float_of_string deg)
+      (int_of_string seed) (int_of_string rounds)
   | _ :: "huge-smoke" :: _ ->
-    prerr_endline "usage: main.exe huge-smoke N AVG_DEGREE SEED ROUNDS";
+    prerr_endline "usage: main.exe huge-smoke N AVG_DEGREE SEED ROUNDS [mis|coloring]";
     exit 2
   | _ ->
     run_harness ();

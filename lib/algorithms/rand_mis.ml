@@ -98,6 +98,7 @@ let flat_instance : Algorithm.Flat.instance =
   {
     state_words = 1;
     msg_words = 1;
+    ported = false;
     init = (fun ~node:_ ~input:_ ~degree:_ ~state:_ ~off:_ -> ());
     (* all-zero span = Undecided, no coin yet *)
     round =

@@ -85,10 +85,8 @@ let algorithm : Algorithm.t =
 
 (* Flat companion.
 
-   A candidate bitstring packs into one word as [(1 lsl len) lor value]
-   (value big-endian): the sentinel bit makes the encoding injective
-   across lengths, appending a bit is [code * 2 + bit], and the numeric
-   order coincides with [Bits.compare] (length-major, then
+   A candidate bitstring packs into one word as its [Bits.to_code],
+   whose numeric order coincides with [Bits.compare] (length-major, then
    lexicographic) — so sorting relay words numerically reproduces the
    boxed sorted multiset exactly.  The empty candidate is code 1; code 0
    doubles as "no message" in inbox slots and "no announcement stored"
@@ -103,28 +101,20 @@ let algorithm : Algorithm.t =
    [count, sorted codes..., 0...].  Receivers know which to expect from
    their own step; Decide rounds are silent on both paths. *)
 
-let code_overflow_bit = 1 lsl 59
-
-let decode_code code =
-  let len = ref 0 in
-  while code lsr !len > 1 do incr len done;
-  Bits.of_int ~width:!len (code - (1 lsl !len))
+let empty_code = Bits.to_code Bits.empty
 
 let flat_plan g =
-  let maxdeg = ref 0 in
-  for v = 0 to Anonet_graph.Graph.n g - 1 do
-    maxdeg := max !maxdeg (Anonet_graph.Graph.degree g v)
-  done;
-  let maxdeg = !maxdeg in
+  let maxdeg = Anonet_graph.Graph.max_degree g in
   let sw = 2 + maxdeg in
   let mw = 1 + maxdeg in
   Some
     {
       Algorithm.Flat.state_words = sw;
       msg_words = mw;
+      ported = false;
       init =
         (fun ~node:_ ~input:_ ~degree:_ ~state ~off ->
-          Array.unsafe_set state (off + 1) 1 (* empty candidate *));
+          Array.unsafe_set state (off + 1) empty_code);
       round =
         (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff ->
           let w0 = Array.unsafe_get state off in
@@ -183,10 +173,7 @@ let flat_plan g =
                   if !occ >= 2 then conflict := true
                 done;
                 if !conflict then begin
-                  if cand land code_overflow_bit <> 0 then
-                    invalid_arg "rand-2hop: flat candidate overflow";
-                  Array.unsafe_set state (off + 1)
-                    ((cand * 2) + if bit then 1 else 0);
+                  Array.unsafe_set state (off + 1) (Bits.append_code cand bit);
                   false
                 end
                 else true
@@ -200,7 +187,7 @@ let flat_plan g =
       output =
         (fun ~state ~off ->
           if Array.unsafe_get state off land 4 <> 0 then
-            Some (Label.Bits (decode_code (Array.unsafe_get state (off + 1))))
+            Some (Label.Bits (Bits.of_code (Array.unsafe_get state (off + 1))))
           else None);
       has_output = (fun ~state ~off -> Array.unsafe_get state off land 4 <> 0);
     }

@@ -73,4 +73,22 @@ let enumerate n =
   in
   from 0
 
+(* 59 bits keep every code, sentinel included, below [1 lsl 60]. *)
+let code_max_length = 59
+
+let to_code b =
+  let len = String.length b in
+  if len > code_max_length then invalid_arg "Bits.to_code: too long";
+  (1 lsl len) lor to_int b
+
+let of_code c =
+  if c < 1 then invalid_arg "Bits.of_code: not a code";
+  let len = ref 0 in
+  while c lsr !len > 1 do incr len done;
+  of_int ~width:!len (c - (1 lsl !len))
+
+let append_code c x =
+  if c >= 1 lsl code_max_length then invalid_arg "Bits.append_code: overflow";
+  (c * 2) + if x then 1 else 0
+
 let pp fmt b = Format.pp_print_string fmt (if b = "" then "ε" else b)

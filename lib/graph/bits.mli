@@ -74,4 +74,27 @@ val to_int : t -> int
     lexicographic (equivalently, big-endian numeric) order. *)
 val enumerate : int -> t Seq.t
 
+(** {2 Packed codes}
+
+    A bitstring of at most {!code_max_length} bits packs into one int as
+    [(1 lsl length b) lor to_int b]: the sentinel bit makes the code
+    injective across lengths, appending a bit is [code * 2 + bit], and
+    numeric order on codes coincides with {!compare}.  The empty string
+    is code [1], so [0] is free to mean "absent" in flat arenas. *)
+
+val code_max_length : int
+
+(** [to_code b] is the packed code of [b].
+    @raise Invalid_argument if [length b > code_max_length]. *)
+val to_code : t -> int
+
+(** [of_code c] is the bitstring [c] packs.
+    @raise Invalid_argument if [c < 1]. *)
+val of_code : int -> t
+
+(** [append_code c x] is [to_code (append (of_code c) x)].
+    @raise Invalid_argument if the result would exceed
+    {!code_max_length} bits. *)
+val append_code : int -> bool -> int
+
 val pp : Format.formatter -> t -> unit

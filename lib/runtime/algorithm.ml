@@ -52,12 +52,18 @@ let silence ~degree : Anonet_graph.Label.t option array = Array.make degree None
     consecutive ints in one shared inbox arena (one slot per directed
     edge; a slot whose first word is [0] carries no message).  [round]
     mutates the node's state span in place and, when it returns [true],
-    broadcasts the [msg_words]-span it wrote into the send buffer on
-    every port.  Algorithms register a flat companion with
-    {!register_flat}; the executor switches to the flat representation
-    whenever one is available, the run is free of faults/adversary/
-    scramble hooks (those operate on boxed [Label.t] payloads), and
-    {!Flat.plan} accepts the graph.
+    sends what it wrote into the send buffer on every port.  A
+    {e broadcast} instance ([ported = false]) writes one [msg_words]-span
+    that every port carries; a {e ported} instance writes one span per
+    port [p] at [soff + p*msg_words], its node's spans starting at the
+    node's first directed-edge slot, so the send buffer has one span per
+    slot.  The executor routes a ported send through a precomputed
+    [twin] table — for each inbox slot, the sender's slot that feeds it.
+    Algorithms register a flat companion with {!register_flat}; the
+    executor switches to the flat representation whenever one is
+    available, the run is free of faults/adversary/scramble hooks (those
+    operate on boxed [Label.t] payloads), and {!Flat.plan} accepts the
+    graph.
 
     The contract mirrors the boxed path bit for bit: a flat companion
     must be an {e injective} encoding of the boxed states and messages —
@@ -71,6 +77,8 @@ module Flat = struct
   type instance = {
     state_words : int;  (** ints per node in the state arena *)
     msg_words : int;  (** ints per directed-edge slot; word 0 = 0 when empty *)
+    ported : bool;
+        (** one send span per port (instead of one broadcast span) *)
     init :
       node:int ->
       input:Anonet_graph.Label.t ->
@@ -92,11 +100,13 @@ module Flat = struct
       bool;
         (** one synchronous round: read inbox slots [ioff + p*msg_words]
             for ports [p < degree], mutate the state span at [off], and
-            either write a message into the send span at [soff] and
-            return [true] (broadcast) or return [false] (silence).  A
-            [true] return must leave {e every} word of the send span
-            deterministic — unused trailing words zeroed — because the
-            routed inbox arena doubles as a search dedup key. *)
+            either write the message(s) into the send buffer at [soff]
+            — one span, or [degree] spans when [ported] — and return
+            [true] (send on every port) or return [false] (silence).  A
+            [true] return must leave {e every} word it sends
+            deterministic — unused trailing words zeroed, first words
+            nonzero — because the routed inbox arena doubles as a search
+            dedup key. *)
     output : state:int array -> off:int -> Anonet_graph.Label.t option;
     has_output : state:int array -> off:int -> bool;
         (** allocation-free [output <> None] *)

@@ -75,7 +75,9 @@ let hooks ctx =
 (* Graph-shaped immutable geometry shared by every flat state of one
    execution.  [slot_off.(v)] is the first directed-edge slot of node [v]
    (its port [p] is slot [slot_off.(v) + p]); [src.(s)] is the neighbor
-   whose broadcast lands in slot [s]. *)
+   whose message lands in slot [s], and [twin.(s)] the send span that
+   feeds it: the sender's own span for a broadcast instance ([twin] is
+   [src]), the sender's slot on the edge back for a ported one. *)
 type layout = {
   n : int;
   degrees : int array;
@@ -84,8 +86,23 @@ type layout = {
   total_slots : int;
   slot_off : int array;
   src : int array;
+  twin : int array;
   inst : Algorithm.Flat.instance;
 }
+
+let send_len lay = (if lay.inst.ported then lay.total_slots else lay.n) * lay.msg_words
+
+(* For each slot [s] of node [v] fed by [u = src.(s)]: [u]'s slot on the
+   edge back to [v]. *)
+let twin_slots g slot_off src =
+  let twin = Array.make (Array.length src) 0 in
+  for v = 0 to Graph.n g - 1 do
+    for s = slot_off.(v) to slot_off.(v + 1) - 1 do
+      let u = src.(s) in
+      twin.(s) <- slot_off.(u) + Graph.port_to g u v
+    done
+  done;
+  twin
 
 (* The flat layout of [algo] on [g], or [None] when the algorithm has no
    registered companion, its plan declines [g], or a hook is set — faults,
@@ -101,8 +118,9 @@ let flat_layout hooks algo g =
        (* The graph already stores its adjacency as exactly this CSR
           shape: [Graph.offsets] is the slot-offset array and
           [Graph.adjacency] the per-slot source node.  Alias both — the
-          layout never mutates them — so building a layout is O(n). *)
-       let slot_off = Graph.offsets g in
+          layout never mutates them — so building a broadcast layout is
+          O(n). *)
+       let slot_off = Graph.offsets g and src = Graph.adjacency g in
        Some
          {
            n;
@@ -111,7 +129,8 @@ let flat_layout hooks algo g =
            msg_words = inst.msg_words;
            total_slots = slot_off.(n);
            slot_off;
-           src = Graph.adjacency g;
+           src;
+           twin = (if inst.ported then twin_slots g slot_off src else src);
            inst;
          })
   | _ -> None
@@ -129,35 +148,49 @@ let init_flat_states lay g states =
       ~state:states ~off:(v * lay.state_words)
   done
 
+(* Node [v]'s transition with its send span(s) at [soff]; records
+   whether it sent and returns whether it has output afterwards. *)
+let[@inline] node_round lay ~bits ~sent ~send ~state ~inbox ~ioff v ~soff =
+  let inst = lay.inst in
+  let sw = lay.state_words in
+  let sends =
+    inst.round ~node:v ~bit:(Bitvec.unsafe_get bits v)
+      ~degree:(Array.unsafe_get lay.degrees v)
+      ~state ~off:(v * sw) ~inbox
+      ~ioff:(ioff + (Array.unsafe_get lay.slot_off v * lay.msg_words))
+      ~send ~soff
+  in
+  Bytes.unsafe_set sent v (if sends then '\001' else '\000');
+  inst.has_output ~state ~off:(v * sw)
+
 (* The one flat round, shared by the driver's in-place run and
    [Incremental]'s persistent step: run every node's transition on its
    span of [state] (arrivals read from [inbox] starting at [ioff]), then
-   route the broadcasts into [next] starting at [noff], which the caller
-   has zeroed.  [bits] holds each node's bit this round; it is a packed
+   route the sends into [next] starting at [noff], which the caller has
+   zeroed.  [bits] holds each node's bit this round; it is a packed
    vector, not a closure, so the hot loops pay no indirect call per node.
    Returns the nodes with output after the round and [messages] plus the
    messages delivered in it. *)
 let flat_round lay ~(bits : Bitvec.t) ~send ~sent ~state ~inbox ~ioff ~next ~noff
     ~messages =
-  let inst = lay.inst in
-  let sw = lay.state_words and mw = lay.msg_words in
+  let mw = lay.msg_words in
   let out = ref 0 in
-  for v = 0 to lay.n - 1 do
-    let broadcast =
-      inst.round ~node:v ~bit:(Bitvec.unsafe_get bits v)
-        ~degree:(Array.unsafe_get lay.degrees v)
-        ~state ~off:(v * sw) ~inbox
-        ~ioff:(ioff + (Array.unsafe_get lay.slot_off v * mw))
-        ~send ~soff:(v * mw)
-    in
-    Bytes.unsafe_set sent v (if broadcast then '\001' else '\000');
-    if inst.has_output ~state ~off:(v * sw) then incr out
-  done;
+  (* The representation is fixed per layout, so the branch sits outside
+     the node loop. *)
+  if lay.inst.ported then
+    for v = 0 to lay.n - 1 do
+      let soff = Array.unsafe_get lay.slot_off v * mw in
+      if node_round lay ~bits ~sent ~send ~state ~inbox ~ioff v ~soff then incr out
+    done
+  else
+    for v = 0 to lay.n - 1 do
+      if node_round lay ~bits ~sent ~send ~state ~inbox ~ioff v ~soff:(v * mw) then
+        incr out
+    done;
   let messages = ref messages in
   for s = 0 to lay.total_slots - 1 do
-    let u = Array.unsafe_get lay.src s in
-    if Bytes.unsafe_get sent u = '\001' then begin
-      let src_off = u * mw and dst_off = noff + (s * mw) in
+    if Bytes.unsafe_get sent (Array.unsafe_get lay.src s) = '\001' then begin
+      let src_off = Array.unsafe_get lay.twin s * mw and dst_off = noff + (s * mw) in
       for k = 0 to mw - 1 do
         Array.unsafe_set next (dst_off + k) (Array.unsafe_get send (src_off + k))
       done;
@@ -284,7 +317,7 @@ module Incremental = struct
 
   let flat_step f ~bits =
     let scratch =
-      get_step_scratch ~send_len:(f.lay.n * f.lay.msg_words) ~n:f.lay.n
+      get_step_scratch ~send_len:(send_len f.lay) ~n:f.lay.n
     in
     let child = Array.make (arena_size f.lay) 0 in
     let out, messages = flat_step_into f scratch ~bits child in
@@ -473,7 +506,7 @@ module Incremental = struct
       if Bitvec.length bits <> f.lay.n then
         invalid_arg "Executor.probe_vec: wrong bits length";
       let scratch =
-        get_step_scratch ~send_len:(f.lay.n * f.lay.msg_words) ~n:f.lay.n
+        get_step_scratch ~send_len:(send_len f.lay) ~n:f.lay.n
       in
       let ssize = state_size f.lay in
       let asize = arena_size f.lay in
@@ -520,8 +553,11 @@ module Incremental = struct
     let lay = f.lay in
     let inst = lay.inst in
     let sw = lay.state_words and mw = lay.msg_words in
-    let span = sw + mw in
-    let scratch = get_step_scratch ~send_len:(lay.n * mw) ~n:lay.n in
+    (* A node sends [degree] spans when ported, one otherwise. *)
+    let span =
+      sw + if inst.ported then Array.fold_left Int.max 0 lay.degrees * mw else mw
+    in
+    let scratch = Domain.DLS.get step_scratch_key in
     if Array.length scratch.ss_sense < 2 * span then
       scratch.ss_sense <- Array.make (2 * span) 0;
     let buf = scratch.ss_sense in
@@ -543,9 +579,11 @@ module Incremental = struct
         b0 = b1
         &&
         let acc = ref 0 in
-        (* Send words only count when the node broadcasts: a silent
-           node's send span is scratch garbage by contract. *)
-        let words = if b0 then span else sw in
+        (* Send words only count when the node sends: a silent node's
+           send span is scratch garbage by contract. *)
+        let words =
+          if not b0 then sw else if inst.ported then sw + (degree * mw) else span
+        in
         for k = 0 to words - 1 do
           acc := !acc lor (Array.unsafe_get buf k lxor Array.unsafe_get buf (span + k))
         done;
@@ -608,7 +646,7 @@ let in_place lay g =
   init_flat_states lay g states;
   let inbox_len = lay.total_slots * lay.msg_words in
   let cur = ref (Array.make inbox_len 0) and nxt = ref (Array.make inbox_len 0) in
-  let send = Array.make (n * lay.msg_words) 0 and sent = Bytes.make n '\000' in
+  let send = Array.make (send_len lay) 0 and sent = Bytes.make n '\000' in
   let out = ref (count_outputs lay states) in
   {
     advance =

@@ -21,7 +21,10 @@
     port scrambles).  The {e flat} one — used automatically whenever the
     algorithm registered an {!Algorithm.Flat} companion and the execution
     has no injection {!hooks} — packs all node states into one int array
-    and all in-flight messages into one inbox arena.  Both flat uses run
+    and all in-flight messages into one inbox arena.  All four catalog
+    Las-Vegas solvers (coloring, 2-hop coloring, MIS, matching) have a
+    companion, so boxed runs are hooked runs, runs of the [Retransmit]
+    wrapper, and algorithms outside the catalog.  Both flat uses run
     the same per-round body: the driver mutates one states arena in place
     and alternates two inbox arenas (a round allocates nothing), while
     {!Incremental.step} writes each round into a fresh immutable arena

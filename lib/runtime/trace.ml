@@ -56,9 +56,14 @@ let adversary_events t = t.adversary_events
 
 let render t =
   let buf = Buffer.create 256 in
+  let any_crashed = ref false in
+  for v = 0 to t.n - 1 do
+    for r = 1 to t.rounds do
+      if t.crashed v ~round:r then any_crashed := true
+    done
+  done;
   let legend =
-    if t.fault_events = [] then "'#' = output set"
-    else "'#' = output set; 'x' = crashed"
+    if !any_crashed then "'#' = output set; 'x' = crashed" else "'#' = output set"
   in
   Buffer.add_string buf
     (Printf.sprintf "rounds: %d (columns); nodes: %d (rows); %s\n" t.rounds t.n

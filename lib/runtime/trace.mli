@@ -47,5 +47,7 @@ val adversary_events : t -> Adversary.event list
 
 (** [render t] draws an ASCII timeline: one row per node, one column per
     round; ['.'] while undecided, ['#'] from the output round on, ['x']
-    while crashed.  Fault events, if any, are listed below the grid. *)
+    while crashed (the legend names ['x'] only when some node is crashed
+    in a rendered round).  Fault events, if any, are listed below the
+    grid. *)
 val render : t -> string

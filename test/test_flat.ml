@@ -33,7 +33,9 @@ let boxed_variant (algo : Algorithm.t) : Algorithm.t =
 
 let algorithms =
   [ "rand-mis", Anonet_algorithms.Rand_mis.algorithm;
-    "rand-2hop", Anonet_algorithms.Rand_two_hop.algorithm ]
+    "rand-2hop", Anonet_algorithms.Rand_two_hop.algorithm;
+    "rand-coloring", Anonet_algorithms.Rand_coloring.algorithm;
+    "rand-matching", Anonet_algorithms.Rand_matching.algorithm ]
 
 let fixed_graphs () =
   [ "path2", Gen.label_with_ints (Gen.path 2);
@@ -272,30 +274,41 @@ let test_search_pools () =
       "cycle4", Gen.label_with_ints (Gen.cycle 4);
       "cycle5", Gen.label_with_ints (Gen.cycle 5) ]
   in
-  let algo = Anonet_algorithms.Rand_mis.algorithm in
+  let algos = Array.of_list algorithms in
+  let k = Array.length algos in
   List.iter
     (fun (gname, g) ->
-      let reference = min_search_found (boxed_variant algo) g in
-      let sequential = min_search_found algo g in
-      check_found_equal ~name:(gname ^ "/seq") sequential reference;
-      (* Flat and boxed searches side by side on the pool's domains: the
-         flat path's per-domain scratch must not leak between them. *)
+      let reference =
+        Array.map (fun (_, algo) -> min_search_found (boxed_variant algo) g) algos
+      in
+      Array.iteri
+        (fun a (aname, algo) ->
+          check_found_equal
+            ~name:(Printf.sprintf "%s/%s/seq" gname aname)
+            (min_search_found algo g) reference.(a))
+        algos;
+      (* Every companion's flat search next to the boxed ones on the
+         pool's domains: the per-domain scratch, sized per layout, must
+         not leak between them. *)
       List.iter
         (fun domains ->
           Pool.with_pool ~domains (fun p ->
               Array.iteri
                 (fun i found ->
+                  let a = i mod k in
                   check_found_equal
                     ~name:
-                      (Printf.sprintf "%s/pool%d-%s" gname domains
-                         (if i mod 2 = 0 then "flat" else "boxed"))
-                    found reference)
+                      (Printf.sprintf "%s/%s/pool%d-%s" gname (fst algos.(a))
+                         domains
+                         (if i / k mod 2 = 0 then "flat" else "boxed"))
+                    found reference.(a))
                 (Pool.map p
                    (fun i ->
+                     let algo = snd algos.(i mod k) in
                      min_search_found
-                       (if i mod 2 = 0 then algo else boxed_variant algo)
+                       (if i / k mod 2 = 0 then algo else boxed_variant algo)
                        g)
-                   (Array.init (2 * domains) Fun.id))))
+                   (Array.init (2 * k * domains) Fun.id))))
         [ 1; 2; 4 ])
     graphs
 
@@ -303,17 +316,43 @@ let prop_search_random =
   QCheck.Test.make ~name:"flat search = boxed search on random graphs"
     ~count:10
     (QCheck.make
-       ~print:(fun seed -> Printf.sprintf "seed=%d" seed)
-       QCheck.Gen.(int_bound 10_000))
-    (fun seed ->
-      let g = Gen.label_with_ints (Gen.random_connected ~seed 4 0.5) in
-      let algo = Anonet_algorithms.Rand_mis.algorithm in
-      let reference = min_search_found (boxed_variant algo) g in
-      check_found_equal
-        ~name:(Printf.sprintf "seed=%d/seq" seed)
-        (min_search_found algo g)
-        reference;
+       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+       QCheck.Gen.(pair (int_bound 10_000) (int_range 4 6)))
+    (fun (seed, n) ->
+      let g = Gen.label_with_ints (Gen.random_connected ~seed n 0.5) in
+      List.iter
+        (fun (aname, algo) ->
+          check_found_equal
+            ~name:(Printf.sprintf "%s/seed=%d/n=%d" aname seed n)
+            (min_search_found algo g)
+            (min_search_found (boxed_variant algo) g))
+        algorithms;
       true)
+
+(* ---------- every catalog solver runs flat when it can ---------- *)
+
+(* A companion whose plan declined (or that was never registered) would
+   fall back to the boxed path silently, with identical results; only
+   the representation tells.  Every catalog solver must run flat on a
+   hook-free graph and boxed under every injection plan. *)
+let test_catalog_flat () =
+  let g = Gen.label_with_ints (Gen.random_connected ~seed:3 200 (8.0 /. 199.0)) in
+  List.iter
+    (fun (gran : Anonet_problems.Gran.t) ->
+      let module A = (val gran.solver) in
+      let name = A.name in
+      check Alcotest.bool (name ^ ": hook-free run is flat") true
+        (Executor.Incremental.is_flat (Executor.Incremental.start gran.solver g));
+      List.iter
+        (fun (pname, make_ctx) ->
+          let hooks = Executor.hooks (make_ctx ()) in
+          check Alcotest.bool
+            (Printf.sprintf "%s: %s run is boxed" name pname)
+            false
+            (Executor.Incremental.is_flat
+               (Executor.Incremental.start ~hooks gran.solver g)))
+        injection_plans)
+    Anonet_algorithms.Bundles.all
 
 let () =
   Alcotest.run "flat"
@@ -341,5 +380,10 @@ let () =
         [
           Alcotest.test_case "pools 1/2/4, flat = boxed" `Quick test_search_pools;
           QCheck_alcotest.to_alcotest prop_search_random;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "every catalog solver runs flat, boxed under plans"
+            `Quick test_catalog_flat;
         ] );
     ]

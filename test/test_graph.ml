@@ -487,9 +487,62 @@ let prop_khop_planted_conflict =
         (fun k -> Props.is_k_hop_coloring g k labeling = (k < d))
         [ 0; 1; 2; 3 ])
 
+let gen_code_bits =
+  QCheck.make
+    ~print:(fun l -> Bits.to_string (Bits.of_list l))
+    QCheck.Gen.(list_size (int_bound Bits.code_max_length) bool)
+
+let prop_code_roundtrip =
+  QCheck.Test.make ~name:"Bits.of_code (Bits.to_code b) = b" ~count:300
+    gen_code_bits (fun l ->
+      let b = Bits.of_list l in
+      Bits.equal (Bits.of_code (Bits.to_code b)) b
+      && (Bits.length b = Bits.code_max_length
+         || Bits.equal
+              (Bits.of_code (Bits.append_code (Bits.to_code b) true))
+              (Bits.append b true)))
+
+(* Half the pairs share a length, so the lexicographic tie-break is
+   exercised as often as the length-first order. *)
+let gen_code_pair =
+  let open QCheck.Gen in
+  let* a = list_size (int_bound Bits.code_max_length) bool in
+  let* same = bool in
+  let+ b =
+    if same then list_repeat (List.length a) bool
+    else list_size (int_bound Bits.code_max_length) bool
+  in
+  a, b
+
+let prop_code_order =
+  QCheck.Test.make ~name:"numeric order on codes = Bits.compare" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Bits.to_string (Bits.of_list a) ^ " " ^ Bits.to_string (Bits.of_list b))
+       gen_code_pair)
+    (fun (a, b) ->
+      let a = Bits.of_list a and b = Bits.of_list b in
+      Int.compare (Bits.to_code a) (Bits.to_code b) = Bits.compare a b)
+
+let test_code_limits () =
+  let longest = Bits.zero Bits.code_max_length in
+  Alcotest.check_raises "to_code past the limit"
+    (Invalid_argument "Bits.to_code: too long") (fun () ->
+      ignore (Bits.to_code (Bits.append longest false)));
+  Alcotest.check_raises "append_code past the limit"
+    (Invalid_argument "Bits.append_code: overflow") (fun () ->
+      ignore (Bits.append_code (Bits.to_code longest) true));
+  Alcotest.(check int) "empty is code 1" 1 (Bits.to_code Bits.empty)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_random_connected_simple; prop_lift_always_product; prop_bits_order_total ]
+    [
+      prop_random_connected_simple;
+      prop_lift_always_product;
+      prop_bits_order_total;
+      prop_code_roundtrip;
+      prop_code_order;
+    ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]))
       [ prop_khop_matches_reference; prop_khop_planted_conflict ]
@@ -504,6 +557,7 @@ let () =
           Alcotest.test_case "prefix" `Quick test_bits_prefix;
           Alcotest.test_case "ints" `Quick test_bits_int;
           Alcotest.test_case "concat/take" `Quick test_bits_concat_take;
+          Alcotest.test_case "code limits" `Quick test_code_limits;
         ] );
       ( "label",
         [
