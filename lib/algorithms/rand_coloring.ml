@@ -105,4 +105,4 @@ let flat_instance : Algorithm.Flat.instance =
 
 let () =
   Algorithm.register_flat algorithm
-    { Algorithm.Flat.plan = (fun _g -> Some flat_instance) }
+    { Algorithm.Flat.plan = (fun _g -> flat_instance) }

@@ -223,21 +223,20 @@ let flat_round ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff =
   true
 
 let flat_plan g =
-  Some
-    {
-      Algorithm.Flat.state_words = 3 + Anonet_graph.Graph.max_degree g;
-      msg_words = 1;
-      ported = true;
-      init = (fun ~node:_ ~input:_ ~degree:_ ~state:_ ~off:_ -> ());
-      (* all-zero span = Propose, Active, phase 0, nothing proposed or heard *)
-      round = flat_round;
-      output =
-        (fun ~state ~off ->
-          match Array.unsafe_get state off lsr 2 with
-          | 0 -> None
-          | 1 -> Some Label.Unit
-          | s -> Some (Label.Int (s - 2)));
-      has_output = (fun ~state ~off -> Array.unsafe_get state off lsr 2 <> 0);
-    }
+  {
+    Algorithm.Flat.state_words = 3 + Anonet_graph.Graph.max_degree g;
+    msg_words = 1;
+    ported = true;
+    init = (fun ~node:_ ~input:_ ~degree:_ ~state:_ ~off:_ -> ());
+    (* all-zero span = Propose, Active, phase 0, nothing proposed or heard *)
+    round = flat_round;
+    output =
+      (fun ~state ~off ->
+        match Array.unsafe_get state off lsr 2 with
+        | 0 -> None
+        | 1 -> Some Label.Unit
+        | s -> Some (Label.Int (s - 2)));
+    has_output = (fun ~state ~off -> Array.unsafe_get state off lsr 2 <> 0);
+  }
 
 let () = Algorithm.register_flat algorithm { Algorithm.Flat.plan = flat_plan }

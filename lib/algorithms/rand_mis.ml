@@ -86,7 +86,7 @@ let algorithm : Algorithm.t =
    the boxed round canonicalizes the dead coin to [None] the same way).
    [degree] is constant and [out] is determined by [status], so the word
    is an injective encoding of the boxed state — the flat dedup key
-   distinguishes exactly the states the boxed Marshal fingerprint does.
+   distinguishes exactly the structurally different boxed states.
 
    Message word: [1 + (status lsl 1 lor coin)] (so nonzero; a zero slot
    means no message, which never happens here — every node broadcasts
@@ -145,4 +145,4 @@ let flat_instance : Algorithm.Flat.instance =
 
 let () =
   Algorithm.register_flat algorithm
-    { Algorithm.Flat.plan = (fun _g -> Some flat_instance) }
+    { Algorithm.Flat.plan = (fun _g -> flat_instance) }

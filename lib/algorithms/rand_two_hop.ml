@@ -107,89 +107,88 @@ let flat_plan g =
   let maxdeg = Anonet_graph.Graph.max_degree g in
   let sw = 2 + maxdeg in
   let mw = 1 + maxdeg in
-  Some
-    {
-      Algorithm.Flat.state_words = sw;
-      msg_words = mw;
-      ported = false;
-      init =
-        (fun ~node:_ ~input:_ ~degree:_ ~state ~off ->
-          Array.unsafe_set state (off + 1) empty_code);
-      round =
-        (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff ->
-          let w0 = Array.unsafe_get state off in
-          match w0 land 3 with
-          | 0 ->
-            (* Announce: broadcast the candidate code. *)
-            Array.unsafe_set state off (w0 lor 1);
-            Array.unsafe_set send soff (Array.unsafe_get state (off + 1));
-            for k = 1 to mw - 1 do
-              Array.unsafe_set send (soff + k) 0
+  {
+    Algorithm.Flat.state_words = sw;
+    msg_words = mw;
+    ported = false;
+    init =
+      (fun ~node:_ ~input:_ ~degree:_ ~state ~off ->
+        Array.unsafe_set state (off + 1) empty_code);
+    round =
+      (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff ->
+        let w0 = Array.unsafe_get state off in
+        match w0 land 3 with
+        | 0 ->
+          (* Announce: broadcast the candidate code. *)
+          Array.unsafe_set state off (w0 lor 1);
+          Array.unsafe_set send soff (Array.unsafe_get state (off + 1));
+          for k = 1 to mw - 1 do
+            Array.unsafe_set send (soff + k) 0
+          done;
+          true
+        | 1 ->
+          (* Relay: store announcements, broadcast their sorted multiset. *)
+          for p = 0 to degree - 1 do
+            Array.unsafe_set state (off + 2 + p)
+              (Array.unsafe_get inbox (ioff + (p * mw)))
+          done;
+          Array.unsafe_set state off ((w0 land lnot 3) lor 2);
+          Array.unsafe_set send soff degree;
+          for p = 0 to degree - 1 do
+            (* insertion sort as we copy: degree is tiny *)
+            let c = Array.unsafe_get state (off + 2 + p) in
+            let j = ref (soff + 1 + p) in
+            while
+              !j > soff + 1 && Array.unsafe_get send (!j - 1) > c
+            do
+              Array.unsafe_set send !j (Array.unsafe_get send (!j - 1));
+              decr j
             done;
-            true
-          | 1 ->
-            (* Relay: store announcements, broadcast their sorted multiset. *)
-            for p = 0 to degree - 1 do
-              Array.unsafe_set state (off + 2 + p)
-                (Array.unsafe_get inbox (ioff + (p * mw)))
-            done;
-            Array.unsafe_set state off ((w0 land lnot 3) lor 2);
-            Array.unsafe_set send soff degree;
-            for p = 0 to degree - 1 do
-              (* insertion sort as we copy: degree is tiny *)
-              let c = Array.unsafe_get state (off + 2 + p) in
-              let j = ref (soff + 1 + p) in
-              while
-                !j > soff + 1 && Array.unsafe_get send (!j - 1) > c
-              do
-                Array.unsafe_set send !j (Array.unsafe_get send (!j - 1));
-                decr j
+            Array.unsafe_set send !j c
+          done;
+          for k = degree + 1 to mw - 1 do
+            Array.unsafe_set send (soff + k) 0
+          done;
+          true
+        | _ ->
+          (* Decide: detect conflicts, then return to Announce silently. *)
+          let final = w0 land 4 <> 0 in
+          let final =
+            if final then true
+            else begin
+              let cand = Array.unsafe_get state (off + 1) in
+              let conflict = ref false in
+              for p = 0 to degree - 1 do
+                if Array.unsafe_get state (off + 2 + p) = cand then
+                  conflict := true
               done;
-              Array.unsafe_set send !j c
-            done;
-            for k = degree + 1 to mw - 1 do
-              Array.unsafe_set send (soff + k) 0
-            done;
-            true
-          | _ ->
-            (* Decide: detect conflicts, then return to Announce silently. *)
-            let final = w0 land 4 <> 0 in
-            let final =
-              if final then true
-              else begin
-                let cand = Array.unsafe_get state (off + 1) in
-                let conflict = ref false in
-                for p = 0 to degree - 1 do
-                  if Array.unsafe_get state (off + 2 + p) = cand then
-                    conflict := true
+              for p = 0 to degree - 1 do
+                let base = ioff + (p * mw) in
+                let cnt = Array.unsafe_get inbox base in
+                let occ = ref 0 in
+                for j = 1 to cnt do
+                  if Array.unsafe_get inbox (base + j) = cand then incr occ
                 done;
-                for p = 0 to degree - 1 do
-                  let base = ioff + (p * mw) in
-                  let cnt = Array.unsafe_get inbox base in
-                  let occ = ref 0 in
-                  for j = 1 to cnt do
-                    if Array.unsafe_get inbox (base + j) = cand then incr occ
-                  done;
-                  if !occ >= 2 then conflict := true
-                done;
-                if !conflict then begin
-                  Array.unsafe_set state (off + 1) (Bits.append_code cand bit);
-                  false
-                end
-                else true
+                if !occ >= 2 then conflict := true
+              done;
+              if !conflict then begin
+                Array.unsafe_set state (off + 1) (Bits.append_code cand bit);
+                false
               end
-            in
-            for p = 0 to degree - 1 do
-              Array.unsafe_set state (off + 2 + p) 0
-            done;
-            Array.unsafe_set state off (if final then 4 else 0);
-            false);
-      output =
-        (fun ~state ~off ->
-          if Array.unsafe_get state off land 4 <> 0 then
-            Some (Label.Bits (Bits.of_code (Array.unsafe_get state (off + 1))))
-          else None);
-      has_output = (fun ~state ~off -> Array.unsafe_get state off land 4 <> 0);
-    }
+              else true
+            end
+          in
+          for p = 0 to degree - 1 do
+            Array.unsafe_set state (off + 2 + p) 0
+          done;
+          Array.unsafe_set state off (if final then 4 else 0);
+          false);
+    output =
+      (fun ~state ~off ->
+        if Array.unsafe_get state off land 4 <> 0 then
+          Some (Label.Bits (Bits.of_code (Array.unsafe_get state (off + 1))))
+        else None);
+    has_output = (fun ~state ~off -> Array.unsafe_get state off land 4 <> 0);
+  }
 
 let () = Algorithm.register_flat algorithm { Algorithm.Flat.plan = flat_plan }

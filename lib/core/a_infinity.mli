@@ -45,7 +45,10 @@ type result = {
     if the search hits its state/branching limits
     ({!Min_search.Search_limit_exceeded} and
     {!Min_search.Branching_limit_exceeded} are caught and rendered by
-    {!Min_search.catch_limits}). *)
+    {!Min_search.catch_limits}).
+    @raise Invalid_argument if [gran.solver] has no registered
+    {!Anonet_runtime.Algorithm.Flat} companion (every solver in
+    [Bundles.all] has one): the search runs on flat companions only. *)
 val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->

@@ -92,7 +92,11 @@ val make :
     @return [Error] if the executor fails (round budget, …) or if an
     Update-Bits search hits its state/branching limits — rendered by
     {!Min_search.catch_limits}, with the same text {!A_infinity.solve}
-    returns. *)
+    returns.
+    @raise Invalid_argument if [gran.solver] has no registered
+    {!Anonet_runtime.Algorithm.Flat} companion (every solver in
+    [Bundles.all] has one): its Update-Bits search cannot run.  The
+    algorithm {!make} builds raises the same when it first searches. *)
 val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->

@@ -42,8 +42,7 @@ let catch_limits f =
 let branching_limit = 24
 
 (* Dedup on execution-state keys (see [Executor.Incremental.dedup_key]):
-   for flat-representation states a key aliases the state's own arenas —
-   no Marshal round-trip, which used to be ~45% of per-state search cost. *)
+   a key aliases the state's own flat arena, with its hash precomputed. *)
 module KeyTbl = Hashtbl.Make (Executor.Incremental.Key)
 
 (* ---------- round-major breadth-first search with state dedup ---------- *)

@@ -64,7 +64,9 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     breadth-first level.
     [ctx.faults] and [ctx.scramble_seed] are not consulted: the search
     semantics is the fault-free deterministic model (a stateful injector
-    cannot be shared by branching executions).
+    cannot be shared by branching executions), stepped on the solver's
+    {!Anonet_runtime.Algorithm.Flat} companion (every catalog solver has
+    one).
 
     [pruning] (default [true]) enables core-guided
     pruning: per-round bit-sensitivity cores from
@@ -90,7 +92,7 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     @raise Branching_limit_exceeded if one branching step exceeds the
     enumeration limits above.
     @raise Invalid_argument if some [base] string already exceeds an
-    [Exactly] target. *)
+    [Exactly] target, or if [solver] has no registered flat companion. *)
 val minimal_successful :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   solver:Anonet_runtime.Algorithm.t ->

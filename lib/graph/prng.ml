@@ -6,7 +6,7 @@ type t = { mutable state : int64 }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -18,6 +18,10 @@ let bits64 t =
   mix t.state
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
+
+(* [bool (create seed)] with the state kept in unboxed [int64] locals. *)
+let first_bool seed =
+  Int64.logand (mix (Int64.add (mix (Int64.of_int seed)) golden)) 1L = 1L
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: non-positive bound";

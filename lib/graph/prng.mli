@@ -13,6 +13,11 @@ val create : int -> t
 (** [bool t] draws one fair bit. *)
 val bool : t -> bool
 
+(** [first_bool seed] is [bool (create seed)], computed without building
+    a generator: it allocates nothing.  For counter-mode streams that
+    derive one bit per seed. *)
+val first_bool : int -> bool
+
 (** [int t bound] draws a uniform integer in [0 .. bound-1].
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int

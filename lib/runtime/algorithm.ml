@@ -59,20 +59,20 @@ let silence ~degree : Anonet_graph.Label.t option array = Array.make degree None
     node's first directed-edge slot, so the send buffer has one span per
     slot.  The executor routes a ported send through a precomputed
     [twin] table — for each inbox slot, the sender's slot that feeds it.
-    Algorithms register a flat companion with {!register_flat}; the
-    executor switches to the flat representation whenever one is
-    available, the run is free of faults/adversary/scramble hooks (those
-    operate on boxed [Label.t] payloads), and {!Flat.plan} accepts the
-    graph.
+    Algorithms register a flat companion with {!register_flat}.  The
+    round driver runs a hook-free run of such an algorithm on the flat
+    representation, and the minimal-simulation searches run only on it;
+    runs with faults, adversaries or scrambles (which act on [Label.t]
+    payloads) step the algorithm's own {!val-S.round}.
 
-    The contract mirrors the boxed path bit for bit: a flat companion
-    must be an {e injective} encoding of the boxed states and messages —
-    equal flat arenas if and only if the boxed execution states are
-    structurally equal — and must keep outputs irrevocable (the flat
-    path trusts it instead of re-checking every round).  The qcheck
-    equivalence suite ([test/test_flat.ml]) holds registered companions
-    to exactly this: byte-identical outputs, rounds, message counts and
-    search results against the boxed path on fixed and random graphs. *)
+    A flat companion must be an {e injective} encoding of the algorithm's
+    states and messages — equal flat arenas if and only if the execution
+    states are structurally equal — and must keep outputs irrevocable
+    (the flat path trusts it instead of re-checking every round).  The
+    suite in [test/test_flat.ml] holds registered companions to exactly
+    this: injectivity on every bit vector of tiny graphs, and identical
+    outputs, rounds, message counts and search results against the
+    algorithm's own [round] on fixed and random graphs. *)
 module Flat = struct
   type instance = {
     state_words : int;  (** ints per node in the state arena *)
@@ -113,16 +113,14 @@ module Flat = struct
   }
 
   type t = {
-    plan : Anonet_graph.Graph.t -> instance option;
-        (** size the arenas for this graph, or decline ([None]) when the
-            flat encoding cannot represent the run (e.g. packed fields
-            would overflow) — the executor then stays on the boxed path *)
+    plan : Anonet_graph.Graph.t -> instance;
+        (** size the arenas for this graph *)
   }
 end
 
 (* Flat companions are registered against the algorithm's first-class
    module value (physical identity): wrappers such as Retransmit.wrap
-   produce fresh module values and therefore — correctly — stay boxed.
+   produce fresh module values and therefore — correctly — have none.
    The list is tiny (a handful of library algorithms) and read-mostly;
    registration CASes so concurrent domain start-up is safe. *)
 let flat_registry : (t * Flat.t) list Atomic.t = Atomic.make []

@@ -105,35 +105,30 @@ let twin_slots g slot_off src =
   twin
 
 (* The flat layout of [algo] on [g], or [None] when the algorithm has no
-   registered companion, its plan declines [g], or a hook is set — faults,
-   adversaries and scrambles act on boxed [Label.t] payloads (and their
-   observable event streams are defined over them). *)
-let flat_layout hooks algo g =
-  match hooks, Algorithm.find_flat algo with
-  | { scramble = None; faults = None; adversary = None }, Some flat ->
-    (match flat.Algorithm.Flat.plan g with
-     | None -> None
-     | Some inst ->
-       let n = Graph.n g in
-       (* The graph already stores its adjacency as exactly this CSR
-          shape: [Graph.offsets] is the slot-offset array and
-          [Graph.adjacency] the per-slot source node.  Alias both — the
-          layout never mutates them — so building a broadcast layout is
-          O(n). *)
-       let slot_off = Graph.offsets g and src = Graph.adjacency g in
-       Some
-         {
-           n;
-           degrees = Array.init n (fun v -> slot_off.(v + 1) - slot_off.(v));
-           state_words = inst.state_words;
-           msg_words = inst.msg_words;
-           total_slots = slot_off.(n);
-           slot_off;
-           src;
-           twin = (if inst.ported then twin_slots g slot_off src else src);
-           inst;
-         })
-  | _ -> None
+   registered companion. *)
+let flat_layout algo g =
+  match Algorithm.find_flat algo with
+  | None -> None
+  | Some flat ->
+    let inst = flat.Algorithm.Flat.plan g in
+    let n = Graph.n g in
+    (* The graph already stores its adjacency as exactly this CSR shape:
+       [Graph.offsets] is the slot-offset array and [Graph.adjacency] the
+       per-slot source node.  Alias both — the layout never mutates them —
+       so building a broadcast layout is O(n). *)
+    let slot_off = Graph.offsets g and src = Graph.adjacency g in
+    Some
+      {
+        n;
+        degrees = Array.init n (fun v -> slot_off.(v + 1) - slot_off.(v));
+        state_words = inst.state_words;
+        msg_words = inst.msg_words;
+        total_slots = slot_off.(n);
+        slot_off;
+        src;
+        twin = (if inst.ported then twin_slots g slot_off src else src);
+        inst;
+      }
 
 let count_outputs lay states =
   let out = ref 0 in
@@ -164,15 +159,14 @@ let[@inline] node_round lay ~bits ~sent ~send ~state ~inbox ~ioff v ~soff =
   inst.has_output ~state ~off:(v * sw)
 
 (* The one flat round, shared by the driver's in-place run and
-   [Incremental]'s persistent step: run every node's transition on its
+   [Incremental]'s persistent probe: run every node's transition on its
    span of [state] (arrivals read from [inbox] starting at [ioff]), then
    route the sends into [next] starting at [noff], which the caller has
    zeroed.  [bits] holds each node's bit this round; it is a packed
    vector, not a closure, so the hot loops pay no indirect call per node.
-   Returns the nodes with output after the round and [messages] plus the
-   messages delivered in it. *)
-let flat_round lay ~(bits : Bitvec.t) ~send ~sent ~state ~inbox ~ioff ~next ~noff
-    ~messages =
+   Returns the nodes with output after the round and the messages
+   delivered in it. *)
+let flat_round lay ~(bits : Bitvec.t) ~send ~sent ~state ~inbox ~ioff ~next ~noff =
   let mw = lay.msg_words in
   let out = ref 0 in
   (* The representation is fixed per layout, so the branch sits outside
@@ -187,7 +181,7 @@ let flat_round lay ~(bits : Bitvec.t) ~send ~sent ~state ~inbox ~ioff ~next ~nof
       if node_round lay ~bits ~sent ~send ~state ~inbox ~ioff v ~soff:(v * mw) then
         incr out
     done;
-  let messages = ref messages in
+  let messages = ref 0 in
   for s = 0 to lay.total_slots - 1 do
     if Bytes.unsafe_get sent (Array.unsafe_get lay.src s) = '\001' then begin
       let src_off = Array.unsafe_get lay.twin s * mw and dst_off = noff + (s * mw) in
@@ -200,285 +194,71 @@ let flat_round lay ~(bits : Bitvec.t) ~send ~sent ~state ~inbox ~ioff ~next ~nof
   !out, !messages
 
 module Incremental = struct
-  (* Existentially packed execution state.  [inboxes.(v).(p)] holds the
-     message node [v] will receive on port [p] this round (sent by its
-     neighbor last round).  [reverse.(v).(p)] is the pair [(u, q)] such
-     that port [p] of [v] reaches [u] whose port [q] comes back to [v]. *)
-  type boxed =
-    | Pack : {
-        algo : (module Algorithm.S with type state = 's);
-        graph : Graph.t;
-        reverse : (int * int) array array;
-        states : 's array;
-        inboxes : Label.t option array array;
-        outputs : Label.t option array;
-        round : int;
-        messages : int;
-        hooks : hooks;
-      }
-        -> boxed
-
-  (* Flat execution state: one int arena holds the whole network — node
+  (* A persistent execution: one int arena holds the whole network — node
      states first ([state_words] ints per node), then the inbox
      ([msg_words] ints per directed-edge slot, first word 0 when empty).
-     The arena is immutable once the state is built, so the persistence
-     contract is the same as the boxed path's — a step allocates exactly
-     one array regardless of message structure, and the arena itself is
-     the dedup key. *)
-  type flat = {
+     The arena is immutable once the state is built, so a state may be
+     retained and branched from; a committed step allocates exactly one
+     array, and the arena itself is the dedup key. *)
+  type t = {
     lay : layout;
     arena : int array;
-    fout : int;  (* nodes with output (irrevocable, so a plain count) *)
-    fround : int;
-    fmessages : int;
+    out : int;  (* nodes with output (irrevocable, so a plain count) *)
   }
 
   let state_size lay = lay.n * lay.state_words
 
   let arena_size lay = state_size lay + (lay.total_slots * lay.msg_words)
 
-  type t =
-    | Boxed of boxed
-    | Flat of flat
+  let start algo g =
+    match flat_layout algo g with
+    | None ->
+      let module A = (val algo : Algorithm.S) in
+      invalid_arg
+        (Printf.sprintf "Executor.Incremental.start: %s has no flat companion" A.name)
+    | Some lay ->
+      let arena = Array.make (arena_size lay) 0 in
+      init_flat_states lay g arena;
+      { lay; arena; out = count_outputs lay arena }
 
-  let reverse_ports g =
-    Array.init (Graph.n g) (fun v ->
-        Array.init (Graph.degree g v) (fun p ->
-            let u = Graph.neighbor g v p in
-            u, Graph.port_to g u v))
-
-  let start_flat lay g =
-    let arena = Array.make (arena_size lay) 0 in
-    init_flat_states lay g arena;
-    { lay; arena; fout = count_outputs lay arena; fround = 0; fmessages = 0 }
-
-  let start_boxed hooks (module A : Algorithm.S) g =
-    let n = Graph.n g in
-    let states =
-      Array.init n (fun v ->
-          A.init ~input:(Graph.label g v) ~degree:(Graph.degree g v))
-    in
-    Pack
-      {
-        algo = (module A);
-        graph = g;
-        reverse = reverse_ports g;
-        states;
-        inboxes = Array.init n (fun v -> Array.make (Graph.degree g v) None);
-        outputs = Array.init n (fun v -> A.output states.(v));
-        round = 0;
-        messages = 0;
-        hooks;
-      }
-
-  let start ?(hooks = no_hooks) algo g =
-    match flat_layout hooks algo g with
-    | Some lay -> Flat (start_flat lay g)
-    | None -> Boxed (start_boxed hooks algo g)
-
-  (* Per-domain scratch for the persistent flat step: the send buffer and
-     sent flags live only within one [step] call, and the probe buffer
-     only until the next probe, so one growable record per domain serves
-     searches running concurrently on other domains (server workers,
-     experiment rows) without locking. *)
-  type step_scratch = {
+  (* Per-domain scratch: the send buffer and sent flags live only within
+     one probe, the probe buffer only until the next probe, so one
+     growable record per domain serves searches running concurrently on
+     other domains (server workers, experiment rows) without locking. *)
+  type scratch = {
     mutable ss_send : int array;
     mutable ss_sent : Bytes.t;
     mutable ss_probe : int array;  (* probe child arena, exact [arena_size] *)
     mutable ss_sense : int array;  (* two (state span, send span) micro-runs *)
   }
 
-  let step_scratch_key =
+  let scratch_key =
     Domain.DLS.new_key (fun () ->
         { ss_send = [||]; ss_sent = Bytes.empty; ss_probe = [||]; ss_sense = [||] })
 
-  let get_step_scratch ~send_len ~n =
-    let s = Domain.DLS.get step_scratch_key in
-    if Array.length s.ss_send < send_len then s.ss_send <- Array.make send_len 0;
-    if Bytes.length s.ss_sent < n then s.ss_sent <- Bytes.make n '\000';
-    s
+  let outputs t =
+    Array.init t.lay.n (fun v ->
+        t.lay.inst.output ~state:t.arena ~off:(v * t.lay.state_words))
 
-  (* One persistent flat round into a caller-provided [child] arena
-     (exactly [arena_size], inbox section already zeroed): copy the
-     parent's states into it, then run [flat_round] on the child's states
-     with the parent's inbox section as this round's arrivals.  Returns
-     the child's (output count, cumulative message count). *)
-  let flat_step_into f scratch ~bits child =
-    let lay = f.lay in
-    let ssize = state_size lay in
-    (* Manual word loop rather than [Array.blit]: arenas are a few dozen
-       words, far below where memmove's call overhead pays for itself. *)
-    let parent = f.arena in
-    for i = 0 to ssize - 1 do
-      Array.unsafe_set child i (Array.unsafe_get parent i)
-    done;
-    flat_round lay ~bits ~send:scratch.ss_send ~sent:scratch.ss_sent ~state:child
-      ~inbox:parent ~ioff:ssize ~next:child ~noff:ssize ~messages:f.fmessages
+  let all_output t = t.out = t.lay.n
 
-  let flat_step f ~bits =
-    let scratch =
-      get_step_scratch ~send_len:(send_len f.lay) ~n:f.lay.n
-    in
-    let child = Array.make (arena_size f.lay) 0 in
-    let out, messages = flat_step_into f scratch ~bits child in
-    { f with arena = child; fout = out; fround = f.fround + 1; fmessages = messages }
+  (* Dedup keys alias the state's own (immutable) arena, so taking one
+     costs a single hash walk over ints.  The hash is precomputed so the
+     usual membership-check-then-insert sequence walks the arena once,
+     not three times. *)
+  type key = {
+    khash : int;
+    karena : int array;
+  }
 
-  let boxed_step (Pack e) ~bits =
-    let { scramble; faults; adversary } = e.hooks in
-    let module A = (val e.algo) in
-    let g = e.graph in
-    let n = Graph.n g in
-    let round = e.round + 1 in
-    let states = Array.copy e.states in
-    let next_inboxes = Array.init n (fun v -> Array.make (Graph.degree g v) None) in
-    let messages = ref e.messages in
-    let outputs = Array.copy e.outputs in
-    for v = 0 to n - 1 do
-      let crashed =
-        match faults with
-        | None -> false
-        | Some f -> not (Faults.active f ~node:v ~round)
-      in
-      (* A crashed node neither computes nor sends; its round's inbox is
-         lost (the per-round inbox array is simply not read). *)
-      if not crashed then begin
-        let state', sends =
-          A.round states.(v) ~bit:(Bitvec.unsafe_get bits v) ~inbox:e.inboxes.(v)
-        in
-        if Array.length sends <> Graph.degree g v then
-          invalid_arg
-            (Printf.sprintf "Executor.step: %s sent on %d ports at a degree-%d node"
-               A.name (Array.length sends) (Graph.degree g v));
-        states.(v) <- state';
-        Array.iteri
-          (fun p msg ->
-            match msg with
-            | None -> ()
-            | Some m ->
-              let u, q = e.reverse.(v).(p) in
-              let delivered =
-                match faults with
-                | None -> Some m
-                | Some f -> Faults.on_send_sync f ~src:v ~dst:u ~port:q ~round m
-              in
-              (match delivered with
-               | None -> ()
-               | Some d ->
-                 (* The adversary taps the wire after the fault layer: it
-                    observes (and may tamper with) what actually crosses —
-                    dropped messages are invisible to it. *)
-                 let d =
-                   match adversary with
-                   | None -> d
-                   | Some a -> Adversary.tamper a ~src:v ~dst:u ~round d
-                 in
-                 next_inboxes.(u).(q) <- Some d;
-                 incr messages))
-          sends;
-        (match outputs.(v), A.output state' with
-         | None, o -> outputs.(v) <- o
-         | Some prev, Some cur when Label.equal prev cur -> ()
-         | Some _, _ ->
-           invalid_arg
-             (Printf.sprintf "Executor.step: %s revoked an irrevocable output" A.name))
-      end
-    done;
-    (* Stale duplicates land one round behind the original, on ports that
-       would otherwise be idle (a port carries one message per round). *)
-    (match faults with
-     | None -> ()
-     | Some f ->
-       for v = 0 to n - 1 do
-         List.iter
-           (fun (p, payload) ->
-             if p < Array.length next_inboxes.(v) && next_inboxes.(v).(p) = None
-             then begin
-               next_inboxes.(v).(p) <- Some payload;
-               incr messages
-             end)
-           (Faults.stale_sync f ~dst:v ~round:(round + 1))
-       done);
-    let next_inboxes =
-      match scramble with
-      | None -> next_inboxes
-      | Some permutation ->
-        Array.mapi
-          (fun v inbox ->
-            let d = Array.length inbox in
-            let p = permutation ~node:v ~degree:d ~round in
-            if Array.length p <> d then
-              invalid_arg "Executor.step: scramble returned wrong-size permutation";
-            Array.init d (fun j -> inbox.(p.(j))))
-          next_inboxes
-    in
-    Pack { e with states; inboxes = next_inboxes; outputs; round; messages = !messages }
-
-  let n_of = function Boxed (Pack e) -> Graph.n e.graph | Flat f -> f.lay.n
-
-  let step t ~bits =
-    if Bitvec.length bits <> n_of t then invalid_arg "Executor.step: wrong bits length";
-    match t with
-    | Boxed b -> Boxed (boxed_step b ~bits)
-    | Flat f -> Flat (flat_step f ~bits)
-
-  let outputs = function
-    | Boxed (Pack e) -> Array.copy e.outputs
-    | Flat f ->
-      Array.init f.lay.n (fun v ->
-          f.lay.inst.output ~state:f.arena ~off:(v * f.lay.state_words))
-
-  let has_output t v =
-    match t with
-    | Boxed (Pack e) -> Option.is_some e.outputs.(v)
-    | Flat f -> f.lay.inst.has_output ~state:f.arena ~off:(v * f.lay.state_words)
-
-  let all_output = function
-    | Boxed (Pack e) -> Array.for_all Option.is_some e.outputs
-    | Flat f -> f.fout = f.lay.n
-
-  let round = function Boxed (Pack e) -> e.round | Flat f -> f.fround
-
-  let messages = function Boxed (Pack e) -> e.messages | Flat f -> f.fmessages
-
-  let is_flat = function Flat _ -> true | Boxed _ -> false
-
-  let fingerprint = function
-    | Boxed (Pack e) ->
-      (* Marshal bytes determine structure, so equal digests mean equal
-         states; differing sharing can only cause false negatives. *)
-      Marshal.to_string (e.states, e.inboxes, e.outputs) []
-    | Flat f ->
-      (* The arena *is* the whole state (outputs derive from states). *)
-      Marshal.to_string f.arena []
-
-  (* Dedup keys: what the fingerprint is for, minus the serialization.  A
-     flat key aliases the state's own (immutable) arena, so taking one
-     costs a single hash walk over ints instead of a Marshal round-trip —
-     which was ~45% of per-state cost in the search loops.  The hash is
-     precomputed so the usual membership-check-then-insert sequence walks
-     the arena once, not three times. *)
-  type key =
-    | Kboxed of string
-    | Kflat of {
-        khash : int;
-        karena : int array;
-      }
-
-  let dedup_key = function
-    | Boxed _ as t -> Kboxed (fingerprint t)
-    | Flat f -> Kflat { khash = hash_int_array 17 f.arena; karena = f.arena }
+  let dedup_key t = { khash = hash_int_array 17 t.arena; karena = t.arena }
 
   module Key = struct
     type t = key
 
-    let equal a b =
-      match a, b with
-      | Kboxed x, Kboxed y -> String.equal x y
-      | Kflat x, Kflat y ->
-        x.khash = y.khash && int_array_equal x.karena y.karena
-      | Kboxed _, Kflat _ | Kflat _, Kboxed _ -> false
+    let equal a b = a.khash = b.khash && int_array_equal a.karena b.karena
 
-    let hash = function Kboxed s -> Hashtbl.hash s | Kflat k -> k.khash
+    let hash k = k.khash
   end
 
   (* Probe/commit stepping: the branch searches discard most children as
@@ -487,77 +267,64 @@ module Incremental = struct
      the common (duplicate) case allocation-free.  A probe — and the key
      [probe_key] returns for it — is valid until the next [probe_vec] on
      the same domain; [probe_commit] yields a stable state and key. *)
-  type probe =
-    | Pboxed of t * key
-    | Pflat of {
-        pf : flat;
-        pbuf : int array;  (* per-domain buffer, exactly [arena_size] *)
-        phash : int;
-        pout : int;
-        pmessages : int;
-      }
+  type probe = {
+    parent : t;
+    pbuf : int array;  (* per-domain buffer, exactly [arena_size] *)
+    phash : int;
+    pout : int;
+  }
 
   let probe_vec t ~bits =
-    match t with
-    | Boxed _ ->
-      let t' = step t ~bits in
-      Pboxed (t', dedup_key t')
-    | Flat f ->
-      if Bitvec.length bits <> f.lay.n then
-        invalid_arg "Executor.probe_vec: wrong bits length";
-      let scratch =
-        get_step_scratch ~send_len:(send_len f.lay) ~n:f.lay.n
-      in
-      let ssize = state_size f.lay in
-      let asize = arena_size f.lay in
-      let buf =
-        (* Key equality compares whole arrays, so the buffer must be the
-           exact arena size; only the inbox section needs re-zeroing (the
-           states prefix is fully overwritten by the parent copy). *)
-        if Array.length scratch.ss_probe = asize then begin
-          Array.fill scratch.ss_probe ssize (asize - ssize) 0;
-          scratch.ss_probe
-        end
-        else begin
-          let b = Array.make asize 0 in
-          scratch.ss_probe <- b;
-          b
-        end
-      in
-      let out, messages = flat_step_into f scratch ~bits buf in
-      Pflat
-        {
-          pf = f;
-          pbuf = buf;
-          phash = hash_int_array 17 buf;
-          pout = out;
-          pmessages = messages;
-        }
+    let lay = t.lay in
+    if Bitvec.length bits <> lay.n then invalid_arg "Executor.probe_vec: wrong bits length";
+    let s = Domain.DLS.get scratch_key in
+    let slen = send_len lay in
+    if Array.length s.ss_send < slen then s.ss_send <- Array.make slen 0;
+    if Bytes.length s.ss_sent < lay.n then s.ss_sent <- Bytes.make lay.n '\000';
+    let ssize = state_size lay in
+    let asize = arena_size lay in
+    (* Key equality compares whole arrays, so the buffer must be the exact
+       arena size; only the inbox section needs re-zeroing (the states
+       prefix is fully overwritten by the parent copy). *)
+    if Array.length s.ss_probe = asize then Array.fill s.ss_probe ssize (asize - ssize) 0
+    else s.ss_probe <- Array.make asize 0;
+    let buf = s.ss_probe in
+    (* Manual word loop rather than [Array.blit]: arenas are a few dozen
+       words, far below where memmove's call overhead pays for itself. *)
+    let parent = t.arena in
+    for i = 0 to ssize - 1 do
+      Array.unsafe_set buf i (Array.unsafe_get parent i)
+    done;
+    let out, _ =
+      flat_round lay ~bits ~send:s.ss_send ~sent:s.ss_sent ~state:buf ~inbox:parent
+        ~ioff:ssize ~next:buf ~noff:ssize
+    in
+    { parent = t; pbuf = buf; phash = hash_int_array 17 buf; pout = out }
 
-  let probe_key = function
-    | Pboxed (_, k) -> k
-    | Pflat p -> Kflat { khash = p.phash; karena = p.pbuf }
+  let probe_key p = { khash = p.phash; karena = p.pbuf }
+
+  let probe_commit p =
+    let arena = Array.copy p.pbuf in
+    { p.parent with arena; out = p.pout }, { khash = p.phash; karena = arena }
 
   (* Per-node bit sensitivity: in one synchronous round a node's random
      bit can only influence that node's own successor state and the
      messages it emits — never another node's transition within the same
      round — so sensitivity factors per node.  Each node's transition is
      re-run with both bit values against the *same* parent state and the
-     results compared; a clear bit certifies that every setting of that
-     node's bit yields the identical successor execution state, so a
-     search may pin it without losing any outcome.  Conservative in the
-     sound direction only: a set bit may be a false positive (the boxed
-     path compares serialized bytes, where sharing differences can mask
-     equality), a clear bit is always a proof. *)
-  let flat_sensitivity f =
-    let lay = f.lay in
+     results compared word for word; the companion's encoding is
+     injective, so the comparison is exact: a clear bit certifies that
+     every setting of that node's bit yields the identical successor
+     execution state, and a set bit that it does not. *)
+  let bit_sensitivity t =
+    let lay = t.lay in
     let inst = lay.inst in
     let sw = lay.state_words and mw = lay.msg_words in
     (* A node sends [degree] spans when ported, one otherwise. *)
     let span =
       sw + if inst.ported then Array.fold_left Int.max 0 lay.degrees * mw else mw
     in
-    let scratch = Domain.DLS.get step_scratch_key in
+    let scratch = Domain.DLS.get scratch_key in
     if Array.length scratch.ss_sense < 2 * span then
       scratch.ss_sense <- Array.make (2 * span) 0;
     let buf = scratch.ss_sense in
@@ -568,9 +335,9 @@ module Incremental = struct
       let degree = Array.unsafe_get lay.degrees v in
       let run ~bit off =
         for k = 0 to sw - 1 do
-          Array.unsafe_set buf (off + k) (Array.unsafe_get f.arena ((v * sw) + k))
+          Array.unsafe_set buf (off + k) (Array.unsafe_get t.arena ((v * sw) + k))
         done;
-        inst.round ~node:v ~bit ~degree ~state:buf ~off ~inbox:f.arena ~ioff
+        inst.round ~node:v ~bit ~degree ~state:buf ~off ~inbox:t.arena ~ioff
           ~send:buf ~soff:(off + sw)
       in
       let b0 = run ~bit:false 0 in
@@ -592,38 +359,7 @@ module Incremental = struct
       if not equal then Bitvec.set sens v true
     done;
     sens
-
-  let boxed_sensitivity (Pack e) =
-    let module A = (val e.algo) in
-    let n = Graph.n e.graph in
-    let sens = Bitvec.create n in
-    for v = 0 to n - 1 do
-      let run bit = A.round e.states.(v) ~bit ~inbox:e.inboxes.(v) in
-      let enc r = Marshal.to_string r [] in
-      if not (String.equal (enc (run false)) (enc (run true))) then
-        Bitvec.set sens v true
-    done;
-    sens
-
-  let bit_sensitivity = function
-    | Flat f -> flat_sensitivity f
-    | Boxed b -> boxed_sensitivity b
-
-  let probe_commit = function
-    | Pboxed (t, k) -> t, k
-    | Pflat p ->
-      let arena = Array.copy p.pbuf in
-      ( Flat
-          {
-            p.pf with
-            arena;
-            fout = p.pout;
-            fround = p.pf.fround + 1;
-            fmessages = p.pmessages;
-          },
-        Kflat { khash = p.phash; karena = arena } )
 end
-
 
 (* ---------- the round driver ---------- *)
 
@@ -655,7 +391,6 @@ let in_place lay g =
         Array.fill next 0 inbox_len 0;
         let o, messages =
           flat_round lay ~bits ~send ~sent ~state:states ~inbox ~ioff:0 ~next ~noff:0
-            ~messages:0
         in
         cur := next;
         nxt := inbox;
@@ -667,17 +402,116 @@ let in_place lay g =
       (fun () -> Array.init n (fun v -> lay.inst.output ~state:states ~off:(v * sw)));
   }
 
-let stepped exec =
-  let exec = ref exec in
+(* The boxed machine runs the algorithm's own [round] on OCaml values, for
+   runs with injection hooks (faults, adversaries and scrambles act on
+   [Label.t] payloads) and for algorithms without a flat companion.  The
+   driver never branches, so the states and outputs arrays are updated in
+   place; each round's deliveries go into fresh inbox arrays, since an
+   algorithm may keep the inbox it was handed. *)
+let boxed { scramble; faults; adversary } (module A : Algorithm.S) g =
+  let n = Graph.n g in
+  (* [reverse.(v).(p)] is the pair [(u, q)] such that port [p] of [v]
+     reaches [u], whose port [q] comes back to [v]. *)
+  let reverse =
+    Array.init n (fun v ->
+        Array.init (Graph.degree g v) (fun p ->
+            let u = Graph.neighbor g v p in
+            u, Graph.port_to g u v))
+  in
+  let states =
+    Array.init n (fun v -> A.init ~input:(Graph.label g v) ~degree:(Graph.degree g v))
+  in
+  let inboxes = ref (Array.init n (fun v -> Array.make (Graph.degree g v) None)) in
+  let outputs = Array.map A.output states in
+  let round = ref 0 in
+  let advance bits =
+    incr round;
+    let round = !round in
+    let next_inboxes = Array.init n (fun v -> Array.make (Graph.degree g v) None) in
+    let messages = ref 0 in
+    for v = 0 to n - 1 do
+      let crashed =
+        match faults with
+        | None -> false
+        | Some f -> not (Faults.active f ~node:v ~round)
+      in
+      (* A crashed node neither computes nor sends; its round's inbox is
+         lost (the per-round inbox array is simply not read). *)
+      if not crashed then begin
+        let state', sends =
+          A.round states.(v) ~bit:(Bitvec.unsafe_get bits v) ~inbox:!inboxes.(v)
+        in
+        if Array.length sends <> Graph.degree g v then
+          invalid_arg
+            (Printf.sprintf "Executor.step: %s sent on %d ports at a degree-%d node"
+               A.name (Array.length sends) (Graph.degree g v));
+        states.(v) <- state';
+        Array.iteri
+          (fun p msg ->
+            match msg with
+            | None -> ()
+            | Some m ->
+              let u, q = reverse.(v).(p) in
+              let delivered =
+                match faults with
+                | None -> Some m
+                | Some f -> Faults.on_send_sync f ~src:v ~dst:u ~port:q ~round m
+              in
+              (match delivered with
+               | None -> ()
+               | Some d ->
+                 (* The adversary taps the wire after the fault layer: it
+                    observes (and may tamper with) what actually crosses —
+                    dropped messages are invisible to it. *)
+                 let d =
+                   match adversary with
+                   | None -> d
+                   | Some a -> Adversary.tamper a ~src:v ~dst:u ~round d
+                 in
+                 next_inboxes.(u).(q) <- Some d;
+                 incr messages))
+          sends;
+        match outputs.(v), A.output state' with
+        | None, o -> outputs.(v) <- o
+        | Some prev, Some cur when Label.equal prev cur -> ()
+        | Some _, _ ->
+          invalid_arg
+            (Printf.sprintf "Executor.step: %s revoked an irrevocable output" A.name)
+      end
+    done;
+    (* Stale duplicates land one round behind the original, on ports that
+       would otherwise be idle (a port carries one message per round). *)
+    (match faults with
+     | None -> ()
+     | Some f ->
+       for v = 0 to n - 1 do
+         List.iter
+           (fun (p, payload) ->
+             if p < Array.length next_inboxes.(v) && next_inboxes.(v).(p) = None then begin
+               next_inboxes.(v).(p) <- Some payload;
+               incr messages
+             end)
+           (Faults.stale_sync f ~dst:v ~round:(round + 1))
+       done);
+    (inboxes :=
+       match scramble with
+       | None -> next_inboxes
+       | Some permutation ->
+         Array.mapi
+           (fun v inbox ->
+             let d = Array.length inbox in
+             let p = permutation ~node:v ~degree:d ~round in
+             if Array.length p <> d then
+               invalid_arg "Executor.step: scramble returned wrong-size permutation";
+             Array.init d (fun j -> inbox.(p.(j))))
+           next_inboxes);
+    !messages
+  in
   {
-    advance =
-      (fun bits ->
-        let before = Incremental.messages !exec in
-        exec := Incremental.step !exec ~bits;
-        Incremental.messages !exec - before);
-    all_output = (fun () -> Incremental.all_output !exec);
-    has_output = (fun v -> Incremental.has_output !exec v);
-    outputs = (fun () -> Incremental.outputs !exec);
+    advance;
+    all_output = (fun () -> Array.for_all Option.is_some outputs);
+    has_output = (fun v -> Option.is_some outputs.(v));
+    outputs = (fun () -> Array.copy outputs);
   }
 
 type ending = {
@@ -695,9 +529,12 @@ let drive ?(obs = Obs.null) ?(span = "executor.run") ?note hooks algo g ~tape
   let ending =
     Obs.span obs span (fun () ->
         let m =
-          match flat_layout hooks algo g with
-          | Some lay -> in_place lay g
-          | None -> stepped (Incremental.start ~hooks algo g)
+          let flat =
+            match hooks with
+            | { scramble = None; faults = None; adversary = None } -> flat_layout algo g
+            | _ -> None
+          in
+          match flat with Some lay -> in_place lay g | None -> boxed hooks algo g
         in
         let notify round messages =
           match note with

@@ -10,27 +10,24 @@
     [Simulation.run] — goes through one round driver, {!drive}, which
     holds the round policy once: tape bits, the [max_rounds] budget, the
     all-crashed check, the [executor.rounds]/[executor.messages] counters
-    and the per-round notes.  {!Incremental} exposes a persistent
-    (copy-on-step) execution state for the searches that do branch — the
-    derandomization's minimal-simulation search explores a tree of
-    executions and backtracks without re-simulating shared prefixes.
+    and the per-round notes.  The driver never branches, so it updates
+    one execution in place, on one of two machines.  A hook-free run of
+    an algorithm with an {!Algorithm.Flat} companion (all four catalog
+    Las-Vegas solvers: coloring, 2-hop coloring, MIS, matching) packs all
+    node states into one int array and all in-flight messages into two
+    alternating inbox arenas, so a round allocates nothing per node.
+    Every other run — hooked runs (faults, adversaries, port scrambles
+    act on [Label.t] payloads), the [Retransmit] wrapper, A*'s own
+    algorithm — steps the algorithm's own [round] on OCaml values.
 
-    Two interchangeable representations back an execution.  The {e boxed}
-    one holds each node's state as an OCaml value and messages as
-    [Label.t option]s; it supports the full model (faults, adversaries,
-    port scrambles).  The {e flat} one — used automatically whenever the
-    algorithm registered an {!Algorithm.Flat} companion and the execution
-    has no injection {!hooks} — packs all node states into one int array
-    and all in-flight messages into one inbox arena.  All four catalog
-    Las-Vegas solvers (coloring, 2-hop coloring, MIS, matching) have a
-    companion, so boxed runs are hooked runs, runs of the [Retransmit]
-    wrapper, and algorithms outside the catalog.  Both flat uses run
-    the same per-round body: the driver mutates one states arena in place
-    and alternates two inbox arenas (a round allocates nothing), while
-    {!Incremental.step} writes each round into a fresh immutable arena
-    that doubles as a dedup key.  The representations are observably
-    identical (outputs, rounds, message counts, search results); the
-    qcheck suite in [test/test_flat.ml] enforces it. *)
+    {!Incremental} exposes a persistent execution state for the searches
+    that do branch — the derandomization's minimal-simulation search
+    explores a tree of executions and backtracks without re-simulating
+    shared prefixes.  It runs on the flat representation only, with the
+    same per-round body as the driver's flat machine, writing each round
+    into an immutable arena that doubles as a dedup key.
+    [test/test_flat.ml] checks the two machines and the searches against
+    each other. *)
 
 type failure =
   | Max_rounds_exceeded of int
@@ -90,7 +87,7 @@ type ending = {
     [has_output v] is valid only during the call.
 
     Hook-free runs of an algorithm with a flat companion use the in-place
-    flat representation; every other run steps the boxed one.
+    flat machine; every other run steps the algorithm's own [round].
     @raise Invalid_argument as {!run} does. *)
 val drive :
   ?obs:Anonet_obs.Obs.t ->
@@ -157,32 +154,20 @@ val run :
     than run with a shared injector instance. *)
 
 module Incremental : sig
-  (** Values of type [t] are persistent: {!step} copies what it changes
-      and never mutates its argument, so a [t] may be retained, branched
-      from, and stepped again arbitrarily later.  This retention contract
-      is load-bearing for [Min_search.Resumable]-style incremental
-      searches, which park whole BFS frontiers of executions between
-      [A*] phases and resume them; the one caveat is injection: a
-      [Faults.t] or [Adversary.t] in the hooks is stateful, so replays of
-      a retained state diverge — branching or resuming searches must run
-      without hooks. *)
+  (** Values of type [t] are persistent: stepping (a {!probe_vec} then
+      {!probe_commit}) never mutates its argument, so a [t] may be
+      retained, branched from, and stepped again arbitrarily later.  This
+      retention contract is load-bearing for [Min_search.Resumable]-style
+      incremental searches, which park whole BFS frontiers of executions
+      between [A*] phases and resume them.  The semantics is the
+      fault-free synchronous model: a search never runs hooked. *)
   type t
 
-  (** [start ?hooks algo g] is the execution before round 1, with its
-      injection hooks (default {!no_hooks}) fixed for every later
-      {!step}.  The flat representation is chosen when the algorithm has
-      a registered {!Algorithm.Flat} companion whose plan accepts [g] and
-      there are no hooks — injection is defined over boxed payloads.  An
-      algorithm with no registered companion (for example a re-packed
-      copy of a module that has one) always runs boxed. *)
-  val start : ?hooks:hooks -> Algorithm.t -> Anonet_graph.Graph.t -> t
-
-  (** [step t ~bits] advances one round; bit [v] of [bits] is node [v]'s
-      random bit, and the hooks given to {!start} act on the round.
-      Persistent: [t] remains valid.
-      @raise Invalid_argument on wrong vector length or output
-      revocation. *)
-  val step : t -> bits:Anonet_graph.Bitvec.t -> t
+  (** [start algo g] is the execution before round 1 on [algo]'s flat
+      companion.
+      @raise Invalid_argument naming the algorithm if it has no
+      registered {!Algorithm.Flat} companion. *)
+  val start : Algorithm.t -> Anonet_graph.Graph.t -> t
 
   val outputs : t -> Anonet_graph.Label.t option array
 
@@ -190,28 +175,12 @@ module Incremental : sig
       the "successful simulation" condition of Section 2.2. *)
   val all_output : t -> bool
 
-  val round : t -> int
-
-  val messages : t -> int
-
-  (** Whether [t] uses the flat representation (observably equivalent;
-      exposed for tests and diagnostics). *)
-  val is_flat : t -> bool
-
-  (** [fingerprint t] is a digest of the whole execution state (node
-      states, in-flight messages, outputs).  Equal fingerprints imply
-      structurally equal states — two executions with equal fingerprints
-      behave identically under equal future inputs — so searches over bit
-      assignments can deduplicate branches.  (Unequal fingerprints do not
-      imply unequal states; missing a duplicate only costs time.
-      Fingerprints are only comparable between states of the same
-      representation — searches never mix the two.) *)
-  val fingerprint : t -> string
-
-  (** A dedup key with the same contract as {!fingerprint} (equal keys
-      imply structurally equal states) but cheaper to build: for flat
-      states it aliases the state's own immutable arenas instead of
-      marshaling them to a string.  Hash with {!module-Key}. *)
+  (** A dedup key for the whole execution state (node states and
+      in-flight messages): equal keys if and only if the states are
+      structurally equal, so two executions with equal keys behave
+      identically under equal future inputs.  It aliases the state's own
+      immutable arena, with its hash precomputed.  Hash with
+      {!module-Key}. *)
   type key
 
   val dedup_key : t -> key
@@ -219,17 +188,17 @@ module Incremental : sig
   module Key : Hashtbl.HashedType with type t = key
 
   (** Probe/commit stepping for dedup-heavy searches.  [probe_vec t ~bits]
-      performs the round of {!step} but, for flat states, writes the
-      child arena into a reusable per-domain buffer instead of a fresh
-      allocation; {!probe_key} then gives a dedup key for a seen-set
-      membership test, and {!probe_commit} materializes the stable child
-      state (plus a stable key safe to retain) only when the caller
-      decides to keep it.  A probe — and its [probe_key] — is invalidated
-      by the next [probe_vec] call on the same domain, so check membership
-      before probing again and never store a probe key in a table.
-      Duplicate children (the common case on symmetric graphs) thus cost
-      no allocation at all.  For boxed states a probe is simply the fully
-      stepped state. *)
+      performs one round — bit [v] of [bits] is node [v]'s random bit —
+      writing the child arena into a reusable per-domain buffer instead
+      of a fresh allocation; {!probe_key} then gives a dedup key for a
+      seen-set membership test, and {!probe_commit} materializes the
+      stable child state (plus a stable key safe to retain) only when the
+      caller decides to keep it.  A probe — and its [probe_key] — is
+      invalidated by the next [probe_vec] call on the same domain, so
+      check membership before probing again and never store a probe key
+      in a table.  Duplicate children (the common case on symmetric
+      graphs) thus cost no allocation at all.
+      @raise Invalid_argument on a wrong vector length. *)
   type probe
 
   val probe_vec : t -> bits:Anonet_graph.Bitvec.t -> probe
@@ -241,19 +210,16 @@ module Incremental : sig
   (** The stable child state and a stable (retainable) dedup key for it. *)
   val probe_commit : probe -> t * key
 
-  (** Per-node sensitivity of the *next* round to each node's random bit:
-      bit [v] of the result is clear iff both settings of node [v]'s bit
-      — all other bits held fixed — provably yield the identical successor
+  (** Per-node sensitivity of the {e next} round to each node's random
+      bit: bit [v] of the result is clear iff both settings of node [v]'s
+      bit — all other bits held fixed — yield the identical successor
       execution state (same successor state for [v] and the same messages
-      on [v]'s out-ports; within one synchronous round a node's bit cannot
-      influence any other node's transition, so sensitivity factors per
-      node).  A search may therefore pin every clear bit to a canonical
-      value without losing any reachable outcome.  Conservative in the
-      sound direction only: a set bit may be a false positive (the boxed
-      path compares serialized representations), a clear bit is always a
-      proof.  Defined over the fault-free synchronous semantics — do not
-      use it to prune executions driven by fault/scramble/adversary
-      hooks.  Cost: two single-node transition re-runs per node into
-      per-domain scratch (≈ one full {!step} per call). *)
+      on [v]'s out-ports; within one synchronous round a node's bit
+      cannot influence any other node's transition, so sensitivity
+      factors per node).  Exact in both directions, because the flat
+      encoding is injective: a search may pin every clear bit to a
+      canonical value without losing any reachable outcome.  Cost: two
+      single-node transition re-runs per node into per-domain scratch
+      (≈ one round per call). *)
   val bit_sensitivity : t -> Anonet_graph.Bitvec.t
 end

@@ -14,9 +14,10 @@ let fixed bits = Fixed (Array.copy bits)
 let zero = Zero
 
 (* Counter-mode splitmix: derive the bit from (seed, node, round) so the
-   tape supports random access and is reproducible. *)
+   tape supports random access and is reproducible.  [Prng.first_bool]
+   builds no generator, so filling a round's bits allocates nothing. *)
 let random_bit seed ~node ~round =
-  Prng.bool (Prng.create ((seed * 1_000_003) + (node * 7_919) + round))
+  Prng.first_bool ((seed * 1_000_003) + (node * 7_919) + round)
 
 let bit t ~node ~round =
   match t with

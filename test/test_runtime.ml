@@ -127,6 +127,25 @@ let test_tape_fixed () =
   check_int "horizon" 1 (Tape.horizon t ~nodes:2);
   check_int "zero horizon" max_int (Tape.horizon Tape.zero ~nodes:5)
 
+(* The counter-mode tape is splitmix64 seeded per (seed, node, round):
+   its bits are fixed, whatever computes them. *)
+let test_tape_random_bits_pinned () =
+  List.iter
+    (fun seed ->
+      let t = Tape.random ~seed in
+      let bits = Bitvec.create 40 in
+      for round = 1 to 12 do
+        check "fill succeeds" true (Tape.fill t ~round bits);
+        for node = 0 to 39 do
+          let expected =
+            Prng.bool (Prng.create ((seed * 1_000_003) + (node * 7_919) + round))
+          in
+          Alcotest.(check (option bool)) "bit" (Some expected) (Tape.bit t ~node ~round);
+          check "fill" expected (Bitvec.get bits node)
+        done
+      done)
+    [ 0; 1; 5; 31337; -9 ]
+
 (* ---------- Executor ---------- *)
 
 let test_executor_runs () =
@@ -180,26 +199,64 @@ let test_executor_rejects_revocation () =
 
 (* ---------- Incremental ---------- *)
 
+(* Searches branch: a state stepped twice from the same parent yields
+   two independent children, each what the driver computes for its own
+   bits, and the parent is untouched. *)
 let test_incremental_persistence () =
-  let g = Gen.path 2 in
-  let step e bits = Executor.Incremental.step e ~bits:(Bitvec.of_bool_array bits) in
-  let e0 = Executor.Incremental.start bit_collector g in
-  let e1 = step e0 [| true; false |] in
+  let g = Gen.path 3 in
+  let mis = Anonet_algorithms.Rand_mis.algorithm in
+  let step e bits =
+    fst
+      (Executor.Incremental.probe_commit
+         (Executor.Incremental.probe_vec e ~bits:(Bitvec.of_bool_array bits)))
+  in
+  let driven rows =
+    (Anonet.Simulation.run ~solver:mis g ~bits:(Array.map Bits.of_string rows))
+      .Anonet.Simulation.outputs
+  in
+  let outputs = Alcotest.(array (option (testable Label.pp Label.equal))) in
+  let e0 = Executor.Incremental.start mis g in
+  let e1 = step e0 [| true; false; false |] in
+  let key1 = Executor.Incremental.dedup_key e1 in
   (* branch: from e1, two different second rounds *)
-  let e2a = step e1 [| true; true |] in
-  let e2b = step e1 [| false; false |] in
-  let e3a = step e2a [| true; true |] in
-  let e3b = step e2b [| false; false |] in
-  check "branch a done" true (Executor.Incremental.all_output e3a);
-  check "branch b done" true (Executor.Incremental.all_output e3b);
-  let out3a = Executor.Incremental.outputs e3a in
-  let out3b = Executor.Incremental.outputs e3b in
-  check "branch a sees its bits" true
-    (Label.equal (Option.get out3a.(0)) (Label.Bits (Bits.of_string "111")));
-  check "branch b sees its bits" true
-    (Label.equal (Option.get out3b.(0)) (Label.Bits (Bits.of_string "100")));
-  check_int "round counter" 3 (Executor.Incremental.round e3a);
-  check_int "e1 unchanged" 1 (Executor.Incremental.round e1)
+  let e2a = step e1 [| true; true; true |] in
+  let e2b = step e1 [| false; true; false |] in
+  let e3a = step e2a [| true; false; true |] in
+  let e3b = step e2b [| false; false; false |] in
+  Alcotest.check outputs "branch a" (driven [| "111"; "010"; "011" |])
+    (Executor.Incremental.outputs e3a);
+  Alcotest.check outputs "branch b" (driven [| "100"; "010"; "000" |])
+    (Executor.Incremental.outputs e3b);
+  check "branches differ" false
+    (Executor.Incremental.Key.equal
+       (Executor.Incremental.dedup_key e3a)
+       (Executor.Incremental.dedup_key e3b));
+  check "e1 unchanged" true
+    (Executor.Incremental.Key.equal key1 (Executor.Incremental.dedup_key e1));
+  Alcotest.check outputs "e1 outputs" (driven [| "1"; "0"; "0" |])
+    (Executor.Incremental.outputs e1)
+
+(* A hook-free run on the in-place flat machine allocates nothing per
+   node: the minor words of 24 rounds less those of 4 stay under a small
+   constant per round, on a graph of thousands of nodes. *)
+let test_flat_round_allocates_nothing () =
+  let g = Gen.torus 60 60 in
+  let mis = Anonet_algorithms.Rand_mis.algorithm in
+  let run max_rounds =
+    let before = Gc.minor_words () in
+    let rounds =
+      match Executor.run mis g ~tape:(Tape.random ~seed:3) ~max_rounds with
+      | Ok o -> o.Executor.rounds
+      | Error (Executor.Max_rounds_exceeded r) -> r
+      | Error f -> Alcotest.failf "%a" Executor.pp_failure f
+    in
+    rounds, Gc.minor_words () -. before
+  in
+  let r4, w4 = run 4 and r24, w24 = run 24 in
+  check "at least 10 rounds measured" true (r24 - r4 >= 10);
+  let per_round = (w24 -. w4) /. float_of_int (r24 - r4) in
+  if per_round > 64.0 then
+    Alcotest.failf "%.0f minor words per round on %d nodes" per_round (Graph.n g)
 
 (* Never outputs: for exercising the Las-Vegas failure paths. *)
 let never : Algorithm.t =
@@ -574,6 +631,7 @@ let () =
         [
           Alcotest.test_case "random deterministic" `Quick test_tape_random_deterministic;
           Alcotest.test_case "fixed" `Quick test_tape_fixed;
+          Alcotest.test_case "random bits pinned" `Quick test_tape_random_bits_pinned;
         ] );
       ( "executor",
         [
@@ -583,6 +641,8 @@ let () =
           Alcotest.test_case "tape exhaustion" `Quick test_executor_tape_exhaustion;
           Alcotest.test_case "max rounds" `Quick test_executor_max_rounds;
           Alcotest.test_case "rejects revocation" `Quick test_executor_rejects_revocation;
+          Alcotest.test_case "flat round allocates nothing" `Quick
+            test_flat_round_allocates_nothing;
         ] );
       ( "incremental",
         [ Alcotest.test_case "persistent branching" `Quick test_incremental_persistence ] );
