@@ -221,7 +221,7 @@ let bench_tests () =
           (Staged.stage (fun () -> Interned.size k8v));
         Test.make ~name:"uc-classes-petersen-d8"
           (Staged.stage (fun () -> Universal_cover.classes_at_depth pet 8));
-        Test.make ~name:"encode-canonical-c12"
+        Test.make ~name:"encode-stream-c12"
           (Staged.stage (fun () -> View_graph.encoding vg));
       ]
   in
@@ -668,9 +668,9 @@ let metrics_snapshot_json () =
   (match A_star.solve ~ctx ~gran:Bundles.mis (c6_instance ()) () with
   | Ok _ -> ()
   | Error m -> failwith m);
-  (* Process-lifetime cache totals (the cache.view and cache.encode
-     counter families) join the snapshot; published exactly once per
-     registry, right before it. *)
+  (* Process-lifetime view-interning totals (the cache.view counter
+     family) join the snapshot; published exactly once per registry,
+     right before it. *)
   Interned.publish_metrics obs;
   String.trim (Metrics.render_json (Metrics.snapshot registry))
 

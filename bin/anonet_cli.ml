@@ -109,8 +109,8 @@ let with_obs metrics events f =
         (match metrics with
          | None -> ()
          | Some fmt ->
-           (* Fold the process-lifetime cache totals (the cache.view and
-              cache.encode families) into the registry — once, right before
+           (* Fold the process-lifetime view-interning totals (the
+              cache.view family) into the registry — once, right before
               the snapshot. *)
            Anonet_views.Interned.publish_metrics obs;
            (match fmt with
@@ -139,6 +139,12 @@ let views_cmd =
       | None -> g
       | Some c -> Problem.attach_coloring g (parse_coloring g c)
     in
+    if depth < 1 then
+      failwith (Printf.sprintf "anonet views: bad --depth %d (want N >= 1)" depth);
+    if root < 0 || root >= Graph.n g then
+      failwith
+        (Printf.sprintf "anonet views: bad --root %d (want 0 <= N < %d)" root
+           (Graph.n g));
     print_string
       (Anonet_views.View.to_string (Anonet_views.View.of_graph g ~root ~depth))
   in
@@ -406,6 +412,10 @@ let norris_cmd =
 let stoneage_cmd =
   let run problem spec seed palette =
     let g = parse_graph spec in
+    (match palette with
+     | Some p when p < 1 ->
+       failwith (Printf.sprintf "anonet stoneage: bad --palette %d (want N >= 1)" p)
+     | _ -> ());
     let machine =
       match problem with
       | "mis" -> Anonet_stoneage.Mis.machine
@@ -581,10 +591,11 @@ let main =
     [ views_cmd; factor_cmd; solve_cmd; derandomize_cmd; decouple_cmd; norris_cmd;
       stoneage_cmd; experiments_cmd; serve_cmd; client_cmd ]
 
-(* Spec errors — from argument parsing deep inside a run — are user
-   errors, not crashes: report the message alone and exit 1. *)
+(* Spec errors — from argument parsing deep inside a run — and files that
+   cannot be opened ([--events], a client's job file) are user errors, not
+   crashes: report the message alone and exit 1. *)
 let () =
   try exit (Cmd.eval ~catch:false main) with
-  | Runner.Bad_spec m | Failure m ->
+  | Runner.Bad_spec m | Failure m | Sys_error m ->
     prerr_endline m;
     exit 1

@@ -46,57 +46,38 @@
     asserts this directly.  Cache traffic is published on the context's
     registry as [cache.search.hits] / [cache.search.misses] /
     [cache.search.evictions] / [cache.search.resumed_levels] (the BFS
-    levels skipped by warm starts) / [cache.search.floor_hits] (handles
-    kept alive past shallower targets by their hardened lower bound —
-    {!Min_search.Resumable.floor} proves those targets return [None]
-    without a rebuild). *)
+    levels skipped by warm starts).  Each {!solve} builds a fresh
+    algorithm value, so the cache serves exactly one run. *)
 
-(** [make ?ctx ~gran ()] builds [A*] for the given GRAN bundle.  The
-    resulting algorithm expects [Π^c]-style instances (labels [<i, c>]
-    with [c] a 2-hop coloring); on other inputs no candidate ever passes
-    validation and the algorithm never produces outputs.
+(** [solve ?ctx ~gran g ()] runs [A*] for the GRAN bundle [gran] on the
+    [Π^c]-instance [g] (labels [<i, c>] with [c] a 2-hop coloring; on
+    other inputs no candidate ever passes validation and no node ever
+    outputs) to completion under the synchronous executor, with a
+    constant-zero tape: [A*] is deterministic and ignores its random
+    bits.  Timed under an [a_star.solve] span.
 
-    [ctx] is captured by the algorithm's phase computations: its
-    observability handle receives the [search.*], [sim.*] and
-    [cache.search.*] metrics and the [a_star.update_bits] events.  The
-    Update-Bits searches run sequentially, inside each node's phase
-    computation.
+    [ctx] is threaded both into the executor and into the phase
+    computations: its observability handle receives the [search.*],
+    [sim.*] and [cache.search.*] metrics and the [a_star.update_bits]
+    events.  The Update-Bits searches run sequentially, inside each
+    node's phase computation, each bounded at [1_000_000] states
+    (cumulative over a warm handle's lifetime).
 
-    @param max_search_states per-search frontier bound (default
-    [1_000_000]); for warm searches the bound is cumulative over a
-    handle's lifetime.
+    @param max_rounds round budget (default [4 * (n + 4)^2], generous for
+    the quadratic phase schedule).
     @param incremental enable the cross-phase cache (default [true]; the
     cold path is kept for ablation and for the equivalence tests).
     @param search_cache_cap bound on live cache entries (default [32]).
     @param pruning core-guided pruning for the Update-Bits searches
     (default [true]; see {!Min_search.minimal_successful} —
-    value-identical either way, kept for ablation). *)
-val make :
-  ?ctx:Anonet_runtime.Run_ctx.t ->
-  gran:Anonet_problems.Gran.t ->
-  ?max_search_states:int ->
-  ?incremental:bool ->
-  ?search_cache_cap:int ->
-  ?pruning:bool ->
-  unit ->
-  Anonet_runtime.Algorithm.t
-
-(** [solve ?ctx ~gran g ()] runs [A*] on the [Π^c]-instance [g] to
-    completion under the synchronous executor (with a constant-zero tape:
-    [A*] is deterministic and ignores its random bits), timed under an
-    [a_star.solve] span.  [ctx] is threaded both into the executor and
-    into the phase computations (see {!make}).
-
-    @param max_rounds round budget (default [4 * (n + 4)^2], generous for
-    the quadratic phase schedule).
+    value-identical either way, kept for ablation).
     @return [Error] if the executor fails (round budget, …) or if an
     Update-Bits search hits its state/branching limits — rendered by
     {!Min_search.catch_limits}, with the same text {!A_infinity.solve}
     returns.
     @raise Invalid_argument if [gran.solver] has no registered
     {!Anonet_runtime.Algorithm.Flat} companion (every solver in
-    [Bundles.all] has one): its Update-Bits search cannot run.  The
-    algorithm {!make} builds raises the same when it first searches. *)
+    [Bundles.all] has one): its Update-Bits search cannot run. *)
 val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->

@@ -2,8 +2,6 @@ module Bits = Anonet_graph.Bits
 
 type t = Bits.t array
 
-let make n ~len = Array.make n (Bits.zero len)
-
 let empty n = Array.make n Bits.empty
 
 let min_length b =
@@ -46,8 +44,3 @@ let compare_round_major a b =
   end
 
 let lift ~map b = Array.map (fun c -> b.(c)) map
-
-let pp fmt b =
-  Format.fprintf fmt "@[<h>[%a]@]"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ";@ ") Bits.pp)
-    (Array.to_list b)

@@ -16,16 +16,8 @@
 type t = Anonet_graph.Bits.t array
 (** indexed by the canonical node order of the graph being simulated *)
 
-(** [uniform empty_of n] — [make n len]: [n] all-zero strings of length
-    [len]. *)
-val make : int -> len:int -> t
-
 (** All-empty assignment for [n] nodes. *)
 val empty : int -> t
-
-(** [min_length b] is the number of whole rounds [b] can feed — the length
-    of the induced simulation. *)
-val min_length : t -> int
 
 (** [max_length b] is the longest string in [b]. *)
 val max_length : t -> int
@@ -47,5 +39,3 @@ val compare_round_major : t -> t -> int
     product node [v] receives [b.(map.(v))] — how a simulation on the view
     graph induces an execution on the original graph (Section 2.3.2). *)
 val lift : map:int array -> t -> t
-
-val pp : Format.formatter -> t -> unit

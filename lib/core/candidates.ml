@@ -32,9 +32,9 @@ let quotient k ~q =
         (List.map (fun sub -> Interned.truncate sub ~depth:q) witnesses)
     in
     (* Interned ids make the class lookup O(1): equal trees have equal
-       ids, so the id-keyed table is exactly the former linear
-       [Interned.equal] scan.  [quotient] runs once per depth per phase
-       and looks up every witness and every witness child. *)
+       ids, so an id-keyed table finds every tree's class.  [quotient]
+       runs once per depth per phase and looks up every witness and every
+       witness child. *)
     let index = Hashtbl.create 16 in
     List.iteri
       (fun i (t : Interned.t) -> Hashtbl.replace index (Interned.id t) i)

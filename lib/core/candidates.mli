@@ -58,10 +58,6 @@ val literal_candidates :
   is_instance:(Anonet_graph.Graph.t -> bool) ->
   t list
 
-(** [strip_b g] removes the [b] component of the composite labels
-    [<<i, c>, b>], recovering the [Π^c]-style instance. *)
-val strip_b : Anonet_graph.Graph.t -> Anonet_graph.Graph.t
-
 (** [assignment_of g] extracts the [b] components as a bit assignment.
     @raise Invalid_argument if labels are not of the composite form. *)
 val assignment_of : Anonet_graph.Graph.t -> Bit_assignment.t

@@ -411,17 +411,10 @@ module Resumable = struct
     outputs : Anonet_graph.Label.t option array;
   }
 
-  (* [floor] is the lower-bound hardening: the largest [len] for which
-     [extend ~len] is known to return [None] (every level [<= floor] was
-     fully expanded with no success recorded at the time).  Later
-     [extend] targets at or below it short-circuit without touching the
-     frontier — even after the frontier has advanced past them, where
-     the pre-floor handle had to refuse the query. *)
   type t = {
     bfs : bfs;
     best : success option ref;
     consider : entry -> int -> bool;
-    mutable floor : int;
   }
 
   let compare_success ~base a b =
@@ -459,21 +452,23 @@ module Resumable = struct
          sensitivity cores apply here, never the subsumption table. *)
       bfs_start ~obs:(Run_ctx.obs ctx) ~solver g ~base ~max_states ~pruning ~subsume:false ~consider
     in
-    { bfs; best; consider; floor = -1 }
+    { bfs; best; consider }
 
   let level t = t.bfs.level
 
   let states_explored t = t.bfs.explored
 
-  let floor t = t.floor
-
   let extend t ~len =
     let bfs = t.bfs in
     if Bit_assignment.max_length bfs.base > len then
       invalid_arg "Min_search: base longer than exact target";
-    if len <= t.floor then None
-    else if len < bfs.level then
+    if len < bfs.level then
       invalid_arg "Min_search.Resumable.extend: target below explored level"
+    else if len = bfs.level && Option.is_none !(t.best) then
+      (* Level [len] is fully expanded and recorded no success: there is
+         nothing to expand and nothing to complete.  A*'s node classes
+         that select one candidate ask for the same phase in turn. *)
+      None
     else
       Obs.span bfs.obs "min_search.extend" (fun () ->
         Fun.protect ~finally:(fun () -> Obs.set bfs.frontier_g 0) @@ fun () ->
@@ -481,20 +476,12 @@ module Resumable = struct
           if expand_level bfs ~consider:t.consider = Truncated then
             raise Search_limit_exceeded
         done;
-        match !(t.best) with
-        | None ->
-          (* Every level up to [len] is now fully expanded with no
-             success: harden the lower bound for later targets. *)
-          t.floor <- max t.floor len;
-          None
-        | Some s ->
-          let assignment =
-            complete ~base:bfs.base ~rev_rounds:s.rev_rounds
-              ~level:s.found_level ~len
-          in
-          Some
+        Option.map
+          (fun s ->
             {
-              assignment;
+              assignment =
+                complete ~base:bfs.base ~rev_rounds:s.rev_rounds
+                  ~level:s.found_level ~len;
               sim =
                 {
                   Simulation.successful = true;
@@ -503,4 +490,5 @@ module Resumable = struct
                 };
               states_explored = bfs.explored;
             })
+          !(t.best))
 end

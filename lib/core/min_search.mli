@@ -156,22 +156,18 @@ module Resumable : sig
       [minimal_successful ~len:(Exactly len)] would report. *)
   val states_explored : t -> int
 
-  (** Lower-bound hardening: the largest [len] for which this handle has
-      proven [extend ~len = None] — every level up to it fully expanded
-      with no success recorded.  [-1] when nothing is proven yet.
-      Monotone over the handle's lifetime; [extend] targets at or below
-      the floor are answered [None] without touching the frontier, even
-      below [level t]. *)
-  val floor : t -> int
-
   (** [extend t ~len] advances the frontier to level [len] (a no-op if
       already there) and returns the minimal successful [len]-extension,
       exactly as the cold [Exactly len] search would.  Timed under a
-      [min_search.extend] span; the [search.frontier] gauge is reset on
-      every exit.
-      @raise Invalid_argument if [floor t < len < level t] (the frontier
-      has advanced past a target the floor cannot answer), or if some
-      [base] string is longer than [len].
+      [min_search.extend] span — except when [len = level t] and no
+      success is recorded: then the answer is [None] at once, with no
+      span (the node classes of one [A*] phase that share a candidate
+      ask for the same [len] in turn).  The [search.frontier] gauge is
+      reset on every exit from the span.
+      @raise Invalid_argument if [len < level t] (the frontier has
+      advanced past the target; [A*]'s phases never ask for a shorter
+      target than an earlier phase), or if some [base] string is longer
+      than [len].
       @raise Search_limit_exceeded / Branching_limit_exceeded as the
       cold search would; the handle is dead afterwards. *)
   val extend : t -> len:int -> found option

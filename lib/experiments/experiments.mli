@@ -3,10 +3,10 @@
     EXPERIMENTS.md.  Each experiment computes a structured {!output} —
     a list of {!row}s with typed fields — and asserts its own invariants
     (a failed claim raises).  {e Printing is the caller's job}: {!render}
-    reproduces the historical stdout format byte-for-byte, so
-    [render stdout] after [run] is exactly the old behavior, while
-    programmatic consumers (the benchmark JSON, the event stream, tests)
-    read the fields instead of re-parsing text.
+    prints the experiment's text tables (what [anonet experiments] shows
+    and EXPERIMENTS.md records), while programmatic consumers (the
+    benchmark JSON, the event stream, tests) read the fields instead of
+    re-parsing text.
 
     Ids: [f1] [f2] [f3] (the figures), [t2] [t3] (theorems), [lemmas],
     [a1] [a2] [a3] [a4] (ablations), [e1] [e2] (extensions), [r1]

@@ -52,8 +52,6 @@ let compare a b =
 
 let equal = String.equal
 
-let hash = Hashtbl.hash
-
 let zero n = String.make n '0'
 
 let of_int ~width x =

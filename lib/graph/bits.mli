@@ -57,8 +57,6 @@ val compare_lex : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 (** [zero n] is the all-zero bitstring of length [n]. *)
 val zero : int -> t
 

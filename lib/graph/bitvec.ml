@@ -45,24 +45,7 @@ let clear t = Bytes.fill t.data 0 (Bytes.length t.data) '\000'
 
 let copy t = { len = t.len; data = Bytes.copy t.data }
 
-let blit ~src ~dst =
-  if src.len <> dst.len then invalid_arg "Bitvec.blit: length mismatch";
-  Bytes.blit src.data 0 dst.data 0 (Bytes.length src.data)
-
 let of_bool_array a =
   let t = create (Array.length a) in
   Array.iteri (fun i b -> if b then unsafe_set t i true) a;
   t
-
-let to_bool_array t = Array.init t.len (fun i -> unsafe_get t i)
-
-let equal a b = a.len = b.len && Bytes.equal a.data b.data
-
-(* The padding bits above [len] are kept zero by construction, so the raw
-   bytes are a canonical key for hashing/dedup. *)
-let hash t = Hashtbl.hash t.data
-
-let pp fmt t =
-  for i = 0 to t.len - 1 do
-    Format.pp_print_char fmt (if unsafe_get t i then '1' else '0')
-  done

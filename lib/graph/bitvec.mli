@@ -30,16 +30,4 @@ val clear : t -> unit
 
 val copy : t -> t
 
-(** [blit ~src ~dst] overwrites [dst] with [src]'s bits.
-    @raise Invalid_argument on length mismatch. *)
-val blit : src:t -> dst:t -> unit
-
 val of_bool_array : bool array -> t
-
-val to_bool_array : t -> bool array
-
-val equal : t -> t -> bool
-
-val hash : t -> int
-
-val pp : Format.formatter -> t -> unit

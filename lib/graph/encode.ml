@@ -41,8 +41,11 @@ let compare_sized (n1, s1) (n2, s2) =
    order [to_string] reaches by materializing and sorting the edge list —
    so the encoding of a million-node graph costs one buffer, no tuples.
    Byte-identical to [to_string ~order:identity]; graphs with permuted
-   (unsorted) ports fall back to the sorting path. *)
-let canonical_uncached g =
+   (unsorted) ports fall back to the sorting path.  Not memoized: the
+   candidate order of Section 3.1 encodes each candidate once, when
+   [Candidates] builds it, and A*'s process-wide candidate memo keeps the
+   result. *)
+let canonical g =
   let n = Graph.n g in
   if not (Graph.ports_sorted g) then
     to_string g ~order:(Array.init n (fun i -> i))
@@ -68,103 +71,9 @@ let canonical_uncached g =
     Buffer.contents buf
   end
 
-(* ---------- identity-keyed canonical-encoding cache ---------- *)
-
-(* The candidate order of Section 3.1 re-encodes the same graph values many
-   times ((size, encoding) comparisons in Candidates / A* / A∞).  Encoding is
-   a pure function of the graph, so a cache keyed by Graph.id — process
-   unique, never reused — can never go stale; the only policy needed is a
-   size cap.  At the cap the least-recently-used {e quartile} is evicted in
-   one scan (entries are stamped with a logical clock on every touch; the
-   scan sorts by stamp and drops the oldest fourth).  Evicting a quartile keeps
-   the hot working set resident — under the former epoch reset, a single
-   insert past the cap forced every live candidate encoding to be
-   recomputed — while amortizing the scan to O(log cap) per insert: graph
-   ids are freshened at every candidate construction, so insert pressure is
-   constant and a scan-per-insert policy would quadratically dominate the
-   encode path.  The mutex makes the cache safe under the domain pool; the
-   encoding itself is computed outside the lock, so a race at worst
-   duplicates work. *)
-type cache_entry = {
-  enc : string;
-  mutable stamp : int;  (* LRU clock tick of the last use; under the mutex *)
-}
-
-let cache : (int, cache_entry) Hashtbl.t = Hashtbl.create 256
-
-let cache_mutex = Mutex.create ()
-
-let cache_cap = 16_384
-
-let cache_clock = ref 0
-
-let cache_hits = Atomic.make 0
-
-let cache_misses = Atomic.make 0
-
-let cache_evictions = Atomic.make 0
-
 type cache_stats = {
   hits : int;
   misses : int;
-  entries : int;
-  evictions : int;
 }
 
-let cache_stats () =
-  Mutex.lock cache_mutex;
-  let entries = Hashtbl.length cache in
-  Mutex.unlock cache_mutex;
-  {
-    hits = Atomic.get cache_hits;
-    misses = Atomic.get cache_misses;
-    entries;
-    evictions = Atomic.get cache_evictions;
-  }
-
-(* Must hold [cache_mutex]. *)
-let evict_lru_locked () =
-  let m = Hashtbl.length cache in
-  if m > 0 then begin
-    let arr = Array.make m (0, 0) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun key e ->
-        arr.(!i) <- key, e.stamp;
-        incr i)
-      cache;
-    Array.sort (fun (_, a) (_, b) -> Int.compare a b) arr;
-    let drop = max 1 (m / 4) in
-    for j = 0 to drop - 1 do
-      Hashtbl.remove cache (fst arr.(j))
-    done;
-    ignore (Atomic.fetch_and_add cache_evictions drop)
-  end
-
-let canonical g =
-  let key = Graph.id g in
-  Mutex.lock cache_mutex;
-  let cached =
-    match Hashtbl.find_opt cache key with
-    | Some e ->
-      incr cache_clock;
-      e.stamp <- !cache_clock;
-      Some e.enc
-    | None -> None
-  in
-  Mutex.unlock cache_mutex;
-  match cached with
-  | Some s ->
-    Atomic.incr cache_hits;
-    s
-  | None ->
-    Atomic.incr cache_misses;
-    let s = canonical_uncached g in
-    Mutex.lock cache_mutex;
-    if not (Hashtbl.mem cache key) then begin
-      if Hashtbl.length cache >= cache_cap then evict_lru_locked ();
-      incr cache_clock;
-      Hashtbl.replace cache key { enc = s; stamp = !cache_clock }
-    end;
-    Mutex.unlock cache_mutex;
-    s
+let cache_stats () = { hits = 0; misses = 0 }

@@ -16,24 +16,18 @@ val to_string : Graph.t -> order:int array -> string
     graphs: first by node count, then lexicographically by encoding. *)
 val compare_sized : int * string -> int * string -> int
 
-(** [canonical g] is [to_string g ~order:identity], memoized by {!Graph.id}.
-    This is the encoding the [(size, encoding)] candidate order of
-    Section 3.1 consumes; the cache makes repeated candidate comparisons of
-    the same graph value O(1) after the first.  Domain-safe (mutex-guarded);
-    entries are invalidation-free because ids are process-unique and never
-    reused — at the size cap the least-recently-used quartile is evicted in
-    one amortized scan (counted in {!cache_stats}[.evictions]), so the hot
-    working set stays resident. *)
+(** [canonical g] is [to_string g ~order:identity] — the encoding the
+    [(size, encoding)] candidate order of Section 3.1 consumes.  Sorted
+    graphs stream it straight off the adjacency; graphs with permuted
+    ports take the sorting path. *)
 val canonical : Graph.t -> string
 
 type cache_stats = {
-  hits : int;  (** [canonical] calls answered from the cache *)
-  misses : int;  (** [canonical] calls that encoded *)
-  entries : int;  (** current table size *)
-  evictions : int;  (** entries dropped at the size cap (LRU-quartile victims) *)
+  hits : int;
+  misses : int;
 }
 
-(** Process-lifetime totals for the {!canonical} cache (reported as
-    [cache.encode.*] in the metrics registry, see
-    {!Anonet_views.Interned.publish_metrics}). *)
+(** Always [{hits = 0; misses = 0}]: {!canonical} keeps no cache.  Kept
+    for the benchmark's [encode.cache_hit_ratio] column, which reads
+    these two fields. *)
 val cache_stats : unit -> cache_stats

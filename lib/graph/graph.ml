@@ -6,22 +6,12 @@
    [permute_ports] — lookups ([port_to], [has_edge]) binary-search when
    they can and fall back to a linear scan when they cannot. *)
 type t = {
-  id : int; (* process-unique identity token, see [id] in the interface *)
   n : int;
   offsets : int array; (* length n + 1; offsets.(n) = total directed slots *)
   nbr : int array; (* flat neighbor array, nbr.(offsets.(v) + port) *)
   sorted : bool; (* every port slice sorted ascending? *)
   labels : Label.t array;
 }
-
-(* Every construction — including the functional updates below — allocates a
-   fresh id: derived graphs carry different labels/ports, so an identity
-   keyed cache must never see them share a key. *)
-let id_counter = Atomic.make 0
-
-let fresh_id () = Atomic.fetch_and_add id_counter 1
-
-let id g = g.id
 
 (* In-place sort of nbr.[lo, hi): insertion sort for the short slices that
    dominate (sparse graphs), median-of-three quicksort above that.  The
@@ -104,8 +94,6 @@ module Builder = struct
     b.ev.(b.m) <- v;
     b.m <- b.m + 1
 
-  let edges_added b = b.m
-
   let build_with_labels b labels =
     let n = b.bn in
     let off = Array.make (n + 1) 0 in
@@ -138,7 +126,7 @@ module Builder = struct
             (Printf.sprintf "Graph.create: duplicate edge (%d, %d)" v nbr.(k))
       done
     done;
-    { id = fresh_id (); n; offsets = off; nbr; sorted = true; labels }
+    { n; offsets = off; nbr; sorted = true; labels }
 
   let build b ~labels =
     if Array.length labels <> b.bn then
@@ -239,23 +227,19 @@ let edges g =
 
 let num_edges g = g.offsets.(g.n) / 2
 
-let relabel g f = { g with id = fresh_id (); labels = Array.init g.n f }
+let relabel g f = { g with labels = Array.init g.n f }
 
 let with_labels g labels =
   if Array.length labels <> g.n then
     invalid_arg "Graph.with_labels: wrong label array length";
-  { g with id = fresh_id (); labels = Array.copy labels }
+  { g with labels = Array.copy labels }
 
-let map_labels g f = { g with id = fresh_id (); labels = Array.map f g.labels }
+let map_labels g f = { g with labels = Array.map f g.labels }
 
 let zip_labels g extra =
   if Array.length extra <> g.n then
     invalid_arg "Graph.zip_labels: wrong array length";
-  {
-    g with
-    id = fresh_id ();
-    labels = Array.mapi (fun v l -> Label.Pair (l, extra.(v))) g.labels;
-  }
+  { g with labels = Array.mapi (fun v l -> Label.Pair (l, extra.(v))) g.labels }
 
 let permute_ports g perms =
   if Array.length perms <> g.n then
@@ -280,7 +264,7 @@ let permute_ports g perms =
         still_sorted := false
     done
   done;
-  { g with id = fresh_id (); nbr = nbr'; sorted = g.sorted && !still_sorted }
+  { g with nbr = nbr'; sorted = g.sorted && !still_sorted }
 
 let fold_nodes g ~init ~f =
   let acc = ref init in
@@ -295,19 +279,11 @@ let iter_nodes g ~f =
   done
 
 let iter_edges g ~f =
-  (* Same order as [List.iter f (edges g)] historically produced: node
-     index ascending, ports descending within a node. *)
+  (* Node index ascending, ports descending within a node: the order
+     [Graph_io.save] writes edges in and [Lift] builds its copies in. *)
   for v = 0 to g.n - 1 do
     for k = g.offsets.(v + 1) - 1 downto g.offsets.(v) do
       let u = g.nbr.(k) in
       if v < u then f v u
     done
   done
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>graph on %d nodes, %d edges@," g.n (num_edges g);
-  iter_nodes g ~f:(fun v ->
-      Format.fprintf fmt "  %d [%a] ->" v Label.pp g.labels.(v);
-      iter_neighbors g v ~f:(fun u -> Format.fprintf fmt " %d" u);
-      Format.fprintf fmt "@,");
-  Format.fprintf fmt "@]"

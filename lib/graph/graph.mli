@@ -37,9 +37,6 @@ module Builder : sig
       (duplicates are detected at {!build} time). *)
   val add_edge : builder -> int -> int -> unit
 
-  (** [edges_added b] is the number of edges recorded so far. *)
-  val edges_added : builder -> int
-
   (** [build b ~labels] assembles the graph.  The builder stays usable.
       @raise Invalid_argument on duplicate edges or a label array of the
       wrong length. *)
@@ -80,14 +77,6 @@ val zip_labels : t -> Label.t array -> t
 val permute_ports : t -> int array array -> t
 
 (** {2 Accessors} *)
-
-(** [id g] is a process-unique identity token: every construction — including
-    the functional updates [relabel], [with_labels], [map_labels],
-    [zip_labels] and [permute_ports] — returns a graph with a fresh id.
-    Structurally equal graphs built separately have {e distinct} ids.  Meant
-    for identity-keyed caches (see {!Encode.canonical}); it carries no
-    structural information and the simulated algorithms never see it. *)
-val id : t -> int
 
 val n : t -> int
 
@@ -153,5 +142,3 @@ val fold_nodes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 val iter_nodes : t -> f:(int -> unit) -> unit
 
 val iter_edges : t -> f:(int -> int -> unit) -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -78,10 +78,6 @@ let to_bool = function
   | Bool b -> b
   | l -> invalid_arg ("Label.to_bool: not a bool: " ^ to_string l)
 
-let to_pair = function
-  | Pair (a, b) -> a, b
-  | l -> invalid_arg ("Label.to_pair: not a pair: " ^ to_string l)
-
 let to_list = function
   | List xs -> xs
   | l -> invalid_arg ("Label.to_list: not a list: " ^ to_string l)

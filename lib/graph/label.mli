@@ -61,10 +61,6 @@ val to_bits : t -> Bits.t
     @raise Invalid_argument otherwise. *)
 val to_bool : t -> bool
 
-(** [to_pair l] extracts both components of a pair.
-    @raise Invalid_argument otherwise. *)
-val to_pair : t -> t * t
-
 (** [to_list l] extracts a [List] payload.
     @raise Invalid_argument otherwise. *)
 val to_list : t -> t list

@@ -17,13 +17,6 @@ type t = {
   base : Graph.t;
 }
 
-(** [make base ~k ~perm] builds the [k]-lift where edge [(u, v)] (with
-    [u < v]) uses the permutation [perm (u, v)]: copy [(u, i)] is joined to
-    [(v, (perm (u, v)).(i))].
-    @raise Invalid_argument if some [perm e] is not a permutation of
-    [0 .. k-1]. *)
-val make : Graph.t -> k:int -> perm:(int * int -> int array) -> t
-
 (** [identity base ~k] is the trivial lift: [k] disjoint copies. *)
 val identity : Graph.t -> k:int -> t
 

@@ -47,8 +47,6 @@ let hash2 a b =
      OCaml's 63-bit native ints. *)
   Int64.to_int (Int64.shift_right_logical (mix z) 2)
 
-let split t = { state = mix (Int64.add (bits64 t) golden) }
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -22,9 +22,6 @@ val first_bool : int -> bool
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int
 
-(** [bits64 t] draws 64 fresh bits. *)
-val bits64 : t -> int64
-
 (** [float t] draws a uniform float in [0, 1) (53 bits of precision). *)
 val float : t -> float
 
@@ -32,9 +29,6 @@ val float : t -> float
     avalanche (splitmix finalizer applied to both words) — for deriving
     independent seeds from [(seed, index)] pairs. *)
 val hash2 : int -> int -> int
-
-(** [split t] derives an independent generator (for per-node streams). *)
-val split : t -> t
 
 (** [shuffle t arr] permutes [arr] in place, uniformly. *)
 val shuffle : t -> 'a array -> unit

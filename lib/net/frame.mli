@@ -36,14 +36,6 @@ type typ = Submit | Cancel | Event | Result | Error
 
 type t = { typ : typ; stream : int; payload : string }
 
-val magic : string
-(** ["ANET"]. *)
-
-val version : int
-
-val header_size : int
-(** 14 bytes. *)
-
 val max_payload : int
 (** 16 MiB. *)
 

@@ -21,7 +21,6 @@ type kind = Solve | Derandomize | Experiment
 type t = { kind : kind; pairs : (string * string) list }
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 val get : t -> string -> string option
 (** First binding of the key, if any. *)

@@ -370,11 +370,6 @@ let start ?(obs = Obs.null) ?domains ?(max_queue = 64) ?(send_timeout = 30.)
              ());
       Ok t
 
-let bound_port t =
-  match Unix.getsockname t.listen_fd with
-  | Unix.ADDR_INET (_, port) -> Some port
-  | Unix.ADDR_UNIX _ -> None
-
 let stop t =
   let first =
     Mutex.protect t.qlock (fun () ->

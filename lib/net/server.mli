@@ -53,9 +53,6 @@ val start :
     host or an address that cannot be bound is an [Error] with a
     human-readable diagnostic; nothing is left running in that case. *)
 
-val bound_port : t -> int option
-(** The actual TCP port — useful after binding port 0 in tests. *)
-
 val stop : t -> unit
 (** Stops accepting, drains running jobs, flushes each connection's
     outbox (bounded by [send_timeout] per write), joins every thread and

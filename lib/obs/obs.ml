@@ -20,8 +20,6 @@ let make ?metrics ?(events = Events.null) () =
 
 let live t = t.live
 let metrics t = t.metrics
-let events t = t.events
-
 let counter t name =
   match t.metrics with None -> None | Some m -> Some (Metrics.counter m name)
 

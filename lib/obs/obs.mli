@@ -25,7 +25,6 @@ val make : ?metrics:Metrics.t -> ?events:Events.t -> unit -> t
 
 val live : t -> bool
 val metrics : t -> Metrics.t option
-val events : t -> Events.t
 
 (** {1 Metric handles} — [None] on the null handle, so hot-path updates cost
     one branch. *)

@@ -38,8 +38,3 @@ val maximal_matching : Problem.t
     labeled graph is an instance; on yes-instances all nodes must output
     [Bool true], otherwise at least one node must output [Bool false]. *)
 val decision : name:string -> (Anonet_graph.Graph.t -> bool) -> Problem.t
-
-(** [is_valid_decision_output ~yes g o] is the validity predicate of
-    [decision] exposed directly. *)
-val is_valid_decision_output :
-  yes:bool -> Anonet_graph.Graph.t -> Anonet_graph.Label.t array -> bool

@@ -2,12 +2,11 @@
     can be configured with, threaded through the runtime and search entry
     points as [?ctx] (defaulting to {!default}).
 
-    Before this module, each concern was a separate optional argument
-    ([?scramble_seed ?faults ...]) threaded inconsistently through
-    [Executor], [Async], [Las_vegas], [Min_search], [A_infinity] and
-    [Experiments]; every new concern multiplied signatures.  A [Run_ctx.t]
-    is built once (typically by the CLI or the serve frontend) and passed
-    down whole; the legacy labelled-argument shims are gone.
+    One record instead of one optional argument per concern keeps the
+    signatures of [Executor], [Async], [Las_vegas], [Min_search],
+    [A_infinity] and [Experiments] fixed as concerns are added.  A
+    [Run_ctx.t] is built once (typically by the CLI or the serve
+    frontend) and passed down whole.
 
     The context is a pure description: it holds a fault {e plan}, not a
     stateful injector, so one context can be reused across runs and
@@ -58,11 +57,6 @@ val injector : t -> Faults.t option
 val adversary_instance : t -> Adversary.t option
 (** A {e fresh} stateful adversary for the context's adversary plan; same
     one-per-run contract as {!injector}. *)
-
-val scramble_of_seed :
-  int -> node:int -> degree:int -> round:int -> int array
-(** The canonical scramble derivation (the seed mixing is pinned by
-    regression tests). *)
 
 val scramble :
   t -> (node:int -> degree:int -> round:int -> int array) option

@@ -29,8 +29,6 @@ let num_arcs g = Array.fold_left (fun acc l -> acc + List.length l) 0 g.out
 
 let out_arcs g v = g.out.(v)
 
-let in_arcs g v = g.into.(v)
-
 let has_arc g u v color =
   List.exists (fun (w, c) -> w = v && Label.equal c color) g.out.(u)
 

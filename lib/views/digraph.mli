@@ -21,9 +21,6 @@ val num_arcs : t -> int
 (** [out_arcs g v] is the list of [(target, color)] pairs leaving [v]. *)
 val out_arcs : t -> int -> (int * Anonet_graph.Label.t) list
 
-(** [in_arcs g v] is the list of [(source, color)] pairs entering [v]. *)
-val in_arcs : t -> int -> (int * Anonet_graph.Label.t) list
-
 (** [has_arc g u v color] tests arc membership. *)
 val has_arc : t -> int -> int -> Anonet_graph.Label.t -> bool
 

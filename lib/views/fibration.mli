@@ -26,15 +26,6 @@ val directed_representation : Anonet_graph.Graph.t -> Digraph.t
 (** [swap_mate color] is the color involution [<a, b> -> <b, a>]. *)
 val swap_mate : Anonet_graph.Label.t -> Anonet_graph.Label.t
 
-(** [is_fibration ~total ~base ~map] checks that [map] is a surjective
-    (epimorphic) fibration from [total] to [base] in the
-    deterministic-coloring setting: it preserves arcs with their colors,
-    and for every node [v] of [total], the out-arcs of [v] biject onto the
-    out-arcs of [map v] color-for-color (the unique-lifting property
-    specialized to deterministic colorings).  Surjectivity is required so
-    that fibrations correspond exactly to factorizing maps. *)
-val is_fibration : total:Digraph.t -> base:Digraph.t -> map:int array -> bool
-
 (** [check_correspondence ~product ~factor ~map] verifies Section 4's
     claim on a concrete pair: [map] is a factorizing map between the
     2-hop colored graphs iff it is a fibration between their directed

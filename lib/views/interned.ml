@@ -1,21 +1,18 @@
 module Graph = Anonet_graph.Graph
 module Label = Anonet_graph.Label
-module Encode = Anonet_graph.Encode
 module Obs = Anonet_obs.Obs
 
 (* A view node is an integer handle [slot lsl shard_bits lor shard]; all node
    attributes (mark, size, depth, children) live in flat per-shard column
-   arrays instead of per-node records.  Two wins over the former record
-   representation: no box per view node (the whole store is a handful of
-   arrays the GC scans as units), and the intern table splits into
-   [shard_count] independently locked shards, so concurrent interning by
-   pool workers contends only when two structures hash to the same shard. *)
+   arrays instead of per-node records, for two reasons: no box per view
+   node (the whole store is a handful of arrays the GC scans as units),
+   and the intern table splits into [shard_count] independently locked
+   shards, so concurrent interning by pool workers contends only when two
+   structures hash to the same shard. *)
 
 type t = int
 
 let equal (a : t) (b : t) = Int.equal a b
-
-let hash (t : t) = t
 
 let id (t : t) = t
 
@@ -400,10 +397,5 @@ let publish_metrics obs =
     let s = stats () in
     Obs.incr ~by:s.hits (Obs.counter obs "cache.view.hits");
     Obs.incr ~by:s.misses (Obs.counter obs "cache.view.misses");
-    Obs.set (Obs.gauge obs "cache.view.nodes") s.nodes;
-    let e = Encode.cache_stats () in
-    Obs.incr ~by:e.Encode.hits (Obs.counter obs "cache.encode.hits");
-    Obs.incr ~by:e.Encode.misses (Obs.counter obs "cache.encode.misses");
-    Obs.incr ~by:e.Encode.evictions (Obs.counter obs "cache.encode.evictions");
-    Obs.set (Obs.gauge obs "cache.encode.entries") e.Encode.entries
+    Obs.set (Obs.gauge obs "cache.view.nodes") s.nodes
   end

@@ -61,9 +61,6 @@ val equal : t -> t -> bool
     memo table.  [compare a b = 0] iff [equal a b]. *)
 val compare : t -> t -> int
 
-(** [hash t] is [t]'s handle — a perfect hash for interned values. *)
-val hash : t -> int
-
 (** [id t] is the interning identity: equal trees have equal ids. *)
 val id : t -> int
 
@@ -128,11 +125,9 @@ type stats = {
 (** Process-lifetime totals for the intern arena. *)
 val stats : unit -> stats
 
-(** [publish_metrics obs] records the interning totals ({!stats}) and the
-    canonical-encoding cache totals ({!Anonet_graph.Encode.cache_stats}) in
-    [obs]'s metrics registry: counters [cache.view.hits], [cache.view.misses],
-    [cache.encode.hits], [cache.encode.misses], [cache.encode.evictions] and
-    gauges [cache.view.nodes], [cache.encode.entries].  The counters carry
+(** [publish_metrics obs] records the interning totals ({!stats}) in
+    [obs]'s metrics registry: counters [cache.view.hits] and
+    [cache.view.misses], gauge [cache.view.nodes].  The counters carry
     process-lifetime totals — call this once per registry, just before
     taking its snapshot (the CLI metrics trailer and [bench-json] do exactly
     that).  A no-op on {!Anonet_obs.Obs.null}. *)

@@ -3,19 +3,3 @@ module Graph = Anonet_graph.Graph
 let stable_view_depth g = (Refinement.run g).Refinement.stable_view_depth
 
 let bound_holds g = stable_view_depth g <= max 1 (Graph.n g)
-
-let determination_depth g =
-  let stable = Refinement.run g in
-  let final = stable.Refinement.classes in
-  let n = Graph.n g in
-  if n <= 1 then 1
-  else begin
-    (* For each depth d, check which pairs are already separated; the answer
-       is the depth at which the partition last changed, found by scanning
-       the refinement history. *)
-    let rec scan depth classes =
-      if classes = final then depth
-      else scan (depth + 1) (Refinement.refine_once g classes)
-    in
-    scan 1 (Refinement.initial g)
-  end

@@ -9,8 +9,3 @@ val stable_view_depth : Anonet_graph.Graph.t -> int
 (** [bound_holds g] checks [stable_view_depth g <= n] — the claim of
     Theorem 3 instantiated on [g]. *)
 val bound_holds : Anonet_graph.Graph.t -> bool
-
-(** [determination_depth g] returns, for each pair of distinct nodes with
-    distinct infinite views, the depth at which their views first differ,
-    as a maximum over pairs; [1] when all nodes look alike or [n <= 1]. *)
-val determination_depth : Anonet_graph.Graph.t -> int

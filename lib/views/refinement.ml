@@ -18,14 +18,14 @@ let number_by_sorted_keys ~compare keys =
   Array.map (fun k -> Hashtbl.find table k) keys
 
 let initial g =
-  (* Numbering encoded labels under String.compare coincides with the former
-     numbering of singleton encoding lists under polymorphic compare. *)
+  (* Initial classes are numbered in the String.compare order of the
+     encoded labels, so the numbering depends on the labels alone. *)
   number_by_sorted_keys ~compare:String.compare
     (Array.init (Graph.n g) (fun v -> Label.encode (Graph.label g v)))
 
-(* Element-wise with shorter-prefix-first ties: exactly the order
-   [List.compare Int.compare] induced on the former list signatures, so
-   class numbering is unchanged. *)
+(* Lexicographic order on signatures: element-wise, a proper prefix
+   first.  Classes are numbered in this order, so the numbering is
+   canonical — independent of node indices. *)
 let compare_int_arrays (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   let rec go i =

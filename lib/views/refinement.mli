@@ -31,10 +31,5 @@ val run : Anonet_graph.Graph.t -> result
     depth-[d] views, [d >= 1], with canonical class numbering. *)
 val classes_at_depth : Anonet_graph.Graph.t -> int -> int array
 
-(** [refine_once g classes] is one refinement round: partitions by
-    [(classes.(v), sorted multiset of classes of v's neighbors)], with
-    canonical renumbering.  Exposed for incremental uses. *)
-val refine_once : Anonet_graph.Graph.t -> int array -> int array
-
 (** [initial g] is the round-0 partition (by label), canonically numbered. *)
 val initial : Anonet_graph.Graph.t -> int array

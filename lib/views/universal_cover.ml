@@ -36,8 +36,8 @@ let classes_at_depth g d =
   let trees = Array.init n (fun v -> build ~root:v ~depth:d) in
   let distinct = List.sort_uniq Interned.compare (Array.to_list trees) in
   (* Interning makes each tree physically equal to its representative in
-     [distinct], so a table keyed by interned id replaces the former linear
-     scan per node. *)
+     [distinct], so a table keyed by interned id finds every node's class
+     in O(1). *)
   let index : (int, int) Hashtbl.t = Hashtbl.create (List.length distinct) in
   List.iteri (fun i t -> Hashtbl.replace index (Interned.id t) i) distinct;
   Array.map (fun t -> Hashtbl.find index (Interned.id t)) trees

@@ -139,5 +139,3 @@ let to_string t =
   in
   render ~prefix:"" ~child_prefix:"" t;
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

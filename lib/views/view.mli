@@ -63,5 +63,3 @@ val equal_nodes :
 (** ASCII rendering of the tree, one vertex per line (root first), as in
     Figure 1. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

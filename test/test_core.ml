@@ -887,17 +887,16 @@ let prop_min_search_matches_oracles =
         Min_search.minimal_successful ~solver g ~base
           ~len:(Min_search.At_most max_len) ()
       in
-      (* Extend through every length, then re-ask the lengths at or below
-         the hardened floor, which the handle answers without its
-         frontier. *)
+      (* Extend through every length, each twice: A*'s phases ask for
+         ever longer targets, and every node class of a phase that shares
+         the candidate asks for the same one. *)
       let extends =
         let h = Min_search.Resumable.create ~solver g ~base () in
-        let ascending = List.init (max_len - lo + 1) (fun i -> lo + i) in
-        let results = List.map (fun len -> len, Min_search.Resumable.extend h ~len) ascending in
-        let floor = Min_search.Resumable.floor h in
-        results
-        @ List.map (fun len -> len, Min_search.Resumable.extend h ~len)
-            (List.filter (fun len -> len <= floor) ascending)
+        List.concat
+          (List.init (max_len - lo + 1) (fun i ->
+               let len = lo + i in
+               let first = Min_search.Resumable.extend h ~len in
+               [ len, first; len, Min_search.Resumable.extend h ~len ]))
       in
       let oracle_at_most = Array.to_list exact |> List.find_map Fun.id in
       let node_major = Search_oracle.node_major_at_most ~solver g ~base ~max_len in

@@ -138,19 +138,40 @@ let prop_resumable_equals_cold =
           check_resumable_matches_cold ~name:(Printf.sprintf "seed=%d" seed));
       true)
 
-(* extend must refuse to shrink *)
+(* extend must refuse to shrink, whether the deeper target found a
+   success or proved there is none *)
 let test_resumable_backward_extend () =
   let g = Gen.label_with_ints (Gen.cycle 3) in
-  let handle =
+  let handle () =
     Min_search.Resumable.create ~solver:Anonet_algorithms.Rand_mis.algorithm g
       ~base:(Bit_assignment.empty 3) ()
   in
-  ignore (Min_search.Resumable.extend handle ~len:4);
-  let level = Min_search.Resumable.level handle in
-  check "advanced" true (level >= 1);
-  Alcotest.check_raises "backward extend rejected"
-    (Invalid_argument "Min_search.Resumable.extend: target below explored level")
-    (fun () -> ignore (Min_search.Resumable.extend handle ~len:(level - 1)))
+  let min_len =
+    match
+      Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
+        g ~base:(Bit_assignment.empty 3) ~len:(Min_search.At_most 16) ()
+    with
+    | Some f -> Bit_assignment.max_length f.Min_search.assignment
+    | None -> Alcotest.fail "no minimal assignment on cycle-3"
+  in
+  check "fixture minimal length >= 2" true (min_len >= 2);
+  List.iter
+    (fun (name, len, succeeds) ->
+      let h = handle () in
+      check (name ^ ": extend result") succeeds
+        (Option.is_some (Min_search.Resumable.extend h ~len));
+      let level = Min_search.Resumable.level h in
+      check (name ^ ": advanced") true (level >= 1);
+      (* the same target again, as the next node class of a phase asks *)
+      let states = Min_search.Resumable.states_explored h in
+      check (name ^ ": same target again") succeeds
+        (Option.is_some (Min_search.Resumable.extend h ~len:level));
+      check_int (name ^ ": repeat costs no states") states
+        (Min_search.Resumable.states_explored h);
+      Alcotest.check_raises (name ^ ": backward extend rejected")
+        (Invalid_argument "Min_search.Resumable.extend: target below explored level")
+        (fun () -> ignore (Min_search.Resumable.extend h ~len:(level - 1))))
+    [ "after a success", 4, true; "after no success", min_len - 1, false ]
 
 (* ---------- A* warm = cold, whole solves ---------- *)
 

@@ -279,85 +279,28 @@ let test_budget_exactly_always_raises () =
   | Some _ | None -> Alcotest.fail "Exactly under budget did not raise"
   | exception Min_search.Search_limit_exceeded -> ()
 
-(* ---------- Resumable: floor hardening ---------- *)
-
-let resumable_handle () =
-  Min_search.Resumable.create ~solver:Anonet_algorithms.Rand_mis.algorithm
-    (Gen.label_with_ints (Gen.cycle 4))
-    ~base:(Bit_assignment.empty 4) ()
-
-let minimal_len () =
-  let g = Gen.label_with_ints (Gen.cycle 4) in
-  match
-    search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
-      ~len:(Min_search.At_most 16) g
-  with
-  | Some f -> Bit_assignment.max_length f.Min_search.assignment
-  | None -> Alcotest.fail "no minimal assignment on cycle-4"
-
-let test_resumable_floor_monotone () =
-  let l = minimal_len () in
-  check "fixture minimal length >= 2" true (l >= 2);
-  let t = resumable_handle () in
-  check_int "fresh floor" (-1) (Min_search.Resumable.floor t);
-  for len = 0 to l - 1 do
-    (match Min_search.Resumable.extend t ~len with
-     | None -> ()
-     | Some _ -> Alcotest.fail (Printf.sprintf "success below minimal (%d)" len));
-    check_int
-      (Printf.sprintf "floor raised to %d" len)
-      len (Min_search.Resumable.floor t)
-  done;
-  let states_before = Min_search.Resumable.states_explored t in
-  (* Floor-answered queries are free: no frontier work, no states. *)
-  for len = 0 to l - 1 do
-    (match Min_search.Resumable.extend t ~len with
-     | None -> ()
-     | Some _ -> Alcotest.fail "floor query returned a success")
-  done;
-  check_int "floor answers cost no states" states_before
-    (Min_search.Resumable.states_explored t);
-  (match Min_search.Resumable.extend t ~len:l with
-   | Some f ->
-     (* Identical to the cold Exactly search, cumulative states included. *)
-     (match
-        search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
-          ~len:(Min_search.Exactly l)
-          (Gen.label_with_ints (Gen.cycle 4))
-      with
-      | Some cold -> check "extend = cold Exactly search" true (found_equal f cold)
-      | None -> Alcotest.fail "cold Exactly search found nothing")
-   | None -> Alcotest.fail "extend at minimal length found nothing");
-  (* A success does not raise the floor. *)
-  check_int "floor unchanged by success" (l - 1) (Min_search.Resumable.floor t)
-
-let test_resumable_floor_gap () =
-  (* Jumping straight past several levels proves them all at once:
-     every length at or below the proven floor answers None, even
-     though the frontier never stopped at those levels. *)
-  let l = minimal_len () in
-  let t = resumable_handle () in
-  (match Min_search.Resumable.extend t ~len:(l - 1) with
-   | None -> ()
-   | Some _ -> Alcotest.fail "success below minimal");
-  check_int "floor covers the jumped levels" (l - 1)
-    (Min_search.Resumable.floor t);
-  for len = 0 to l - 1 do
-    match Min_search.Resumable.extend t ~len with
-    | None -> ()
-    | Some _ -> Alcotest.fail "floor query returned a success"
-  done
+(* ---------- Resumable: targets below the explored level ---------- *)
 
 let test_resumable_below_level_without_floor () =
-  (* Without a floor proof, a target strictly below the frontier is
-     still unanswerable — the Invalid_argument contract is unchanged. *)
-  let l = minimal_len () in
-  let t = resumable_handle () in
+  (* A handle keeps no proof for levels it has passed, so a target
+     strictly below the frontier is unanswerable: Invalid_argument. *)
+  let g = Gen.label_with_ints (Gen.cycle 4) in
+  let l =
+    match
+      search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
+        ~len:(Min_search.At_most 16) g
+    with
+    | Some f -> Bit_assignment.max_length f.Min_search.assignment
+    | None -> Alcotest.fail "no minimal assignment on cycle-4"
+  in
+  check "fixture minimal length >= 2" true (l >= 2);
+  let t =
+    Min_search.Resumable.create ~solver:Anonet_algorithms.Rand_mis.algorithm g
+      ~base:(Bit_assignment.empty 4) ()
+  in
   (match Min_search.Resumable.extend t ~len:l with
    | Some _ -> ()
    | None -> Alcotest.fail "extend at minimal length found nothing");
-  check_int "no floor from a successful extend" (-1)
-    (Min_search.Resumable.floor t);
   Alcotest.check_raises "below-level target rejected"
     (Invalid_argument "Min_search.Resumable.extend: target below explored level")
     (fun () -> ignore (Min_search.Resumable.extend t ~len:(l - 1)))
@@ -454,10 +397,7 @@ let () =
           Alcotest.test_case "Exactly always raises" `Quick
             test_budget_exactly_always_raises ] );
       ( "resumable-floor",
-        [ Alcotest.test_case "monotone floor" `Quick
-            test_resumable_floor_monotone;
-          Alcotest.test_case "floor gap" `Quick test_resumable_floor_gap;
-          Alcotest.test_case "below level without floor" `Quick
+        [ Alcotest.test_case "below level without floor" `Quick
             test_resumable_below_level_without_floor ] );
       ( "observability",
         [ Alcotest.test_case "frontier gauge reset" `Quick
