@@ -78,9 +78,11 @@ let huge_solver = function
   | "mis" -> Anonet_algorithms.Rand_mis.algorithm
   | "coloring" -> Anonet_algorithms.Rand_coloring.algorithm
   | "matching" -> Anonet_algorithms.Rand_matching.algorithm
+  | "2hop" -> Anonet_algorithms.Rand_two_hop.algorithm
   | p ->
     invalid_arg
-      (Printf.sprintf "huge: unknown problem %S (want mis, coloring or matching)" p)
+      (Printf.sprintf "huge: unknown problem %S (want mis, coloring, matching or 2hop)"
+         p)
 
 let bench_tests () =
   let c6 = Gen.c6_figure1 () in
@@ -356,6 +358,8 @@ let bench_tests () =
           (Staged.stage (fun () -> Gen.random_regular ~seed:2 hn 8));
         execute "mis";
         execute "coloring";
+        execute "matching";
+        execute "2hop";
       ]
   in
   let validation =
@@ -394,8 +398,8 @@ let bench_tests () =
 
 (* Bechamel samples a test at 1, 2, 3, ... runs per sample until its
    quota is spent, and the OLS fit needs several samples to report an r².
-   The 10^5-node rows take up to ~0.45 s a run, so five samples cost
-   15 runs: they get a quota of their own instead of the 0.4 s that
+   The 10^5-node rows take up to ~0.7 s a run (2hop), so four samples
+   cost 10 runs: they get a quota of their own instead of the 0.4 s that
    suits everything else (and would give them one sample each). *)
 let analyze_benchmarks () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
@@ -846,7 +850,8 @@ let () =
       (int_of_string seed) (int_of_string rounds)
   | _ :: "huge-smoke" :: _ ->
     prerr_endline
-      "usage: main.exe huge-smoke N AVG_DEGREE SEED ROUNDS [mis|coloring|matching]";
+      "usage: main.exe huge-smoke N AVG_DEGREE SEED ROUNDS \
+       [mis|coloring|matching|2hop]";
     exit 2
   | _ ->
     run_harness ();

@@ -69,7 +69,7 @@ let flat_instance : Algorithm.Flat.instance =
       (fun ~node:_ ~input:_ ~degree:_ ~state ~off ->
         Array.unsafe_set state (off + 1) (Bits.to_code Bits.empty));
     round =
-      (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff ->
+      (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ports ~pslot ~send ~soff ->
         let w0 = Array.unsafe_get state off in
         let cand = Array.unsafe_get state (off + 1) in
         if w0 land 1 = 0 then begin
@@ -86,7 +86,8 @@ let flat_instance : Algorithm.Flat.instance =
             ||
             let conflict = ref false in
             for p = 0 to degree - 1 do
-              if Array.unsafe_get inbox (ioff + p) = cand then conflict := true
+              if Array.unsafe_get inbox (Array.unsafe_get ports (pslot + p)) = cand then
+                conflict := true
             done;
             if !conflict then
               Array.unsafe_set state (off + 1) (Bits.append_code cand bit);

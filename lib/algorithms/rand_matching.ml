@@ -154,9 +154,9 @@ let algorithm : Algorithm.t =
 
 let tag_none = 0 and tag_propose = 1 and tag_accept = 2
 
-(* The tag that arrived at inbox word [i] ("-" when nothing did). *)
-let tag_at inbox i =
-  let m = Array.unsafe_get inbox i in
+(* The tag that arrived on the port at [ports.(i)] ("-" when nothing did). *)
+let tag_at inbox ports i =
+  let m = Array.unsafe_get inbox (Array.unsafe_get ports i) in
   if m = 0 then tag_none else (m - 1) mod 3
 
 (* Send [status] on every port, with [tag] on [port] (no port: -1). *)
@@ -167,9 +167,9 @@ let send_status send soff degree status ~port ~tag =
     Array.unsafe_set send (soff + p) (if p = port then base + tag else base)
   done
 
-let flat_round ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff =
+let flat_round ~node:_ ~bit ~degree ~state ~off ~inbox ~ports ~pslot ~send ~soff =
   for p = 0 to degree - 1 do
-    let m = Array.unsafe_get inbox (ioff + p) in
+    let m = Array.unsafe_get inbox (Array.unsafe_get ports (pslot + p)) in
     if m <> 0 then Array.unsafe_set state (off + 3 + p) (((m - 1) / 3) + 1)
   done;
   let w0 = Array.unsafe_get state off in
@@ -203,7 +203,7 @@ let flat_round ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff =
      (* Accept: an active non-proposer takes the lowest-port proposal. *)
      if !status = 0 && Array.unsafe_get state (off + 2) = 0 then begin
        let p = ref 0 in
-       while !p < degree && tag_at inbox (ioff + !p) <> tag_propose do
+       while !p < degree && tag_at inbox ports (pslot + !p) <> tag_propose do
          incr p
        done;
        if !p < degree then begin
@@ -216,7 +216,9 @@ let flat_round ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff =
      (* Commit: a proposer whose proposal was accepted matches. *)
      let proposed = Array.unsafe_get state (off + 2) in
      Array.unsafe_set state (off + 2) 0;
-     if !status = 0 && proposed > 0 && tag_at inbox (ioff + proposed - 1) = tag_accept
+     if
+       !status = 0 && proposed > 0
+       && tag_at inbox ports (pslot + proposed - 1) = tag_accept
      then status := 2 + proposed - 1);
   Array.unsafe_set state off (((step + 1) mod 3) lor (!status lsl 2));
   send_status send soff degree !status ~port:!port ~tag:!tag;

@@ -102,7 +102,7 @@ let flat_instance : Algorithm.Flat.instance =
     init = (fun ~node:_ ~input:_ ~degree:_ ~state:_ ~off:_ -> ());
     (* all-zero span = Undecided, no coin yet *)
     round =
-      (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff ->
+      (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ports ~pslot ~send ~soff ->
         let w = Array.unsafe_get state off in
         let status = w land 3 and coin = (w lsr 2) land 3 in
         let status =
@@ -112,7 +112,7 @@ let flat_instance : Algorithm.Flat.instance =
             let neighbor_joined = ref false in
             let undecided_heads = ref false in
             for p = 0 to degree - 1 do
-              let m = Array.unsafe_get inbox (ioff + p) in
+              let m = Array.unsafe_get inbox (Array.unsafe_get ports (pslot + p)) in
               if m <> 0 then begin
                 incr received;
                 let m = m - 1 in

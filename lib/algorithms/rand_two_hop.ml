@@ -115,7 +115,7 @@ let flat_plan g =
       (fun ~node:_ ~input:_ ~degree:_ ~state ~off ->
         Array.unsafe_set state (off + 1) empty_code);
     round =
-      (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ioff ~send ~soff ->
+      (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ports ~pslot ~send ~soff ->
         let w0 = Array.unsafe_get state off in
         match w0 land 3 with
         | 0 ->
@@ -130,7 +130,7 @@ let flat_plan g =
           (* Relay: store announcements, broadcast their sorted multiset. *)
           for p = 0 to degree - 1 do
             Array.unsafe_set state (off + 2 + p)
-              (Array.unsafe_get inbox (ioff + (p * mw)))
+              (Array.unsafe_get inbox (Array.unsafe_get ports (pslot + p)))
           done;
           Array.unsafe_set state off ((w0 land lnot 3) lor 2);
           Array.unsafe_set send soff degree;
@@ -163,7 +163,7 @@ let flat_plan g =
                   conflict := true
               done;
               for p = 0 to degree - 1 do
-                let base = ioff + (p * mw) in
+                let base = Array.unsafe_get ports (pslot + p) in
                 let cnt = Array.unsafe_get inbox base in
                 let occ = ref 0 in
                 for j = 1 to cnt do

@@ -48,22 +48,30 @@ let silence ~degree : Anonet_graph.Label.t option array = Array.make degree None
 (** Flat-machine companions: an unboxed rendering of the same algorithm.
 
     A flat instance stores every node's state as [state_words] consecutive
-    ints in one shared arena and every in-flight message as [msg_words]
-    consecutive ints in one shared inbox arena (one slot per directed
-    edge; a slot whose first word is [0] carries no message).  [round]
-    mutates the node's state span in place and, when it returns [true],
-    sends what it wrote into the send buffer on every port.  A
-    {e broadcast} instance ([ported = false]) writes one [msg_words]-span
+    ints in one shared arena and every message as a [msg_words]-span of
+    ints.  [round] mutates the node's state span in place and, when it
+    returns [true], sends what it wrote into the send buffer on every
+    port.  A {e broadcast} instance ([ported = false]) writes one span
     that every port carries; a {e ported} instance writes one span per
     port [p] at [soff + p*msg_words], its node's spans starting at the
     node's first directed-edge slot, so the send buffer has one span per
-    slot.  The executor routes a ported send through a precomputed
-    [twin] table — for each inbox slot, the sender's slot that feeds it.
-    Algorithms register a flat companion with {!register_flat}.  The
-    round driver runs a hook-free run of such an algorithm on the flat
-    representation, and the minimal-simulation searches run only on it;
-    runs with faults, adversaries or scrambles (which act on [Label.t]
-    payloads) step the algorithm's own {!val-S.round}.
+    slot.  Algorithms register a flat companion with {!register_flat}.
+    The round driver runs a hook-free run of such an algorithm on the
+    flat representation, and the minimal-simulation searches run only on
+    it; runs with faults, adversaries or scrambles (which act on
+    [Label.t] payloads) step the algorithm's own {!val-S.round}.
+
+    Receivers find their messages through a port table: the message on
+    port [p] starts at [inbox.(ports.(pslot + p))].  The driver's
+    in-place run points the table straight into the senders' spans of
+    last round's send buffer; a search's persistent arena points it into
+    a materialized inbox with one span per directed-edge slot.  A span
+    whose word 0 is [0] carries no message, and a reader must read no
+    other word of it: after a silent round the driver zeroes only word 0
+    of the node's span(s), so the tail is stale.  A [true] return must
+    leave every word it sends deterministic — unused trailing words
+    zeroed, word 0 nonzero — because the materialized inbox doubles as a
+    search dedup key.
 
     A flat companion must be an {e injective} encoding of the algorithm's
     states and messages — equal flat arenas if and only if the execution
@@ -76,7 +84,7 @@ let silence ~degree : Anonet_graph.Label.t option array = Array.make degree None
 module Flat = struct
   type instance = {
     state_words : int;  (** ints per node in the state arena *)
-    msg_words : int;  (** ints per directed-edge slot; word 0 = 0 when empty *)
+    msg_words : int;  (** ints per message span; word 0 = 0 when silent *)
     ported : bool;
         (** one send span per port (instead of one broadcast span) *)
     init :
@@ -94,19 +102,17 @@ module Flat = struct
       state:int array ->
       off:int ->
       inbox:int array ->
-      ioff:int ->
+      ports:int array ->
+      pslot:int ->
       send:int array ->
       soff:int ->
       bool;
-        (** one synchronous round: read inbox slots [ioff + p*msg_words]
-            for ports [p < degree], mutate the state span at [off], and
-            either write the message(s) into the send buffer at [soff]
-            — one span, or [degree] spans when [ported] — and return
-            [true] (send on every port) or return [false] (silence).  A
-            [true] return must leave {e every} word it sends
-            deterministic — unused trailing words zeroed, first words
-            nonzero — because the routed inbox arena doubles as a search
-            dedup key. *)
+        (** one synchronous round: read the message on each port
+            [p < degree] at [inbox.(ports.(pslot + p))], mutate the state
+            span at [off], and either write the message(s) into the send
+            buffer at [soff] — one span, or [degree] spans when [ported]
+            — and return [true] (send on every port) or return [false]
+            (silence). *)
     output : state:int array -> off:int -> Anonet_graph.Label.t option;
     has_output : state:int array -> off:int -> bool;
         (** allocation-free [output <> None] *)

@@ -74,10 +74,9 @@ let hooks ctx =
 
 (* Graph-shaped immutable geometry shared by every flat state of one
    execution.  [slot_off.(v)] is the first directed-edge slot of node [v]
-   (its port [p] is slot [slot_off.(v) + p]); [src.(s)] is the neighbor
-   whose message lands in slot [s], and [twin.(s)] the send span that
-   feeds it: the sender's own span for a broadcast instance ([twin] is
-   [src]), the sender's slot on the edge back for a ported one. *)
+   (its port [p] is slot [slot_off.(v) + p]); [twin.(s)] is the send span
+   that feeds slot [s]: the sending neighbor's own span for a broadcast
+   instance, the sender's slot on the edge back for a ported one. *)
 type layout = {
   n : int;
   degrees : int array;
@@ -85,7 +84,6 @@ type layout = {
   msg_words : int;
   total_slots : int;
   slot_off : int array;
-  src : int array;
   twin : int array;
   inst : Algorithm.Flat.instance;
 }
@@ -125,7 +123,6 @@ let flat_layout algo g =
         msg_words = inst.msg_words;
         total_slots = slot_off.(n);
         slot_off;
-        src;
         twin = (if inst.ported then twin_slots g slot_off src else src);
         inst;
       }
@@ -143,65 +140,47 @@ let init_flat_states lay g states =
       ~state:states ~off:(v * lay.state_words)
   done
 
-(* Node [v]'s transition with its send span(s) at [soff]; records
-   whether it sent and returns whether it has output afterwards. *)
-let[@inline] node_round lay ~bits ~sent ~send ~state ~inbox ~ioff v ~soff =
+(* The one flat node loop, shared by the driver's in-place run and
+   [Incremental]'s probe: run every node's transition on its span of
+   [state], reading its arrivals from [inbox] through the port table
+   [ports] and writing its sends into [send]; a silent node gets word 0
+   of its span(s) zeroed, so the tails keep whatever they held.  [bits]
+   holds each node's bit this round; it is a packed vector, not a
+   closure, so the loop pays no indirect call per node.  Returns the
+   nodes with output after the round and the messages sent in it. *)
+let flat_nodes lay ~(bits : Bitvec.t) ~state ~inbox ~ports ~send =
   let inst = lay.inst in
-  let sw = lay.state_words in
-  let sends =
-    inst.round ~node:v ~bit:(Bitvec.unsafe_get bits v)
-      ~degree:(Array.unsafe_get lay.degrees v)
-      ~state ~off:(v * sw) ~inbox
-      ~ioff:(ioff + (Array.unsafe_get lay.slot_off v * lay.msg_words))
-      ~send ~soff
-  in
-  Bytes.unsafe_set sent v (if sends then '\001' else '\000');
-  inst.has_output ~state ~off:(v * sw)
-
-(* The one flat round, shared by the driver's in-place run and
-   [Incremental]'s persistent probe: run every node's transition on its
-   span of [state] (arrivals read from [inbox] starting at [ioff]), then
-   route the sends into [next] starting at [noff], which the caller has
-   zeroed.  [bits] holds each node's bit this round; it is a packed
-   vector, not a closure, so the hot loops pay no indirect call per node.
-   Returns the nodes with output after the round and the messages
-   delivered in it. *)
-let flat_round lay ~(bits : Bitvec.t) ~send ~sent ~state ~inbox ~ioff ~next ~noff =
-  let mw = lay.msg_words in
-  let out = ref 0 in
-  (* The representation is fixed per layout, so the branch sits outside
-     the node loop. *)
-  if lay.inst.ported then
-    for v = 0 to lay.n - 1 do
-      let soff = Array.unsafe_get lay.slot_off v * mw in
-      if node_round lay ~bits ~sent ~send ~state ~inbox ~ioff v ~soff then incr out
-    done
-  else
-    for v = 0 to lay.n - 1 do
-      if node_round lay ~bits ~sent ~send ~state ~inbox ~ioff v ~soff:(v * mw) then
-        incr out
-    done;
-  let messages = ref 0 in
-  for s = 0 to lay.total_slots - 1 do
-    if Bytes.unsafe_get sent (Array.unsafe_get lay.src s) = '\001' then begin
-      let src_off = Array.unsafe_get lay.twin s * mw and dst_off = noff + (s * mw) in
-      for k = 0 to mw - 1 do
-        Array.unsafe_set next (dst_off + k) (Array.unsafe_get send (src_off + k))
-      done;
-      incr messages
-    end
+  let sw = lay.state_words and mw = lay.msg_words in
+  let out = ref 0 and messages = ref 0 in
+  for v = 0 to lay.n - 1 do
+    let pslot = Array.unsafe_get lay.slot_off v in
+    let degree = Array.unsafe_get lay.degrees v in
+    let soff = (if inst.ported then pslot else v) * mw in
+    if
+      inst.round ~node:v ~bit:(Bitvec.unsafe_get bits v) ~degree ~state ~off:(v * sw)
+        ~inbox ~ports ~pslot ~send ~soff
+    then messages := !messages + degree
+    else if inst.ported then
+      for p = 0 to degree - 1 do
+        Array.unsafe_set send (soff + (p * mw)) 0
+      done
+    else Array.unsafe_set send soff 0;
+    if inst.has_output ~state ~off:(v * sw) then incr out
   done;
   !out, !messages
 
 module Incremental = struct
   (* A persistent execution: one int arena holds the whole network — node
      states first ([state_words] ints per node), then the inbox
-     ([msg_words] ints per directed-edge slot, first word 0 when empty).
-     The arena is immutable once the state is built, so a state may be
+     ([msg_words] ints per directed-edge slot, all 0 when empty).  The
+     arena is immutable once the state is built, so a state may be
      retained and branched from; a committed step allocates exactly one
-     array, and the arena itself is the dedup key. *)
+     array, and the arena itself is the dedup key.  [mat.(s)] is where
+     slot [s]'s span starts in the arena, the port table its readers
+     use. *)
   type t = {
     lay : layout;
+    mat : int array;
     arena : int array;
     out : int;  (* nodes with output (irrevocable, so a plain count) *)
   }
@@ -219,22 +198,23 @@ module Incremental = struct
     | Some lay ->
       let arena = Array.make (arena_size lay) 0 in
       init_flat_states lay g arena;
-      { lay; arena; out = count_outputs lay arena }
+      let ssize = state_size lay in
+      let mat = Array.init lay.total_slots (fun s -> ssize + (s * lay.msg_words)) in
+      { lay; mat; arena; out = count_outputs lay arena }
 
-  (* Per-domain scratch: the send buffer and sent flags live only within
-     one probe, the probe buffer only until the next probe, so one
-     growable record per domain serves searches running concurrently on
-     other domains (server workers, experiment rows) without locking. *)
+  (* Per-domain scratch: the send buffer lives only within one probe, the
+     probe buffer only until the next probe, so one growable record per
+     domain serves searches running concurrently on other domains (server
+     workers, experiment rows) without locking. *)
   type scratch = {
     mutable ss_send : int array;
-    mutable ss_sent : Bytes.t;
     mutable ss_probe : int array;  (* probe child arena, exact [arena_size] *)
     mutable ss_sense : int array;  (* two (state span, send span) micro-runs *)
   }
 
   let scratch_key =
     Domain.DLS.new_key (fun () ->
-        { ss_send = [||]; ss_sent = Bytes.empty; ss_probe = [||]; ss_sense = [||] })
+        { ss_send = [||]; ss_probe = [||]; ss_sense = [||] })
 
   let outputs t =
     Array.init t.lay.n (fun v ->
@@ -280,14 +260,11 @@ module Incremental = struct
     let s = Domain.DLS.get scratch_key in
     let slen = send_len lay in
     if Array.length s.ss_send < slen then s.ss_send <- Array.make slen 0;
-    if Bytes.length s.ss_sent < lay.n then s.ss_sent <- Bytes.make lay.n '\000';
     let ssize = state_size lay in
     let asize = arena_size lay in
     (* Key equality compares whole arrays, so the buffer must be the exact
-       arena size; only the inbox section needs re-zeroing (the states
-       prefix is fully overwritten by the parent copy). *)
-    if Array.length s.ss_probe = asize then Array.fill s.ss_probe ssize (asize - ssize) 0
-    else s.ss_probe <- Array.make asize 0;
+       arena size; every word of it is overwritten below. *)
+    if Array.length s.ss_probe <> asize then s.ss_probe <- Array.make asize 0;
     let buf = s.ss_probe in
     (* Manual word loop rather than [Array.blit]: arenas are a few dozen
        words, far below where memmove's call overhead pays for itself. *)
@@ -295,10 +272,21 @@ module Incremental = struct
     for i = 0 to ssize - 1 do
       Array.unsafe_set buf i (Array.unsafe_get parent i)
     done;
-    let out, _ =
-      flat_round lay ~bits ~send:s.ss_send ~sent:s.ss_sent ~state:buf ~inbox:parent
-        ~ioff:ssize ~next:buf ~noff:ssize
-    in
+    let send = s.ss_send and mw = lay.msg_words in
+    let out, _ = flat_nodes lay ~bits ~state:buf ~inbox:parent ~ports:t.mat ~send in
+    (* Materialize the inbox: each slot gets the span that feeds it when
+       that span carries a message (word 0 nonzero), zeros otherwise. *)
+    for s = 0 to lay.total_slots - 1 do
+      let src_off = Array.unsafe_get lay.twin s * mw and dst_off = ssize + (s * mw) in
+      if Array.unsafe_get send src_off <> 0 then
+        for k = 0 to mw - 1 do
+          Array.unsafe_set buf (dst_off + k) (Array.unsafe_get send (src_off + k))
+        done
+      else
+        for k = 0 to mw - 1 do
+          Array.unsafe_set buf (dst_off + k) 0
+        done
+    done;
     { parent = t; pbuf = buf; phash = hash_int_array 17 buf; pout = out }
 
   let probe_key p = { khash = p.phash; karena = p.pbuf }
@@ -328,17 +316,16 @@ module Incremental = struct
     if Array.length scratch.ss_sense < 2 * span then
       scratch.ss_sense <- Array.make (2 * span) 0;
     let buf = scratch.ss_sense in
-    let ssize = state_size lay in
     let sens = Bitvec.create lay.n in
     for v = 0 to lay.n - 1 do
-      let ioff = ssize + (Array.unsafe_get lay.slot_off v * mw) in
+      let pslot = Array.unsafe_get lay.slot_off v in
       let degree = Array.unsafe_get lay.degrees v in
       let run ~bit off =
         for k = 0 to sw - 1 do
           Array.unsafe_set buf (off + k) (Array.unsafe_get t.arena ((v * sw) + k))
         done;
-        inst.round ~node:v ~bit ~degree ~state:buf ~off ~inbox:t.arena ~ioff
-          ~send:buf ~soff:(off + sw)
+        inst.round ~node:v ~bit ~degree ~state:buf ~off ~inbox:t.arena ~ports:t.mat
+          ~pslot ~send:buf ~soff:(off + sw)
       in
       let b0 = run ~bit:false 0 in
       let b1 = run ~bit:true span in
@@ -373,27 +360,25 @@ type machine = {
 }
 
 (* A run that never branches needs no persistence: the states arena is
-   mutated in place and two inbox arenas alternate as this round's
-   arrivals and the next round's deliveries, so a round allocates
-   nothing. *)
+   mutated in place, and receivers read last round's send buffer
+   directly — [pull.(s)] is where slot [s]'s message starts in it — so
+   two send buffers alternate and a round neither zeroes nor copies an
+   inbox, and allocates nothing. *)
 let in_place lay g =
-  let n = lay.n and sw = lay.state_words in
+  let n = lay.n and sw = lay.state_words and mw = lay.msg_words in
   let states = Array.make (n * sw) 0 in
   init_flat_states lay g states;
-  let inbox_len = lay.total_slots * lay.msg_words in
-  let cur = ref (Array.make inbox_len 0) and nxt = ref (Array.make inbox_len 0) in
-  let send = Array.make (send_len lay) 0 and sent = Bytes.make n '\000' in
+  let pull = if mw = 1 then lay.twin else Array.map (fun s -> s * mw) lay.twin in
+  let prev = ref (Array.make (send_len lay) 0) in
+  let cur = ref (Array.make (send_len lay) 0) in
   let out = ref (count_outputs lay states) in
   {
     advance =
       (fun bits ->
-        let inbox = !cur and next = !nxt in
-        Array.fill next 0 inbox_len 0;
-        let o, messages =
-          flat_round lay ~bits ~send ~sent ~state:states ~inbox ~ioff:0 ~next ~noff:0
-        in
-        cur := next;
-        nxt := inbox;
+        let inbox = !prev and send = !cur in
+        let o, messages = flat_nodes lay ~bits ~state:states ~inbox ~ports:pull ~send in
+        prev := send;
+        cur := inbox;
         out := o;
         messages);
     all_output = (fun () -> !out = n);

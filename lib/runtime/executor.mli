@@ -14,8 +14,10 @@
     one execution in place, on one of two machines.  A hook-free run of
     an algorithm with an {!Algorithm.Flat} companion (all four catalog
     Las-Vegas solvers: coloring, 2-hop coloring, MIS, matching) packs all
-    node states into one int array and all in-flight messages into two
-    alternating inbox arenas, so a round allocates nothing per node.
+    node states into one int array and its sends into one of two
+    alternating send buffers; receivers read last round's buffer through
+    a static port table, so a round neither zeroes nor copies an inbox
+    and allocates nothing per node.
     Every other run — hooked runs (faults, adversaries, port scrambles
     act on [Label.t] payloads), the [Retransmit] wrapper, A*'s own
     algorithm — steps the algorithm's own [round] on OCaml values.
@@ -24,8 +26,9 @@
     that do branch — the derandomization's minimal-simulation search
     explores a tree of executions and backtracks without re-simulating
     shared prefixes.  It runs on the flat representation only, with the
-    same per-round body as the driver's flat machine, writing each round
-    into an immutable arena that doubles as a dedup key.
+    same node loop as the driver's flat machine, writing each round —
+    node states and the materialized inbox — into an immutable arena
+    that doubles as a dedup key.
     [test/test_flat.ml] checks the two machines and the searches against
     each other. *)
 

@@ -42,11 +42,18 @@ let algorithms =
     "rand-coloring", Anonet_algorithms.Rand_coloring.algorithm;
     "rand-matching", Anonet_algorithms.Rand_matching.algorithm ]
 
+(* Near-regular graphs, and graphs whose degrees spread: a message span
+   is sized by the largest degree, so a low-degree sender leaves a tail
+   that a reader must not take for a message, and a silent node's span
+   keeps the words of its last send. *)
 let fixed_graphs () =
   [ "path2", Gen.label_with_ints (Gen.path 2);
     "cycle3", Gen.label_with_ints (Gen.cycle 3);
     "cycle5", Gen.label_with_ints (Gen.cycle 5);
-    "petersen", Gen.label_with_ints (Gen.petersen ()) ]
+    "petersen", Gen.label_with_ints (Gen.petersen ());
+    "star7", Gen.label_with_ints (Gen.star 7);
+    "k4+path3", Gen.label_with_ints (Gen.lollipop 4 3);
+    "single", Gen.label_with_ints (Gen.complete 1) ]
 
 (* Deterministic per-(seed, round, node) bits — a tiny splitmix so both
    executions see the same randomness without sharing state. *)
@@ -180,7 +187,7 @@ let test_lockstep_fixed () =
     (fun (aname, algo) ->
       List.iter
         (fun (gname, g) ->
-          lockstep ~name:(aname ^ "/" ^ gname) ~seed:11 ~rounds:8 algo g)
+          lockstep ~name:(aname ^ "/" ^ gname) ~seed:11 ~rounds:14 algo g)
         (fixed_graphs ()))
     algorithms
 
@@ -248,7 +255,7 @@ let test_probe_fixed () =
         (fun (gname, g) ->
           probe_matches_step
             ~name:(aname ^ "/" ^ gname)
-            ~seed:23 ~rounds:6 algo g)
+            ~seed:23 ~rounds:12 algo g)
         (fixed_graphs ()))
     algorithms
 
