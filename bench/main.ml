@@ -481,12 +481,14 @@ let median xs =
 (* Wall-clock scaling of Pool.map on a batch of independent replicas of
    the hot workloads (the ablate-bits searches and the decouple pipeline
    rows), and of the experiment harness's row fan-out (every experiment,
-   rows spread over the pool as `anonet experiments --jobs N` does).
-   Each (workload, domains) cell is the median of [samples] runs on one
-   pool after one warm-up run on it: a single batch of millisecond tasks
-   is too short to time once.  Speedups only materialize on multicore
-   hosts — the JSON records [domains_available] so a 1-core CI row is
-   read as what it is. *)
+   rows spread over the domains as `anonet experiments --jobs N` does).
+   Each (workload, domains) cell is the median of [samples] runs after
+   one warm-up run: a single batch of millisecond tasks is too short to
+   time once.  Every run spawns and joins its own domains, so a row
+   includes the domain spawn (about 0.15 ms per domain on a 2-core
+   host).  Speedups only materialize on multicore hosts — the JSON
+   records [domains_available] so a 1-core CI row is read as what it
+   is. *)
 let pool_scaling_rows () =
   let k5 = Gen.label_with_ints (Gen.cycle 5) in
   let k4 = Gen.label_with_ints (Gen.cycle 4) in
@@ -500,7 +502,7 @@ let pool_scaling_rows () =
   let batch_size = 8 in
   let batched task =
     let batch = Array.make batch_size task in
-    fun p -> ignore (Pool.map p (fun f -> f ()) batch)
+    fun domains -> ignore (Pool.map ~domains (fun f -> f ()) batch)
   in
   let workloads =
     [ "ablate-bits", "min-search-mis-k5", batched (min_search k5);
@@ -518,20 +520,19 @@ let pool_scaling_rows () =
                    (Decouple.Specific Anonet_algorithms.Det_from_two_hop.mis)
                  ())) );
       ( "experiments", "row-fan-out-all",
-        fun p -> ignore (Anonet_experiments.Experiments.run_all ~pool:p ()) );
+        fun domains -> ignore (Anonet_experiments.Experiments.run_all ~domains ()) );
     ]
   in
   let samples = 5 in
   List.concat_map
     (fun (group, name, run) ->
       let time domains =
-        Pool.with_pool ~domains (fun p ->
-            run p (* warm up: page in the code paths once *);
-            median
-              (List.init samples (fun _ ->
-                   let t0 = Unix.gettimeofday () in
-                   run p;
-                   Unix.gettimeofday () -. t0)))
+        run domains (* warm up: page in the code paths once *);
+        median
+          (List.init samples (fun _ ->
+               let t0 = Unix.gettimeofday () in
+               run domains;
+               Unix.gettimeofday () -. t0))
       in
       let t1 = time 1 in
       List.map

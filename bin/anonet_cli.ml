@@ -195,7 +195,7 @@ let factor_cmd =
     Term.(const run $ graph_arg $ coloring $ dot)
 
 let solve_cmd =
-  let run_solve problem spec seed trace faults_spec adversary_spec divergence
+  let run problem spec seed trace faults_spec adversary_spec divergence
       retransmit metrics events =
     if trace then begin
       (* the round-by-round timeline is a local diagnostic: it records and
@@ -237,6 +237,10 @@ let solve_cmd =
           ~tape:(Anonet_runtime.Tape.random ~seed)
           ~max_rounds:(64 * (Graph.n g + 4))
       with
+      (* the same diagnosis [Runner] gives an untraced run *)
+      | exception Invalid_argument m when plan <> None || adversary <> None ->
+        prerr_endline (Runner.protocol_break m);
+        exit 1
       | Error (t, f) ->
         print_string (Anonet_runtime.Trace.render t);
         Format.printf "failed: %a@." Executor.pp_failure f;
@@ -267,23 +271,6 @@ let solve_cmd =
         exit outcome.Runner.code
       end
     end
-  in
-  let run problem spec seed trace faults_spec adversary_spec divergence
-      retransmit metrics events =
-    (* Fault injection can feed an algorithm messages its protocol never
-       anticipated (a loss-induced null mid-phase, a corrupted payload);
-       decoders are entitled to reject them.  Report that as the diagnosis
-       it is, not as an internal error. *)
-    try
-      run_solve problem spec seed trace faults_spec adversary_spec divergence
-        retransmit metrics events
-    with Invalid_argument m when faults_spec <> None || adversary_spec <> None ->
-      Printf.eprintf
-        "fault injection broke the algorithm's protocol: %s\n\
-         (expected for unwrapped algorithms on a faulty network — try \
-         --retransmit)\n"
-        m;
-      exit 1
   in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print a round-by-round timeline.")

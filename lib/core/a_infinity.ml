@@ -13,8 +13,7 @@ type result = {
   decider_confirmed : bool;
 }
 
-let solve ?(ctx = Run_ctx.default) ~gran g ?(max_len = 64) ?(decider_seed = 1)
-    ?pruning () =
+let solve ?(ctx = Run_ctx.default) ~gran g ?(max_len = 64) ?pruning () =
   Obs.span (Run_ctx.obs ctx) "a_infinity.solve" @@ fun () ->
   let colored = Problem.colored_variant gran.Gran.problem in
   if not (colored.Problem.is_instance g) then
@@ -24,7 +23,7 @@ let solve ?(ctx = Run_ctx.default) ~gran g ?(max_len = 64) ?(decider_seed = 1)
     let view_graph = View_graph.of_graph_exn g in
     (* J = (V_∞, E_∞, i_∞): the view graph with colors stripped. *)
     let j = Graph.map_labels view_graph.View_graph.graph Label.fst in
-    match Gran.decide gran j ~seed:decider_seed with
+    match Gran.decide gran j ~seed:1 with
     | Error m -> Error ("decider failed to terminate: " ^ m)
     | Ok false -> Error "decider rejected the view graph (not a GRAN bundle?)"
     | Ok true ->

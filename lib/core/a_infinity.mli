@@ -33,10 +33,10 @@ type result = {
 
     The context is forwarded to the minimal-simulation search, which runs
     sequentially: [ctx.obs] instruments it, with the whole derandomization
-    timed under an [a_infinity.solve] span.
+    timed under an [a_infinity.solve] span.  The (randomized) decider runs
+    on [J] with seed 1.
 
     @param max_len      simulation length bound (default [64])
-    @param decider_seed seed for the (randomized) decider run (default 1)
     @param pruning      core-guided pruning for the search (default
                         [true]; see {!Min_search.minimal_successful} —
                         value-identical either way, kept for ablation)
@@ -54,7 +54,6 @@ val solve :
   gran:Anonet_problems.Gran.t ->
   Anonet_graph.Graph.t ->
   ?max_len:int ->
-  ?decider_seed:int ->
   ?pruning:bool ->
   unit ->
   (result, string) Stdlib.result

@@ -40,18 +40,12 @@ let row ~experiment ~label ?(fields = []) line = { experiment; label; fields; li
 let banner title =
   Printf.sprintf "\n=== %s %s\n" title (String.make (max 0 (72 - String.length title)) '=')
 
-(* Row fan-out: graph-family rows are independent, so a domain pool can
-   compute them concurrently — each task returns its finished row(s)
+(* Row fan-out: graph-family rows are independent, so [domains] domains
+   can compute them concurrently — each task returns its finished row(s)
    (asserts included), and the rows merge in input order regardless of
    completion order, keeping the output identical to a sequential run. *)
-let fan_out ~pool (tasks : (unit -> 'a) list) : 'a list =
-  let tasks = Array.of_list tasks in
-  let out =
-    match pool with
-    | Some p -> Pool.map p (fun f -> f ()) tasks
-    | None -> Array.map (fun f -> f ()) tasks
-  in
-  Array.to_list out
+let fan_out ~domains (tasks : (unit -> 'a) list) : 'a list =
+  Array.to_list (Pool.map ~domains (fun f -> f ()) (Array.of_list tasks))
 
 let colored_instance g colors = Problem.attach_coloring g colors
 
@@ -67,7 +61,7 @@ let cycle_mod_colors n k =
 (* F1: Figure 1 — local views                                          *)
 (* ------------------------------------------------------------------ *)
 
-let exp_f1 ~ctx:_ ~pool:_ () =
+let exp_f1 ~ctx:_ ~domains:_ () =
   let title = "F1  Figure 1: depth-d local views of the labeled C6" in
   let g = Gen.c6_figure1 () in
   let prelude =
@@ -103,7 +97,7 @@ let exp_f1 ~ctx:_ ~pool:_ () =
 (* F2: Figure 2 — factor chain                                         *)
 (* ------------------------------------------------------------------ *)
 
-let exp_f2 ~ctx:_ ~pool:_ () =
+let exp_f2 ~ctx:_ ~domains:_ () =
   let title = "F2  Figure 2: the C3 <= C6 <= C12 factor chain and beyond" in
   let c12 = Lift.c12_over_c6 () in
   let c6l = Lift.c6_over_c3 () in
@@ -159,7 +153,7 @@ let exp_f2 ~ctx:_ ~pool:_ () =
 (* F3: Figure 3 / Theorem 1 — A*                                       *)
 (* ------------------------------------------------------------------ *)
 
-let exp_f3 ~ctx:_ ~pool () =
+let exp_f3 ~ctx:_ ~domains () =
   let title = "F3  Figure 3 / Theorem 1: the deterministic algorithm A*" in
   let prelude =
     banner title
@@ -189,7 +183,7 @@ let exp_f3 ~ctx:_ ~pool () =
            outcome.Executor.rounds outcome.Executor.messages valid)
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.concat_map
          (fun (name, inst) ->
            [ run name inst Bundles.mis; run name inst Bundles.coloring ])
@@ -212,7 +206,7 @@ let exp_f3 ~ctx:_ ~pool () =
 (* T2: Theorem 2 — A∞, cost tracks |V*| not |V|                        *)
 (* ------------------------------------------------------------------ *)
 
-let exp_t2 ~ctx:_ ~pool () =
+let exp_t2 ~ctx:_ ~domains () =
   let title = "T2  Theorem 2: A_infinity — cost tracks |V*|, not |V|" in
   let prelude =
     banner title
@@ -247,7 +241,7 @@ let exp_t2 ~ctx:_ ~pool () =
            (Graph.n inst) vstar sim_len states valid)
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       [ run "c6/3colors" (c6_instance ());
         run "c12/3colors" (cycle_mod_colors 12 3);
         run "c24/3colors" (cycle_mod_colors 24 3);
@@ -270,7 +264,7 @@ let exp_t2 ~ctx:_ ~pool () =
 (* T3: Theorem 3 — Norris                                              *)
 (* ------------------------------------------------------------------ *)
 
-let exp_t3 ~ctx:_ ~pool () =
+let exp_t3 ~ctx:_ ~domains () =
   let title = "T3  Theorem 3 (Norris): view stabilization depth <= n" in
   let prelude =
     banner title
@@ -289,7 +283,7 @@ let exp_t3 ~ctx:_ ~pool () =
       (Printf.sprintf "%-20s | %4d | %12d | %8b\n" name (Graph.n g) d within)
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.map (fun n -> show (Printf.sprintf "path-%d" n) (Gen.path n))
          [ 3; 5; 9; 17; 33 ]
       @ List.map
@@ -321,7 +315,7 @@ let exp_t3 ~ctx:_ ~pool () =
 (* L: Lemmas 2-4 — factors and prime factors                           *)
 (* ------------------------------------------------------------------ *)
 
-let exp_lemmas ~ctx:_ ~pool () =
+let exp_lemmas ~ctx:_ ~domains () =
   let title = "L   Lemmas 2-4: view graphs are factors; prime factor unique" in
   let prelude =
     banner title
@@ -329,7 +323,7 @@ let exp_lemmas ~ctx:_ ~pool () =
         "base (prime-labeled)" "k" "|lift|" "factor ok?" "same prime?" "lift ok?"
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.map
          (fun (name, base, k, seed) () ->
            let l = Lift.random ~seed base ~k in
@@ -376,7 +370,7 @@ let exp_lemmas ~ctx:_ ~pool () =
 (* A1: ablation — search cost vs |V*|                                  *)
 (* ------------------------------------------------------------------ *)
 
-let exp_a1 ~ctx ~pool:_ () =
+let exp_a1 ~ctx ~domains:_ () =
   let title = "A1  ablation: minimal-simulation search cost vs |V*|" in
   let prelude =
     banner title
@@ -441,7 +435,7 @@ let exp_a1 ~ctx ~pool:_ () =
 (* A2: ablation — coloring granularity                                 *)
 (* ------------------------------------------------------------------ *)
 
-let exp_a2 ~ctx ~pool:_ () =
+let exp_a2 ~ctx ~domains:_ () =
   let title = "A2  ablation: coloring granularity vs view graph size vs cost" in
   let prelude =
     banner title
@@ -485,7 +479,7 @@ let exp_a2 ~ctx ~pool:_ () =
 (* A3: ablation — decoupled vs direct                                  *)
 (* ------------------------------------------------------------------ *)
 
-let exp_a3 ~ctx:_ ~pool () =
+let exp_a3 ~ctx:_ ~domains () =
   let title = "A3  ablation: decoupled pipeline vs direct randomized algorithm" in
   let prelude =
     banner title
@@ -535,7 +529,7 @@ let exp_a3 ~ctx:_ ~pool () =
          direct (!s1 /. k) (!s2 /. k))
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.concat_map
          (fun family ->
            List.map (make_row family)
@@ -558,7 +552,7 @@ let exp_a3 ~ctx:_ ~pool () =
 (* A4: ablation — 2-hop palette reduction                              *)
 (* ------------------------------------------------------------------ *)
 
-let exp_a4 ~ctx:_ ~pool () =
+let exp_a4 ~ctx:_ ~domains () =
   let title = "A4  ablation: Las-Vegas palette vs greedy 2-hop recoloring" in
   let prelude =
     banner title
@@ -569,7 +563,7 @@ let exp_a4 ~ctx:_ ~pool () =
     Array.to_list outputs |> List.sort_uniq Label.compare |> List.length
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.map
          (fun (name, g) () ->
            let lv =
@@ -620,7 +614,7 @@ let exp_a4 ~ctx:_ ~pool () =
 (* E1: extension — the stone-age model (Section 1.3)                   *)
 (* ------------------------------------------------------------------ *)
 
-let exp_e1 ~ctx:_ ~pool () =
+let exp_e1 ~ctx:_ ~domains () =
   let title = "E1  extension: 2-hop coloring in the stone-age FSM model" in
   let prelude =
     banner title
@@ -628,7 +622,7 @@ let exp_e1 ~ctx:_ ~pool () =
         "maxdeg" "palette" "mis rounds" "2hop rounds" "valid?"
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.map
          (fun (name, g) () ->
            let d = Graph.max_degree g in
@@ -685,7 +679,7 @@ let exp_e1 ~ctx:_ ~pool () =
 (* E2: extension — asynchronous execution (α-synchronizer)             *)
 (* ------------------------------------------------------------------ *)
 
-let exp_e2 ~ctx:_ ~pool () =
+let exp_e2 ~ctx:_ ~domains () =
   let title = "E2  extension: the α-synchronizer on adversarial schedules" in
   let prelude =
     banner title
@@ -702,7 +696,7 @@ let exp_e2 ~ctx:_ ~pool () =
     | Error e -> failwith (Format.asprintf "%a" Anonet_runtime.Executor.pp_failure e)
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.map
          (fun (name, scheduler) () ->
            match Async.run algo g ~tape ~scheduler ~max_events:2_000_000 with
@@ -737,7 +731,7 @@ let exp_e2 ~ctx:_ ~pool () =
 (* R1: robustness — retransmission under seeded message loss           *)
 (* ------------------------------------------------------------------ *)
 
-let exp_r1 ~ctx:_ ~pool () =
+let exp_r1 ~ctx:_ ~domains () =
   let title = "R1  robustness: retransmission wrapper under seeded message loss" in
   let module Faults = Anonet_runtime.Faults in
   let module Retransmit = Anonet_runtime.Retransmit in
@@ -764,7 +758,7 @@ let exp_r1 ~ctx:_ ~pool () =
      column divides by the loss-0 mean. *)
   let rows =
     List.concat
-      (fan_out ~pool
+      (fan_out ~domains
          (List.map
             (fun (name, g, algo, problem) () ->
               let wrapped = Retransmit.wrap algo in
@@ -824,7 +818,7 @@ let exp_r1 ~ctx:_ ~pool () =
 (* R2: robustness — degradation curves under an adaptive adversary     *)
 (* ------------------------------------------------------------------ *)
 
-let exp_r2 ~ctx:_ ~pool () =
+let exp_r2 ~ctx:_ ~domains () =
   let title = "R2  robustness: degradation curves under an adaptive adversary" in
   let module Adversary = Anonet_runtime.Adversary in
   let trials = 8 in
@@ -880,9 +874,9 @@ let exp_r2 ~ctx:_ ~pool () =
     ]
   in
   (* One task per (algorithm, strength) point: the points are independent,
-     so the whole grid fans out across the pool. *)
+     so the whole grid fans out across the domains. *)
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.concat_map
          (fun (name, case) ->
            List.map
@@ -968,7 +962,7 @@ let avg_sizes () =
   | None | Some "" -> [ 1_000; 10_000 ]
   | Some s -> List.map int_of_string (String.split_on_char ',' s)
 
-let exp_avg ~ctx:_ ~pool () =
+let exp_avg ~ctx:_ ~domains () =
   let title =
     "AVG average case: Norris depth, greedy 2-hop palette, MIS rounds on \
      random ensembles"
@@ -993,7 +987,7 @@ let exp_avg ~ctx:_ ~pool () =
       List.fold_left max min_int xs )
   in
   let rows =
-    fan_out ~pool
+    fan_out ~domains
       (List.concat_map
          (fun n ->
            List.map
@@ -1057,7 +1051,7 @@ let exp_avg ~ctx:_ ~pool () =
 
 let registry :
     (string
-    * (string * (ctx:Run_ctx.t -> pool:Pool.t option -> unit -> output)))
+    * (string * (ctx:Run_ctx.t -> domains:int -> unit -> output)))
     list =
   [ "f1", ("Figure 1: depth-d local views", exp_f1);
     "f2", ("Figure 2: factor chain", exp_f2);
@@ -1096,7 +1090,7 @@ let emit_rows ~ctx out =
     out.rows;
   out
 
-let run ?(ctx = Run_ctx.default) ?pool id =
+let run ?(ctx = Run_ctx.default) ?(domains = 1) id =
   match List.assoc_opt (String.lowercase_ascii id) registry with
   | None ->
     Error
@@ -1107,11 +1101,11 @@ let run ?(ctx = Run_ctx.default) ?pool id =
     Ok
       (emit_rows ~ctx
          (Obs.span (Run_ctx.obs ctx) ("experiment." ^ id) (fun () ->
-              f ~ctx ~pool ())))
+              f ~ctx ~domains ())))
 
-let run_all ?(ctx = Run_ctx.default) ?pool () =
+let run_all ?(ctx = Run_ctx.default) ?domains () =
   List.map
     (fun (id, _) ->
-      match run ~ctx ?pool id with Ok o -> o | Error m -> failwith m)
+      match run ~ctx ?domains id with Ok o -> o | Error m -> failwith m)
     registry
 

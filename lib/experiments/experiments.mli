@@ -16,11 +16,12 @@
     random-regular ensembles; sizes default to n = 10^3, 10^4 and scale
     to 10^6 via the ANONET_AVG_NS environment variable).
 
-    [?pool] fans independent graph-family rows out across the pool's
-    domains (results are merged in input order — the output is identical
-    to a sequential run).  It is the harness's only parallelism: each row
-    runs its own search or solve sequentially, and [a1]/[a2] never fan
-    out (their rows report wall-clock time, which fanning would distort).
+    [?domains] (default 1) fans independent graph-family rows out across
+    that many domains with {!Anonet_parallel.Pool.map} (results are
+    merged in input order — the output is identical to a sequential
+    run).  It is the harness's only parallelism: each row runs its own
+    search or solve sequentially, and [a1]/[a2] never fan out (their
+    rows report wall-clock time, which fanning would distort).
     [ctx.obs], when live, gets one ["experiment.row"] event per row
     (fields included) and an [experiment.<id>] span per experiment, plus
     whatever the instrumented runtime underneath emits. *)
@@ -51,14 +52,14 @@ val all : (string * string) list
 (** Run one experiment by id (case-insensitive). *)
 val run :
   ?ctx:Anonet_runtime.Run_ctx.t ->
-  ?pool:Anonet_parallel.Pool.t ->
+  ?domains:int ->
   string ->
   (output, string) result
 
 (** Run every experiment in order. *)
 val run_all :
   ?ctx:Anonet_runtime.Run_ctx.t ->
-  ?pool:Anonet_parallel.Pool.t ->
+  ?domains:int ->
   unit ->
   output list
 

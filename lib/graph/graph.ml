@@ -206,6 +206,24 @@ let port_to g v u =
   let j = if g.sorted then find_sorted g v u else find_linear g v u in
   if j < 0 then raise Not_found else j
 
+(* On a sorted graph, one cursor per node: visiting [v] in ascending
+   order, [v] is the next unvisited entry of each neighbor's sorted
+   slice, so no search is needed. *)
+let reverse_slots g =
+  let rev = Array.make (Array.length g.nbr) 0 in
+  let cursor = Array.sub g.offsets 0 g.n in
+  for v = 0 to g.n - 1 do
+    for s = g.offsets.(v) to g.offsets.(v + 1) - 1 do
+      let u = g.nbr.(s) in
+      if g.sorted then begin
+        rev.(s) <- cursor.(u);
+        cursor.(u) <- cursor.(u) + 1
+      end
+      else rev.(s) <- g.offsets.(u) + port_to g u v
+    done
+  done;
+  rev
+
 let label g v = g.labels.(v)
 
 let labels g = Array.copy g.labels

@@ -127,6 +127,13 @@ val fold_neighbors : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
     @raise Not_found if [u] is not a neighbor of [v]. *)
 val port_to : t -> int -> int -> int
 
+(** [reverse_slots g] maps each directed-edge slot to the slot of the same
+    edge seen from the other end: for [u = neighbor g v p], entry
+    [(offsets g).(v) + p] is [(offsets g).(u) + port_to g u v].  One
+    linear pass on a sorted graph; one {!port_to} per slot after
+    {!permute_ports}.  A fresh array. *)
+val reverse_slots : t -> int array
+
 val label : t -> int -> Label.t
 
 val labels : t -> Label.t array

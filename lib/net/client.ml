@@ -13,7 +13,10 @@ let net_outcome failure =
 let connection m = net_outcome (Run_error.Connection { message = m })
 let protocol m = net_outcome (Run_error.Protocol { message = m })
 
-let submit ?(stream = 1) addr job ~on_event =
+(* One job per connection, so the stream id is a constant. *)
+let stream = 1
+
+let submit addr job ~on_event =
   match Addr.resolve addr with
   | Error m -> connection m
   | Ok (domain, sockaddr) ->

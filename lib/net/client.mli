@@ -11,9 +11,8 @@
     server vanishes mid-job, [Protocol] when it sends bytes that are not
     frames). *)
 
-val submit :
-  ?stream:int -> Addr.t -> Job.t -> on_event:(string -> unit) -> Runner.outcome
-(** Connect, send one [submit] frame (stream id [stream], default 1),
+val submit : Addr.t -> Job.t -> on_event:(string -> unit) -> Runner.outcome
+(** Connect, send one [submit] frame (stream id 1),
     dispatch [event] frames to [on_event], and return on the job's
     [result] or [error] frame.  Never raises on transport failure —
     connection refused, mid-job EOF and malformed frames all come back as

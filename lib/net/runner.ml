@@ -10,7 +10,6 @@ module Adversary = Anonet_runtime.Adversary
 module Las_vegas = Anonet_runtime.Las_vegas
 module Run_ctx = Anonet_runtime.Run_ctx
 module Run_error = Anonet_runtime.Run_error
-module Pool = Anonet_parallel.Pool
 module Obs = Anonet_obs.Obs
 
 exception Bad_spec of string
@@ -111,6 +110,11 @@ let outputs_lines b outputs =
 
 (* ---------- the three job kinds ---------- *)
 
+let protocol_break m =
+  "fault injection broke the algorithm's protocol: " ^ m
+  ^ "\n(expected for unwrapped algorithms on a faulty network — try \
+     --retransmit)"
+
 let run_solve ~obs job =
   let g = graph_of_spec (required job "graph") in
   let problem = required job "problem" in
@@ -133,6 +137,12 @@ let run_solve ~obs job =
   in
   let ctx = Run_ctx.make ?faults:plan ?adversary ~obs () in
   match Las_vegas.solve ~ctx solver g ~seed ?divergence () with
+  (* Fault injection can feed an algorithm messages its protocol never
+     anticipated (a loss-induced null mid-phase, a corrupted payload);
+     decoders are entitled to reject them.  That is a diagnosis, not an
+     internal error. *)
+  | exception Invalid_argument m when plan <> None || adversary <> None ->
+    { code = 1; out = ""; err = protocol_break m }
   | Error f ->
     {
       code = Run_error.exit_code (Run_error.Las_vegas f);
@@ -202,30 +212,26 @@ let run_experiment ~obs job =
   let module E = Anonet_experiments.Experiments in
   let jobs = int_key job "jobs" 1 in
   if jobs < 1 then bad_spec "bad jobs=%d (want N >= 1)" jobs;
-  (* validate the id before spinning up a pool *)
+  (* validate the id before spawning any domain *)
   (match Job.get job "id" with
   | None -> ()
   | Some id ->
     if not (List.mem_assoc (String.lowercase_ascii id) E.all) then
       bad_spec "unknown experiment id %S" id);
   let ctx = Run_ctx.make ~obs () in
-  let run pool =
-    match Job.get job "id" with
-    | None ->
-      let outs = E.run_all ~ctx ?pool () in
-      { code = 0; out = String.concat "" (List.map render_output outs); err = "" }
-    | Some id -> begin
-        match E.run ~ctx ?pool id with
-        | Ok out -> { code = 0; out = render_output out; err = "" }
-        | Error m -> { code = 1; out = ""; err = m }
-      end
-  in
   (* The output is identical at any domain count, so a request beyond the
      host's recommended count (a remote peer's jobs=1000000, say) is
      clamped rather than spawning that many domains. *)
-  match min jobs (Domain.recommended_domain_count ()) with
-  | 1 -> run None
-  | domains -> Pool.with_pool ~obs ~domains (fun p -> run (Some p))
+  let domains = min jobs (Domain.recommended_domain_count ()) in
+  match Job.get job "id" with
+  | None ->
+    let outs = E.run_all ~ctx ~domains () in
+    { code = 0; out = String.concat "" (List.map render_output outs); err = "" }
+  | Some id -> begin
+      match E.run ~ctx ~domains id with
+      | Ok out -> { code = 0; out = render_output out; err = "" }
+      | Error m -> { code = 1; out = ""; err = m }
+    end
 
 (* The keys each kind reads.  Anything else — a typo, a knob of another
    kind — would be silently ignored, so it is a rejection instead, and so

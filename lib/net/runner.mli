@@ -36,6 +36,11 @@ val graph_of_spec : string -> Anonet_graph.Graph.t
     generator rejects, unreadable or unparsable files — mapped to
     {!Bad_spec}. *)
 
+val protocol_break : string -> string
+(** The diagnosis for an [Invalid_argument m] that a run under a fault or
+    adversary plan raised: the injected faults broke an unwrapped
+    algorithm's protocol, and [--retransmit] is the remedy. *)
+
 val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
 (** Runs the job to completion.  Solves and derandomizations run
     sequentially on the calling thread.  The accepted keys, per kind:
@@ -51,5 +56,7 @@ val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
 
     @raise Bad_spec on a key its kind does not accept, a key given twice,
     values that do not parse, missing required keys, or unparseable
-    specs.  Exceptions from the run itself (e.g. [Invalid_argument] when
-    fault injection breaks an unwrapped algorithm's protocol) propagate. *)
+    specs.  When a [faults] or [adversary] plan is set, an
+    [Invalid_argument m] from the solve is the outcome with code 1 and
+    [err = protocol_break m]; other exceptions from the run itself
+    propagate. *)

@@ -49,7 +49,6 @@ type t = {
   mutable threads : Thread.t list;  (* one reader + one writer per conn *)
   mutable stopped : bool;
   max_queue : int;
-  pool : Pool.t;
   obs : Obs.t;
   frames_in : Anonet_obs.Metrics.counter option;
   frames_out : Anonet_obs.Metrics.counter option;
@@ -315,6 +314,12 @@ let accept_loop t ~send_timeout =
 
 let start ?(obs = Obs.null) ?domains ?(max_queue = 64) ?(send_timeout = 30.)
     addr =
+  let domains =
+    match domains with
+    | Some d when d < 1 -> invalid_arg "Server.start: domains < 1"
+    | Some d -> d
+    | None -> max 1 (Domain.recommended_domain_count ())
+  in
   match Addr.resolve addr with
   | Error m -> Error m
   | Ok (domain, sockaddr) ->
@@ -336,7 +341,6 @@ let start ?(obs = Obs.null) ?domains ?(max_queue = 64) ?(send_timeout = 30.)
         (Printf.sprintf "cannot listen on %s: %s" (Addr.to_string addr)
            (Unix.error_message e))
     | () ->
-      let pool = Pool.create ~obs ?domains () in
       let t =
         {
           listen_fd;
@@ -350,7 +354,6 @@ let start ?(obs = Obs.null) ?domains ?(max_queue = 64) ?(send_timeout = 30.)
           threads = [];
           stopped = false;
           max_queue;
-          pool;
           obs;
           frames_in = Obs.counter obs "server.frames.in";
           frames_out = Obs.counter obs "server.frames.out";
@@ -366,7 +369,7 @@ let start ?(obs = Obs.null) ?domains ?(max_queue = 64) ?(send_timeout = 30.)
       t.worker_thread <-
         Some
           (Thread.create
-             (fun () -> Pool.run pool ~n:(Pool.domains pool) (fun _ -> worker t))
+             (fun () -> ignore (Pool.map ~domains worker (Array.make domains t)))
              ());
       Ok t
 
@@ -404,7 +407,6 @@ let stop t =
             Condition.broadcast c.wake))
       conns;
     List.iter Thread.join threads;
-    Pool.shutdown t.pool;
     match t.addr with
     | Addr.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Addr.Tcp _ -> ()

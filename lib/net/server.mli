@@ -1,16 +1,17 @@
 (** The [anonet serve] loop: accepts connections, decodes {!Frame}s,
-    and multiplexes submitted jobs across one shared
-    {!Anonet_parallel.Pool} of domains.
+    and multiplexes submitted jobs across [domains] worker loops.
 
-    Concurrency model: the pool's [n] domains each run a worker loop that
-    drains a shared job queue, so up to [n] jobs execute at once — every
-    job runs sequentially on its worker unless its own [jobs=K] key asks
-    for a private pool.  Each connection gets two threads: a reader that
-    parses frames, and a writer that drains a per-connection outbox of
-    outbound frames — workers and readers only ever {e enqueue} output,
-    so no thread holding a lock or a pool slot can block on a peer's
-    socket, and a job's [event] frames never interleave bytes with
-    another job's on the same socket.
+    Concurrency model: a worker thread runs {!Anonet_parallel.Pool.map}
+    over [n] worker loops — [n - 1] spawned domains plus the thread
+    itself — each draining a shared job queue, so up to [n] jobs execute
+    at once.  Every job runs sequentially on its worker unless its own
+    [jobs=K] key fans its experiment rows out over domains of its own.
+    Each connection gets two threads: a reader that parses frames, and a
+    writer that drains a per-connection outbox of outbound frames —
+    workers and readers only ever {e enqueue} output, so no thread
+    holding a lock or a worker can block on a peer's socket, and a job's
+    [event] frames never interleave bytes with another job's on the same
+    socket.
 
     Backpressure: three bounds, each answered without stalling anything
     shared.  The job queue is bounded ([max_queue]); a [submit] that
@@ -51,9 +52,10 @@ val start :
     [send_timeout] to 30 seconds (0 disables the write deadline).  A
     stale Unix-socket path is unlinked before binding.  An unresolvable
     host or an address that cannot be bound is an [Error] with a
-    human-readable diagnostic; nothing is left running in that case. *)
+    human-readable diagnostic; nothing is left running in that case.
+    @raise Invalid_argument if [domains < 1]. *)
 
 val stop : t -> unit
 (** Stops accepting, drains running jobs, flushes each connection's
     outbox (bounded by [send_timeout] per write), joins every thread and
-    the pool, and closes all sockets.  Idempotent. *)
+    worker domain, and closes all sockets.  Idempotent. *)

@@ -51,13 +51,8 @@ exception Tape_out of int
 let run_mod (type s) ?faults ?adversary ~obs
     (module A : Algorithm.S with type state = s) g ~tape ~scheduler ~max_events =
   let n = Graph.n g in
-  (* reverse.(v).(p) = (u, q): port p of v reaches u, arriving on u's q. *)
-  let reverse =
-    Array.init n (fun v ->
-        Array.init (Graph.degree g v) (fun p ->
-            let u = Graph.neighbor g v p in
-            u, Graph.port_to g u v))
-  in
+  (* Port p of v reaches u, arriving on u's port twin.(off.(v) + p) - off.(u). *)
+  let off = Graph.offsets g and twin = Graph.reverse_slots g in
   let delay_rng = Prng.create (Hashtbl.hash scheduler) in
   let delay ~source = sample_delay scheduler delay_rng ~source in
   (* Per-node synchronizer state. *)
@@ -156,7 +151,8 @@ let run_mod (type s) ?faults ?adversary ~obs
     (* Send every port an explicit (possibly null) round-r message. *)
     Array.iteri
       (fun p payload ->
-        let u, q = reverse.(v).(p) in
+        let u = Graph.neighbor g v p in
+        let q = twin.(off.(v) + p) - off.(u) in
         schedule { target = u; port = q; round = r; payload } ~source:v)
       sends
   in

@@ -72,10 +72,8 @@ val sample_delay : scheduler -> Anonet_graph.Prng.t -> source:int -> int
     [ctx.obs], when live, posts the [async.events] counter and
     [async.virtual_rounds] gauge (equal to the outcome's fields by
     construction), the [faults.*] tallies, the [async.run] span, and one
-    ["async.done"] event.  [ctx.scramble_seed] and
-    [ctx.max_rounds_policy] are not consulted (the event budget is the
-    explicit [max_events]; the asynchronous wire has no port rounds to
-    scramble). *)
+    ["async.done"] event.  [ctx.scramble_seed] is not
+    consulted (the asynchronous wire has no port rounds to scramble). *)
 val run :
   ?ctx:Run_ctx.t ->
   Algorithm.t ->

@@ -90,18 +90,6 @@ type layout = {
 
 let send_len lay = (if lay.inst.ported then lay.total_slots else lay.n) * lay.msg_words
 
-(* For each slot [s] of node [v] fed by [u = src.(s)]: [u]'s slot on the
-   edge back to [v]. *)
-let twin_slots g slot_off src =
-  let twin = Array.make (Array.length src) 0 in
-  for v = 0 to Graph.n g - 1 do
-    for s = slot_off.(v) to slot_off.(v + 1) - 1 do
-      let u = src.(s) in
-      twin.(s) <- slot_off.(u) + Graph.port_to g u v
-    done
-  done;
-  twin
-
 (* The flat layout of [algo] on [g], or [None] when the algorithm has no
    registered companion. *)
 let flat_layout algo g =
@@ -123,7 +111,7 @@ let flat_layout algo g =
         msg_words = inst.msg_words;
         total_slots = slot_off.(n);
         slot_off;
-        twin = (if inst.ported then twin_slots g slot_off src else src);
+        twin = (if inst.ported then Graph.reverse_slots g else src);
         inst;
       }
 
@@ -395,14 +383,9 @@ let in_place lay g =
    algorithm may keep the inbox it was handed. *)
 let boxed { scramble; faults; adversary } (module A : Algorithm.S) g =
   let n = Graph.n g in
-  (* [reverse.(v).(p)] is the pair [(u, q)] such that port [p] of [v]
-     reaches [u], whose port [q] comes back to [v]. *)
-  let reverse =
-    Array.init n (fun v ->
-        Array.init (Graph.degree g v) (fun p ->
-            let u = Graph.neighbor g v p in
-            u, Graph.port_to g u v))
-  in
+  (* Port [p] of [v] is slot [off.(v) + p]; it reaches [u], whose port
+     [twin.(off.(v) + p) - off.(u)] comes back to [v]. *)
+  let off = Graph.offsets g and twin = Graph.reverse_slots g in
   let states =
     Array.init n (fun v -> A.init ~input:(Graph.label g v) ~degree:(Graph.degree g v))
   in
@@ -436,7 +419,8 @@ let boxed { scramble; faults; adversary } (module A : Algorithm.S) g =
             match msg with
             | None -> ()
             | Some m ->
-              let u, q = reverse.(v).(p) in
+              let u = Graph.neighbor g v p in
+              let q = twin.(off.(v) + p) - off.(u) in
               let delivered =
                 match faults with
                 | None -> Some m

@@ -140,9 +140,6 @@ val to_result : ending -> (outcome, failure) result
       run's result is byte-identical and the overhead is a few branches
       per round.
 
-    [ctx.max_rounds_policy] is not consulted (the round
-    budget is the explicit [max_rounds]).
-
     @raise Invalid_argument if the algorithm revokes or changes an output
     (a model violation — a bug in the algorithm). *)
 val run :

@@ -157,13 +157,8 @@ let solve ?(ctx = Run_ctx.default) algo g ~seed ?max_rounds ?(attempts = 20)
    | Some d when d <= 0.0 -> invalid_arg "Las_vegas.solve: divergence <= 0"
    | _ -> ());
   let obs = Run_ctx.obs ctx in
-  (* The context's policy supplies the base budget unless the caller pins
-     one explicitly; the default policy reproduces the historical
-     [64 * (n + 4)]. *)
   let base_rounds =
-    match max_rounds with
-    | Some r -> r
-    | None -> Run_ctx.max_rounds ctx ~n:(Graph.n g)
+    match max_rounds with Some r -> r | None -> 64 * (Graph.n g + 4)
   in
   let clamp f = if f >= float_of_int (max_int / 2) then max_int / 2 else int_of_float f in
   let budget_for i =

@@ -54,9 +54,8 @@ val pp_failure : Format.formatter -> failure -> unit
     code via {!Run_error.exit_code} without parsing text) and whose
     [message] is the full diagnostic string.  Callers that only want the
     text can use {!solve_msg}.  Attempt [i] gets a budget of
-    [max_rounds * backoff^(i-1)] rounds ([max_rounds] defaults to the
-    context's {!Run_ctx.max_rounds_policy}, i.e. [64 * (n + 4)] for the
-    default context; [backoff] to [2.0]; pass [~backoff:1.0] for the old
+    [max_rounds * backoff^(i-1)] rounds ([max_rounds] defaults to
+    [64 * (n + 4)]; [backoff] to [2.0]; pass [~backoff:1.0] for the old
     fixed-budget behavior).  When [giveup] is set, the harness stops as
     soon as the next attempt's budget would push the total rounds spent
     past the cap.  Error strings include the last attempt's failure,

@@ -3,41 +3,22 @@ module Prng = Anonet_graph.Prng
 module Obs = Anonet_obs.Obs
 module Events = Anonet_obs.Events
 
-type max_rounds_policy =
-  | Scaled of { per_node : int; slack : int }
-  | Fixed of int
-
 type t = {
   faults : Faults.plan option;
   adversary : Adversary.plan option;
   obs : Obs.t;
   scramble_seed : int option;
-  max_rounds_policy : max_rounds_policy;
 }
 
-let default_policy = Scaled { per_node = 64; slack = 4 }
-
 let default =
-  {
-    faults = None;
-    adversary = None;
-    obs = Obs.null;
-    scramble_seed = None;
-    max_rounds_policy = default_policy;
-  }
+  { faults = None; adversary = None; obs = Obs.null; scramble_seed = None }
 
-let make ?faults ?adversary ?(obs = Obs.null) ?scramble_seed
-    ?(max_rounds_policy = default_policy) () =
-  { faults; adversary; obs; scramble_seed; max_rounds_policy }
+let make ?faults ?adversary ?(obs = Obs.null) ?scramble_seed () =
+  { faults; adversary; obs; scramble_seed }
 
 let obs t = t.obs
 let faults t = t.faults
 let adversary t = t.adversary
-
-let max_rounds t ~n =
-  match t.max_rounds_policy with
-  | Scaled { per_node; slack } -> per_node * (n + slack)
-  | Fixed r -> r
 
 let injector t = Option.map Faults.make t.faults
 let adversary_instance t = Option.map Adversary.make t.adversary

@@ -12,14 +12,6 @@
     stateful injector, so one context can be reused across runs and
     attempts — each run instantiates its own injector via {!injector}. *)
 
-(** How an entry point that needs a round budget derives it from the graph
-    size: [Scaled { per_node; slack }] gives [per_node * (n + slack)] —
-    {!default} uses [64 * (n + 4)], the Las-Vegas default budget — while
-    [Fixed r] is [r] regardless of the graph. *)
-type max_rounds_policy =
-  | Scaled of { per_node : int; slack : int }
-  | Fixed of int
-
 type t = {
   faults : Faults.plan option;  (** fault plan applied to (each) run *)
   adversary : Adversary.plan option;
@@ -27,28 +19,22 @@ type t = {
   obs : Anonet_obs.Obs.t;  (** metrics + event sink; [Obs.null] = off *)
   scramble_seed : int option;
       (** per-round inbox scrambling (see [Executor.run]) *)
-  max_rounds_policy : max_rounds_policy;
 }
 
 val default : t
-(** No faults, null observability, no scrambling,
-    [Scaled { per_node = 64; slack = 4 }]. *)
+(** No faults, no adversary, null observability, no scrambling. *)
 
 val make :
   ?faults:Faults.plan ->
   ?adversary:Adversary.plan ->
   ?obs:Anonet_obs.Obs.t ->
   ?scramble_seed:int ->
-  ?max_rounds_policy:max_rounds_policy ->
   unit ->
   t
 
 val obs : t -> Anonet_obs.Obs.t
 val faults : t -> Faults.plan option
 val adversary : t -> Adversary.plan option
-
-val max_rounds : t -> n:int -> int
-(** Apply {!max_rounds_policy} to an [n]-node graph. *)
 
 val injector : t -> Faults.t option
 (** A {e fresh} stateful injector for the context's fault plan.  Injectors

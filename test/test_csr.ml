@@ -1,8 +1,7 @@
 (* Tests for the CSR graph core: the flat offsets/adjacency representation
    must be observationally identical to the legacy per-node adjacency-list
-   semantics — same neighbor order, same ports, same degrees — and every
-   functional update must keep minting fresh ids (the canonical-encoding
-   cache is keyed by them).  On top, the end-to-end solve/derandomize text
+   semantics — same neighbor order, same ports, same degrees, the same
+   reverse-edge slots — and label updates must keep the adjacency.  On top, the end-to-end solve/derandomize text
    must stay byte-identical when the same job runs concurrently on 2 or 4
    domains, as `anonet serve --jobs 2/4` workers run it, on fixed and
    random graphs: concurrent runs share the process-wide caches (interned
@@ -123,12 +122,50 @@ let qcheck_csr_agrees =
       agree (Printf.sprintf "n%d-seed%d" n seed) (Graph.unlabeled ~n ~edges) edges;
       true)
 
-(* ---------- functional updates: stable adjacency ---------- *)
-
 let reversing_perms g =
   Array.init (Graph.n g) (fun v ->
       let d = Graph.degree g v in
       Array.init d (fun j -> d - 1 - j))
+
+let random_perms ~seed g =
+  let r = Prng.create seed in
+  Array.init (Graph.n g) (fun v ->
+      let p = Array.init (Graph.degree g v) Fun.id in
+      Prng.shuffle r p;
+      p)
+
+(* [Graph.reverse_slots] against one [port_to] per slot, on the sorted
+   graph and on two port permutations of it (the fallback path). *)
+let check_reverse_slots name g =
+  List.iter
+    (fun (variant, g) ->
+      let off = Graph.offsets g in
+      let expect =
+        Array.concat
+          (List.init (Graph.n g) (fun v ->
+               Array.init (Graph.degree g v) (fun p ->
+                   let u = Graph.neighbor g v p in
+                   off.(u) + Graph.port_to g u v)))
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s/%s: reverse slots = port_to table" name variant)
+        expect (Graph.reverse_slots g))
+    [ "sorted", g;
+      "reversed", Graph.permute_ports g (reversing_perms g);
+      "shuffled", Graph.permute_ports g (random_perms ~seed:(Graph.n g) g) ]
+
+let test_reverse_slots () =
+  List.iter (fun (name, g) -> check_reverse_slots name g) fixed_graphs;
+  check_reverse_slots "empty" (Graph.unlabeled ~n:0 ~edges:[]);
+  check_reverse_slots "two-isolated" (Graph.unlabeled ~n:2 ~edges:[]);
+  List.iter
+    (fun seed ->
+      let n = 5 + (seed mod 20) in
+      check_reverse_slots (Printf.sprintf "n%d-seed%d" n seed)
+        (Graph.unlabeled ~n ~edges:(random_edges ~seed n)))
+    (List.init 20 (fun i -> 100 + i))
+
+(* ---------- functional updates: stable adjacency ---------- *)
 
 let test_label_updates_keep_adjacency () =
   let g = Gen.petersen () in
@@ -195,24 +232,23 @@ let test_encode_streaming_vs_sorting () =
 
 (* ---------- solve/derandomize byte-identity across serve --jobs ---------- *)
 
-(* The job on the calling domain, then [jobs] copies of it at once on a
-   pool of [jobs] domains — one graph per copy, built from the spec. *)
+(* The job on the calling domain, then [jobs] copies of it at once on
+   [jobs] domains — one graph per copy, built from the spec. *)
 let check_jobs_invariant name kind pairs =
   let job = { Job.kind; pairs } in
   let base = Runner.execute job in
   check_int (name ^ ": sequential exit code") 0 base.Runner.code;
   List.iter
     (fun jobs ->
-      Pool.with_pool ~domains:jobs (fun p ->
-          Array.iter
-            (fun o ->
-              check_int (Printf.sprintf "%s: exit code at --jobs %d" name jobs)
-                base.Runner.code o.Runner.code;
-              check_string (Printf.sprintf "%s: stdout at --jobs %d" name jobs)
-                base.Runner.out o.Runner.out;
-              check_string (Printf.sprintf "%s: stderr at --jobs %d" name jobs)
-                base.Runner.err o.Runner.err)
-            (Pool.map p (fun () -> Runner.execute job) (Array.make jobs ()))))
+      Array.iter
+        (fun o ->
+          check_int (Printf.sprintf "%s: exit code at --jobs %d" name jobs)
+            base.Runner.code o.Runner.code;
+          check_string (Printf.sprintf "%s: stdout at --jobs %d" name jobs)
+            base.Runner.out o.Runner.out;
+          check_string (Printf.sprintf "%s: stderr at --jobs %d" name jobs)
+            base.Runner.err o.Runner.err)
+        (Pool.map ~domains:jobs (fun () -> Runner.execute job) (Array.make jobs ())))
     [ 2; 4 ]
 
 let test_solve_byte_identity () =
@@ -241,6 +277,8 @@ let () =
           Alcotest.test_case "empty and singleton graphs" `Quick
             test_empty_and_singleton;
           QCheck_alcotest.to_alcotest qcheck_csr_agrees;
+          Alcotest.test_case "reverse slots = port_to table" `Quick
+            test_reverse_slots;
         ] );
       ( "updates",
         [

@@ -428,21 +428,20 @@ let test_search_pools () =
             reference.(a);
           Option.iter (check_pinned ~name algo g) reference.(a))
         algos;
-      (* All four companions' searches side by side on the pool's
+      (* All four companions' searches side by side on concurrent
          domains: the per-domain scratch, sized per layout, must not leak
          between them. *)
       List.iter
         (fun domains ->
-          Pool.with_pool ~domains (fun p ->
-              Array.iteri
-                (fun i found ->
-                  let a = i mod k in
-                  check_found_boxed
-                    ~name:(Printf.sprintf "%s/%s/pool%d-%d" gname (fst algos.(a)) domains i)
-                    found reference.(a))
-                (Pool.map p
-                   (fun i -> min_search_found (snd algos.(i mod k)) g ~max_len:search_len)
-                   (Array.init (2 * k * domains) Fun.id))))
+          Array.iteri
+            (fun i found ->
+              let a = i mod k in
+              check_found_boxed
+                ~name:(Printf.sprintf "%s/%s/pool%d-%d" gname (fst algos.(a)) domains i)
+                found reference.(a))
+            (Pool.map ~domains
+               (fun i -> min_search_found (snd algos.(i mod k)) g ~max_len:search_len)
+               (Array.init (2 * k * domains) Fun.id)))
         [ 1; 2; 4 ])
     graphs;
   check_some_per_algorithm ~name:"pools" !results

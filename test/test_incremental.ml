@@ -25,9 +25,8 @@ let c6_instance () =
 
 let prime_instance g = colored_instance g (Array.init (Graph.n g) (fun v -> Label.Int v))
 
-(* [f] run as [domains] concurrent replicas on a pool of that size. *)
-let concurrently ~domains f =
-  Pool.with_pool ~domains (fun p -> Pool.map p f (Array.make domains ()))
+(* [f] run as [domains] concurrent replicas. *)
+let concurrently ~domains f = Pool.map ~domains f (Array.make domains ())
 
 (* [check ~domains (f ())] on the calling domain, then on each result of
    [f] run as concurrent replicas on 2- and 4-domain pools.  The checks

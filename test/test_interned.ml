@@ -210,15 +210,14 @@ let test_parallel_interning_matches_sequential () =
   let roots = Array.init (4 * n) (fun i -> i mod n) in
   let seq = Array.map (fun v -> Interned.of_graph g ~root:v ~depth:8) roots in
   let seq_strings = Array.map (fun i -> View.to_string (View.of_interned i)) seq in
-  Pool.with_pool ~domains:4 (fun p ->
-      let par = Pool.map p (fun v -> Interned.of_graph g ~root:v ~depth:8) roots in
-      Array.iteri
-        (fun i t ->
-          check "same id as sequential" true (Interned.id t = Interned.id seq.(i));
-          check "physically equal across domains" true (t == seq.(i));
-          check_string "byte-identical rendering" seq_strings.(i)
-            (View.to_string (View.of_interned t)))
-        par)
+  let par = Pool.map ~domains:4 (fun v -> Interned.of_graph g ~root:v ~depth:8) roots in
+  Array.iteri
+    (fun i t ->
+      check "same id as sequential" true (Interned.id t = Interned.id seq.(i));
+      check "physically equal across domains" true (t == seq.(i));
+      check_string "byte-identical rendering" seq_strings.(i)
+        (View.to_string (View.of_interned t)))
+    par
 
 let test_parallel_uc_classes_match_sequential () =
   let graphs =
@@ -227,9 +226,8 @@ let test_parallel_uc_classes_match_sequential () =
        Gen.label_with_ints (Gen.petersen ()) |]
   in
   let seq = Array.map (fun g -> Universal_cover.classes_at_depth g 6) graphs in
-  Pool.with_pool ~domains:4 (fun p ->
-      let par = Pool.map p (fun g -> Universal_cover.classes_at_depth g 6) graphs in
-      Array.iteri (fun i c -> check "pool classes = sequential" true (c = seq.(i))) par)
+  let par = Pool.map ~domains:4 (fun g -> Universal_cover.classes_at_depth g 6) graphs in
+  Array.iteri (fun i c -> check "pool classes = sequential" true (c = seq.(i))) par
 
 (* ---------- qcheck properties ---------- *)
 
@@ -291,13 +289,12 @@ let prop_parallel_byte_identical =
           (fun v -> View.to_string (View.of_interned (Interned.of_graph g ~root:v ~depth:6)))
           roots
       in
-      Pool.with_pool ~domains:4 (fun pool ->
-          let par =
-            Pool.map pool
-              (fun v -> View.to_string (View.of_interned (Interned.of_graph g ~root:v ~depth:6)))
-              roots
-          in
-          Array.for_all2 String.equal seq par))
+      let par =
+        Pool.map ~domains:4
+          (fun v -> View.to_string (View.of_interned (Interned.of_graph g ~root:v ~depth:6)))
+          roots
+      in
+      Array.for_all2 String.equal seq par)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest

@@ -294,6 +294,27 @@ let test_loopback_failure_code () =
   check_int "remote exit code" expected.Runner.code outcome.Runner.code;
   check_string "remote diagnostic" expected.Runner.err outcome.Runner.err
 
+(* Loss makes the unwrapped 2-hop solver reject a mangled announce: the
+   served job ends with the in-process diagnosis (code 1), not as a
+   generic "job failed" rejection. *)
+let test_loopback_protocol_break () =
+  let job =
+    {
+      Job.kind = Job.Solve;
+      pairs =
+        [ "problem", "2hop"; "graph", "cycle:6"; "faults", "loss=0.3,seed=1" ];
+    }
+  in
+  let expected, _ = run_local job in
+  check_int "local exit code" 1 expected.Runner.code;
+  check "local diagnosis" true
+    (String.starts_with ~prefix:"fault injection broke the algorithm's protocol"
+       expected.Runner.err);
+  with_server @@ fun addr ->
+  let outcome, _ = submit_collecting addr job in
+  check_int "remote exit code" expected.Runner.code outcome.Runner.code;
+  check_string "remote diagnostic" expected.Runner.err outcome.Runner.err
+
 (* A* on the Petersen graph exhausts its Update-Bits state budget: the
    job must end like any other derandomization error (code 1, the
    diagnostic in [err]), not escape as an uncaught exception. *)
@@ -570,6 +591,7 @@ let () =
       ( "loopback",
         [ t "two concurrent jobs byte-identical" test_loopback_two_concurrent_jobs;
           t "failure code survives the wire" test_loopback_failure_code;
+          t "protocol break = in-process diagnosis" test_loopback_protocol_break;
           t "bad job rejected" test_loopback_bad_job_rejected;
           t "queue full rejected" test_loopback_queue_full;
           t "garbage bytes rejected" test_loopback_garbage_rejected;

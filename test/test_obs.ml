@@ -481,10 +481,9 @@ let test_las_vegas_obs_identity () =
      (one registry each), never changes the report *)
   let live () = solve_with (Obs.make ~metrics:(Metrics.create ()) ()) () in
   check "live handle agrees" true (sequential = live ());
-  Pool.with_pool ~domains:4 (fun pool ->
-      Array.iter
-        (fun r -> check "jobs=4 agrees with jobs=1" true (sequential = r))
-        (Pool.map pool live (Array.make 4 ())))
+  Array.iter
+    (fun r -> check "jobs=4 agrees with jobs=1" true (sequential = r))
+    (Pool.map ~domains:4 live (Array.make 4 ()))
 
 (* ---------- acceptance: NDJSON stream of a seed-fixed faulty solve ---------- *)
 

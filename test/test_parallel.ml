@@ -1,9 +1,9 @@
-(* Tests for the multicore execution layer: the domain pool itself, and
-   the concurrency that remains once a job runs on one domain —
-   independent Las-Vegas solves and minimal-simulation searches running
-   side by side on pool domains, as server workers and experiment rows
-   run them.  The equivalence tests run one call on the calling domain
-   and again as concurrent replicas on pools of 1, 2 and 4 domains, and
+(* Tests for the multicore execution layer: [Pool.map] itself, and the
+   concurrency that remains once a job runs on one domain — independent
+   Las-Vegas solves and minimal-simulation searches running side by side
+   on their own domains, as server workers and experiment rows run them.
+   The equivalence tests run one call on the calling domain and again as
+   concurrent replicas on 1, 2 and 4 domains, and
    demand identical results, down to attempt counts, state counters and
    error strings: per-domain executor scratch must not leak between
    concurrent runs. *)
@@ -16,6 +16,7 @@ module Executor = Anonet_runtime.Executor
 module Faults = Anonet_runtime.Faults
 module Retransmit = Anonet_runtime.Retransmit
 module Run_ctx = Anonet_runtime.Run_ctx
+module Experiments = Anonet_experiments.Experiments
 
 let check = Alcotest.(check bool)
 
@@ -25,75 +26,74 @@ let check_string = Alcotest.(check string)
 
 let pool_sizes = [ 1; 2; 4 ]
 
-(* [f] run as [domains] concurrent replicas on a pool of that size. *)
-let concurrently ~domains f =
-  Pool.with_pool ~domains (fun p -> Pool.map p f (Array.make domains ()))
+(* [f] run as [domains] concurrent replicas. *)
+let concurrently ~domains f = Pool.map ~domains f (Array.make domains ())
 
-(* ---------- Pool: the combinators themselves ---------- *)
+(* ---------- Pool.map itself ---------- *)
 
-let test_pool_create_invalid () =
-  Alcotest.check_raises "domains 0" (Invalid_argument "Pool.create: domains < 1")
-    (fun () -> ignore (Pool.create ~domains:0 ()))
+let test_pool_map_invalid () =
+  Alcotest.check_raises "domains 0" (Invalid_argument "Pool.map: domains < 1")
+    (fun () -> ignore (Pool.map ~domains:0 Fun.id [| 1 |]))
 
 let test_pool_map_order () =
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          check_int (Printf.sprintf "domains reported (%d)" domains) domains
-            (Pool.domains p);
-          List.iter
-            (fun n ->
-              let input = Array.init n (fun i -> i) in
-              let out = Pool.map p (fun i -> i * i) input in
-              Alcotest.(check (array int))
-                (Printf.sprintf "map %d items on %d domains" n domains)
-                (Array.map (fun i -> i * i) input)
-                out)
-            [ 0; 1; 7; 100 ]))
-    pool_sizes
-
-let test_pool_run_each_index_once () =
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          let n = 200 in
-          let hits = Array.init n (fun _ -> Atomic.make 0) in
-          Pool.run p ~n (fun i -> Atomic.incr hits.(i));
-          Array.iteri
-            (fun i a ->
-              check_int (Printf.sprintf "index %d on %d domains" i domains) 1
-                (Atomic.get a))
-            hits))
-    pool_sizes
-
-let test_pool_run_propagates_exception () =
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          (match Pool.run p ~n:50 (fun i -> if i = 13 then failwith "boom-13") with
-           | () -> Alcotest.fail "expected Failure"
-           | exception Failure m ->
-             check_string "first failure re-raised" "boom-13" m);
-          (* The pool survives a failed job. *)
-          let out = Pool.map p (fun i -> i + 1) (Array.init 10 (fun i -> i)) in
+      List.iter
+        (fun n ->
+          let input = Array.init n (fun i -> i) in
           Alcotest.(check (array int))
-            "usable after failure"
-            (Array.init 10 (fun i -> i + 1))
-            out))
+            (Printf.sprintf "map %d items on %d domains" n domains)
+            (Array.map (fun i -> i * i) input)
+            (Pool.map ~domains (fun i -> i * i) input))
+        [ 0; 1; 7; 100 ])
     pool_sizes
 
-let test_pool_shutdown () =
-  let p = Pool.create ~domains:3 () in
-  let out = Pool.map p string_of_int (Array.init 5 (fun i -> i)) in
-  Alcotest.(check (array string))
-    "before shutdown"
-    [| "0"; "1"; "2"; "3"; "4" |]
-    out;
-  Pool.shutdown p;
-  Pool.shutdown p (* idempotent *);
-  (match Pool.map p string_of_int [| 1 |] with
-   | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
-   | exception Invalid_argument _ -> ())
+let test_pool_map_each_index_once () =
+  List.iter
+    (fun domains ->
+      let n = 200 in
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      ignore (Pool.map ~domains (fun i -> Atomic.incr hits.(i)) (Array.init n Fun.id));
+      Array.iteri
+        (fun i a ->
+          check_int (Printf.sprintf "index %d on %d domains" i domains) 1
+            (Atomic.get a))
+        hits)
+    pool_sizes
+
+let test_pool_map_propagates_exception () =
+  List.iter
+    (fun domains ->
+      let ran = Atomic.make 0 in
+      match
+        Pool.map ~domains
+          (fun i ->
+            Atomic.incr ran;
+            if i = 13 then failwith "boom-13")
+          (Array.init 50 Fun.id)
+      with
+      | _ -> Alcotest.fail "expected Failure"
+      | exception Failure m ->
+        check_string "first failure re-raised" "boom-13" m;
+        (* in order on one domain, so nothing after the failure runs;
+           concurrent participants skip the indices they claim after it *)
+        if domains = 1 then check_int "stops at the failure" 14 (Atomic.get ran))
+    pool_sizes
+
+(* ---------- experiment row fan-out = sequential run ---------- *)
+
+let test_experiment_fan_out () =
+  (* Rows computed on two domains merge in input order: the same output,
+     typed fields included, as the sequential run.  Explicit [~domains],
+     so the fan-out happens even on a 1-core host. *)
+  List.iter
+    (fun id ->
+      match Experiments.run id, Experiments.run ~domains:2 id with
+      | Ok seq, Ok par ->
+        check (id ^ ": has rows") true (seq.Experiments.rows <> []);
+        check (id ^ ": rows at 2 domains = sequential") true (seq = par)
+      | Error m, _ | _, Error m -> Alcotest.fail m)
+    [ "t3"; "f3"; "lemmas"; "e1" ]
 
 (* ---------- concurrent Las-Vegas solves = calling domain ---------- *)
 
@@ -339,8 +339,8 @@ let test_branching_limit_round_major () =
   | exception Min_search.Search_limit_exceeded -> ()
 
 let test_branching_limit_parallel_agrees () =
-  (* A search on a pool worker raises the same limit with the same
-     payload, and the pool hands it back to the caller. *)
+  (* A search on a spawned domain raises the same limit with the same
+     payload, and [Pool.map] hands it back to the caller. *)
   let g25 = Gen.label_with_ints (Gen.cycle 25) in
   match
     concurrently ~domains:2 (fun () ->
@@ -377,13 +377,17 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "create validates" `Quick test_pool_create_invalid;
+          Alcotest.test_case "map validates domains" `Quick test_pool_map_invalid;
           Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
           Alcotest.test_case "run hits each index once" `Quick
-            test_pool_run_each_index_once;
+            test_pool_map_each_index_once;
           Alcotest.test_case "run propagates exceptions" `Quick
-            test_pool_run_propagates_exception;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+            test_pool_map_propagates_exception;
+        ] );
+      ( "experiments",
+        [
+          Alcotest.test_case "row fan-out = sequential" `Quick
+            test_experiment_fan_out;
         ] );
       ( "las-vegas",
         [

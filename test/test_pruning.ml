@@ -151,7 +151,7 @@ let test_pruned_vs_node_major () =
       "cycle-4", Gen.label_with_ints (Gen.cycle 4) ]
 
 let test_pruned_pools_identical () =
-  (* Pruned searches run side by side on a pool's domains must be
+  (* Pruned searches run side by side on concurrent domains must be
      bit-identical to the pruned search on the calling domain — found
      record, states_explored included. *)
   List.iter
@@ -163,21 +163,20 @@ let test_pruned_pools_identical () =
       let sequential = run () in
       List.iter
         (fun domains ->
-          Pool.with_pool ~domains (fun p ->
-              Array.iter
-                (fun pooled ->
-                  match sequential, pooled with
-                  | Some a, Some b ->
-                    check
-                      (Printf.sprintf "%s: pooled pruned identical (%d domains)"
-                         name domains)
-                      true (found_equal a b)
-                  | None, None -> ()
-                  | _ ->
-                    Alcotest.fail
-                      (Printf.sprintf "%s: presence differs at %d domains" name
-                         domains))
-                (Pool.map p run (Array.make domains ()))))
+          Array.iter
+            (fun pooled ->
+              match sequential, pooled with
+              | Some a, Some b ->
+                check
+                  (Printf.sprintf "%s: pooled pruned identical (%d domains)"
+                     name domains)
+                  true (found_equal a b)
+              | None, None -> ()
+              | _ ->
+                Alcotest.fail
+                  (Printf.sprintf "%s: presence differs at %d domains" name
+                     domains))
+            (Pool.map ~domains run (Array.make domains ())))
         pool_sizes)
     fixtures
 
