@@ -289,7 +289,10 @@ let bench_tests () =
        JSON's [search_states] section — pruning pays a sensitivity probe
        per expanded entry, so the time win is smaller than the state win
        but must not invert it.  Fixtures: the two largest ablate-bits
-       searches, and the deepest a-star-phases schedule end to end. *)
+       searches, and the deepest a-star-phases schedule end to end.  A
+       last row times the [Exactly] search A*'s Update-Bits runs, on a
+       graph whose states recur level after level, so levels 5..8 replay
+       their recorded children. *)
     let min_search ~pruning g () =
       ignore
         (Min_search.minimal_successful
@@ -303,6 +306,14 @@ let bench_tests () =
       match A_star.solve ~gran:Bundles.two_hop_coloring c6i ~pruning () with
       | Ok _ -> ()
       | Error m -> failwith m
+    in
+    let grid24 = Gen.label_with_ints (Gen.grid 2 4) in
+    let resumable_exactly8 () =
+      let t =
+        Min_search.Resumable.create ~solver:Anonet_algorithms.Rand_mis.algorithm
+          grid24 ~base:(Bit_assignment.empty 8) ()
+      in
+      ignore (Min_search.Resumable.extend t ~len:8)
     in
     Test.make_grouped ~name:"core-pruning"
       [
@@ -318,6 +329,8 @@ let bench_tests () =
           (Staged.stage (a_star ~pruning:true));
         Test.make ~name:"a-star-2hop-c6-exhaustive"
           (Staged.stage (a_star ~pruning:false));
+        Test.make ~name:"resumable-exactly8-mis-grid2x4"
+          (Staged.stage resumable_exactly8);
       ]
   in
   let huge_graphs =

@@ -41,21 +41,9 @@ let catch_limits f =
    and this limit keeps a runaway instance from looking like a hang. *)
 let branching_limit = 24
 
-(* Dedup on execution-state keys (see [Executor.Incremental.dedup_key]):
-   a key aliases the state's own flat arena, with its hash precomputed. *)
-module KeyTbl = Hashtbl.Make (Executor.Incremental.Key)
+module Key = Executor.Incremental.Key
 
 (* ---------- round-major breadth-first search with state dedup ---------- *)
-
-(* A frontier entry: the per-round bit vectors chosen so far (most recent
-   first, packed — one bit per node per round) and the execution they
-   induce.  Entries are kept in lexicographic order of their prefixes.
-   The vectors are shared, not copied: every entry of a level aliases the
-   level's preallocated vector table. *)
-type entry = {
-  rev_rounds : Bitvec.t list;
-  exec : Executor.Incremental.t;
-}
 
 (* Complete a prefix of [level] rounds to a full assignment of length
    [len]: prescribed base bits where they exist, zeros elsewhere. *)
@@ -97,30 +85,140 @@ let vector_of_code ~prescribed ~free ~f code =
     free;
   bits
 
+(* What an interned state's expansions past [max_base] have left behind.
+   Past the longest base string every node is free and no bit is
+   prescribed, so an entry's representative vectors (its sensitivity
+   core) and its children are a function of its state alone: the second
+   expansion of a state records them, and every later one replays them
+   without stepping.  Recording waits for that second expansion because
+   most states of a search whose states never recur (a step counter in
+   the state) are expanded once. *)
+type replay =
+  | Unexpanded
+  | Expanded_once
+  | Recorded of {
+      reps : Bitvec.t array;
+      succ : int array;  (* the interned child of each representative *)
+    }
+
+(* A frontier entry: the per-round bit vectors chosen so far (most recent
+   first, packed — one bit per node per round) and the execution they
+   induce, with its interned id.  Entries are kept in lexicographic order
+   of their prefixes.  The vectors are shared, not copied: every entry
+   aliases a level's preallocated vector table. *)
+type entry = {
+  rev_rounds : Bitvec.t list;
+  id : int;
+  exec : Executor.Incremental.t;
+}
+
+(* The interned states of one search.  Every state the search commits
+   gets the next dense id through one key table — open addressing with
+   linear probing over the keys' hashes ([-1] marks a free slot; a hash is
+   never negative) and their ids, at most 3/4 full — so a lookup scans
+   ints and looks at a state only when the hashes match.  Per id, a flat
+   growable store keeps the execution, the last level that absorbed it
+   ([-1] before the first) and its replay record.  A child is new within
+   level [r] iff its stamp is not [r], so the stamps are the per-level
+   seen-set. *)
+type store = {
+  mutable hashes : int array;
+  mutable slots : int array;
+  mutable execs : Executor.Incremental.t array;
+  mutable stamps : int array;
+  mutable replays : replay array;
+  mutable count : int;
+}
+
+let store_create root =
+  {
+    hashes = Array.make 64 (-1);
+    slots = Array.make 64 0;
+    execs = Array.make 32 root;
+    stamps = Array.make 32 (-1);
+    replays = Array.make 32 Unexpanded;
+    count = 0;
+  }
+
+let rec probe_slot s h key i =
+  let hi = Array.unsafe_get s.hashes i in
+  if
+    hi < 0
+    || hi = h
+       && Key.equal
+            (Executor.Incremental.dedup_key
+               (Array.unsafe_get s.execs (Array.unsafe_get s.slots i)))
+            key
+  then i
+  else probe_slot s h key ((i + 1) land (Array.length s.hashes - 1))
+
+(* The slot holding [key]'s id, or the free slot where it belongs. *)
+let slot s key =
+  let h = Key.hash key in
+  probe_slot s h key (h land (Array.length s.hashes - 1))
+
+let id_at s i =
+  if Array.unsafe_get s.hashes i >= 0 then Array.unsafe_get s.slots i else -1
+
+(* Intern [exec] in the free slot [i] (from [slot]) under the next id.
+   The store grows by [Array.append], not [Array.make]: a major-heap
+   array made with a young initial value forces a minor collection. *)
+let intern s i exec =
+  let id = s.count in
+  if id = Array.length s.execs then begin
+    s.execs <- Array.append s.execs s.execs;
+    s.stamps <- Array.append s.stamps s.stamps;
+    s.replays <- Array.append s.replays s.replays
+  end;
+  Array.unsafe_set s.execs id exec;
+  Array.unsafe_set s.stamps id (-1);
+  Array.unsafe_set s.replays id Unexpanded;
+  Array.unsafe_set s.hashes i (Key.hash (Executor.Incremental.dedup_key exec));
+  Array.unsafe_set s.slots i id;
+  s.count <- id + 1;
+  let cap = Array.length s.hashes in
+  if 4 * s.count > 3 * cap then begin
+    s.hashes <- Array.make (2 * cap) (-1);
+    s.slots <- Array.make (2 * cap) 0;
+    for id = 0 to s.count - 1 do
+      let key = Executor.Incremental.dedup_key (Array.unsafe_get s.execs id) in
+      let k = slot s key in
+      Array.unsafe_set s.hashes k (Key.hash key);
+      Array.unsafe_set s.slots k id
+    done
+  end;
+  id
+
 (* The round-major BFS state, shared by the one-shot search and the
    resumable handle.  [level] counts fully expanded levels; [explored]
    is cumulative across every level expanded so far.
 
+   Every state the search commits is interned in [store], one table for
+   the whole search: stepping to a state any level already reached costs
+   a lookup, not an allocation.
+
    [pruning] enables core-guided pruning (see DESIGN.md "Core-guided
    pruning"): per-entry bit-sensitivity cores collapse provably
    equivalent sibling vectors onto their lexicographically smallest
-   representative, and — when [subsume] is [Some] — a cross-level table
-   of execution states prunes any child whose state was already reached
-   at an earlier level.  The cross-level table is sound only for
-   [At_most] targets (length-first domination; completion padding breaks
-   the argument for [Exactly]) and only at levels >= [max_base], where
-   the set of allowed continuations no longer depends on the level. *)
+   representative, and — when [subsume] holds — a child whose state was
+   already absorbed at an earlier level at or past [max_base] is pruned
+   (the stamp doubles as that cross-level mark; the root counts as
+   absorbed at level 0).  Subsumption is sound only for [At_most] targets
+   (length-first domination; completion padding breaks the argument for
+   [Exactly]) and only at levels >= [max_base], where the set of allowed
+   continuations no longer depends on the level. *)
 type bfs = {
   base : Bit_assignment.t;
   max_states : int;
   obs : Obs.t;
   pruning : bool;
-  subsume : unit KeyTbl.t option;
+  subsume : bool;
   max_base : int;
   states_c : Metrics.counter option;
   frontier_g : Metrics.gauge option;
   pruned_c : Metrics.counter option;
   probes_c : Metrics.counter option;
+  store : store;
   mutable frontier : entry list;
   mutable level : int;
   mutable explored : int;
@@ -128,35 +226,35 @@ type bfs = {
 
 let bfs_start ~obs ~solver g ~base ~max_states ~pruning ~subsume
     ~consider =
-  let start = { rev_rounds = []; exec = Executor.Incremental.start solver g } in
-  let max_base = Bit_assignment.max_length base in
-  let subsume =
-    if pruning && subsume then begin
-      let tbl = KeyTbl.create 256 in
-      (* With no prescribed rounds at all the root itself subsumes: a
-         child re-reaching the initial state restarts the search one
-         level deeper and can only produce longer (dominated) successes. *)
-      if max_base = 0 then
-        KeyTbl.add tbl (Executor.Incremental.dedup_key start.exec) ();
-      Some tbl
-    end
-    else None
+  let exec = Executor.Incremental.start solver g in
+  let t =
+    {
+      base;
+      max_states;
+      obs;
+      pruning;
+      subsume = pruning && subsume;
+      max_base = Bit_assignment.max_length base;
+      states_c = Obs.counter obs "search.states_explored";
+      frontier_g = Obs.gauge obs "search.frontier";
+      pruned_c = Obs.counter obs "search.pruned";
+      probes_c = Obs.counter obs "search.core_probes";
+      store = store_create exec;
+      frontier = [];
+      level = 0;
+      explored = 0;
+    }
   in
-  {
-    base;
-    max_states;
-    obs;
-    pruning;
-    subsume;
-    max_base;
-    states_c = Obs.counter obs "search.states_explored";
-    frontier_g = Obs.gauge obs "search.frontier";
-    pruned_c = Obs.counter obs "search.pruned";
-    probes_c = Obs.counter obs "search.core_probes";
-    frontier = (if consider start 0 then [] else [ start ]);
-    level = 0;
-    explored = 0;
-  }
+  (* The root is absorbed at level 0.  With no prescribed rounds at all it
+     therefore subsumes: a child re-reaching the initial state restarts
+     the search one level deeper and can only produce longer (dominated)
+     successes. *)
+  let s = t.store in
+  let id = intern s (slot s (Executor.Incremental.dedup_key exec)) exec in
+  s.stamps.(id) <- 0;
+  let root = { rev_rounds = []; id; exec } in
+  if not (consider root 0) then t.frontier <- [ root ];
+  t
 
 (* Result of expanding one level: [Truncated] means the state budget ran
    out mid-level.  The in-budget lexicographic prefix of the level has
@@ -233,42 +331,49 @@ let expand_level t ~consider =
         Hashtbl.add mask_tables mask a;
         a
   in
-  (* Open an entry for expansion: probe its sensitivity core and account
-     the collapsed siblings.  An entry counts in [search.core_probes] and
-     [search.pruned] exactly when the expansion loop reaches it within
-     budget. *)
-  let open_entry exec =
-    if not pruning then vectors
-    else begin
+  (* An entry counts in [search.core_probes] and [search.pruned] exactly
+     when the expansion loop reaches it within budget, whether its core
+     is probed or replayed. *)
+  let count_core reps =
+    if pruning then begin
       Obs.incr t.probes_c;
-      let reps =
-        reps_of_mask (mask_of (Executor.Incremental.bit_sensitivity exec))
-      in
       let collapsed = nvec - Array.length reps in
-      if collapsed > 0 then Obs.incr ~by:collapsed t.pruned_c;
-      reps
+      if collapsed > 0 then Obs.incr ~by:collapsed t.pruned_c
     end
   in
-  let seen = KeyTbl.create (max 16 (min 4096 (frontier_size * nvec))) in
-  let next = ref [] in
-  (* A child already known novel within this level: register its state,
-     then either prune it as cross-level subsumed, prune it as a recorded
-     success ([consider]), or push it onto the next frontier. *)
-  let absorb_new entry bits exec fp =
-    KeyTbl.add seen fp ();
-    let subsumed =
-      match t.subsume with
-      | Some tbl when r >= t.max_base ->
-        KeyTbl.mem tbl fp
-        ||
-        (KeyTbl.add tbl fp ();
-         false)
-      | _ -> false
+  let open_entry exec =
+    let reps =
+      if pruning then
+        reps_of_mask (mask_of (Executor.Incremental.bit_sensitivity exec))
+      else vectors
     in
-    if subsumed then Obs.incr t.pruned_c
-    else begin
-      let child = { rev_rounds = bits :: entry.rev_rounds; exec } in
-      if not (consider child r) then next := child :: !next
+    count_core reps;
+    reps
+  in
+  let replayable = r > t.max_base in
+  let next = ref [] in
+  let tick () =
+    t.explored <- t.explored + 1;
+    Obs.incr t.states_c;
+    if t.explored > t.max_states then raise_notrace Budget
+  in
+  (* A child stepped to within this level: unless the level already
+     absorbed it, stamp it, then either prune it as cross-level subsumed,
+     prune it as a recorded success ([consider]), or push it onto the
+     next frontier. *)
+  let s = t.store in
+  let absorb entry bits id =
+    let last = Array.unsafe_get s.stamps id in
+    if last <> r then begin
+      Array.unsafe_set s.stamps id r;
+      if t.subsume && r >= t.max_base && last >= t.max_base then
+        Obs.incr t.pruned_c
+      else begin
+        let child =
+          { rev_rounds = bits :: entry.rev_rounds; id; exec = s.execs.(id) }
+        in
+        if not (consider child r) then next := child :: !next
+      end
     end
   in
   (* Successors in lexicographic prefix order: entries outer (the
@@ -276,26 +381,48 @@ let expand_level t ~consider =
      occurrence of an execution state is its lexicographically smallest
      prefix, so deduplication must scan in exactly this order.
      Probe/commit stepping: write the child into the per-domain probe
-     buffer, test the seen-set against the transient key, and only
+     buffer, look its transient key up in the intern table, and only
      materialize (allocate) the child when it is genuinely new —
-     duplicates, the common case on symmetric graphs, cost nothing. *)
-  match
-    List.iter
-      (fun entry ->
-        Array.iter
-          (fun bits ->
-            t.explored <- t.explored + 1;
-            Obs.incr t.states_c;
-            if t.explored > t.max_states then raise_notrace Budget;
-            let probe = Executor.Incremental.probe_vec entry.exec ~bits in
-            if not (KeyTbl.mem seen (Executor.Incremental.probe_key probe))
-            then begin
-              let exec, fp = Executor.Incremental.probe_commit probe in
-              absorb_new entry bits exec fp
-            end)
-          (open_entry entry.exec))
-      t.frontier
-  with
+     duplicates, the common case on symmetric graphs, cost nothing.  A
+     recorded entry replays its children instead: no stepping, no core
+     probe, no hashing. *)
+  let step_children entry ~record =
+    let reps = open_entry entry.exec in
+    let succ = if record then Array.make (Array.length reps) 0 else [||] in
+    Array.iteri
+      (fun k bits ->
+        tick ();
+        let probe = Executor.Incremental.probe_vec entry.exec ~bits in
+        let i = slot s (Executor.Incremental.probe_key probe) in
+        let id = id_at s i in
+        let id =
+          if id >= 0 then id
+          else intern s i (fst (Executor.Incremental.probe_commit probe))
+        in
+        if record then Array.unsafe_set succ k id;
+        absorb entry bits id)
+      reps;
+    reps, succ
+  in
+  (* Replay marks are only ever set at replayable levels, and levels only
+     grow, so a marked entry is expanded at a replayable level. *)
+  let expand entry =
+    match s.replays.(entry.id) with
+    | Unexpanded ->
+      ignore (step_children entry ~record:false);
+      if replayable then s.replays.(entry.id) <- Expanded_once
+    | Expanded_once ->
+      let reps, succ = step_children entry ~record:true in
+      s.replays.(entry.id) <- Recorded { reps; succ }
+    | Recorded { reps; succ } ->
+      count_core reps;
+      Array.iteri
+        (fun k bits ->
+          tick ();
+          absorb entry bits (Array.unsafe_get succ k))
+        reps
+  in
+  match List.iter expand t.frontier with
   | () ->
     t.level <- r;
     t.frontier <- List.rev !next;

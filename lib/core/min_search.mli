@@ -122,7 +122,11 @@ val minimal_successful :
 
     The handle retains incremental executor states across calls; they
     are persistent values (see {!Anonet_runtime.Executor.Incremental}),
-    so retention is safe but holds memory proportional to the frontier.
+    so retention is safe.  It interns every distinct state it reached,
+    not only its frontier, so its memory grows with the states explored
+    so far: the interned states, and the recorded successors of the
+    states it expanded twice past the longest base string, whose later
+    expansions replay them without stepping.
     A handle that raised {!Search_limit_exceeded} or
     {!Branching_limit_exceeded} is dead: its budget accounting has
     already recorded the aborted level and further [extend]s are
@@ -135,7 +139,7 @@ module Resumable : sig
       [max_states] bounds the {e cumulative} states explored
       over the handle's lifetime (default [1_000_000]).  [pruning]
       (default [true]) enables the per-round bit-sensitivity cores; the
-      cross-level subsumption table never applies here (the handle
+      cross-level subsumption never applies here (the handle
       serves [Exactly] targets, whose completion padding breaks the
       cross-level domination argument). *)
   val create :

@@ -38,7 +38,8 @@ let int_array_equal a b =
 
 (* Two independent accumulator lanes halve the serial multiply-chain
    latency that dominates a one-lane [h*31+x] fold; the lanes are combined
-   at the end.  Only dedup-key quality depends on this function — the
+   at the end, and a multiply-xorshift mix spreads the fold's weak low
+   bits, which index the search's linear-probing intern table.  Only dedup-key quality depends on this function — the
    values never leave the process — so the formula is free to change. *)
 let hash_int_array seed a =
   let n = Array.length a in
@@ -50,7 +51,9 @@ let hash_int_array seed a =
     i := !i + 2
   done;
   if !i < n then h1 := (!h1 * 31) + Array.unsafe_get a !i;
-  ((!h1 * 31) + !h2) land max_int
+  let h = (!h1 * 31) + !h2 in
+  let h = (h lxor (h lsr 31)) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
 
 (* Injection hooks, instantiated once when an execution starts: a fault
    injector and an adversary are stateful, so each execution owns its own
@@ -171,6 +174,7 @@ module Incremental = struct
     mat : int array;
     arena : int array;
     out : int;  (* nodes with output (irrevocable, so a plain count) *)
+    hash : int;  (* of [arena]: the state is its own dedup key *)
   }
 
   let state_size lay = lay.n * lay.state_words
@@ -188,7 +192,13 @@ module Incremental = struct
       init_flat_states lay g arena;
       let ssize = state_size lay in
       let mat = Array.init lay.total_slots (fun s -> ssize + (s * lay.msg_words)) in
-      { lay; mat; arena; out = count_outputs lay arena }
+      {
+        lay;
+        mat;
+        arena;
+        out = count_outputs lay arena;
+        hash = hash_int_array 17 arena;
+      }
 
   (* Per-domain scratch: the send buffer lives only within one probe, the
      probe buffer only until the next probe, so one growable record per
@@ -210,37 +220,29 @@ module Incremental = struct
 
   let all_output t = t.out = t.lay.n
 
-  (* Dedup keys alias the state's own (immutable) arena, so taking one
-     costs a single hash walk over ints.  The hash is precomputed so the
-     usual membership-check-then-insert sequence walks the arena once,
-     not three times. *)
-  type key = {
-    khash : int;
-    karena : int array;
-  }
+  (* A state is its own dedup key: equality compares arenas, and the hash
+     is computed once, when the state is built, so a membership check
+     then an insertion walk the arena once, not three times. *)
+  type key = t
 
-  let dedup_key t = { khash = hash_int_array 17 t.arena; karena = t.arena }
+  let dedup_key t = t
 
   module Key = struct
-    type t = key
+    type nonrec t = t
 
-    let equal a b = a.khash = b.khash && int_array_equal a.karena b.karena
+    let equal a b = a.hash = b.hash && int_array_equal a.arena b.arena
 
-    let hash k = k.khash
+    let hash k = k.hash
   end
 
   (* Probe/commit stepping: the branch searches discard most children as
      duplicates, so stepping into a reusable per-domain buffer and only
      materializing a fresh arena when the caller's seen-set misses makes
-     the common (duplicate) case allocation-free.  A probe — and the key
-     [probe_key] returns for it — is valid until the next [probe_vec] on
-     the same domain; [probe_commit] yields a stable state and key. *)
-  type probe = {
-    parent : t;
-    pbuf : int array;  (* per-domain buffer, exactly [arena_size] *)
-    phash : int;
-    pout : int;
-  }
+     the common (duplicate) case allocation-free.  A probe is the child
+     state over the per-domain buffer (exactly [arena_size] words), valid
+     until the next [probe_vec] on the same domain; [probe_commit] copies
+     the buffer into a stable state. *)
+  type probe = t
 
   let probe_vec t ~bits =
     let lay = t.lay in
@@ -275,13 +277,13 @@ module Incremental = struct
           Array.unsafe_set buf (dst_off + k) 0
         done
     done;
-    { parent = t; pbuf = buf; phash = hash_int_array 17 buf; pout = out }
+    { t with arena = buf; out; hash = hash_int_array 17 buf }
 
-  let probe_key p = { khash = p.phash; karena = p.pbuf }
+  let probe_key p = p
 
   let probe_commit p =
-    let arena = Array.copy p.pbuf in
-    { p.parent with arena; out = p.pout }, { khash = p.phash; karena = arena }
+    let t = { p with arena = Array.copy p.arena } in
+    t, t
 
   (* Per-node bit sensitivity: in one synchronous round a node's random
      bit can only influence that node's own successor state and the

@@ -178,9 +178,9 @@ module Incremental : sig
   (** A dedup key for the whole execution state (node states and
       in-flight messages): equal keys if and only if the states are
       structurally equal, so two executions with equal keys behave
-      identically under equal future inputs.  It aliases the state's own
-      immutable arena, with its hash precomputed.  Hash with
-      {!module-Key}. *)
+      identically under equal future inputs.  It is the state itself,
+      whose hash is computed once, when the state is built, so taking it
+      costs nothing.  Hash with {!module-Key}. *)
   type key
 
   val dedup_key : t -> key
@@ -197,7 +197,7 @@ module Incremental : sig
       invalidated by the next [probe_vec] call on the same domain, so
       check membership before probing again and never store a probe key
       in a table.  Duplicate children (the common case on symmetric
-      graphs) thus cost no allocation at all.
+      graphs) thus never allocate an arena.
       @raise Invalid_argument on a wrong vector length. *)
   type probe
 

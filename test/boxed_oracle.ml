@@ -55,6 +55,30 @@ let sensitive (type s) (module A : Algorithm.S with type state = s) (e : s exec)
   let s = e.states.(v) and inbox = e.inboxes.(v) in
   A.round s ~bit:false ~inbox <> A.round s ~bit:true ~inbox
 
+(* The children of [e] in the order the search steps them: one per vector
+   that is 0 on the free nodes (the bits of [free], node [v] weighing
+   [2^(n-1-v)]) that are insensitive when [pruning] holds, and that
+   carries the bits of [fixed] on the other nodes, in increasing order
+   (node 0 most significant). *)
+let branch (type s) (m : (module Algorithm.S with type state = s)) g (e : s exec)
+    ~free ~fixed ~pruning f =
+  let n = Graph.n g in
+  let mask = ref 0 in
+  for v = 0 to n - 1 do
+    let weight = 1 lsl (n - 1 - v) in
+    if free land weight <> 0 && ((not pruning) || sensitive m e v) then
+      mask := !mask lor weight
+  done;
+  for code = 0 to (1 lsl n) - 1 do
+    if code land lnot !mask = fixed then begin
+      let bits = Bitvec.create n in
+      for v = 0 to n - 1 do
+        Bitvec.set bits v ((code lsr (n - 1 - v)) land 1 = 1)
+      done;
+      f bits (step m g e ~bits)
+    end
+  done
+
 type found = {
   assignment : Bits.t array;
   outputs : Label.t option array;
@@ -89,18 +113,8 @@ let search (type s) (module A : Algorithm.S with type state = s) g ~max_len =
       let seen = H.create 256 and next = ref [] in
       List.iter
         (fun (rev_rounds, e) ->
-          let mask = ref 0 in
-          for v = 0 to n - 1 do
-            if sensitive m e v then mask := !mask lor (1 lsl (n - 1 - v))
-          done;
-          for code = 0 to (1 lsl n) - 1 do
-            if code land lnot !mask = 0 then begin
+          branch m g e ~free:((1 lsl n) - 1) ~fixed:0 ~pruning:true (fun bits child ->
               incr explored;
-              let bits = Bitvec.create n in
-              for v = 0 to n - 1 do
-                Bitvec.set bits v ((code lsr (n - 1 - v)) land 1 = 1)
-              done;
-              let child = step m g e ~bits in
               if not (H.mem seen child) then begin
                 H.add seen child ();
                 if not (H.mem ever child) then begin
@@ -111,9 +125,7 @@ let search (type s) (module A : Algorithm.S with type state = s) g ~max_len =
                   end
                   else next := (rev_rounds, child) :: !next
                 end
-              end
-            end
-          done)
+              end))
         frontier;
       if Option.is_none !found then level (r + 1) (List.rev !next)
     end
@@ -135,3 +147,91 @@ let search (type s) (module A : Algorithm.S with type state = s) g ~max_len =
         rounds = r;
         states_explored = !explored;
       }
+
+(* The [Exactly len] counterpart for every [len] up to [max_len], by the
+   round-major breadth-first search [Min_search.Resumable] runs for
+   [Exactly] targets, rebuilt on boxed states with no memo at all: no
+   state table outlives its level, and every level re-steps every entry.
+   Round [r] prescribes node [v]'s base bit where [base.(v)] has one and
+   leaves the other nodes free; an entry branches on the vectors that
+   carry the prescribed bits and are 0 on every free node that is
+   insensitive (with [pruning]), in increasing order (node 0 most
+   significant); a child is dropped if its state occurred earlier in this
+   level; an all-output child is recorded as a success and not expanded.
+   Every level runs, whatever it finds.  The answer for [len] is the
+   round-major minimum over the successes of levels [<= len], each
+   completed to [len] bits by the base, then zeros.
+
+   Element [len - 1] of the result is [(explored, found)]: the children
+   stepped over levels [1..len], duplicates included, and that answer
+   ([found.states_explored = explored]).  The exploration of a level does
+   not depend on the target, so one run answers every target. *)
+let search_exactly (type s) (module A : Algorithm.S with type state = s) g ~base
+    ~pruning ~max_len =
+  let m = (module A : Algorithm.S with type state = s) in
+  let module H = Hashtbl.Make (struct
+    type t = s exec
+
+    let equal = ( = )
+    let hash e = Hashtbl.hash_param 50 200 e
+  end) in
+  let n = Graph.n g in
+  let max_base = Array.fold_left (fun acc b -> max acc (Bits.length b)) 0 base in
+  let complete rev_rounds level len =
+    let rounds = Array.of_list (List.rev rev_rounds) in
+    Array.init n (fun v ->
+        Bits.of_list
+          (List.init len (fun i ->
+               if i < level then Bitvec.get rounds.(i) v
+               else i < Bits.length base.(v) && Bits.get base.(v) i)))
+  in
+  let best = ref None in
+  let record rev_rounds level e =
+    match !best with
+    | Some (rev_best, level_best, _) ->
+      let len = max max_base (max level level_best) in
+      if
+        Anonet.Bit_assignment.compare_round_major (complete rev_rounds level len)
+          (complete rev_best level_best len)
+        < 0
+      then best := Some (rev_rounds, level, outputs m e)
+    | None -> best := Some (rev_rounds, level, outputs m e)
+  in
+  let explored = ref 0 in
+  let answer len =
+    ( !explored,
+      Option.map
+        (fun (rev_rounds, level, outputs) ->
+          { assignment = complete rev_rounds level len; outputs; rounds = level;
+            states_explored = !explored })
+        !best )
+  in
+  let root = start m g in
+  let frontier = ref [] in
+  if all_output m root then record [] 0 root else frontier := [ [], root ];
+  Array.init max_len (fun i ->
+      let r = i + 1 in
+      let seen = H.create 256 and next = ref [] in
+      (* The prescribed bits of round [r] as a code, and the nodes free
+         in it. *)
+      let fixed = ref 0 and free = ref 0 in
+      for v = 0 to n - 1 do
+        let weight = 1 lsl (n - 1 - v) in
+        if Bits.length base.(v) >= r then begin
+          if Bits.get base.(v) (r - 1) then fixed := !fixed lor weight
+        end
+        else free := !free lor weight
+      done;
+      List.iter
+        (fun (rev_rounds, e) ->
+          branch m g e ~free:!free ~fixed:!fixed ~pruning (fun bits child ->
+              incr explored;
+              if not (H.mem seen child) then begin
+                H.add seen child ();
+                let rev_rounds = bits :: rev_rounds in
+                if all_output m child then record rev_rounds r child
+                else next := (rev_rounds, child) :: !next
+              end))
+        !frontier;
+      frontier := List.rev !next;
+      answer r)

@@ -472,6 +472,61 @@ let prop_search_random =
         [ 4, search_len; n, 8 ];
       true)
 
+(* ---------- Resumable against the unmemoized Exactly oracle ---------- *)
+
+(* [Min_search.Resumable] interns every state it commits and replays the
+   children of a state it expands again past the longest base string;
+   [Boxed_oracle.search_exactly] re-steps every entry at every level.
+   One handle extended through [len = 1..max_len] must give, at every
+   [len], the oracle's assignment, outputs and round count, after as many
+   children stepped in all. *)
+let check_resumable_exactly ~name ?(pruning = true) algo g ~base ~max_len =
+  let module A = (val algo : Algorithm.S) in
+  let oracle = Boxed_oracle.search_exactly (module A) g ~base ~pruning ~max_len in
+  let t = Min_search.Resumable.create ~pruning ~solver:algo g ~base () in
+  for len = max 1 (Bit_assignment.max_length base) to max_len do
+    let name = Printf.sprintf "%s/exactly-%d" name len in
+    let explored, reference = oracle.(len - 1) in
+    check_found_boxed ~name (Min_search.Resumable.extend t ~len) reference;
+    check Alcotest.int (name ^ ": cumulative states_explored") explored
+      (Min_search.Resumable.states_explored t)
+  done
+
+(* rand-mis frontiers recur level after level, so the later levels
+   replay; without pruning every vector is stepped.  Under a base of
+   uneven strings, a level within the base prescribes its own bits, so it
+   must step even where its states recur: the last-coin algorithm's
+   states recur at every level, so under a base of up to 3 bits on
+   path:3 a replay recorded at level 2 or 3 would reuse that level's
+   prescribed bits later on. *)
+let test_resumable_exactly () =
+  let mis = Anonet_algorithms.Rand_mis.algorithm in
+  let graph g = Gen.label_with_ints g in
+  List.iter
+    (fun (gname, g) ->
+      let base = Bit_assignment.empty (Graph.n g) in
+      check_resumable_exactly ~name:gname mis g ~base ~max_len:8)
+    [ "cycle8", graph (Gen.cycle 8); "path8", graph (Gen.path 8);
+      "grid2x4", graph (Gen.grid 2 4) ];
+  let uneven n =
+    Array.init n (fun v -> Bits.of_list (List.init (v mod 3) (fun i -> (v + i) mod 2 = 0)))
+  in
+  let c6 = graph (Gen.cycle 6) in
+  check_resumable_exactly ~name:"cycle6/uneven-base" mis c6 ~base:(uneven 6) ~max_len:8;
+  let c5 = graph (Gen.cycle 5) in
+  check_resumable_exactly ~name:"cycle5/exhaustive" ~pruning:false mis c5
+    ~base:(Bit_assignment.empty 5) ~max_len:7;
+  check_resumable_exactly ~name:"cycle5/uneven-base/exhaustive" ~pruning:false mis c5
+    ~base:(uneven 5) ~max_len:7;
+  let p3 = graph (Gen.path 3) in
+  let coin_base = [| Bits.empty; Bits.of_string "110"; Bits.of_string "1" |] in
+  List.iter
+    (fun pruning ->
+      check_resumable_exactly
+        ~name:(Printf.sprintf "last-coin/path3/pruning=%b" pruning)
+        ~pruning Recurring.algorithm p3 ~base:coin_base ~max_len:6)
+    [ true; false ]
+
 (* ---------- every catalog solver is searchable ---------- *)
 
 (* Only an algorithm with a flat companion can be searched, so every
@@ -544,6 +599,8 @@ let () =
         [
           Alcotest.test_case "pools 1/2/4, flat = boxed" `Quick test_search_pools;
           QCheck_alcotest.to_alcotest prop_search_random;
+          Alcotest.test_case "Resumable = unmemoized Exactly oracle" `Quick
+            test_resumable_exactly;
         ] );
       ( "catalog",
         [

@@ -299,6 +299,28 @@ let test_budget_parity () =
         (concurrently ~domains explored_at_raise))
     [ 2; 4 ]
 
+(* A state expanded again past the base replays its recorded children:
+   no transition runs.  Under the last-coin algorithm every level's
+   frontier is all [2^n] states.  Level 1 steps the root; level 2 expands
+   the level-1 states once; level 3 expands them again and records their
+   children; from level 4 on every entry replays — the levels still
+   explore their states, but the flat companion's [round] never runs. *)
+let test_replay_steps_nothing () =
+  let g = Gen.path 3 in
+  let t =
+    Min_search.Resumable.create ~solver:Recurring.algorithm g
+      ~base:(Bit_assignment.empty 3) ()
+  in
+  check "no success at level 3" true (Min_search.Resumable.extend t ~len:3 = None);
+  let stepped = Atomic.get Recurring.rounds in
+  let explored = Min_search.Resumable.states_explored t in
+  check "levels 1..3 stepped" true (stepped > 0);
+  check "no success at level 8" true (Min_search.Resumable.extend t ~len:8 = None);
+  check_int "levels 4..8 ran no transition" stepped (Atomic.get Recurring.rounds);
+  check_int "levels 4..8 explored 2^3 children of 2^3 entries each"
+    (explored + (5 * 8 * 8))
+    (Min_search.Resumable.states_explored t)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -308,6 +330,8 @@ let () =
             test_resumable_equals_cold;
           Alcotest.test_case "backward extend rejected" `Quick
             test_resumable_backward_extend;
+          Alcotest.test_case "replayed levels step nothing" `Quick
+            test_replay_steps_nothing;
           QCheck_alcotest.to_alcotest prop_resumable_equals_cold;
         ] );
       ( "a-star-cache",

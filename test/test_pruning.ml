@@ -278,6 +278,82 @@ let test_budget_exactly_always_raises () =
   | Some _ | None -> Alcotest.fail "Exactly under budget did not raise"
   | exception Min_search.Search_limit_exceeded -> ()
 
+let test_budget_parity_replayed () =
+  (* A recurring state's children are replayed without stepping, but
+     each still counts against the budget, one by one.  Scan the budget
+     across levels 4..8 of an [Exactly 8] search on cycle-8, where the
+     states recur: the search must raise exactly when the budget is
+     below the unmemoized oracle's cumulative count, having counted one
+     state past the budget. *)
+  let g = Gen.label_with_ints (Gen.cycle 8) in
+  let solver = Anonet_algorithms.Rand_mis.algorithm in
+  let base = Bit_assignment.empty 8 in
+  let cumulative =
+    let module A = (val solver : Anonet_runtime.Algorithm.S) in
+    let oracle =
+      Boxed_oracle.search_exactly (module A) g ~base ~pruning:true ~max_len:8
+    in
+    fun l -> fst oracle.(l - 1)
+  in
+  let total = cumulative 8 in
+  let budgets =
+    List.concat_map
+      (fun l ->
+        let lo = cumulative (l - 1) and hi = cumulative l in
+        [ lo + 1; (lo + hi) / 2; hi - 1 ])
+      [ 4; 5; 6; 7; 8 ]
+    @ [ total ]
+  in
+  List.iter
+    (fun budget ->
+      let t = Min_search.Resumable.create ~max_states:budget ~solver g ~base () in
+      match Min_search.Resumable.extend t ~len:8 with
+      | found ->
+        check (Printf.sprintf "budget %d: returned at or above %d" budget total) true
+          (budget >= total);
+        check_int
+          (Printf.sprintf "budget %d: states explored" budget)
+          total
+          (Option.fold ~none:(-1) ~some:(fun f -> f.Min_search.states_explored) found)
+      | exception Min_search.Search_limit_exceeded ->
+        check (Printf.sprintf "budget %d: raised below %d" budget total) true
+          (budget < total);
+        check_int
+          (Printf.sprintf "budget %d: states at the raise" budget)
+          (budget + 1)
+          (Min_search.Resumable.states_explored t))
+    budgets
+
+(* ---------- cross-level subsumption: the stamps as marks ---------- *)
+
+let test_stamp_subsumption () =
+  (* A child is subsumed when an earlier level at or past the longest
+     base string absorbed its state; with an empty base the root counts
+     as absorbed at level 0.  The last-coin algorithm's state after a
+     round is that round's bit vector, so on path-2 every level reaches
+     all four states.  Empty base: level 1 steps the root's four
+     children, subsumes the root among them and keeps three; level 2
+     steps their 12 children and subsumes the 4 distinct ones.  Base
+     ("0", ""): level 1 steps two children and keeps both (level 0 is
+     below the base); level 2 steps 8, subsumes the two states of level
+     1 and keeps two new ones; level 3 steps 8 and subsumes 4. *)
+  let g = Gen.path 2 in
+  List.iter
+    (fun (name, base, explored, pruned) ->
+      let m = Metrics.create () in
+      let found =
+        Min_search.minimal_successful ~solver:Recurring.algorithm g ~base
+          ~ctx:(Run_ctx.make ~obs:(Obs.make ~metrics:m ()) ())
+          ~len:(Min_search.At_most 6) ()
+      in
+      check (name ^ ": no success") true (found = None);
+      check_int (name ^ ": states explored") explored
+        (Metrics.counter_value (Metrics.counter m "search.states_explored"));
+      check_int (name ^ ": pruned") pruned
+        (Metrics.counter_value (Metrics.counter m "search.pruned")))
+    [ "empty base", Bit_assignment.empty 2, 16, 5;
+      "base 0/-", [| Bits.of_string "0"; Bits.empty |], 18, 6 ]
+
 (* ---------- Resumable: targets below the explored level ---------- *)
 
 let test_resumable_below_level_without_floor () =
@@ -394,7 +470,12 @@ let () =
           Alcotest.test_case "scan, exhaustive" `Quick
             test_budget_parity_scan_exhaustive;
           Alcotest.test_case "Exactly always raises" `Quick
-            test_budget_exactly_always_raises ] );
+            test_budget_exactly_always_raises;
+          Alcotest.test_case "replayed levels, against the oracle" `Quick
+            test_budget_parity_replayed ] );
+      ( "subsumption",
+        [ Alcotest.test_case "stamps mark earlier levels" `Quick
+            test_stamp_subsumption ] );
       ( "resumable-floor",
         [ Alcotest.test_case "below level without floor" `Quick
             test_resumable_below_level_without_floor ] );
