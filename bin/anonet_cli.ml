@@ -109,7 +109,7 @@ let with_obs metrics events f =
         (match metrics with
          | None -> ()
          | Some fmt ->
-           (* Fold the process-lifetime view-interning totals (the
+           (* Fold the process-total view-interning counts (the
               cache.view family) into the registry — once, right before
               the snapshot. *)
            Anonet_views.Interned.publish_metrics obs;

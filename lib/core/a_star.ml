@@ -12,7 +12,7 @@ module Problem = Anonet_problems.Problem
 module Gran = Anonet_problems.Gran
 
 (* The result of the end-of-phase local computation, a pure function of
-   (gathered view, phase): memoized across nodes and executions. *)
+   (gathered view, phase): memoized across the nodes of one solve. *)
 type computation = {
   new_output : Label.t option;  (* from Update-Output, if successful *)
   partner_color : Label.t option;
@@ -21,62 +21,6 @@ type computation = {
          the node's own numbering *)
   new_b : Bits.t option;  (* from Update-Bits, if some extension succeeds *)
 }
-
-(* ---- process-wide candidate memo ------------------------------------
-   [Candidates.from_knowledge] is a pure function of (gathered view,
-   phase, problem): the quotient construction, the C1-C3 checks and the
-   canonical encodings depend on nothing else.  Interned view ids are
-   process-unique and never reused, so (view id, phase) keys a process-wide
-   memo per problem — repeated solves over the same instance family (warm
-   restarts, node classes sharing a view, benchmark sweeps, a server's
-   repeated jobs) skip quotient construction and encoding entirely.  It
-   pays: without it, repeated in-process A* solves of mis on cycle:6 with
-   mod:3 colors took 0.38 ms each instead of 0.12 ms (2-core x86 host).
-   Tables are found by the problem value's physical identity (problems
-   are top-level bundle constants); at the cap the least recently used
-   quartile is dropped in one scan. *)
-type cand_entry = {
-  cands : Candidates.t list;
-  mutable cstamp : int;  (* LRU clock tick of the last use; under [clock] *)
-}
-
-type cand_table = {
-  cand_lock : Mutex.t;
-  cand_tbl : (int * int, cand_entry) Hashtbl.t;  (* view id, phase *)
-  mutable cand_clock : int;
-}
-
-let cand_cap = 8192
-
-let cand_tables : (Problem.t * cand_table) list Atomic.t = Atomic.make []
-
-let rec cand_table_for problem =
-  let tables = Atomic.get cand_tables in
-  match List.find_opt (fun (p, _) -> p == problem) tables with
-  | Some (_, t) -> t
-  | None ->
-    let t =
-      { cand_lock = Mutex.create (); cand_tbl = Hashtbl.create 256; cand_clock = 0 }
-    in
-    if Atomic.compare_and_set cand_tables tables ((problem, t) :: tables) then t
-    else cand_table_for problem
-
-(* Must hold [cand_lock]. *)
-let cand_evict_locked t =
-  let m = Hashtbl.length t.cand_tbl in
-  if m > 0 then begin
-    let arr = Array.make m ((0, 0), 0) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun key e ->
-        arr.(!i) <- key, e.cstamp;
-        incr i)
-      t.cand_tbl;
-    Array.sort (fun (_, a) (_, b) -> Int.compare a b) arr;
-    for j = 0 to max 1 (m / 4) - 1 do
-      Hashtbl.remove t.cand_tbl (fst arr.(j))
-    done
-  end
 
 (* Per-search frontier bound; cumulative over a warm handle's lifetime. *)
 let max_search_states = 1_000_000
@@ -186,44 +130,16 @@ let make ~ctx ~gran ?(incremental = true) ?(search_cache_cap = 32)
         Hashtbl.replace search_cache encoding e;
         e
 
-    let cand_table = cand_table_for gran.Gran.problem
-
-    let candidates knowledge ~phase =
-      let key = Interned.id knowledge, phase in
-      let t = cand_table in
-      Mutex.lock t.cand_lock;
-      let hit =
-        match Hashtbl.find_opt t.cand_tbl key with
-        | Some e ->
-          t.cand_clock <- t.cand_clock + 1;
-          e.cstamp <- t.cand_clock;
-          Some e.cands
-        | None -> None
-      in
-      Mutex.unlock t.cand_lock;
-      match hit with
-      | Some cands -> cands
-      | None ->
-        let cands =
-          Candidates.from_knowledge knowledge ~phase
-            ~is_instance:is_instance_colored
-        in
-        Mutex.lock t.cand_lock;
-        if not (Hashtbl.mem t.cand_tbl key) then begin
-          if Hashtbl.length t.cand_tbl >= cand_cap then cand_evict_locked t;
-          t.cand_clock <- t.cand_clock + 1;
-          Hashtbl.replace t.cand_tbl key { cands; cstamp = t.cand_clock }
-        end;
-        Mutex.unlock t.cand_lock;
-        cands
-
     let compute knowledge ~phase =
       let key = Interned.id knowledge, phase in
       match Hashtbl.find_opt memo key with
       | Some c -> c
       | None ->
         let c =
-          match candidates knowledge ~phase with
+          match
+            Candidates.from_knowledge knowledge ~phase
+              ~is_instance:is_instance_colored
+          with
           | [] -> { new_output = None; partner_color = None; new_b = None }
           | selected :: _ ->
             let j = solver_input selected.Candidates.graph in

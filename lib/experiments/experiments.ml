@@ -43,9 +43,12 @@ let banner title =
 (* Row fan-out: graph-family rows are independent, so [domains] domains
    can compute them concurrently — each task returns its finished row(s)
    (asserts included), and the rows merge in input order regardless of
-   completion order, keeping the output identical to a sequential run. *)
+   completion order, keeping the output identical to a sequential run.
+   Each task interns into an arena of its own (a row's views never leave
+   it), whichever domain runs it. *)
 let fan_out ~domains (tasks : (unit -> 'a) list) : 'a list =
-  Array.to_list (Pool.map ~domains (fun f -> f ()) (Array.of_list tasks))
+  Array.to_list
+    (Pool.map ~domains Anonet_views.Interned.with_arena (Array.of_list tasks))
 
 let colored_instance g colors = Problem.attach_coloring g colors
 

@@ -43,8 +43,7 @@ let compare_sized (n1, s1) (n2, s2) =
    Byte-identical to [to_string ~order:identity]; graphs with permuted
    (unsorted) ports fall back to the sorting path.  Not memoized: the
    candidate order of Section 3.1 encodes each candidate once, when
-   [Candidates] builds it, and A*'s process-wide candidate memo keeps the
-   result. *)
+   [Candidates] builds it, and A*'s per-solve memo keeps the result. *)
 let canonical g =
   let n = Graph.n g in
   if not (Graph.ports_sorted g) then

@@ -256,9 +256,13 @@ let check_keys job =
          k :: seen)
        [] job.Job.pairs)
 
+(* Each job interns its views into an arena of its own, dropped when the
+   job ends: no job sees another's interning history, and a server's memory
+   does not grow with the jobs it has run. *)
 let execute ?(obs = Obs.null) job =
   check_keys job;
-  match job.Job.kind with
-  | Job.Solve -> run_solve ~obs job
-  | Job.Derandomize -> run_derandomize ~obs job
-  | Job.Experiment -> run_experiment ~obs job
+  Anonet_views.Interned.with_arena (fun () ->
+      match job.Job.kind with
+      | Job.Solve -> run_solve ~obs job
+      | Job.Derandomize -> run_derandomize ~obs job
+      | Job.Experiment -> run_experiment ~obs job)

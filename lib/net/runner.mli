@@ -42,7 +42,9 @@ val protocol_break : string -> string
     algorithm's protocol, and [--retransmit] is the remedy. *)
 
 val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
-(** Runs the job to completion.  Solves and derandomizations run
+(** Runs the job to completion, in a view-interning arena of its own
+    ({!Anonet_views.Interned.with_arena}): at most one thread per domain
+    may be running a job at a time.  Solves and derandomizations run
     sequentially on the calling thread.  The accepted keys, per kind:
 
     - [solve]: [problem], [graph] (required); [seed] (default 1),

@@ -178,6 +178,9 @@ let execute t { conn; stream; job; cancelled } =
    end);
   job_done t conn
 
+(* One worker per domain, and the only code in the server that runs jobs:
+   a job interns views through its domain's arena slot, so no other thread
+   on the domain (reader, writer, accept) may intern. *)
 let rec worker t =
   Mutex.lock t.qlock;
   while Queue.is_empty t.queue && not t.shutdown do

@@ -3,10 +3,10 @@
     A depth-[d] view of a dense graph unfolds to a tree with up to [Δ^d]
     vertices, but has at most [n] {e distinct} subtrees per level (one per
     view-equivalence class, Section 2.1).  This module interns view nodes in
-    a process-wide hash-cons arena: structurally equal trees receive the
-    same integer handle, so
+    a hash-cons arena: structurally equal trees receive the same integer
+    handle, so
 
-    - {!equal} and {!hash} are O(1) (handle comparison),
+    - {!equal} is O(1) (handle comparison),
     - {!compare} is the canonical structural order of {!View.compare},
       memoized over handle pairs (amortized O(1) on repeated comparisons),
     - {!size} and {!depth} are O(1) (stored per node at construction),
@@ -17,34 +17,47 @@
 
     {2 Representation}
 
-    A value of type {!t} is the node's arena handle; marks, sizes, depths
-    and child lists live in flat per-shard column arrays (marks, sizes,
+    A value of type {!t} is the node's slot in the arena; marks, sizes,
+    depths and child lists live in flat column arrays (marks, sizes,
     depths, child offsets into one concatenated child-handle array).  There
     is no box per view node: the store is a handful of arrays the GC scans
     as units, and the child walks of {!compare}/{!subtrees} run directly
     over the flat columns.
 
-    {2 Domain safety}
+    {2 Arenas}
 
-    The intern table is split into key-hash shards, each guarded by its own
-    mutex (interning is a pure function cache, so sharing it across
-    simulated nodes and domains leaks no information between them).
-    Handles are process-global — equal structures hash to the same shard
-    and receive the same handle no matter which domain interns them first —
-    so construction under [Anonet_parallel.Pool] is safe: two domains
-    interning the same structure race only for who inserts first; both
-    receive the unique representative.  Reads (accessors, {!compare},
-    {!truncate}) never take a lock: each shard publishes its column arrays
-    through an [Atomic.t] snapshot, and the {!compare}/{!truncate} memo
-    tables are {e per-domain} ([Domain.DLS]).
+    An arena holds the intern table, the columns and the
+    {!compare}/{!truncate}/{!to_label}/{!of_label} memos.  Every function
+    here works in the calling domain's {e current} arena, reached through
+    one [Domain.DLS] slot.  {!with_arena} installs a fresh one for the
+    extent of a computation: [Runner.execute] runs each job in its own, and
+    the experiment fan-out gives each row its own, so a job's views are
+    freed when it ends and no job sees another's interning history.  Code
+    outside any job (tests, benchmarks, examples, the CLI's [views] and
+    [factor]) uses the domain's default arena, which lives as long as the
+    domain.
 
-    Invalidation: none.  Interned nodes are pure values; the arena only
-    grows (it implements a function cache keyed by handles that are never
-    reused), and lives for the process.  See DESIGN.md, "Memory layout &
-    scratch arenas". *)
+    Handles are meaningful only in the arena that made them: passing one
+    to another domain, or keeping one past its arena's {!with_arena}, reads
+    some other node or fails with [Invalid_argument].  Results that leave
+    an arena must be plain values ({!View.t}, labels, strings).
+
+    {e Thread rule.}  The slot is per domain, not per thread: at most one
+    thread per domain may be inside a job (or otherwise intern) at a time.
+    [anonet serve] keeps it — only its worker loops call [Runner.execute],
+    one per domain, and its reader, writer and accept threads never
+    intern.
+
+    Nothing here takes a lock: an arena is never shared between domains. *)
 
 type t
-(** An arena handle.  Equal trees have equal handles. *)
+(** An arena handle.  Equal trees in one arena have equal handles. *)
+
+(** [with_arena f] runs [f] with a fresh, empty arena as the calling
+    domain's current one, and restores the previous arena when [f] returns
+    or raises.  The fresh arena is garbage once [f] is done; no handle made
+    inside may be used outside. *)
+val with_arena : (unit -> 'a) -> 'a
 
 (** [leaf mark] is the depth-1 view with the given mark. *)
 val leaf : Anonet_graph.Label.t -> t
@@ -57,7 +70,7 @@ val node : Anonet_graph.Label.t -> t list -> t
 val equal : t -> t -> bool
 
 (** The canonical total order of {!View.compare} — root marks first, then
-    child lists lexicographically — decided via handles and a per-domain
+    child lists lexicographically — decided via handles and the arena's
     memo table.  [compare a b = 0] iff [equal a b]. *)
 val compare : t -> t -> int
 
@@ -83,7 +96,7 @@ val depth : t -> int
     @raise Invalid_argument if [depth < 1]. *)
 val of_graph : Anonet_graph.Graph.t -> root:int -> depth:int -> t
 
-(** [truncate t ~depth] prunes to the given depth (memoized per domain);
+(** [truncate t ~depth] prunes to the given depth (memoized per arena);
     [t] itself when [depth >= depth t].
     @raise Invalid_argument if [depth < 1]. *)
 val truncate : t -> depth:int -> t
@@ -103,7 +116,7 @@ val subtrees : t -> t list
     children-first, each a pair of the mark and the indices of its
     children among earlier entries, the root last.  [of_label] inverts it.
 
-    Both directions are cached per domain: [to_label] memoizes on the
+    Both directions are cached per arena: [to_label] memoizes on the
     handle (so re-broadcasting the same view re-uses one label value,
     physically), and [of_label] keeps an identity-keyed cache — receivers
     that are handed the {e same} label value (the common case under the
@@ -119,16 +132,20 @@ val of_label : Anonet_graph.Label.t -> t
 type stats = {
   hits : int;  (** interning requests answered by an existing node *)
   misses : int;  (** interning requests that allocated a new node *)
-  nodes : int;  (** current intern-arena population *)
+  nodes : int;  (** the calling domain's current arena population *)
 }
 
-(** Process-lifetime totals for the intern arena. *)
+(** [hits] and [misses] are process totals over every arena and domain,
+    so a caller can difference them around a job whose arena is gone by
+    the time it looks; [nodes] is the population of the calling domain's
+    current arena. *)
 val stats : unit -> stats
 
-(** [publish_metrics obs] records the interning totals ({!stats}) in
-    [obs]'s metrics registry: counters [cache.view.hits] and
-    [cache.view.misses], gauge [cache.view.nodes].  The counters carry
-    process-lifetime totals — call this once per registry, just before
-    taking its snapshot (the CLI metrics trailer and [bench-json] do exactly
-    that).  A no-op on {!Anonet_obs.Obs.null}. *)
+(** [publish_metrics obs] records {!stats} in [obs]'s metrics registry:
+    counters [cache.view.hits] and [cache.view.misses] (process totals —
+    call this once per registry, just before taking its snapshot, as the
+    CLI metrics trailer and [bench-json] do), gauge [cache.view.nodes] (the
+    calling domain's current arena: after a CLI job it reads the default
+    arena, since the job's own is dropped).  A no-op on
+    {!Anonet_obs.Obs.null}. *)
 val publish_metrics : Anonet_obs.Obs.t -> unit

@@ -4,9 +4,9 @@
    reverse-edge slots — and label updates must keep the adjacency.  On top, the end-to-end solve/derandomize text
    must stay byte-identical when the same job runs concurrently on 2 or 4
    domains, as `anonet serve --jobs 2/4` workers run it, on fixed and
-   random graphs: concurrent runs share the process-wide caches (interned
-   views, canonical encodings) and each domain's executor scratch, so a
-   leak between them would surface here. *)
+   random graphs: concurrent runs share each domain's executor scratch,
+   and each job interns its views into an arena of its own, so a leak
+   between them would surface here. *)
 
 open Anonet_graph
 module Job = Anonet_net.Job

@@ -204,19 +204,18 @@ let test_encode_canonical () =
 
 (* ---------- domain-pool safety ---------- *)
 
+(* Each domain interns into its own arena, so handles mean nothing across
+   domains: every task renders its view inside itself, and the renderings
+   must match the calling domain's byte for byte. *)
 let test_parallel_interning_matches_sequential () =
   let g = Gen.label_with_ints (Gen.petersen ()) in
   let n = Graph.n g in
   let roots = Array.init (4 * n) (fun i -> i mod n) in
-  let seq = Array.map (fun v -> Interned.of_graph g ~root:v ~depth:8) roots in
-  let seq_strings = Array.map (fun i -> View.to_string (View.of_interned i)) seq in
-  let par = Pool.map ~domains:4 (fun v -> Interned.of_graph g ~root:v ~depth:8) roots in
+  let render v = View.to_string (View.of_interned (Interned.of_graph g ~root:v ~depth:8)) in
+  let seq = Array.map render roots in
+  let par = Pool.map ~domains:4 render roots in
   Array.iteri
-    (fun i t ->
-      check "same id as sequential" true (Interned.id t = Interned.id seq.(i));
-      check "physically equal across domains" true (t == seq.(i));
-      check_string "byte-identical rendering" seq_strings.(i)
-        (View.to_string (View.of_interned t)))
+    (fun i s -> check_string "byte-identical rendering" seq.(i) s)
     par
 
 let test_parallel_uc_classes_match_sequential () =

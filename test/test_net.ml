@@ -15,6 +15,8 @@ module Client = Anonet_net.Client
 module Obs = Anonet_obs.Obs
 module Events = Anonet_obs.Events
 module Run_error = Anonet_runtime.Run_error
+module Interned = Anonet_views.Interned
+module Gen = Anonet_graph.Gen
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -246,6 +248,18 @@ let with_server ?(domains = 2) ?max_queue f =
       ~finally:(fun () -> Server.stop server)
       (fun () -> f (Addr.Unix_sock path))
 
+(* Exit code, stdout, stderr and the events (minus [ts]/[ns]) of two runs. *)
+let check_same_run name (expected_outcome, expected_lines) (outcome, lines) =
+  check_int (name ^ ": exit code") expected_outcome.Runner.code
+    outcome.Runner.code;
+  check_string (name ^ ": stdout text") expected_outcome.Runner.out
+    outcome.Runner.out;
+  check_string (name ^ ": stderr text") expected_outcome.Runner.err
+    outcome.Runner.err;
+  check_int (name ^ ": event count") (List.length expected_lines)
+    (List.length lines);
+  List.iter2 (check_string (name ^ ": event line")) expected_lines lines
+
 let submit_collecting addr job =
   let lines = ref [] in
   let outcome = Client.submit addr job ~on_event:(fun l -> lines := l :: !lines) in
@@ -263,17 +277,43 @@ let test_loopback_two_concurrent_jobs () =
   let got_a = submit_collecting addr job_a in
   Thread.join thread;
   let got_b = Option.get !result_b in
-  let check_job name (expected_outcome, expected_lines) (outcome, lines) =
-    check_int (name ^ ": exit code") expected_outcome.Runner.code
-      outcome.Runner.code;
-    check_string (name ^ ": stdout text") expected_outcome.Runner.out
-      outcome.Runner.out;
-    check_int (name ^ ": event count") (List.length expected_lines)
-      (List.length lines);
-    List.iter2 (check_string (name ^ ": event line")) expected_lines lines
+  check_same_run "job a" expected_a got_a;
+  check_same_run "job b" expected_b got_b
+
+let derandomize_job pairs = { Job.kind = Job.Derandomize; pairs }
+
+(* serve-open's six tiny derandomize shapes. *)
+let tiny_derandomize_jobs =
+  List.concat_map
+    (fun meth ->
+      List.map
+        (fun g ->
+          derandomize_job
+            [ "problem", "mis"; "graph", g; "colors", "mod:3"; "method", meth ])
+        [ "cycle:6"; "cycle:9"; "cycle:12" ])
+    [ "a-star"; "a-infinity" ]
+
+(* Every shape twice at once on a 2-domain server, so both workers run
+   several jobs back to back, each in an interning arena of its own.  The
+   in-process references run before the server starts: the server's
+   worker on this domain shares its interning slot with every thread of
+   the domain. *)
+let test_loopback_tiny_derandomize_concurrent () =
+  let jobs = tiny_derandomize_jobs @ tiny_derandomize_jobs in
+  let expected = List.map run_local jobs in
+  with_server ~domains:2 @@ fun addr ->
+  let running =
+    List.map
+      (fun job ->
+        let got = ref None in
+        got, Thread.create (fun () -> got := Some (submit_collecting addr job)) ())
+      jobs
   in
-  check_job "job a" expected_a got_a;
-  check_job "job b" expected_b got_b
+  List.iter (fun (_, th) -> Thread.join th) running;
+  List.iteri
+    (fun i ((got, _), expected) ->
+      check_same_run (Printf.sprintf "job %d" i) expected (Option.get !got))
+    (List.combine running expected)
 
 let test_loopback_failure_code () =
   (* a diverging job must come back with the same structured exit code the
@@ -335,7 +375,36 @@ let test_a_star_budget_is_typed_error () =
     (String.starts_with ~prefix:"minimal-simulation search exceeded its state budget"
        outcome.Runner.err)
 
+(* Nothing a job prints depends on what ran before it in the process: the
+   reference is the job run cold, as this executable starts (top-level
+   values are evaluated before the suite runs any test). *)
+let grid_job =
+  derandomize_job
+    [ "problem", "mis"; "graph", "grid:2x4"; "colors", "random:11";
+      "method", "a-star" ]
+
+let cold_grid_run = run_local grid_job
+
+let test_no_interning_history () =
+  let nodes () = (Interned.stats ()).Interned.nodes in
+  (* views outside any job land in this domain's default arena *)
+  ignore
+    (Interned.of_graph (Gen.label_with_ints (Gen.petersen ())) ~root:0 ~depth:6);
+  let before = nodes () in
+  check "the default arena holds views" true (before > 0);
+  ignore
+    (Runner.execute
+       (derandomize_job
+          [ "problem", "mis"; "graph", "path:5"; "colors", "unique";
+            "method", "a-star" ]));
+  ignore (Runner.execute (solve_job 3));
+  check_int "the warm-up jobs' arenas were dropped" before (nodes ());
+  let warm = run_local grid_job in
+  check_int "the job's arena was dropped" before (nodes ());
+  check_same_run "after warm-up = cold" cold_grid_run warm
+
 (* Out-of-range generator arguments and a [mod:K] with K < 1 are spec
+
    errors: [Runner] raises [Bad_spec] with a message, never the
    generator's [Invalid_argument] or a [Division_by_zero]. *)
 let test_bad_graph_and_coloring_specs () =
@@ -587,6 +656,7 @@ let () =
           t "job keys its kind does not read are spec errors"
             test_unread_job_keys;
           t "experiment jobs= is bounded" test_experiment_jobs_bounds;
+          t "no interning history across jobs" test_no_interning_history;
         ] );
       ( "loopback",
         [ t "two concurrent jobs byte-identical" test_loopback_two_concurrent_jobs;
@@ -599,5 +669,7 @@ let () =
             test_stream_reuse_after_stale_cancel;
           t "duplicate in-flight stream rejected" test_duplicate_stream_rejected;
           t "connection refused reported" test_client_connection_refused;
+          t "six tiny derandomize shapes on 2 domains"
+            test_loopback_tiny_derandomize_concurrent;
         ] );
     ]
