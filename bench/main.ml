@@ -142,7 +142,7 @@ let bench_tests () =
              (Staged.stage (fun () ->
                   Min_search.minimal_successful
                     ~solver:Anonet_algorithms.Rand_mis.algorithm g
-                    ~base:(Bit_assignment.empty k) ~len:(Min_search.At_most 16) ())))
+                    ~base:(Bit_assignment.empty k) ~max_len:16 ())))
          [ 2; 3; 4; 5 ])
   in
   let pipeline =
@@ -295,7 +295,7 @@ let bench_tests () =
         (Min_search.minimal_successful
            ~solver:Anonet_algorithms.Rand_mis.algorithm g
            ~base:(Bit_assignment.empty (Graph.n g))
-           ~pruning ~len:(Min_search.At_most 16) ())
+           ~pruning ~max_len:16 ())
     in
     let k4 = Gen.label_with_ints (Gen.cycle 4) in
     let k5 = Gen.label_with_ints (Gen.cycle 5) in
@@ -507,7 +507,7 @@ let pool_scaling_rows () =
       (Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
          g
          ~base:(Bit_assignment.empty (Graph.n g))
-         ~len:(Min_search.At_most 16) ())
+         ~max_len:16 ())
   in
   let batch_size = 8 in
   let batched task =
@@ -566,7 +566,7 @@ let alloc_rows () =
       (Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
          g
          ~base:(Bit_assignment.empty (Graph.n g))
-         ~len:(Min_search.At_most 16) ())
+         ~max_len:16 ())
   in
   let c6i = c6_instance () in
   let workloads =
@@ -624,7 +624,7 @@ let search_states_rows () =
           Min_search.minimal_successful
             ~solver:Anonet_algorithms.Rand_mis.algorithm g
             ~base:(Bit_assignment.empty k) ~pruning
-            ~len:(Min_search.At_most 16) ()
+            ~max_len:16 ()
         with
         | Some f -> f.Min_search.states_explored
         | None -> failwith (Printf.sprintf "min-search-mis-k%d found nothing" k)

@@ -28,14 +28,6 @@ open Cmdliner
 open Anonet_graph
 module Problem = Anonet_problems.Problem
 module Gran = Anonet_problems.Gran
-module Catalog = Anonet_problems.Catalog
-module Executor = Anonet_runtime.Executor
-module Faults = Anonet_runtime.Faults
-module Adversary = Anonet_runtime.Adversary
-module Las_vegas = Anonet_runtime.Las_vegas
-module Run_ctx = Anonet_runtime.Run_ctx
-module Run_error = Anonet_runtime.Run_error
-module Bundles = Anonet_algorithms.Bundles
 module Obs = Anonet_obs.Obs
 module Metrics = Anonet_obs.Metrics
 module Obs_events = Anonet_obs.Events
@@ -124,6 +116,13 @@ let with_obs metrics events f =
     finish ();
     v
 
+(* Prints a runner outcome as the subcommand's own output — stdout text,
+   then the diagnostic, if any, on stderr — and exits with its code. *)
+let report outcome =
+  print_string outcome.Runner.out;
+  if outcome.Runner.err <> "" then prerr_endline outcome.Runner.err;
+  if outcome.Runner.code <> 0 then exit outcome.Runner.code
+
 let print_outputs outputs =
   Array.iteri
     (fun v o -> Printf.printf "  node %2d: %s\n" v (Label.to_string o))
@@ -197,80 +196,21 @@ let factor_cmd =
 let solve_cmd =
   let run problem spec seed trace faults_spec adversary_spec divergence
       retransmit metrics events =
-    if trace then begin
-      (* the round-by-round timeline is a local diagnostic: it records and
-         renders in-process and has no job-spec equivalent *)
-      let g = parse_graph spec in
-      let bundle = parse_bundle problem in
-      let plan =
-        match faults_spec with
-        | None -> None
-        | Some s -> begin
-            match Faults.plan_of_string s with
-            | Ok p -> Some p
-            | Error m -> prerr_endline ("bad --faults spec: " ^ m); exit 1
-          end
-      in
-      let adversary =
-        match adversary_spec with
-        | None -> None
-        | Some s -> begin
-            match Adversary.plan_of_string s with
-            | Ok p -> Some p
-            | Error m -> prerr_endline ("bad --adversary spec: " ^ m); exit 1
-          end
-      in
-      (match plan with
-       | None -> ()
-       | Some p -> Printf.printf "fault plan: %s\n" (Faults.plan_to_string p));
-      (match adversary with
-       | None -> ()
-       | Some p -> Printf.printf "adversary plan: %s\n" (Adversary.plan_to_string p));
-      with_obs metrics events @@ fun obs ->
-      let solver =
-        if retransmit then Anonet_runtime.Retransmit.wrap ~obs bundle.Gran.solver
-        else bundle.Gran.solver
-      in
-      let ctx = Run_ctx.make ?faults:plan ?adversary ~obs () in
-      match
-        Anonet_runtime.Trace.record ~ctx solver g
-          ~tape:(Anonet_runtime.Tape.random ~seed)
-          ~max_rounds:(64 * (Graph.n g + 4))
-      with
-      (* the same diagnosis [Runner] gives an untraced run *)
-      | exception Invalid_argument m when plan <> None || adversary <> None ->
-        prerr_endline (Runner.protocol_break m);
-        exit 1
-      | Error (t, f) ->
-        print_string (Anonet_runtime.Trace.render t);
-        Format.printf "failed: %a@." Executor.pp_failure f;
-        exit (Run_error.exit_code (Run_error.Sync f))
-      | Ok (t, outcome) ->
-        print_string (Anonet_runtime.Trace.render t);
-        Printf.printf "valid: %b\n"
-          (bundle.Gran.problem.Problem.is_valid_output g outcome.Executor.outputs)
-    end
-    else begin
-      (* everything else goes through the wire layer's runner: `anonet
-         serve` executes the same job record, so socket and CLI runs are
-         byte-identical by construction *)
-      let pairs =
-        [ "problem", problem; "graph", spec; "seed", string_of_int seed ]
-        @ (match faults_spec with None -> [] | Some s -> [ "faults", s ])
-        @ (match adversary_spec with None -> [] | Some s -> [ "adversary", s ])
-        @ (match divergence with
-          | None -> []
-          | Some d -> [ "divergence", string_of_float d ])
-        @ (if retransmit then [ "retransmit", "true" ] else [])
-      in
-      with_obs metrics events @@ fun obs ->
-      let outcome = Runner.execute ~obs { Job.kind = Job.Solve; pairs } in
-      print_string outcome.Runner.out;
-      if outcome.Runner.code <> 0 then begin
-        prerr_endline outcome.Runner.err;
-        exit outcome.Runner.code
-      end
-    end
+    (* everything goes through the wire layer's runner: `anonet serve`
+       executes the same job record, so socket and CLI runs are
+       byte-identical by construction *)
+    let pairs =
+      [ "problem", problem; "graph", spec; "seed", string_of_int seed ]
+      @ (match faults_spec with None -> [] | Some s -> [ "faults", s ])
+      @ (match adversary_spec with None -> [] | Some s -> [ "adversary", s ])
+      @ (match divergence with
+        | None -> []
+        | Some d -> [ "divergence", string_of_float d ])
+      @ (if retransmit then [ "retransmit", "true" ] else [])
+      @ if trace then [ "trace", "true" ] else []
+    in
+    with_obs metrics events @@ fun obs ->
+    report (Runner.execute ~obs { Job.kind = Job.Solve; pairs })
   in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print a round-by-round timeline.")
@@ -323,12 +263,7 @@ let derandomize_cmd =
         "method", method_ ]
     in
     with_obs metrics events @@ fun obs ->
-    let outcome = Runner.execute ~obs { Job.kind = Job.Derandomize; pairs } in
-    print_string outcome.Runner.out;
-    if outcome.Runner.code <> 0 then begin
-      prerr_endline outcome.Runner.err;
-      exit outcome.Runner.code
-    end
+    report (Runner.execute ~obs { Job.kind = Job.Derandomize; pairs })
   in
   let coloring =
     Arg.(value & opt string "random:1"
@@ -444,12 +379,7 @@ let experiments_cmd =
       :: (match id with None -> [] | Some id -> [ "id", id ])
     in
     with_obs metrics events @@ fun obs ->
-    let outcome = Runner.execute ~obs { Job.kind = Job.Experiment; pairs } in
-    print_string outcome.Runner.out;
-    if outcome.Runner.code <> 0 then begin
-      prerr_endline outcome.Runner.err;
-      exit outcome.Runner.code
-    end
+    report (Runner.execute ~obs { Job.kind = Job.Experiment; pairs })
   in
   let jobs =
     let doc =
@@ -543,9 +473,7 @@ let client_cmd =
         in
         let outcome = Client.submit addr job ~on_event in
         close_events ();
-        print_string outcome.Runner.out;
-        if outcome.Runner.code <> 0 then prerr_endline outcome.Runner.err;
-        exit outcome.Runner.code
+        report outcome
   in
   let connect =
     let doc = "Server address: unix:PATH or tcp:HOST:PORT." in

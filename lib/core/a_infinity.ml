@@ -31,7 +31,7 @@ let solve ?(ctx = Run_ctx.default) ~gran g ?(max_len = 64) ?pruning () =
       (match
          Min_search.catch_limits (fun () ->
              Min_search.minimal_successful ~ctx ~solver:gran.Gran.solver j
-               ~base ?pruning ~len:(Min_search.At_most max_len) ())
+               ~base ?pruning ~max_len ())
        with
        (* The search's typed limits degrade to ordinary errors here: the
           caller learns the instance is out of reach instead of eating an

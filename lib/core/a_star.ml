@@ -146,19 +146,13 @@ let make ~ctx ~gran ?(incremental = true) ?(search_cache_cap = 32)
             let assignment = Candidates.assignment_of selected.Candidates.graph in
             let me = selected.Candidates.me in
             (* Update-Output and Update-Bits, warm (cached per candidate)
-               or cold — value-identical either way. *)
-            let sim, found =
-              if incremental then begin
-                let entry = lookup selected.Candidates.encoding j assignment in
-                entry.sim, Min_search.Resumable.extend entry.search ~len:phase
-              end
-              else
-                ( Simulation.run ~obs ~solver:gran.Gran.solver j
-                    ~bits:assignment,
-                  Min_search.minimal_successful ~ctx ~solver:gran.Gran.solver j
-                    ~base:assignment ~max_states:max_search_states ~pruning
-                    ~len:(Min_search.Exactly phase) () )
+               or cold (a fresh handle per phase) — value-identical either
+               way. *)
+            let { sim; search; _ } =
+              if incremental then lookup selected.Candidates.encoding j assignment
+              else fresh_entry j assignment
             in
+            let found = Min_search.Resumable.extend search ~len:phase in
             let new_output =
               if sim.Simulation.successful then sim.Simulation.outputs.(me)
               else None

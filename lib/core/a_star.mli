@@ -66,10 +66,12 @@
     @param max_rounds round budget (default [4 * (n + 4)^2], generous for
     the quadratic phase schedule).
     @param incremental enable the cross-phase cache (default [true]; the
-    cold path is kept for ablation and for the equivalence tests).
+    cold path, kept for ablation and for the equivalence tests, runs each
+    phase's Update-Output simulation again and opens a fresh
+    {!Min_search.Resumable} handle per phase).
     @param search_cache_cap bound on live cache entries (default [32]).
     @param pruning core-guided pruning for the Update-Bits searches
-    (default [true]; see {!Min_search.minimal_successful} —
+    (default [true]; see {!Min_search.Resumable.create} —
     value-identical either way, kept for ablation).
     @return [Error] if the executor fails (round budget, …) or if an
     Update-Bits search hits its state/branching limits — rendered by

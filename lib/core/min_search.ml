@@ -7,10 +7,6 @@ module Obs = Anonet_obs.Obs
 module Metrics = Anonet_obs.Metrics
 module Events = Anonet_obs.Events
 
-type length_constraint =
-  | Exactly of int
-  | At_most of int
-
 type found = {
   assignment : Bit_assignment.t;
   sim : Simulation.result;
@@ -189,30 +185,53 @@ let intern s i exec =
   end;
   id
 
-(* The round-major BFS state, shared by the one-shot search and the
-   resumable handle.  [level] counts fully expanded levels; [explored]
-   is cumulative across every level expanded so far.
+(* A recorded success: the chosen prefix, the level it completed at, and
+   the outputs it produced.  Completing it to any length at or past
+   [max found_level max_base] appends only unprescribed zero bits.
+
+   All successes one search records share one completion length: an
+   [Exactly l] search ({!Resumable}) completes every success to [l], and a
+   length-first search ({!minimal_successful}) stops at the level of its
+   first success, or at [max_base] if that is deeper, so each success it
+   records completes to that one length.  Padding two successes to
+   [max max_base (both levels)] therefore orders them as the round-major
+   order orders the assignments the search returns: one comparison serves
+   both modes. *)
+type success = {
+  rev_rounds : Bitvec.t list;
+  found_level : int;
+  outputs : Anonet_graph.Label.t option array;
+}
+
+(* The round-major BFS state of one search.  [level] counts fully expanded
+   levels; [explored] is cumulative across every level expanded so far;
+   [best] is the round-major smallest success recorded so far.
 
    Every state the search commits is interned in [store], one table for
    the whole search: stepping to a state any level already reached costs
    a lookup, not an allocation.
 
+   A [length_first] search finds the minimal-length success: it stops at
+   its best success's completion length, since no longer assignment can
+   win.  Otherwise the search serves [Exactly] targets, whose level loop
+   runs to the target whatever it has recorded.
+
    [pruning] enables core-guided pruning (see DESIGN.md "Core-guided
    pruning"): per-entry bit-sensitivity cores collapse provably
    equivalent sibling vectors onto their lexicographically smallest
-   representative, and — when [subsume] holds — a child whose state was
-   already absorbed at an earlier level at or past [max_base] is pruned
-   (the stamp doubles as that cross-level mark; the root counts as
-   absorbed at level 0).  Subsumption is sound only for [At_most] targets
-   (length-first domination; completion padding breaks the argument for
-   [Exactly]) and only at levels >= [max_base], where the set of allowed
+   representative, and — in a length-first search — a child whose state
+   was already absorbed at an earlier level at or past [max_base] is
+   pruned (the stamp doubles as that cross-level mark; the root counts as
+   absorbed at level 0).  Subsumption is sound only length-first
+   (length-first domination; [Exactly]'s completion padding breaks the
+   argument) and only at levels >= [max_base], where the set of allowed
    continuations no longer depends on the level. *)
 type bfs = {
   base : Bit_assignment.t;
   max_states : int;
   obs : Obs.t;
   pruning : bool;
-  subsume : bool;
+  length_first : bool;
   max_base : int;
   states_c : Metrics.counter option;
   frontier_g : Metrics.gauge option;
@@ -222,10 +241,52 @@ type bfs = {
   mutable frontier : entry list;
   mutable level : int;
   mutable explored : int;
+  mutable best : success option;
 }
 
-let bfs_start ~obs ~solver g ~base ~max_states ~pruning ~subsume
-    ~consider =
+let compare_success t a b =
+  let len = max t.max_base (max a.found_level b.found_level) in
+  let complete s =
+    complete ~base:t.base ~rev_rounds:s.rev_rounds ~level:s.found_level ~len
+  in
+  Bit_assignment.compare_round_major (complete a) (complete b)
+
+(* [true] iff [entry], reached at [level], has all-output, in which case it
+   is recorded as a success (kept if round-major smaller than [t.best])
+   and pruned: its descendants cannot beat its own completion. *)
+let consider t entry level =
+  Executor.Incremental.all_output entry.exec
+  && begin
+    let s =
+      {
+        rev_rounds = entry.rev_rounds;
+        found_level = level;
+        outputs = Executor.Incremental.outputs entry.exec;
+      }
+    in
+    (match t.best with
+     | Some cur when compare_success t s cur >= 0 -> ()
+     | Some _ | None -> t.best <- Some s);
+    true
+  end
+
+(* The search's answer: success [s] completed to length [len]. *)
+let found t s ~len =
+  {
+    assignment =
+      complete ~base:t.base ~rev_rounds:s.rev_rounds ~level:s.found_level ~len;
+    sim =
+      {
+        Simulation.successful = true;
+        outputs = Array.copy s.outputs;
+        rounds_run = s.found_level;
+      };
+    states_explored = t.explored;
+  }
+
+let bfs_start ~obs ~solver g ~base ~max_states ~pruning ~length_first =
+  if Array.length base <> Graph.n g then
+    invalid_arg "Min_search: assignment size differs from graph size";
   let exec = Executor.Incremental.start solver g in
   let t =
     {
@@ -233,7 +294,7 @@ let bfs_start ~obs ~solver g ~base ~max_states ~pruning ~subsume
       max_states;
       obs;
       pruning;
-      subsume = pruning && subsume;
+      length_first;
       max_base = Bit_assignment.max_length base;
       states_c = Obs.counter obs "search.states_explored";
       frontier_g = Obs.gauge obs "search.frontier";
@@ -243,6 +304,7 @@ let bfs_start ~obs ~solver g ~base ~max_states ~pruning ~subsume
       frontier = [];
       level = 0;
       explored = 0;
+      best = None;
     }
   in
   (* The root is absorbed at level 0.  With no prescribed rounds at all it
@@ -253,7 +315,7 @@ let bfs_start ~obs ~solver g ~base ~max_states ~pruning ~subsume
   let id = intern s (slot s (Executor.Incremental.dedup_key exec)) exec in
   s.stamps.(id) <- 0;
   let root = { rev_rounds = []; id; exec } in
-  if not (consider root 0) then t.frontier <- [ root ];
+  if not (consider t root 0) then t.frontier <- [ root ];
   t
 
 (* Result of expanding one level: [Truncated] means the state budget ran
@@ -268,11 +330,8 @@ type level_outcome =
 
 exception Budget
 
-(* Expand the frontier by one BFS level.  [consider entry level] must
-   return [true] iff the entry has all-output (recording it as a success
-   candidate as a side effect); such entries are pruned — their
-   descendants cannot beat the entry's own completion. *)
-let expand_level t ~consider =
+(* Expand the frontier by one BFS level, recording its successes. *)
+let expand_level t =
   let r = t.level + 1 in
   (* Per-level constants, hoisted out of the per-entry loop: the free-node
      set, the prescribed bits and the vector tables are the same for
@@ -351,6 +410,7 @@ let expand_level t ~consider =
     reps
   in
   let replayable = r > t.max_base in
+  let subsume = t.pruning && t.length_first && r >= t.max_base in
   let next = ref [] in
   let tick () =
     t.explored <- t.explored + 1;
@@ -362,17 +422,17 @@ let expand_level t ~consider =
      prune it as a recorded success ([consider]), or push it onto the
      next frontier. *)
   let s = t.store in
-  let absorb entry bits id =
+  let absorb (entry : entry) bits id =
     let last = Array.unsafe_get s.stamps id in
     if last <> r then begin
       Array.unsafe_set s.stamps id r;
-      if t.subsume && r >= t.max_base && last >= t.max_base then
+      if subsume && last >= t.max_base then
         Obs.incr t.pruned_c
       else begin
         let child =
           { rev_rounds = bits :: entry.rev_rounds; id; exec = s.execs.(id) }
         in
-        if not (consider child r) then next := child :: !next
+        if not (consider t child r) then next := child :: !next
       end
     end
   in
@@ -429,193 +489,72 @@ let expand_level t ~consider =
     Complete
   | exception Budget -> Truncated
 
-let search_round_major ~obs ~solver g ~base ~max_states ~pruning
-    ~len_constraint =
-  let max_base = Bit_assignment.max_length base in
-  let hard_cap =
-    match len_constraint with Exactly l -> l | At_most l -> l
-  in
-  (match len_constraint with
-   | Exactly l when max_base > l ->
-     invalid_arg "Min_search: base longer than exact target"
-   | Exactly _ | At_most _ -> ());
-  let best : (Bit_assignment.t * Simulation.result) option ref = ref None in
-  let candidate_len level =
-    match len_constraint with
-    | Exactly l -> Some l
-    | At_most l ->
-      let cl = max level max_base in
-      if cl <= l then Some cl else None
-  in
-  let consider entry level =
-    if Executor.Incremental.all_output entry.exec then begin
-      (match candidate_len level with
-       | None -> ()
-       | Some len ->
-         let assignment =
-           complete ~base ~rev_rounds:entry.rev_rounds ~level ~len
-         in
-         let sim =
-           {
-             Simulation.successful = true;
-             outputs = Executor.Incremental.outputs entry.exec;
-             rounds_run = level;
-           }
-         in
-         let better =
-           match !best with
-           | None -> true
-           | Some (a, _) -> Bit_assignment.compare_round_major assignment a < 0
-         in
-         if better then best := Some (assignment, sim));
-      true (* prune: descendants cannot beat this entry's own completion *)
-    end
-    else false
-  in
+(* Expand levels until level [len], an empty frontier, or — length-first
+   — the best success's completion length.  The frontier gauge must not
+   outlive the search: it is reset on every exit (success, exhaustion,
+   raised limits) so later runs sharing the registry do not inherit a
+   stale size. *)
+let advance t ~len =
   let cap () =
-    (* Once a candidate exists, no strictly longer assignment can win. *)
-    match !best, len_constraint with
-    | Some (a, _), At_most _ -> min hard_cap (Bit_assignment.max_length a)
-    | _, _ -> hard_cap
+    match t.best with
+    | Some s when t.length_first -> min len (max s.found_level t.max_base)
+    | Some _ | None -> len
   in
-  let subsume = match len_constraint with At_most _ -> true | Exactly _ -> false in
-  let t =
-    bfs_start ~obs ~solver g ~base ~max_states ~pruning ~subsume
-      ~consider
+  Fun.protect ~finally:(fun () -> Obs.set t.frontier_g 0) @@ fun () ->
+  let rec go () =
+    if t.frontier = [] || t.level >= cap () then Complete
+    else match expand_level t with Complete -> go () | Truncated -> Truncated
   in
-  let truncated = ref false in
-  (* The frontier gauge must not outlive the search: reset it on every
-     exit path (success, exhaustion, raised limits) so later runs sharing
-     the registry do not inherit a stale size. *)
-  Fun.protect
-    ~finally:(fun () -> Obs.set t.frontier_g 0)
-    (fun () ->
-      while (not !truncated) && t.frontier <> [] && t.level < cap () do
-        if expand_level t ~consider = Truncated then truncated := true
-      done);
-  if !truncated then begin
-    (* Budget exhaustion mid-level.  The in-budget lexicographic prefix
-       of the truncated level [r] was expanded, so a recorded best may already be the global minimum:
-       for [At_most] with [max_base <= r], every unexplored completion is
-       either strictly longer than the best (length-first domination) or
-       a lex-later same-level prefix — in both cases round-major larger.
-       A longer base keeps candidate lengths tied at [max_base], where
-       unexplored lex-smaller completions could still exist, so only the
-       budget exception is sound there (and for [Exactly], always). *)
-    let sound =
-      match len_constraint, !best with
-      | At_most _, Some _ -> max_base <= t.level + 1
-      | _, _ -> false
-    in
-    if not sound then raise Search_limit_exceeded
-  end;
-  match !best with
-  | None -> None
-  | Some (assignment, sim) ->
-    Some { assignment; sim; states_explored = t.explored }
+  go ()
 
 let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base
-    ?(max_states = 1_000_000) ?(pruning = true) ~len () =
-  if Array.length base <> Graph.n g then
-    invalid_arg "Min_search: assignment size differs from graph size";
+    ?(max_states = 1_000_000) ?(pruning = true) ~max_len () =
   let obs = Run_ctx.obs ctx in
-  Obs.span obs "min_search.round_major" (fun () ->
-      search_round_major ~obs ~solver g ~base
-        ~max_states ~pruning ~len_constraint:len)
+  Obs.span obs "min_search.round_major" @@ fun () ->
+  let t =
+    bfs_start ~obs ~solver g ~base ~max_states ~pruning ~length_first:true
+  in
+  (* Budget exhaustion mid-level [r = level + 1] leaves its in-budget
+     lexicographic prefix expanded, so a recorded best is already the
+     global minimum when [max_base <= r]: every unexplored completion is
+     then either strictly longer (length-first domination) or a lex-later
+     same-level prefix.  A longer base keeps completion lengths tied at
+     [max_base], where unexplored lex-smaller completions could still
+     exist, so only the budget exception is sound there. *)
+  if
+    advance t ~len:max_len = Truncated
+    && (Option.is_none t.best || t.max_base > t.level + 1)
+  then raise Search_limit_exceeded;
+  Option.bind t.best (fun s ->
+      let len = max s.found_level t.max_base in
+      if len <= max_len then Some (found t s ~len) else None)
 
-(* ---------- resumable round-major search (incremental phase engine) ---- *)
+(* ---------- resumable round-major search (the [Exactly] search) ---------- *)
 
 module Resumable = struct
-  (* A recorded success: the chosen prefix, the level it completed at,
-     and the outputs it produced.  Its completion to any length [L >=
-     max (found_level, max_length base)] appends only unprescribed zero
-     bits, so round-major comparisons between successes are independent
-     of the completion length — which is what lets one running best
-     serve every future [extend] target. *)
-  type success = {
-    rev_rounds : Bitvec.t list;
-    found_level : int;
-    outputs : Anonet_graph.Label.t option array;
-  }
-
-  type t = {
-    bfs : bfs;
-    best : success option ref;
-    consider : entry -> int -> bool;
-  }
-
-  let compare_success ~base a b =
-    let len =
-      max (Bit_assignment.max_length base) (max a.found_level b.found_level)
-    in
-    Bit_assignment.compare_round_major
-      (complete ~base ~rev_rounds:a.rev_rounds ~level:a.found_level ~len)
-      (complete ~base ~rev_rounds:b.rev_rounds ~level:b.found_level ~len)
+  type t = bfs
 
   let create ?(ctx = Run_ctx.default) ?(max_states = 1_000_000)
       ?(pruning = true) ~solver g ~base () =
-    if Array.length base <> Graph.n g then
-      invalid_arg "Min_search: assignment size differs from graph size";
-    let best = ref None in
-    let consider entry level =
-      if Executor.Incremental.all_output entry.exec then begin
-        let s =
-          {
-            rev_rounds = entry.rev_rounds;
-            found_level = level;
-            outputs = Executor.Incremental.outputs entry.exec;
-          }
-        in
-        (match !best with
-         | None -> best := Some s
-         | Some cur -> if compare_success ~base s cur < 0 then best := Some s);
-        true
-      end
-      else false
-    in
-    let bfs =
-      (* The handle serves [Exactly len] targets, whose completion
-         padding breaks cross-level domination — only the per-round
-         sensitivity cores apply here, never the subsumption table. *)
-      bfs_start ~obs:(Run_ctx.obs ctx) ~solver g ~base ~max_states ~pruning ~subsume:false ~consider
-    in
-    { bfs; best; consider }
+    bfs_start ~obs:(Run_ctx.obs ctx) ~solver g ~base ~max_states ~pruning
+      ~length_first:false
 
-  let level t = t.bfs.level
+  let level t = t.level
 
-  let states_explored t = t.bfs.explored
+  let states_explored t = t.explored
 
   let extend t ~len =
-    let bfs = t.bfs in
-    if Bit_assignment.max_length bfs.base > len then
+    if t.max_base > len then
       invalid_arg "Min_search: base longer than exact target";
-    if len < bfs.level then
+    if len < t.level then
       invalid_arg "Min_search.Resumable.extend: target below explored level"
-    else if len = bfs.level && Option.is_none !(t.best) then
+    else if len = t.level && Option.is_none t.best then
       (* Level [len] is fully expanded and recorded no success: there is
          nothing to expand and nothing to complete.  A*'s node classes
          that select one candidate ask for the same phase in turn. *)
       None
     else
-      Obs.span bfs.obs "min_search.extend" (fun () ->
-        Fun.protect ~finally:(fun () -> Obs.set bfs.frontier_g 0) @@ fun () ->
-        while bfs.frontier <> [] && bfs.level < len do
-          if expand_level bfs ~consider:t.consider = Truncated then
-            raise Search_limit_exceeded
-        done;
-        Option.map
-          (fun s ->
-            {
-              assignment =
-                complete ~base:bfs.base ~rev_rounds:s.rev_rounds
-                  ~level:s.found_level ~len;
-              sim =
-                {
-                  Simulation.successful = true;
-                  outputs = Array.copy s.outputs;
-                  rounds_run = s.found_level;
-                };
-              states_explored = bfs.explored;
-            })
-          !(t.best))
+      Obs.span t.obs "min_search.extend" (fun () ->
+          if advance t ~len = Truncated then raise Search_limit_exceeded;
+          Option.map (fun s -> found t s ~len) t.best)
 end

@@ -20,14 +20,6 @@
     scratch is per-domain, so independent searches (server workers,
     experiment rows) may run concurrently on different domains. *)
 
-type length_constraint =
-  | Exactly of int
-      (** the [p]-extensions of Update-Bits: every string extended to
-          exactly this length *)
-  | At_most of int
-      (** minimal-length successful assignment, searched up to this bound
-          (the setting of Section 2.2 / [A_∞]) *)
-
 type found = {
   assignment : Bit_assignment.t;
   sim : Simulation.result;
@@ -50,10 +42,11 @@ exception Branching_limit_exceeded of { free_bits : int; limit : int }
     Any other exception propagates. *)
 val catch_limits : (unit -> 'a) -> ('a, string) result
 
-(** [minimal_successful ?ctx ~solver g ~base ~len ()] finds the smallest
-    assignment extending [base] (in the order above) whose induced
-    simulation on [g] is successful, or [None] if none exists within the
-    length constraint.
+(** [minimal_successful ?ctx ~solver g ~base ~max_len ()] finds the
+    smallest assignment extending [base] (in the order above) whose induced
+    simulation on [g] is successful, or [None] if none has length at most
+    [max_len] — the minimal-length search of Section 2.2 ([A_∞]).  The
+    [p]-extensions of Update-Bits are {!Resumable}'s.
 
     From the context: [ctx.obs], when live, mirrors the search effort in
     the [search.states_explored] counter (equal to the returned
@@ -72,10 +65,10 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     pruning: per-round bit-sensitivity cores from
     {!Anonet_runtime.Executor.Incremental.bit_sensitivity} collapse
     sibling vectors that provably step an entry to the same child onto
-    their lexicographically smallest representative, and — for [At_most]
-    targets — a cross-level state table subsumes children whose execution
-    state was already reached at an earlier (hence round-major smaller)
-    level.  The search's value is unchanged — same [found] record as the
+    their lexicographically smallest representative, and a cross-level
+    state table subsumes children whose execution state was already
+    reached at an earlier (hence round-major smaller) level.  The search's
+    value is unchanged — same [found] record as the
     exhaustive search, asserted in the test suite —
     while [states_explored] drops; the skipped siblings and subsumed
     children are counted in the [search.pruned] counter and the
@@ -86,13 +79,13 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     (default [1_000_000]).  Exhausting it raises {!Search_limit_exceeded}
     — except when the in-budget lexicographic prefix of the truncated
     level already recorded a success that provably dominates every
-    unexplored completion ([At_most] with the truncated level at or past
-    the longest base string), in which case that success is returned with
+    unexplored completion (the truncated level at or past the longest
+    base string), in which case that success is returned with
     [states_explored = max_states + 1].
     @raise Branching_limit_exceeded if one branching step exceeds the
     enumeration limits above.
-    @raise Invalid_argument if some [base] string already exceeds an
-    [Exactly] target, or if [solver] has no registered flat companion. *)
+    @raise Invalid_argument if [solver] has no registered flat
+    companion. *)
 val minimal_successful :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   solver:Anonet_runtime.Algorithm.t ->
@@ -100,25 +93,29 @@ val minimal_successful :
   base:Bit_assignment.t ->
   ?max_states:int ->
   ?pruning:bool ->
-  len:length_constraint ->
+  max_len:int ->
   unit ->
   found option
 
-(** A warm-startable round-major search.
+(** The [Exactly] search: the minimal successful [len]-extension of a
+    base assignment, the [p]-extensions of Update-Bits (Section 3.1), as
+    a warm-startable handle.
 
-    For an [Exactly l] constraint, the breadth-first exploration —
-    stepping, state dedup, all-output pruning, and the round-major
-    tiebreak between successes — does not depend on [l]; only the
-    completion of the winning prefix does.  A [Resumable.t] therefore
-    owns the BFS frontier (entries, their {!Anonet_runtime.Executor.Incremental}
+    For an exact target [l], the breadth-first exploration — stepping,
+    state dedup, all-output pruning, and the round-major tiebreak between
+    successes — does not depend on [l]; only the completion of the
+    winning prefix does (every success completes to [l] by appending
+    zeros past the base).  A [Resumable.t] therefore owns the BFS
+    frontier (entries, their {!Anonet_runtime.Executor.Incremental}
     states, the running best success) and extends it level by level on
-    demand: [extend t ~len:l] returns exactly what
-    [minimal_successful ~len:(Exactly l)] would on a cold start — the
-    same [assignment], the same [sim], and the same {e cumulative}
-    [states_explored] — while expanding only the levels not yet
-    explored.  This is the engine behind [A*]'s incremental Update-Bits:
-    phase [p+1]'s search over an unchanged selected candidate is the
-    one-level extension of phase [p]'s (the prefix property of Lemma 9).
+    demand: [extend t ~len:l] returns exactly what a fresh handle's
+    [extend ~len:l] would — the same [assignment], the same [sim], and
+    the same {e cumulative} [states_explored] — while expanding only the
+    levels not yet explored.  A fresh handle per target is the cold
+    search; a handle kept across targets is [A*]'s incremental
+    Update-Bits: phase [p+1]'s search over an unchanged selected
+    candidate is the one-level extension of phase [p]'s (the prefix
+    property of Lemma 9).
 
     The handle retains incremental executor states across calls; they
     are persistent values (see {!Anonet_runtime.Executor.Incremental}),
@@ -139,9 +136,10 @@ module Resumable : sig
       [max_states] bounds the {e cumulative} states explored
       over the handle's lifetime (default [1_000_000]).  [pruning]
       (default [true]) enables the per-round bit-sensitivity cores; the
-      cross-level subsumption never applies here (the handle
-      serves [Exactly] targets, whose completion padding breaks the
-      cross-level domination argument). *)
+      cross-level subsumption never applies here (completion padding to
+      an exact target breaks the cross-level domination argument).
+      @raise Invalid_argument if [base] does not have one string per
+      node of [g], or if [solver] has no registered flat companion. *)
   val create :
     ?ctx:Anonet_runtime.Run_ctx.t ->
     ?max_states:int ->
@@ -156,13 +154,13 @@ module Resumable : sig
   val level : t -> int
 
   (** Cumulative states explored over the handle's lifetime; after
-      [extend t ~len] it equals the [states_explored] a cold
-      [minimal_successful ~len:(Exactly len)] would report. *)
+      [extend t ~len] it equals the [states_explored] a fresh handle's
+      [extend ~len] would report. *)
   val states_explored : t -> int
 
   (** [extend t ~len] advances the frontier to level [len] (a no-op if
       already there) and returns the minimal successful [len]-extension,
-      exactly as the cold [Exactly len] search would.  Timed under a
+      exactly as a fresh handle's [extend ~len] would.  Timed under a
       [min_search.extend] span — except when [len = level t] and no
       success is recorded: then the answer is [None] at once, with no
       span (the node classes of one [A*] phase that share a candidate
@@ -172,7 +170,7 @@ module Resumable : sig
       advanced past the target; [A*]'s phases never ask for a shorter
       target than an earlier phase), or if some [base] string is longer
       than [len].
-      @raise Search_limit_exceeded / Branching_limit_exceeded as the
-      cold search would; the handle is dead afterwards. *)
+      @raise Search_limit_exceeded / Branching_limit_exceeded as a
+      fresh handle would; the handle is dead afterwards. *)
   val extend : t -> len:int -> found option
 end

@@ -387,7 +387,7 @@ let exp_a1 ~ctx ~domains:_ () =
     let label = Printf.sprintf "%s/%d" name (Graph.n g) in
     match
       Min_search.minimal_successful ~ctx ~solver g
-        ~base:(Bit_assignment.empty (Graph.n g)) ~len:(Min_search.At_most 24) ()
+        ~base:(Bit_assignment.empty (Graph.n g)) ~max_len:24 ()
     with
     | None ->
       row ~experiment:"a1" ~label

@@ -22,7 +22,8 @@
     - [event]: one NDJSON event line, without the trailing newline —
       byte-identical to what {!Anonet_obs.Events.ndjson} would have
       written locally;
-    - [result]: one byte of exit code (0) then the job's stdout text;
+    - [result]: one byte of exit code then the job's stdout text — code
+      0, or a failure whose diagnosis is on stdout (a traced solve's);
     - [error]: one byte of {!Anonet_runtime.Run_error} exit code then the
       diagnostic message.
 

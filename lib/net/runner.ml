@@ -10,6 +10,7 @@ module Adversary = Anonet_runtime.Adversary
 module Las_vegas = Anonet_runtime.Las_vegas
 module Run_ctx = Anonet_runtime.Run_ctx
 module Run_error = Anonet_runtime.Run_error
+module Trace = Anonet_runtime.Trace
 module Obs = Anonet_obs.Obs
 
 exception Bad_spec of string
@@ -121,6 +122,11 @@ let run_solve ~obs job =
   let bundle = bundle_of_spec problem in
   let seed = int_key job "seed" 1 in
   let divergence = float_opt_key job "divergence" in
+  let trace = bool_key job "trace" in
+  if trace && divergence <> None then
+    bad_spec
+      "solve job takes no divergence=... key with trace=true (a trace \
+       records one attempt)";
   let plan = faults_key job in
   let adversary = adversary_key job in
   let b = Buffer.create 256 in
@@ -136,28 +142,45 @@ let run_solve ~obs job =
     else bundle.Gran.solver
   in
   let ctx = Run_ctx.make ?faults:plan ?adversary ~obs () in
-  match Las_vegas.solve ~ctx solver g ~seed ?divergence () with
+  let finish ?(err = "") code = { code; out = Buffer.contents b; err } in
   (* Fault injection can feed an algorithm messages its protocol never
      anticipated (a loss-induced null mid-phase, a corrupted payload);
      decoders are entitled to reject them.  That is a diagnosis, not an
      internal error. *)
-  | exception Invalid_argument m when plan <> None || adversary <> None ->
-    { code = 1; out = ""; err = protocol_break m }
-  | Error f ->
-    {
-      code = Run_error.exit_code (Run_error.Las_vegas f);
-      out = Buffer.contents b;
-      err = f.Las_vegas.message;
-    }
-  | Ok r ->
-    let o = r.Las_vegas.outcome.Executor.outputs in
-    Printf.bprintf b "solved %s in %d rounds (%d messages, attempt %d):\n"
-      problem r.Las_vegas.outcome.Executor.rounds
-      r.Las_vegas.outcome.Executor.messages r.Las_vegas.attempts;
-    outputs_lines b o;
+  let faulty = plan <> None || adversary <> None in
+  let broke m = finish 1 ~err:(protocol_break m) in
+  let valid o =
     Printf.bprintf b "valid: %b\n"
       (bundle.Gran.problem.Problem.is_valid_output g o);
-    { code = 0; out = Buffer.contents b; err = "" }
+    finish 0
+  in
+  if trace then
+    (* One attempt on the seed's tape, rendered as a round-by-round
+       timeline; a failure is reported on stdout, below the timeline. *)
+    match
+      Trace.record ~ctx solver g ~tape:(Anonet_runtime.Tape.random ~seed)
+        ~max_rounds:(64 * (Graph.n g + 4))
+    with
+    | exception Invalid_argument m when faulty -> broke m
+    | Error (t, f) ->
+      Buffer.add_string b (Trace.render t);
+      Buffer.add_string b (Format.asprintf "failed: %a@." Executor.pp_failure f);
+      finish (Run_error.exit_code (Run_error.Sync f))
+    | Ok (t, outcome) ->
+      Buffer.add_string b (Trace.render t);
+      valid outcome.Executor.outputs
+  else
+    match Las_vegas.solve ~ctx solver g ~seed ?divergence () with
+    | exception Invalid_argument m when faulty -> broke m
+    | Error f ->
+      finish (Run_error.exit_code (Run_error.Las_vegas f)) ~err:f.Las_vegas.message
+    | Ok r ->
+      let o = r.Las_vegas.outcome.Executor.outputs in
+      Printf.bprintf b "solved %s in %d rounds (%d messages, attempt %d):\n"
+        problem r.Las_vegas.outcome.Executor.rounds
+        r.Las_vegas.outcome.Executor.messages r.Las_vegas.attempts;
+      outputs_lines b o;
+      valid o
 
 let run_derandomize ~obs job =
   let g = graph_of_spec (required job "graph") in
@@ -239,7 +262,7 @@ let run_experiment ~obs job =
 let accepted_keys = function
   | Job.Solve ->
     [ "problem"; "graph"; "seed"; "faults"; "adversary"; "divergence";
-      "retransmit" ]
+      "retransmit"; "trace" ]
   | Job.Derandomize -> [ "problem"; "graph"; "colors"; "method" ]
   | Job.Experiment -> [ "id"; "jobs" ]
 

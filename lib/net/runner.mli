@@ -18,7 +18,9 @@ exception Bad_spec of string
 type outcome = {
   code : int;  (** 0 on success, else the {!Anonet_runtime.Run_error} code *)
   out : string;  (** stdout text, exactly as the CLI subcommand prints it *)
-  err : string;  (** diagnostic on failure; [""] on success *)
+  err : string;
+      (** diagnostic on failure, printed on stderr; [""] on success, and
+          on a traced solve's failure, which is reported in [out] *)
 }
 
 val bundle_of_spec : string -> Anonet_problems.Gran.t
@@ -36,11 +38,6 @@ val graph_of_spec : string -> Anonet_graph.Graph.t
     generator rejects, unreadable or unparsable files — mapped to
     {!Bad_spec}. *)
 
-val protocol_break : string -> string
-(** The diagnosis for an [Invalid_argument m] that a run under a fault or
-    adversary plan raised: the injected faults broke an unwrapped
-    algorithm's protocol, and [--retransmit] is the remedy. *)
-
 val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
 (** Runs the job to completion, in a view-interning arena of its own
     ({!Anonet_views.Interned.with_arena}): at most one thread per domain
@@ -48,17 +45,24 @@ val execute : ?obs:Anonet_obs.Obs.t -> Job.t -> outcome
     sequentially on the calling thread.  The accepted keys, per kind:
 
     - [solve]: [problem], [graph] (required); [seed] (default 1),
-      [faults], [adversary], [divergence], [retransmit] ([true]/[false]);
+      [faults], [adversary], [divergence], [retransmit] ([true]/[false]),
+      [trace] ([true]/[false], default [false]): one attempt on the
+      seed's tape, at most [64 * (n + 4)] rounds, rendered as a
+      round-by-round timeline ({!Anonet_runtime.Trace}) — it takes no
+      [divergence];
     - [derandomize]: [problem], [graph] (required); [colors] (default
       [random:1]), [method] ([a-infinity], default, or [a-star]);
     - [experiment]: [id] (all experiments when absent); [jobs] (default
       1): the domains that fan independent experiment rows out.  It must
       be at least 1 and is clamped to [Domain.recommended_domain_count ()];
-      the output is the same at any value.
+      the output is the same at any value, except the wall-clock
+      [time (s)] column of experiments A1 and A2, which differs between
+      any two runs.
 
     @raise Bad_spec on a key its kind does not accept, a key given twice,
     values that do not parse, missing required keys, or unparseable
-    specs.  When a [faults] or [adversary] plan is set, an
-    [Invalid_argument m] from the solve is the outcome with code 1 and
-    [err = protocol_break m]; other exceptions from the run itself
-    propagate. *)
+    specs, or [divergence] with [trace=true].  When a [faults] or
+    [adversary] plan is set, an [Invalid_argument m] from the solve is the
+    outcome with code 1 and an [err] that diagnoses the injected faults
+    breaking an unwrapped algorithm's protocol ([retransmit] is the
+    remedy); other exceptions from the run itself propagate. *)

@@ -126,8 +126,8 @@ let writer t conn =
 let error_frame code message stream =
   { Frame.typ = Frame.Error; stream; payload = String.make 1 (Char.chr code) ^ message }
 
-let result_frame out stream =
-  { Frame.typ = Frame.Result; stream; payload = "\x00" ^ out }
+let result_frame code out stream =
+  { Frame.typ = Frame.Result; stream; payload = String.make 1 (Char.chr code) ^ out }
 
 (* ---------- job execution (worker side) ---------- *)
 
@@ -172,8 +172,8 @@ let execute t { conn; stream; job; cancelled } =
      stream_done conn stream;
      if is_cancelled () then
        send t conn (error_frame rejected_code "cancelled" stream)
-     else if outcome.Runner.code = 0 then
-       send t conn (result_frame outcome.Runner.out stream)
+     else if outcome.Runner.err = "" then
+       send t conn (result_frame outcome.Runner.code outcome.Runner.out stream)
      else send t conn (error_frame outcome.Runner.code outcome.Runner.err stream)
    end);
   job_done t conn
@@ -284,16 +284,19 @@ let unlink_stale_socket path =
     try Unix.unlink path with Unix.Unix_error _ -> ())
   | _ | (exception Unix.Unix_error _) -> ()
 
-let accept_loop t ~send_timeout =
+(* A socket write that makes no progress for this long drops the
+   connection instead of wedging its writer thread. *)
+let send_timeout = 30.
+
+let accept_loop t =
   let rec go () =
     match Unix.accept t.listen_fd with
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
     | fd, _peer ->
       Obs.incr t.connections;
-      if send_timeout > 0. then
-        (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout
-         with Unix.Unix_error _ -> ());
+      (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout
+       with Unix.Unix_error _ -> ());
       let conn =
         {
           fd;
@@ -315,8 +318,7 @@ let accept_loop t ~send_timeout =
   in
   go ()
 
-let start ?(obs = Obs.null) ?domains ?(max_queue = 64) ?(send_timeout = 30.)
-    addr =
+let start ?(obs = Obs.null) ?domains ?(max_queue = 64) addr =
   let domains =
     match domains with
     | Some d when d < 1 -> invalid_arg "Server.start: domains < 1"
@@ -368,7 +370,7 @@ let start ?(obs = Obs.null) ?domains ?(max_queue = 64) ?(send_timeout = 30.)
         }
       in
       t.accept_thread <-
-        Some (Thread.create (fun () -> accept_loop t ~send_timeout) ());
+        Some (Thread.create (fun () -> accept_loop t) ());
       t.worker_thread <-
         Some
           (Thread.create

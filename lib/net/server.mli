@@ -18,10 +18,10 @@
     arrives with the queue full is answered immediately with an [error]
     frame carrying {!Anonet_runtime.Run_error.Rejected}'s exit code.  The
     per-connection outbox is bounded; a client that stops reading while
-    its jobs keep producing is dropped.  Socket writes carry a send
-    timeout ([send_timeout], via [SO_SNDTIMEO]); a write that cannot make
-    progress within it drops the connection instead of wedging the writer
-    thread forever.
+    its jobs keep producing is dropped.  Socket writes carry a 30-second
+    send timeout ([SO_SNDTIMEO]); a write that cannot make progress
+    within it drops the connection instead of wedging the writer thread
+    forever.
 
     Streams: ids are chosen by the client, scoped per connection, and
     live from an accepted [submit] to the stream's final frame — after
@@ -43,13 +43,11 @@ val start :
   ?obs:Anonet_obs.Obs.t ->
   ?domains:int ->
   ?max_queue:int ->
-  ?send_timeout:float ->
   Addr.t ->
   (t, string) result
 (** Binds, listens, and spawns the accept and worker threads; returns
     once the server is accepting.  [domains] defaults to
-    [Domain.recommended_domain_count ()]; [max_queue] to 64;
-    [send_timeout] to 30 seconds (0 disables the write deadline).  A
+    [Domain.recommended_domain_count ()]; [max_queue] to 64.  A
     stale Unix-socket path is unlinked before binding.  An unresolvable
     host or an address that cannot be bound is an [Error] with a
     human-readable diagnostic; nothing is left running in that case.
@@ -57,5 +55,5 @@ val start :
 
 val stop : t -> unit
 (** Stops accepting, drains running jobs, flushes each connection's
-    outbox (bounded by [send_timeout] per write), joins every thread and
+    outbox (bounded by the send timeout per write), joins every thread and
     worker domain, and closes all sockets.  Idempotent. *)

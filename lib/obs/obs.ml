@@ -14,9 +14,7 @@ type t = {
 
 let null = { metrics = None; events = Events.null; live = false }
 
-let make ?metrics ?(events = Events.null) () =
-  let metrics = match metrics with Some m -> Some m | None -> Some (Metrics.create ()) in
-  { metrics; events; live = true }
+let make ?metrics ?(events = Events.null) () = { metrics; events; live = true }
 
 let live t = t.live
 let metrics t = t.metrics

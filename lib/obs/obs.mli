@@ -20,8 +20,10 @@ val null : t
 (** No metrics, no events; {!live} is [false]. *)
 
 val make : ?metrics:Metrics.t -> ?events:Events.t -> unit -> t
-(** A live handle.  [metrics] defaults to a fresh registry, [events] to the
-    null sink (metrics without an event stream is the common CLI case). *)
+(** A live handle.  Without [metrics] it is events-only: metric handles
+    come back as [None], as on {!null}, while events and spans' events are
+    emitted (a served job's handle).  [events] defaults to the null sink
+    (metrics without an event stream is the common CLI case). *)
 
 val live : t -> bool
 val metrics : t -> Metrics.t option

@@ -71,7 +71,7 @@ let successes ~solver g ~base ~len =
     (extensions base ~len)
 
 (* The round-major least successful extension of [base] to exactly [len] —
-   what [Min_search] must return for [Exactly len]. *)
+   what [Min_search.Resumable.extend ~len] must return. *)
 let round_major_exactly ~solver g ~base ~len =
   Seq.fold_left
     (fun best ((bits, _) as s) ->
@@ -91,7 +91,7 @@ let first_length find ~base ~max_len =
   go (Bit_assignment.max_length base)
 
 (* The round-major minimum over lengths up to [max_len] — what
-   [Min_search] must return for [At_most max_len]. *)
+   [Min_search.minimal_successful ~max_len] must return. *)
 let round_major_at_most ~solver g ~base ~max_len =
   first_length (fun len -> round_major_exactly ~solver g ~base ~len) ~base ~max_len
 

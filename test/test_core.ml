@@ -155,7 +155,7 @@ let test_min_search_cross_check_orders () =
     Option.get (Search_oracle.round_major_at_most ~solver g ~base ~max_len:8)
   in
   (match
-     Min_search.minimal_successful ~solver g ~base ~len:(Min_search.At_most 8) ()
+     Min_search.minimal_successful ~solver g ~base ~max_len:8 ()
    with
    | None -> Alcotest.fail "BFS found nothing"
    | Some f ->
@@ -178,7 +178,7 @@ let test_min_search_exact_mode () =
   let len = 6 in
   let brute = Search_oracle.round_major_exactly ~solver g ~base ~len in
   match
-    Min_search.minimal_successful ~solver g ~base ~len:(Min_search.Exactly len) ()
+    Cold.exactly ~solver g ~base ~len
   with
   | None -> Alcotest.fail "exact search found nothing"
   | Some f ->
@@ -195,7 +195,7 @@ let test_min_search_respects_base () =
   let solver = Anonet_algorithms.Rand_coloring.algorithm in
   let base = [| b "0000"; Bits.empty |] in
   match
-    Min_search.minimal_successful ~solver g ~base ~len:(Min_search.Exactly 4) ()
+    Cold.exactly ~solver g ~base ~len:4
   with
   | None -> Alcotest.fail "should find an extension"
   | Some f ->
@@ -210,7 +210,7 @@ let test_min_search_none_when_impossible () =
   let solver = Anonet_algorithms.Rand_two_hop.algorithm in
   check "no 1-round success" true
     (Min_search.minimal_successful ~solver g ~base:(Bit_assignment.empty 2)
-       ~len:(Min_search.At_most 1) ()
+       ~max_len:1 ()
      = None)
 
 (* ---------- Candidates (Update-Graph) ---------- *)
@@ -616,8 +616,7 @@ let test_a_star_phase_lemmas () =
           let j = Graph.map_labels selected.Candidates.graph (fun l -> Label.fst (Label.fst l)) in
           let base = Candidates.assignment_of selected.Candidates.graph in
           (match
-             Min_search.minimal_successful ~solver:Bundles.mis.Gran.solver j ~base
-               ~len:(Min_search.Exactly p) ()
+             Cold.exactly ~solver:Bundles.mis.Gran.solver j ~base ~len:p
            with
            | Some f -> new_b.(v) <- f.Min_search.assignment.(selected.Candidates.me)
            | None -> ()));
@@ -791,7 +790,7 @@ let prop_min_search_orders_same_length =
       let solver = Anonet_algorithms.Rand_mis.algorithm in
       let length = Bit_assignment.max_length in
       let rm =
-        Min_search.minimal_successful ~solver g ~base ~len:(Min_search.At_most 10) ()
+        Min_search.minimal_successful ~solver g ~base ~max_len:10 ()
       in
       let nm = Search_oracle.node_major_at_most ~solver g ~base ~max_len:10 in
       match rm, nm with
@@ -885,7 +884,7 @@ let prop_min_search_matches_oracles =
       in
       let at_most =
         Min_search.minimal_successful ~solver g ~base
-          ~len:(Min_search.At_most max_len) ()
+          ~max_len ()
       in
       (* Extend through every length, each twice: A*'s phases ask for
          ever longer targets, and every node class of a phase that shares

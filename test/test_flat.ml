@@ -374,7 +374,7 @@ let boxed_reference ?(max_len = search_len) algo g =
 
 let min_search_found ?base algo g ~max_len =
   let base = Option.value base ~default:(Bit_assignment.empty (Graph.n g)) in
-  Min_search.minimal_successful ~solver:algo g ~base ~len:(Min_search.At_most max_len) ()
+  Min_search.minimal_successful ~solver:algo g ~base ~max_len ()
 
 (* Brute force over every extension of a pinned prefix: the first
    [len - k] rounds of the boxed reference's winner, with [k] rounds left

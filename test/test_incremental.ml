@@ -1,5 +1,6 @@
 (* Tests for the incremental phase engine: Min_search.Resumable warm
-   starts against cold searches, A*'s cross-phase search/simulation
+   starts against cold searches (a fresh handle per target), A*'s
+   cross-phase search/simulation
    cache (value identity, eviction), and the round-major budget parity.
    The value checks also run as concurrent replicas on 2- and 4-domain pools,
    as server workers run searches side by side. *)
@@ -80,7 +81,7 @@ let search_fixtures () =
     "path3-mis-base01", Gen.label_with_ints (Gen.path 3), base_p3, 6;
   ]
 
-(* One handle extended through every length next to a cold search per
+(* One handle extended through every length next to a fresh handle per
    length: (len, warm, cold, cumulative states, level) after each extend. *)
 let resumable_vs_cold ~solver g ~base ~max_len () =
   let handle = Min_search.Resumable.create ~solver g ~base () in
@@ -88,10 +89,7 @@ let resumable_vs_cold ~solver g ~base ~max_len () =
   List.init (max 0 (max_len - lo + 1)) (fun i ->
       let len = lo + i in
       let warm = Min_search.Resumable.extend handle ~len in
-      let cold =
-        Min_search.minimal_successful ~solver g ~base
-          ~len:(Min_search.Exactly len) ()
-      in
+      let cold = Cold.exactly ~solver g ~base ~len in
       ( len,
         warm,
         cold,
@@ -148,7 +146,7 @@ let test_resumable_backward_extend () =
   let min_len =
     match
       Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
-        g ~base:(Bit_assignment.empty 3) ~len:(Min_search.At_most 16) ()
+        g ~base:(Bit_assignment.empty 3) ~max_len:16 ()
     with
     | Some f -> Bit_assignment.max_length f.Min_search.assignment
     | None -> Alcotest.fail "no minimal assignment on cycle-3"
@@ -282,10 +280,8 @@ let test_budget_parity () =
     let ctx = Run_ctx.make ~obs () in
     (try
        ignore
-         (Min_search.minimal_successful ~ctx
-            ~solver:Anonet_algorithms.Rand_mis.algorithm g
-            ~base:(Bit_assignment.empty 4) ~max_states
-            ~len:(Min_search.Exactly 12) ());
+         (Cold.exactly ~ctx ~solver:Anonet_algorithms.Rand_mis.algorithm g
+            ~base:(Bit_assignment.empty 4) ~max_states ~len:12);
        Alcotest.fail "expected Search_limit_exceeded"
      with Min_search.Search_limit_exceeded -> ());
     Metrics.counter_value (Metrics.counter registry "search.states_explored")

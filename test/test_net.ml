@@ -315,6 +315,38 @@ let test_loopback_tiny_derandomize_concurrent () =
       check_same_run (Printf.sprintf "job %d" i) expected (Option.get !got))
     (List.combine running expected)
 
+(* A traced solve is one solve job with trace=true: served, it comes back
+   as the in-process run — a lossy run's timeline, and a run whose nodes
+   all crash (exit 4), whose failure is reported on stdout below its
+   timeline, with nothing on stderr. *)
+let test_loopback_trace () =
+  let trace_job pairs =
+    { Job.kind = Job.Solve; pairs = pairs @ [ "trace", "true" ] }
+  in
+  let jobs =
+    [ trace_job
+        [ "problem", "mis"; "graph", "cycle:8"; "faults", "loss=0.2,seed=7";
+          "retransmit", "true" ];
+      trace_job
+        [ "problem", "2hop"; "graph", "path:2";
+          "faults", "crash=0@1,crash=1@1" ];
+    ]
+  in
+  let expected = List.map run_local jobs in
+  let crashed = fst (List.nth expected 1) in
+  check_int "all-crashed trace exit code" 4 crashed.Runner.code;
+  check "failure below the timeline" true
+    (String.starts_with ~prefix:"fault plan: " crashed.Runner.out
+     && String.ends_with
+          ~suffix:"failed: every node crash-stopped by round 1\n"
+          crashed.Runner.out);
+  with_server @@ fun addr ->
+  List.iteri
+    (fun i (job, expected) ->
+      check_same_run (Printf.sprintf "trace job %d" i) expected
+        (submit_collecting addr job))
+    (List.combine jobs expected)
+
 let test_loopback_failure_code () =
   (* a diverging job must come back with the same structured exit code the
      in-process run maps to (9) *)
@@ -671,5 +703,6 @@ let () =
           t "connection refused reported" test_client_connection_refused;
           t "six tiny derandomize shapes on 2 domains"
             test_loopback_tiny_derandomize_concurrent;
+          t "trace=true = in-process run" test_loopback_trace;
         ] );
     ]

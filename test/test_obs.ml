@@ -332,6 +332,19 @@ let test_null_handle () =
   Obs.eventf Obs.null "e" (fun () -> Alcotest.fail "eventf must be lazy on null");
   check_int "span is transparent" 42 (Obs.span Obs.null "s" (fun () -> 42))
 
+(* Without a registry the handle is events-only: no registry is built, and
+   metric updates are the null handle's single branch. *)
+let test_events_only_handle () =
+  let lines = ref [] in
+  let obs =
+    Obs.make ~events:(Events.ndjson_lines (fun l -> lines := l :: !lines)) ()
+  in
+  check "live" true (Obs.live obs);
+  check "no metrics" true (Obs.metrics obs = None);
+  check "no counter handle" true (Obs.counter obs "x" = None);
+  check_int "span is transparent" 42 (Obs.span obs "s" (fun () -> 42));
+  check_int "span events still flow" 2 (List.length !lines)
+
 let test_span_records () =
   with_temp_file @@ fun path ->
   let oc = open_out path in
@@ -438,7 +451,7 @@ let test_counters_round_major_search () =
   match
     Min_search.minimal_successful ~ctx
       ~solver:Anonet_algorithms.Rand_coloring.algorithm (Gen.complete 2)
-      ~base:(Bit_assignment.empty 2) ~len:(Min_search.At_most 8) ()
+      ~base:(Bit_assignment.empty 2) ~max_len:8 ()
   with
   | None -> Alcotest.fail "search found nothing"
   | Some f ->
@@ -629,6 +642,7 @@ let () =
         ] );
       ( "spans",
         [ t "null handle" test_null_handle;
+          t "events-only handle" test_events_only_handle;
           t "span records" test_span_records;
           t "span exception safety" test_span_exception_safety;
         ] );

@@ -265,7 +265,7 @@ let test_search_equivalence_round_major () =
           Min_search.minimal_successful
             ~solver:Anonet_algorithms.Rand_mis.algorithm g
             ~base:(Bit_assignment.empty (Graph.n g))
-            ~len:(Min_search.At_most 16) ()))
+            ~max_len:16 ()))
     search_graphs
 
 let test_search_equivalence_orders_agree () =
@@ -277,7 +277,7 @@ let test_search_equivalence_orders_agree () =
   let solver = Anonet_algorithms.Rand_mis.algorithm in
   let base = Bit_assignment.empty 4 in
   let run () =
-    Min_search.minimal_successful ~solver g ~base ~len:(Min_search.At_most 4) ()
+    Min_search.minimal_successful ~solver g ~base ~max_len:4 ()
   in
   match run (), Search_oracle.node_major_at_most ~solver g ~base ~max_len:4 with
   | Some rm, Some (nm, _) ->
@@ -301,7 +301,7 @@ let test_search_equivalence_search_limit () =
       Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
         g
         ~base:(Bit_assignment.empty 6)
-        ~max_states:40 ~len:(Min_search.At_most 16) ()
+        ~max_states:40 ~max_len:16 ()
     with
     | _ -> Alcotest.fail "expected Search_limit_exceeded"
     | exception Min_search.Search_limit_exceeded -> ()
@@ -319,7 +319,7 @@ let test_branching_limit_round_major () =
      Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
        g25
        ~base:(Bit_assignment.empty 25)
-       ~len:(Min_search.At_most 4) ()
+       ~max_len:4 ()
    with
    | _ -> Alcotest.fail "expected Branching_limit_exceeded"
    | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->
@@ -333,7 +333,7 @@ let test_branching_limit_round_major () =
     Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
       g24
       ~base:(Bit_assignment.empty 24)
-      ~max_states:100 ~len:(Min_search.At_most 4) ()
+      ~max_states:100 ~max_len:4 ()
   with
   | _ -> Alcotest.fail "expected Search_limit_exceeded at the boundary"
   | exception Min_search.Search_limit_exceeded -> ()
@@ -347,7 +347,7 @@ let test_branching_limit_parallel_agrees () =
         Min_search.minimal_successful
           ~solver:Anonet_algorithms.Rand_mis.algorithm g25
           ~base:(Bit_assignment.empty 25)
-          ~len:(Min_search.At_most 4) ())
+          ~max_len:4 ())
   with
   | _ -> Alcotest.fail "expected Branching_limit_exceeded"
   | exception Min_search.Branching_limit_exceeded { free_bits; limit } ->

@@ -47,17 +47,17 @@ let found_value_equal (a : Min_search.found) (b : Min_search.found) =
   && a.Min_search.sim.Simulation.rounds_run
      = b.Min_search.sim.Simulation.rounds_run
 
-let search ?max_states ~solver ~pruning ~len g =
+let search ?max_states ~solver ~max_len g ~pruning =
   Min_search.minimal_successful ~solver g
     ~base:(Bit_assignment.empty (Graph.n g))
-    ?max_states ~pruning ~len ()
+    ?max_states ~pruning ~max_len ()
 
 (* Asserts the pruned search's value identity and effort reduction on
-   one (graph, solver, len) point; returns (pruned, exhaustive) state
-   counts when the search succeeded. *)
-let check_pruned_vs_exhaustive name ~solver ~len g =
-  let pruned = search ~solver ~pruning:true ~len g in
-  let exhaustive = search ~solver ~pruning:false ~len g in
+   one search point (graph, solver, length); returns (pruned, exhaustive)
+   state counts when the search succeeded. *)
+let check_pruned_vs_exhaustive name search =
+  let pruned = search ~pruning:true in
+  let exhaustive = search ~pruning:false in
   match pruned, exhaustive with
   | None, None -> None
   | Some p, Some e ->
@@ -87,8 +87,7 @@ let test_pruned_equals_exhaustive_rand_mis () =
     (fun (name, g) ->
       match
         check_pruned_vs_exhaustive ("rand-mis/" ^ name)
-          ~solver:Anonet_algorithms.Rand_mis.algorithm
-          ~len:(Min_search.At_most 16) g
+          (search ~solver:Anonet_algorithms.Rand_mis.algorithm ~max_len:16 g)
       with
       | Some (p, e) ->
         (* The dead-coin canonicalization makes decided nodes provably
@@ -102,8 +101,7 @@ let test_pruned_equals_exhaustive_two_hop () =
     (fun (name, g) ->
       ignore
         (check_pruned_vs_exhaustive ("two-hop/" ^ name)
-           ~solver:Anonet_algorithms.Rand_two_hop.algorithm
-           ~len:(Min_search.At_most 8) g))
+           (search ~solver:Anonet_algorithms.Rand_two_hop.algorithm ~max_len:8 g)))
     [ "path-2", Gen.label_with_ints (Gen.path 2);
       "cycle-3", Gen.label_with_ints (Gen.cycle 3);
       "cycle-4", Gen.label_with_ints (Gen.cycle 4) ]
@@ -118,8 +116,9 @@ let test_pruned_exactly () =
     ignore
       (check_pruned_vs_exhaustive
          (Printf.sprintf "rand-mis/cycle-4/exactly-%d" l)
-         ~solver:Anonet_algorithms.Rand_mis.algorithm
-         ~len:(Min_search.Exactly l) g)
+         (fun ~pruning ->
+           Cold.exactly ~pruning ~solver:Anonet_algorithms.Rand_mis.algorithm
+             g ~base:(Bit_assignment.empty 4) ~len:l))
   done
 
 let test_pruned_vs_node_major () =
@@ -131,7 +130,7 @@ let test_pruned_vs_node_major () =
     (fun (name, g) ->
       let rm =
         search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
-          ~len:(Min_search.At_most 4) g
+          ~max_len:4 g
       in
       let nm =
         Search_oracle.node_major_at_most
@@ -158,7 +157,7 @@ let test_pruned_pools_identical () =
     (fun (name, g) ->
       let run () =
         search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
-          ~len:(Min_search.At_most 16) g
+          ~max_len:16 g
       in
       let sequential = run () in
       List.iter
@@ -191,8 +190,7 @@ let prop_pruned_random =
       let name = Printf.sprintf "random/seed=%d" seed in
       ignore
         (check_pruned_vs_exhaustive name
-           ~solver:Anonet_algorithms.Rand_mis.algorithm
-           ~len:(Min_search.At_most 8) g);
+           (search ~solver:Anonet_algorithms.Rand_mis.algorithm ~max_len:8 g));
       true)
 
 (* ---------- budget exhaustion: the truncation semantics --- *)
@@ -207,7 +205,7 @@ let budget_scan ~pruning ~budgets g =
   let unlimited =
     match
       search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning
-        ~len:(Min_search.At_most 16) g
+        ~max_len:16 g
     with
     | Some f -> f
     | None -> Alcotest.fail "budget scan: unlimited search found nothing"
@@ -216,7 +214,7 @@ let budget_scan ~pruning ~budgets g =
     match
       search ~max_states:budget
         ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning
-        ~len:(Min_search.At_most 16) g
+        ~max_len:16 g
     with
     | Some f -> Found f
     | None -> Alcotest.fail "budget scan: lost the assignment"
@@ -272,8 +270,8 @@ let test_budget_exactly_always_raises () =
      padded, so only the exception is sound. *)
   let g = Gen.label_with_ints (Gen.cycle 4) in
   match
-    search ~max_states:40 ~solver:Anonet_algorithms.Rand_mis.algorithm
-      ~pruning:true ~len:(Min_search.Exactly 6) g
+    Cold.exactly ~max_states:40 ~solver:Anonet_algorithms.Rand_mis.algorithm
+      ~pruning:true g ~base:(Bit_assignment.empty 4) ~len:6
   with
   | Some _ | None -> Alcotest.fail "Exactly under budget did not raise"
   | exception Min_search.Search_limit_exceeded -> ()
@@ -344,7 +342,7 @@ let test_stamp_subsumption () =
       let found =
         Min_search.minimal_successful ~solver:Recurring.algorithm g ~base
           ~ctx:(Run_ctx.make ~obs:(Obs.make ~metrics:m ()) ())
-          ~len:(Min_search.At_most 6) ()
+          ~max_len:6 ()
       in
       check (name ^ ": no success") true (found = None);
       check_int (name ^ ": states explored") explored
@@ -363,7 +361,7 @@ let test_resumable_below_level_without_floor () =
   let l =
     match
       search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning:true
-        ~len:(Min_search.At_most 16) g
+        ~max_len:16 g
     with
     | Some f -> Bit_assignment.max_length f.Min_search.assignment
     | None -> Alcotest.fail "no minimal assignment on cycle-4"
@@ -390,22 +388,20 @@ let test_frontier_gauge_reset () =
         ignore
           (Min_search.minimal_successful
              ~solver:Anonet_algorithms.Rand_mis.algorithm g
-             ~base:(Bit_assignment.empty 4) ~ctx ~len:(Min_search.At_most 16)
+             ~base:(Bit_assignment.empty 4) ~ctx ~max_len:16
              ()));
       "no-success",
       (fun ctx ->
         ignore
           (Min_search.minimal_successful
              ~solver:Anonet_algorithms.Rand_mis.algorithm g
-             ~base:(Bit_assignment.empty 4) ~ctx ~len:(Min_search.At_most 1)
+             ~base:(Bit_assignment.empty 4) ~ctx ~max_len:1
              ()));
       "limit",
       (fun ctx ->
         match
-          Min_search.minimal_successful
-            ~solver:Anonet_algorithms.Rand_mis.algorithm g
-            ~base:(Bit_assignment.empty 4) ~ctx ~max_states:5
-            ~len:(Min_search.Exactly 6) ()
+          Cold.exactly ~solver:Anonet_algorithms.Rand_mis.algorithm g
+            ~base:(Bit_assignment.empty 4) ~ctx ~max_states:5 ~len:6
         with
         | (Some _ | None) -> Alcotest.fail "expected Search_limit_exceeded"
         | exception Min_search.Search_limit_exceeded -> ());
@@ -430,7 +426,7 @@ let test_pruning_counters () =
         ~solver:Anonet_algorithms.Rand_mis.algorithm g
         ~base:(Bit_assignment.empty 4) ~pruning
         ~ctx:(Run_ctx.make ~obs:(Obs.make ~metrics:m ()) ())
-        ~len:(Min_search.At_most 16) ()
+        ~max_len:16 ()
     in
     m, f
   in
