@@ -84,6 +84,9 @@ let huge_solver = function
       (Printf.sprintf "huge: unknown problem %S (want mis, coloring, matching or 2hop)"
          p)
 
+(* An unfolded view's shape without its marks: one box per vertex. *)
+type box = Box of box list
+
 let bench_tests () =
   let c6 = Gen.c6_figure1 () in
   let c6i = c6_instance () in
@@ -94,11 +97,11 @@ let bench_tests () =
     Test.make_grouped ~name:"fig1-views"
       [
         Test.make ~name:"view-depth3-c6"
-          (Staged.stage (fun () -> View.of_graph c6 ~root:0 ~depth:3));
+          (Staged.stage (fun () -> Interned.of_graph c6 ~root:0 ~depth:3));
         Test.make ~name:"view-depth8-c6"
-          (Staged.stage (fun () -> View.of_graph c6 ~root:0 ~depth:8));
+          (Staged.stage (fun () -> Interned.of_graph c6 ~root:0 ~depth:8));
         Test.make ~name:"knowledge-depth12-c6"
-          (Staged.stage (fun () -> Anonet_views.Interned.of_graph c6 ~root:0 ~depth:12));
+          (Staged.stage (fun () -> Interned.of_graph c6 ~root:0 ~depth:12));
       ]
   in
   let fig2 =
@@ -194,15 +197,37 @@ let bench_tests () =
   in
   let views_intern =
     (* The interning bugfix, measured directly: structural-vs-shared
-       traversal of the same view value.  [naive_size] replicates the
-       pre-interning [View.size] (walks the unfolded tree, ~5.6M vertices
-       for the hypercube at depth 12); the shared rows walk the in-memory
-       DAG (a few hundred nodes).  CI asserts the structural/shared ratio
-       stays >= 10x. *)
+       traversal of the same view.  [unfolded_size] walks the unfolded
+       tree of a boxed copy (one box per (node, depth), so ~5.6M vertices
+       visited for the hypercube at depth 12); [shared_size] walks the
+       interned DAG (a few hundred nodes).  CI asserts the
+       structural/shared ratio stays >= 10x. *)
     let hc4 = Gen.label_with_ints (Gen.hypercube 4) in
-    let v12 = View.of_graph hc4 ~root:0 ~depth:12 in
-    let rec naive_size (t : View.t) =
-      1 + List.fold_left (fun s c -> s + naive_size c) 0 t.View.children
+    let v12 = Interned.of_graph hc4 ~root:0 ~depth:12 in
+    let boxed12 =
+      (* level by level: level d's boxes share level (d-1)'s *)
+      let level = ref (Array.make (Graph.n hc4) (Box [])) in
+      for _ = 2 to 12 do
+        let prev = !level in
+        level :=
+          Array.init (Graph.n hc4) (fun v ->
+              Box (List.map (fun u -> prev.(u)) (Array.to_list (Graph.neighbors hc4 v))))
+      done;
+      !level.(0)
+    in
+    let rec unfolded_size (Box children) =
+      List.fold_left (fun s c -> s + unfolded_size c) 1 children
+    in
+    let shared_size t =
+      let memo = Hashtbl.create 64 in
+      let rec go t =
+        try Hashtbl.find memo (Interned.id t)
+        with Not_found ->
+          let s = List.fold_left (fun s c -> s + go c) 1 (Interned.children t) in
+          Hashtbl.add memo (Interned.id t) s;
+          s
+      in
+      go t
     in
     let k8 = Gen.label_with_ints (Gen.complete 8) in
     let pet = Gen.label_with_ints (Gen.petersen ()) in
@@ -211,11 +236,11 @@ let bench_tests () =
     Test.make_grouped ~name:"views-intern"
       [
         Test.make ~name:"size-structural-hc4-d12"
-          (Staged.stage (fun () -> naive_size v12));
+          (Staged.stage (fun () -> unfolded_size boxed12));
         Test.make ~name:"size-shared-hc4-d12"
-          (Staged.stage (fun () -> View.size v12));
+          (Staged.stage (fun () -> shared_size v12));
         Test.make ~name:"of-graph-hc4-d12"
-          (Staged.stage (fun () -> View.of_graph hc4 ~root:0 ~depth:12));
+          (Staged.stage (fun () -> Interned.of_graph hc4 ~root:0 ~depth:12));
         Test.make ~name:"intern-of-graph-k8-d16"
           (Staged.stage (fun () -> Interned.of_graph k8 ~root:0 ~depth:16));
         Test.make ~name:"uc-classes-petersen-d8"

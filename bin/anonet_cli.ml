@@ -145,7 +145,7 @@ let views_cmd =
         (Printf.sprintf "anonet views: bad --root %d (want 0 <= N < %d)" root
            (Graph.n g));
     print_string
-      (Anonet_views.View.to_string (Anonet_views.View.of_graph g ~root ~depth))
+      (Anonet_views.Interned.to_string (Anonet_views.Interned.of_graph g ~root ~depth))
   in
   let root =
     Arg.(value & opt int 0 & info [ "root" ] ~doc:"Root node of the view.")
@@ -175,7 +175,7 @@ let factor_cmd =
     Printf.printf "prime: %b | views stabilize at depth %d (n = %d, Norris ok: %b)\n"
       (Graph.n fg = Graph.n colored)
       vg.Anonet_views.View_graph.stable_view_depth (Graph.n colored)
-      (Anonet_views.Norris.bound_holds colored);
+      (Anonet_views.Refinement.norris_bound_holds colored);
     Printf.printf "factorizing map: [%s]\n"
       (String.concat "; "
          (Array.to_list (Array.map string_of_int vg.Anonet_views.View_graph.map)));
@@ -324,8 +324,8 @@ let norris_cmd =
     let g = parse_graph spec in
     Printf.printf "n = %d, view stabilization depth = %d, bound holds: %b\n"
       (Graph.n g)
-      (Anonet_views.Norris.stable_view_depth g)
-      (Anonet_views.Norris.bound_holds g)
+      (Anonet_views.Refinement.run g).Anonet_views.Refinement.stable_view_depth
+      (Anonet_views.Refinement.norris_bound_holds g)
   in
   Cmd.v
     (Cmd.info "norris" ~doc:"View stabilization depth vs Norris' bound (Theorem 3).")

@@ -71,15 +71,15 @@ let () =
   assert (Prime.is_prime prime);
   (* smallest depth-n view = unique node: an executable election *)
   let n = Graph.n prime in
-  let views = Array.init n (fun v -> View.of_graph prime ~root:v ~depth:n) in
+  let views = Array.init n (fun v -> Interned.of_graph prime ~root:v ~depth:n) in
   let leader = ref 0 in
   for v = 1 to n - 1 do
-    if View.compare views.(v) views.(!leader) < 0 then leader := v
+    if Interned.compare views.(v) views.(!leader) < 0 then leader := v
   done;
   (* the minimum is unique because views are faithful aliases *)
   Array.iteri
     (fun v view ->
-      if v <> !leader then assert (View.compare view views.(!leader) <> 0))
+      if v <> !leader then assert (not (Interned.equal view views.(!leader))))
     views;
   Printf.printf
     "uniquely-labeled Petersen graph is prime: node %d has the smallest\n\

@@ -22,7 +22,7 @@ let describe name g =
     prime
     (Printf.sprintf "views stabilize at depth %d <= n (Norris)"
        vg.View_graph.stable_view_depth);
-  assert (Norris.bound_holds g);
+  assert (Refinement.norris_bound_holds g);
   vg
 
 let () =

@@ -43,8 +43,8 @@ let () =
   (* --- 3. Local views (Figure 1) ------------------------------------- *)
   let colored = Problem.attach_coloring g colors in
   Printf.printf "depth-3 local view of node 0 in the colored ring:\n%s\n"
-    (Anonet_views.View.to_string
-       (Anonet_views.View.of_graph colored ~root:0 ~depth:3));
+    (Anonet_views.Interned.to_string
+       (Anonet_views.Interned.of_graph colored ~root:0 ~depth:3));
 
   (* --- 4. Deterministic MIS via the generic derandomization ---------- *)
   Printf.printf "stage 2 — deterministic MIS via A* (Theorem 1):\n";

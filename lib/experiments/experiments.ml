@@ -70,16 +70,15 @@ let exp_f1 ~ctx:_ ~domains:_ () =
   let prelude =
     banner title
     ^ Printf.sprintf "the figure itself — L_3(u0) in C6 colored (1,2,3,1,2,3):\n%s\n"
-        (View.to_string (View.of_graph g ~root:0 ~depth:3))
+        (Interned.to_string (Interned.of_graph g ~root:0 ~depth:3))
     ^ Printf.sprintf "%5s | %12s | %17s\n" "depth" "tree size" "distinct subtrees"
   in
   let rows =
     List.map
       (fun d ->
-        let v = View.of_graph g ~root:0 ~depth:d in
-        let k = Anonet_views.Interned.of_graph g ~root:0 ~depth:d in
-        let size = View.size v in
-        let distinct = List.length (Anonet_views.Interned.subtrees k) in
+        let v = Interned.of_graph g ~root:0 ~depth:d in
+        let size = Interned.size v in
+        let distinct = List.length (Interned.subtrees v) in
         row ~experiment:"f1"
           ~label:(Printf.sprintf "depth-%d" d)
           ~fields:
@@ -275,7 +274,7 @@ let exp_t3 ~ctx:_ ~domains () =
         "depth<=n"
   in
   let show name g () =
-    let d = Norris.stable_view_depth g in
+    let d = (Refinement.run g).Refinement.stable_view_depth in
     let within = d <= max 1 (Graph.n g) in
     row ~experiment:"t3" ~label:name
       ~fields:
@@ -998,7 +997,7 @@ let exp_avg ~ctx:_ ~domains () =
                let samples = samples_at n in
                let measure seed =
                  let g = gen ~seed n in
-                 let depth = Norris.stable_view_depth g in
+                 let depth = (Refinement.run g).Refinement.stable_view_depth in
                  let palette = greedy_two_hop_palette g in
                  let rounds =
                    match

@@ -54,22 +54,10 @@ let submit addr job ~on_event =
             | Ok (Some { Frame.typ = Frame.Event; payload; _ }) ->
               on_event payload;
               await ()
-            | Ok (Some { Frame.typ = Frame.Result; payload; _ }) ->
-              if String.length payload < 1 then protocol "empty result frame"
-              else
-                {
-                  Runner.code = Char.code payload.[0];
-                  out = String.sub payload 1 (String.length payload - 1);
-                  err = "";
-                }
-            | Ok (Some { Frame.typ = Frame.Error; payload; _ }) ->
-              if String.length payload < 1 then protocol "empty error frame"
-              else
-                {
-                  Runner.code = Char.code payload.[0];
-                  out = "";
-                  err = String.sub payload 1 (String.length payload - 1);
-                }
+            | Ok (Some ({ Frame.typ = Frame.Result | Frame.Error; _ } as f)) -> (
+              match Frame.to_outcome f with
+              | Ok outcome -> outcome
+              | Error m -> protocol m)
             | Ok (Some { Frame.typ = Frame.Submit | Frame.Cancel; _ }) ->
               protocol "server sent a client-to-server frame type"
           in

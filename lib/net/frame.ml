@@ -137,3 +137,30 @@ let read fd =
             Ok (Some { typ; stream = u32_be header 6; payload })
         end
     end
+
+let of_outcome ~stream { Runner.code; out; err } =
+  let head = String.make 1 (Char.chr code) in
+  if err = "" then { typ = Result; stream; payload = head ^ out }
+  else begin
+    let len = Bytes.create 4 in
+    Bytes.set_int32_be len 0 (Int32.of_int (String.length out));
+    { typ = Error; stream; payload = head ^ Bytes.unsafe_to_string len ^ out ^ err }
+  end
+
+let to_outcome { typ; payload; _ } : (Runner.outcome, string) result =
+  let n = String.length payload in
+  let code () = Char.code payload.[0] in
+  match typ with
+  | Result when n >= 1 ->
+    Ok { Runner.code = code (); out = String.sub payload 1 (n - 1); err = "" }
+  | Error when n >= 5 && 5 + u32_be payload 1 <= n ->
+    let k = u32_be payload 1 in
+    Ok
+      {
+        Runner.code = code ();
+        out = String.sub payload 5 k;
+        err = String.sub payload (5 + k) (n - 5 - k);
+      }
+  | Result -> Error "empty result frame"
+  | Error -> Error "error frame too short for its stdout"
+  | Submit | Cancel | Event -> Error "not a result or error frame"

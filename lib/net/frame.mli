@@ -22,10 +22,18 @@
     - [event]: one NDJSON event line, without the trailing newline —
       byte-identical to what {!Anonet_obs.Events.ndjson} would have
       written locally;
-    - [result]: one byte of exit code then the job's stdout text — code
-      0, or a failure whose diagnosis is on stdout (a traced solve's);
-    - [error]: one byte of {!Anonet_runtime.Run_error} exit code then the
-      diagnostic message.
+    - [result]: one byte of exit code then the job's stdout text — an
+      outcome with no stderr: code 0, or a failure whose diagnosis is on
+      stdout (a traced solve's);
+    - [error]: an outcome with a stderr diagnosis — one byte of
+      {!Anonet_runtime.Run_error} exit code, the job's stdout prefixed by
+      its big-endian unsigned 4-byte length (0 for a job the server
+      rejected), then the diagnostic message.  A failed solve keeps the
+      [fault plan:] lines it printed before diverging.
+
+    {!of_outcome} and {!to_outcome} are the two directions of that
+    encoding, so a served job's [{code; out; err}] arrives exactly as
+    {!Runner.execute} returned it.
 
     Payloads are capped at {!max_payload}; a length field above the cap is
     rejected before any allocation, so a malicious or corrupt peer cannot
@@ -74,3 +82,12 @@ val write : Unix.file_descr -> t -> unit
 val read : Unix.file_descr -> (t option, protocol_error) result
 (** Blocking read of one frame.  [Ok None] is a clean EOF at a frame
     boundary; [Error Truncated] is an EOF inside one. *)
+
+val of_outcome : stream:int -> Runner.outcome -> t
+(** The frame that ends job [stream]: [result] when the outcome's [err] is
+    empty, [error] otherwise (payloads as above). *)
+
+val to_outcome : t -> (Runner.outcome, string) result
+(** Inverts {!of_outcome} on a [result] or [error] frame;
+    [Error] describes a payload too short for its type, or a frame of
+    another type. *)

@@ -124,10 +124,7 @@ let writer t conn =
   go ()
 
 let error_frame code message stream =
-  { Frame.typ = Frame.Error; stream; payload = String.make 1 (Char.chr code) ^ message }
-
-let result_frame code out stream =
-  { Frame.typ = Frame.Result; stream; payload = String.make 1 (Char.chr code) ^ out }
+  Frame.of_outcome ~stream { Runner.code; out = ""; err = message }
 
 (* ---------- job execution (worker side) ---------- *)
 
@@ -172,9 +169,7 @@ let execute t { conn; stream; job; cancelled } =
      stream_done conn stream;
      if is_cancelled () then
        send t conn (error_frame rejected_code "cancelled" stream)
-     else if outcome.Runner.err = "" then
-       send t conn (result_frame outcome.Runner.code outcome.Runner.out stream)
-     else send t conn (error_frame outcome.Runner.code outcome.Runner.err stream)
+     else send t conn (Frame.of_outcome ~stream outcome)
    end);
   job_done t conn
 

@@ -251,6 +251,28 @@ let subtrees t =
   visit t;
   !acc
 
+(* ---------- rendering ---------- *)
+
+let to_string t =
+  let a = arena () in
+  let buf = Buffer.create 256 in
+  let rec render ~prefix ~child_prefix t =
+    Buffer.add_string buf prefix;
+    Buffer.add_string buf (Label.to_string a.marks.(t));
+    Buffer.add_char buf '\n';
+    let last = a.coff.(t + 1) - 1 in
+    for j = a.coff.(t) to last do
+      if j = last then
+        render ~prefix:(child_prefix ^ "└── ") ~child_prefix:(child_prefix ^ "    ")
+          a.cids.(j)
+      else
+        render ~prefix:(child_prefix ^ "├── ") ~child_prefix:(child_prefix ^ "│   ")
+          a.cids.(j)
+    done
+  in
+  render ~prefix:"" ~child_prefix:"" t;
+  Buffer.contents buf
+
 (* ---------- label (de)serialization ---------- *)
 
 (* DAG serialization: entries listed children-first; each entry is

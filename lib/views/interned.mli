@@ -1,4 +1,16 @@
-(** Hash-consed (interned) local-view trees, stored in a flat arena.
+(** Depth-[d] local views [L_d(v, G)] (Section 1.1, Figure 1), hash-consed
+    (interned) in a flat arena.
+
+    The depth-d local view of node [v] is a rooted tree: [L_1(v)] is a
+    single vertex marked with [v]'s label, and [L_{d+1}(v)] attaches the
+    root of [L_d(u)] as a child for every neighbor [u] of [v].  The view
+    captures everything a deterministic anonymous algorithm at [v] can
+    learn in [d - 1] communication rounds.  Views here are {e canonical}:
+    the children of every vertex are sorted under {!compare}.  On 2-hop
+    colored graphs siblings carry distinct marks (Section 2.1), so the
+    sorted form is a faithful canonical representation; on arbitrary
+    graphs it canonicalizes the sibling multiset, which is exactly the
+    information an anonymous (port-oblivious) observer has.
 
     A depth-[d] view of a dense graph unfolds to a tree with up to [Δ^d]
     vertices, but has at most [n] {e distinct} subtrees per level (one per
@@ -7,8 +19,8 @@
     handle, so
 
     - {!equal} is O(1) (handle comparison),
-    - {!compare} is the canonical structural order of {!View.compare},
-      memoized over handle pairs (amortized O(1) on repeated comparisons),
+    - {!compare} is the canonical structural order, memoized over handle
+      pairs (amortized O(1) on repeated comparisons),
     - {!size} and {!depth} are O(1) (stored per node at construction),
 
     and every algorithm that walks views — sorting truncations, counting
@@ -40,7 +52,8 @@
     Handles are meaningful only in the arena that made them: passing one
     to another domain, or keeping one past its arena's {!with_arena}, reads
     some other node or fails with [Invalid_argument].  Results that leave
-    an arena must be plain values ({!View.t}, labels, strings).
+    an arena must be plain values: strings (such as {!to_string}) or
+    {!to_label} labels.
 
     {e Thread rule.}  The slot is per domain, not per thread: at most one
     thread per domain may be inside a job (or otherwise intern) at a time.
@@ -69,8 +82,9 @@ val node : Anonet_graph.Label.t -> t list -> t
 (** O(1): interning makes structural equality a handle comparison. *)
 val equal : t -> t -> bool
 
-(** The canonical total order of {!View.compare} — root marks first, then
-    child lists lexicographically — decided via handles and the arena's
+(** The canonical total order — the "level by level" order of Section 2.1
+    realized structurally: root marks first, then the sorted child lists
+    lexicographically — decided via handles and the arena's
     memo table.  [compare a b = 0] iff [equal a b]. *)
 val compare : t -> t -> int
 
@@ -90,13 +104,13 @@ val size : t -> int
 (** [depth t] is the number of levels (a leaf has depth 1), O(1). *)
 val depth : t -> int
 
-(** [of_graph g ~root ~depth] is [L_depth(root, g)] interned — the same
-    object {!View.of_graph} describes, built level by level in
-    O(n·depth·Δ) interning steps.
+(** [of_graph g ~root ~depth] is [L_depth(root, g)], built level by level
+    in O(n·depth·Δ) interning steps however large the unfolded tree is.
     @raise Invalid_argument if [depth < 1]. *)
 val of_graph : Anonet_graph.Graph.t -> root:int -> depth:int -> t
 
-(** [truncate t ~depth] prunes to the given depth (memoized per arena);
+(** [truncate t ~depth] prunes to the given depth — the depth-n
+    truncating function [f_n] of Section 3 (memoized per arena);
     [t] itself when [depth >= depth t].
     @raise Invalid_argument if [depth < 1]. *)
 val truncate : t -> depth:int -> t
@@ -104,6 +118,10 @@ val truncate : t -> depth:int -> t
 (** [subtrees t] lists every distinct subtree occurring in [t] (including
     [t] itself), each once. *)
 val subtrees : t -> t list
+
+(** [to_string t] renders the unfolded tree in ASCII, one vertex per line,
+    root first, children in canonical order (Figure 1). *)
+val to_string : t -> string
 
 (** {2 Serialization}
 

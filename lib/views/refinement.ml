@@ -5,7 +5,6 @@ type result = {
   classes : int array;
   num_classes : int;
   stable_view_depth : int;
-  history : int array list;
 }
 
 (* Assign canonical class numbers: sort the distinct keys under the given
@@ -57,38 +56,19 @@ let count_classes classes =
   1 + Array.fold_left max (-1) classes
 
 let run g =
-  if Graph.n g = 0 then
-    { classes = [||]; num_classes = 0; stable_view_depth = 1; history = [] }
-  else begin
-    let n = Graph.n g in
-    let rec go classes history rounds =
-      (* A discrete partition is a fixpoint: every signature leads with
-         its node's unique class, so renumbering reproduces [classes]
-         exactly — skip the confirming refinement round. *)
-      if count_classes classes = n then
-        {
-          classes;
-          num_classes = n;
-          stable_view_depth = rounds + 1;
-          history = List.rev history;
-        }
-      else
-        let next = refine_once g classes in
-        if next = classes then
-          {
-            classes;
-            num_classes = count_classes classes;
-            (* Partition after round r equals depth-(r+1) views; it was
-               already stable at round [rounds], i.e. at view depth
-               [rounds + 1]. *)
-            stable_view_depth = rounds + 1;
-            history = List.rev history;
-          }
-        else go next (next :: history) (rounds + 1)
-    in
-    let c0 = initial g in
-    go c0 [ c0 ] 0
-  end
+  let n = Graph.n g in
+  let rec go classes rounds =
+    (* A discrete partition is a fixpoint: every signature leads with its
+       node's unique class, so renumbering reproduces [classes] exactly —
+       skip the confirming refinement round. *)
+    let next = if count_classes classes = n then classes else refine_once g classes in
+    if next = classes then
+      (* Partition after round r equals depth-(r+1) views; it was already
+         stable at round [rounds], i.e. at view depth [rounds + 1]. *)
+      { classes; num_classes = count_classes classes; stable_view_depth = rounds + 1 }
+    else go next (rounds + 1)
+  in
+  go (initial g) 0
 
 let classes_at_depth g d =
   if d < 1 then invalid_arg "Refinement.classes_at_depth: need depth >= 1";
@@ -99,3 +79,23 @@ let classes_at_depth g d =
     else go (refine_once g classes) (r - 1)
   in
   go (initial g) (d - 1)
+
+let norris_bound_holds g = (run g).stable_view_depth <= max 1 (Graph.n g)
+
+let disjoint_union g1 g2 =
+  let n1 = Graph.n g1 and n2 = Graph.n g2 in
+  let edges =
+    Graph.edges g1 @ List.map (fun (u, v) -> u + n1, v + n1) (Graph.edges g2)
+  in
+  let labels =
+    Array.init (n1 + n2) (fun v ->
+        if v < n1 then Graph.label g1 v else Graph.label g2 (v - n1))
+  in
+  (* The union is disconnected, which [Graph.create] allows; only the model
+     requires connectivity, and this graph is internal to the comparison. *)
+  Graph.create ~n:(n1 + n2) ~edges ~labels
+
+let equal_nodes (g1, v1) (g2, v2) ~depth =
+  if depth < 1 then invalid_arg "Refinement.equal_nodes: need depth >= 1";
+  let classes = classes_at_depth (disjoint_union g1 g2) depth in
+  classes.(v1) = classes.(Graph.n g1 + v2)

@@ -20,8 +20,6 @@ type result = {
   stable_view_depth : int;
       (** smallest [d] such that the depth-[d] view partition equals the
           [L_∞] partition; Norris guarantees [stable_view_depth <= n] *)
-  history : int array list;
-      (** per-round class arrays, round 0 first (depth-1 views) *)
 }
 
 (** [run g] refines to the stable partition. *)
@@ -31,5 +29,15 @@ val run : Anonet_graph.Graph.t -> result
     depth-[d] views, [d >= 1], with canonical class numbering. *)
 val classes_at_depth : Anonet_graph.Graph.t -> int -> int array
 
-(** [initial g] is the round-0 partition (by label), canonically numbered. *)
-val initial : Anonet_graph.Graph.t -> int array
+(** [norris_bound_holds g] checks [(run g).stable_view_depth <= max 1 n]:
+    Norris' theorem (Theorem 3), that the depth-[n] view [L_n(v)]
+    determines [L_∞(v)], instantiated on [g]. *)
+val norris_bound_holds : Anonet_graph.Graph.t -> bool
+
+(** [equal_nodes (g1, v1) (g2, v2) ~depth] decides
+    [L_depth(v1, g1) = L_depth(v2, g2)] without building either view, by
+    refinement on the disjoint union — exact and polynomial even at depths
+    where the unfolded trees are exponentially large.
+    @raise Invalid_argument if [depth < 1]. *)
+val equal_nodes :
+  Anonet_graph.Graph.t * int -> Anonet_graph.Graph.t * int -> depth:int -> bool

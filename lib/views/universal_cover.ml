@@ -1,9 +1,9 @@
 module Graph = Anonet_graph.Graph
 
 (* Non-backtracking subtrees interned on (node, parent, depth).  The memo is
-   shared across every root of one builder, so [classes_at_depth] builds all
-   n truncations in O(n * depth * Δ) interning steps total. *)
-let truncation_builder g =
+   shared across every root of one [truncation g], so [classes_at_depth]
+   builds all n truncations in O(n * depth * Δ) interning steps total. *)
+let truncation g =
   let memo = Hashtbl.create 64 in
   let rec subtree v ~parent d =
     match Hashtbl.find_opt memo (v, parent, d) with
@@ -28,10 +28,8 @@ let truncation_builder g =
       |> List.map (fun u -> subtree u ~parent:root (depth - 1))
       |> Interned.node (Graph.label g root)
 
-let truncation g ~root ~depth = View.of_interned (truncation_builder g ~root ~depth)
-
 let classes_at_depth g d =
-  let build = truncation_builder g in
+  let build = truncation g in
   let n = Graph.n g in
   let trees = Array.init n (fun v -> build ~root:v ~depth:d) in
   let distinct = List.sort_uniq Interned.compare (Array.to_list trees) in
@@ -42,18 +40,19 @@ let classes_at_depth g d =
   List.iteri (fun i t -> Hashtbl.replace index (Interned.id t) i) distinct;
   Array.map (fun t -> Hashtbl.find index (Interned.id t)) trees
 
+(* Two class arrays over the same nodes induce the same partition. *)
+let same_partition a b =
+  let n = Array.length a in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if a.(u) = a.(v) <> (b.(u) = b.(v)) then ok := false
+    done
+  done;
+  !ok
+
 let stable_depth g =
   let target = (Refinement.run g).Refinement.classes in
-  let same_partition a b =
-    let n = Array.length a in
-    let ok = ref true in
-    for u = 0 to n - 1 do
-      for v = 0 to n - 1 do
-        if a.(u) = a.(v) <> (b.(u) = b.(v)) then ok := false
-      done
-    done;
-    !ok
-  in
   let rec search d =
     if d > max 1 (Graph.n g) then d (* should not happen; Norris bounds it *)
     else if same_partition (classes_at_depth g d) target then d
@@ -62,14 +61,6 @@ let stable_depth g =
   search 1
 
 let agrees_with_views g ~depth =
-  let uc = classes_at_depth g depth in
-  let views = Refinement.classes_at_depth g depth in
-  let n = Graph.n g in
-  if depth < max 1 n then invalid_arg "Universal_cover.agrees_with_views: need depth >= n";
-  let ok = ref true in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if uc.(u) = uc.(v) <> (views.(u) = views.(v)) then ok := false
-    done
-  done;
-  !ok
+  if depth < max 1 (Graph.n g) then
+    invalid_arg "Universal_cover.agrees_with_views: need depth >= n";
+  same_partition (classes_at_depth g depth) (Refinement.classes_at_depth g depth)

@@ -10,13 +10,14 @@
     depths — and translates to the depth-n statement about local views
     used in Section 3 (footnote 4 of the paper).
 
-    Truncations are returned as {!View.t} trees (rooted, canonical). *)
+    Truncations are {!Interned} trees, rooted and canonical like local
+    views, in the calling domain's current arena. *)
 
 (** [truncation g ~root ~depth] is the depth-[depth] truncation of [U(g)]
     rooted at [root]'s copy: level 2 lists all neighbors; deeper levels
     omit the walk's predecessor.
     @raise Invalid_argument if [depth < 1]. *)
-val truncation : Anonet_graph.Graph.t -> root:int -> depth:int -> View.t
+val truncation : Anonet_graph.Graph.t -> root:int -> depth:int -> Interned.t
 
 (** [classes_at_depth g d] partitions nodes by equality of their depth-[d]
     universal-cover truncations (canonical class numbering). *)

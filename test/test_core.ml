@@ -39,19 +39,21 @@ let test_knowledge_hashcons () =
   check "sorted children" true (Interned.equal x y)
 
 let test_knowledge_view_matches_view_module () =
+  (* The view module here is the naive view tree built from the
+     definition (Naive_view). *)
   let g = Gen.c6_figure1 () in
   for d = 1 to 6 do
     let k = Interned.of_graph g ~root:0 ~depth:d in
-    let v = Anonet_views.View.of_graph g ~root:0 ~depth:d in
+    let v = Naive_view.of_graph g ~root:0 ~depth:d in
     (* Compare shapes via a common rendering: mark sequence of a canonical
        preorder walk. *)
     let rec flat_k (t : Interned.t) =
       Label.encode (Interned.mark t)
       :: List.concat_map flat_k (Interned.children t)
     in
-    let rec flat_v (t : Anonet_views.View.t) =
-      Label.encode t.Anonet_views.View.mark
-      :: List.concat_map flat_v t.Anonet_views.View.children
+    let rec flat_v (t : Naive_view.t) =
+      Label.encode t.Naive_view.mark
+      :: List.concat_map flat_v t.Naive_view.children
     in
     Alcotest.(check (list string))
       (Printf.sprintf "depth %d" d) (flat_v v) (flat_k k)

@@ -1,6 +1,7 @@
-(* Tests for the view-interning subsystem (Interned), the sharing-aware
-   View traversals, the canonical-encoding cache, and their agreement with
-   naive structural references — including under the domain pool. *)
+(* Tests for the view-interning subsystem (Interned), the canonical
+   encoding, and their agreement with naive structural references
+   (Naive_view, built from the definition) — including under the domain
+   pool. *)
 
 open Anonet_graph
 open Anonet_views
@@ -12,80 +13,37 @@ let check_int = Alcotest.(check int)
 
 let check_string = Alcotest.(check string)
 
-(* ---------- naive structural references (the pre-interning algorithms) ---------- *)
+(* ---------- naive structural references ---------- *)
 
-(* The old View.of_graph: memoized on (node, depth), children sorted by
-   structural compare.  Kept here as the reference the interned fast path
-   must reproduce byte for byte. *)
-let naive_of_graph g ~root ~depth =
-  let memo = Hashtbl.create 64 in
-  let rec build v d =
-    match Hashtbl.find_opt memo (v, d) with
-    | Some t -> t
-    | None ->
-      let t =
-        if d = 1 then { View.mark = Graph.label g v; children = [] }
-        else begin
-          let children =
-            Array.to_list (Array.map (fun u -> build u (d - 1)) (Graph.neighbors g v))
-            |> List.sort View.compare
-          in
-          { View.mark = Graph.label g v; children }
-        end
-      in
-      Hashtbl.add memo (v, d) t;
-      t
+(* A naive view interned node by node: no memo, no level-by-level build. *)
+let rec intern (t : Naive_view.t) =
+  Interned.node t.Naive_view.mark (List.map intern t.Naive_view.children)
+
+(* Universal-cover truncations and classes built naively: boxed trees,
+   sort_uniq, a linear find per node. *)
+let naive_uc_truncation g ~root ~depth =
+  let rec subtree v ~parent d =
+    Naive_view.node (Graph.label g v)
+      (if d = 1 then []
+       else
+         Array.to_list (Graph.neighbors g v)
+         |> List.filter (fun u -> u <> parent)
+         |> List.map (fun u -> subtree u ~parent:v (d - 1)))
   in
-  build root depth
+  Naive_view.node (Graph.label g root)
+    (if depth = 1 then []
+     else
+       Array.to_list (Graph.neighbors g root)
+       |> List.map (fun u -> subtree u ~parent:root (depth - 1)))
 
-let rec naive_truncate (t : View.t) ~depth =
-  if depth = 1 then { t with View.children = [] }
-  else begin
-    let children = List.map (fun c -> naive_truncate c ~depth:(depth - 1)) t.View.children in
-    { t with View.children = List.sort View.compare children }
-  end
-
-(* The old Universal_cover.classes_at_depth: structural trees, sort_uniq,
-   linear find per node. *)
 let naive_uc_classes g d =
-  let truncation ~root =
-    let memo = Hashtbl.create 64 in
-    let rec subtree v ~parent d =
-      match Hashtbl.find_opt memo (v, parent, d) with
-      | Some t -> t
-      | None ->
-        let t =
-          if d = 1 then { View.mark = Graph.label g v; children = [] }
-          else begin
-            let children =
-              Array.to_list (Graph.neighbors g v)
-              |> List.filter (fun u -> u <> parent)
-              |> List.map (fun u -> subtree u ~parent:v (d - 1))
-              |> List.sort View.compare
-            in
-            { View.mark = Graph.label g v; children }
-          end
-        in
-        Hashtbl.add memo (v, parent, d) t;
-        t
-    in
-    if d = 1 then { View.mark = Graph.label g root; children = [] }
-    else begin
-      let children =
-        Array.to_list (Graph.neighbors g root)
-        |> List.map (fun u -> subtree u ~parent:root (d - 1))
-        |> List.sort View.compare
-      in
-      { View.mark = Graph.label g root; children }
-    end
-  in
   let n = Graph.n g in
-  let trees = Array.init n (fun v -> truncation ~root:v) in
-  let distinct = List.sort_uniq View.compare (Array.to_list trees) in
+  let trees = Array.init n (fun v -> naive_uc_truncation g ~root:v ~depth:d) in
+  let distinct = List.sort_uniq Naive_view.compare (Array.to_list trees) in
   let index t =
     let rec find i = function
       | [] -> assert false
-      | x :: rest -> if View.compare x t = 0 then i else find (i + 1) rest
+      | x :: rest -> if Naive_view.compare x t = 0 then i else find (i + 1) rest
     in
     find 0 distinct
   in
@@ -142,41 +100,55 @@ let test_knowledge_shares_table () =
   check_int "same id across APIs" (Interned.id i)
     (Interned.id (Interned.of_label copy))
 
-(* ---------- View fast path vs naive reference ---------- *)
+(* ---------- interned views vs the naive oracle ---------- *)
 
 let test_of_graph_matches_naive () =
   List.iter
     (fun g ->
       for d = 1 to 6 do
-        let fast = View.of_graph g ~root:0 ~depth:d in
-        let naive = naive_of_graph g ~root:0 ~depth:d in
-        check "of_graph = naive (structural)" true (View.equal fast naive);
-        check_string "of_graph = naive (bytes)" (View.to_string naive)
-          (View.to_string fast)
+        let fast = Interned.of_graph g ~root:0 ~depth:d in
+        let naive = Naive_view.of_graph g ~root:0 ~depth:d in
+        check "of_graph = naive (structural)" true (Interned.equal fast (intern naive));
+        check_string "of_graph = naive (bytes)" (Naive_view.to_string naive)
+          (Interned.to_string fast)
       done)
     [ Gen.path 5; Gen.c6_figure1 (); Gen.label_with_ints (Gen.petersen ());
       Gen.grid 3 3; Gen.star 4 ]
 
+let test_oracle_figure1 () =
+  (* The oracle itself, against Figure 1 written out by hand: L_3(u0) in
+     the C6 colored (1,2,3,1,2,3). *)
+  let leaf m = { Naive_view.mark = Label.Int m; children = [] } in
+  let node m children = { Naive_view.mark = Label.Int m; children } in
+  let figure =
+    node 1 [ node 2 [ leaf 1; leaf 3 ]; node 3 [ leaf 1; leaf 2 ] ]
+  in
+  let v = Naive_view.of_graph (Gen.c6_figure1 ()) ~root:0 ~depth:3 in
+  check_int "naive view = Figure 1" 0 (Naive_view.compare figure v);
+  check_int "7 vertices" 7 (Naive_view.size v);
+  check_string "rendering"
+    "1\n├── 2\n│   ├── 1\n│   └── 3\n└── 3\n    ├── 1\n    └── 2\n"
+    (Naive_view.to_string v)
+
 let test_truncate_matches_naive () =
   let g = Gen.label_with_ints (Gen.petersen ()) in
-  let v = View.of_graph g ~root:0 ~depth:7 in
+  let v = Interned.of_graph g ~root:0 ~depth:7 in
+  let naive = Naive_view.of_graph g ~root:0 ~depth:7 in
   for d = 1 to 7 do
     check_string "truncate = naive truncate"
-      (View.to_string (naive_truncate v ~depth:d))
-      (View.to_string (View.truncate v ~depth:d))
+      (Naive_view.to_string (Naive_view.truncate naive ~depth:d))
+      (Interned.to_string (Interned.truncate v ~depth:d))
   done
 
 let test_size_k8_depth16_closed_form () =
-  (* Satellite regression: before interning this walked the unfolded tree
-     (~5.5e12 vertices) and never finished; now it is O(|DAG|). *)
+  (* The unfolded tree has ~5.5e12 vertices: only a size kept per shared
+     node can answer. *)
   let k8 = Gen.label_with_ints (Gen.complete 8) in
-  let v = View.of_graph k8 ~root:0 ~depth:16 in
+  let v = Interned.of_graph k8 ~root:0 ~depth:16 in
   let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
   (* Every node of K8 has degree 7: size = 1 + 7 + ... + 7^15. *)
-  check_int "closed form (7^16 - 1) / 6" ((pow 7 16 - 1) / 6) (View.size v);
-  check_int "depth 16" 16 (View.depth v);
-  check_int "interned size agrees" ((pow 7 16 - 1) / 6)
-    (Interned.size (Interned.of_graph k8 ~root:0 ~depth:16))
+  check_int "closed form (7^16 - 1) / 6" ((pow 7 16 - 1) / 6) (Interned.size v);
+  check_int "depth 16" 16 (Interned.depth v)
 
 (* ---------- Universal_cover on the existing families ---------- *)
 
@@ -190,6 +162,18 @@ let test_uc_classes_match_naive () =
       done)
     [ Gen.path 5; Gen.c6_figure1 (); Gen.petersen (); Gen.grid 3 3;
       Gen.star 4; Gen.random_connected ~seed:8 8 0.3 ]
+
+let test_uc_truncation_matches_naive () =
+  List.iter
+    (fun g ->
+      for d = 1 to 6 do
+        Graph.iter_nodes g ~f:(fun root ->
+            check_string "UC truncation = naive"
+              (Naive_view.to_string (naive_uc_truncation g ~root ~depth:d))
+              (Interned.to_string (Universal_cover.truncation g ~root ~depth:d)))
+      done)
+    [ Gen.path 5; Gen.c6_figure1 (); Gen.petersen (); Gen.star 4;
+      Gen.random_connected ~seed:8 8 0.3 ]
 
 (* ---------- canonical encoding ---------- *)
 
@@ -211,7 +195,7 @@ let test_parallel_interning_matches_sequential () =
   let g = Gen.label_with_ints (Gen.petersen ()) in
   let n = Graph.n g in
   let roots = Array.init (4 * n) (fun i -> i mod n) in
-  let render v = View.to_string (View.of_interned (Interned.of_graph g ~root:v ~depth:8)) in
+  let render v = Interned.to_string (Interned.of_graph g ~root:v ~depth:8) in
   let seq = Array.map render roots in
   let par = Pool.map ~domains:4 render roots in
   Array.iteri
@@ -235,6 +219,43 @@ let arb_seeded =
     ~print:(fun (s, n, p) -> Printf.sprintf "seed=%d n=%d p=%f" s n p)
     QCheck.Gen.(triple (int_bound 10_000) (int_range 2 10) (float_bound_inclusive 0.5))
 
+(* Random connected graphs with uneven degrees, marked [v mod k] for
+   k = 1..3 so that siblings often share a mark and the canonical order
+   has to look below it. *)
+let arb_marked =
+  QCheck.make
+    ~print:(fun (s, n, p, k) -> Printf.sprintf "seed=%d n=%d p=%f k=%d" s n p k)
+    QCheck.Gen.(
+      quad (int_bound 10_000) (int_range 2 10) (float_bound_inclusive 0.5)
+        (int_range 1 3))
+
+let prop_interned_matches_naive =
+  QCheck.Test.make
+    ~name:"Interned.of_graph = naive view (to_string, size, truncate, compare)"
+    ~count:60 arb_marked (fun (seed, n, p, k) ->
+      let g =
+        Graph.relabel (Gen.random_connected ~seed n p) (fun v -> Label.Int (v mod k))
+      in
+      let u = seed mod Graph.n g and v = (seed / 7) mod Graph.n g in
+      List.for_all
+        (fun d ->
+          let iu = Interned.of_graph g ~root:u ~depth:d in
+          let iv = Interned.of_graph g ~root:v ~depth:d in
+          let nu = Naive_view.of_graph g ~root:u ~depth:d in
+          let nv = Naive_view.of_graph g ~root:v ~depth:d in
+          String.equal (Interned.to_string iu) (Naive_view.to_string nu)
+          && Interned.size iu = Naive_view.size nu
+          && sign (Interned.compare iu iv) = sign (Naive_view.compare nu nv)
+          && sign (Interned.compare iv iu) = sign (Naive_view.compare nv nu)
+          && List.for_all
+               (fun d' ->
+                 String.equal
+                   (Interned.to_string (Interned.truncate iu ~depth:d'))
+                   (Naive_view.to_string (Naive_view.truncate nu ~depth:d')))
+               (List.init d (fun i -> i + 1)))
+        [ 1; 2; 3; 4; 5; 6 ])
+
+(* The view side is the naive view tree (Naive_view). *)
 let prop_interned_compare_agrees =
   QCheck.Test.make ~name:"Interned.compare = View.compare (sign)" ~count:80
     arb_seeded (fun (seed, n, p) ->
@@ -243,19 +264,10 @@ let prop_interned_compare_agrees =
       let u = seed mod Graph.n g and v = (seed / 7) mod Graph.n g in
       let iu = Interned.of_graph g ~root:u ~depth:d in
       let iv = Interned.of_graph g ~root:v ~depth:d in
-      let nu = naive_of_graph g ~root:u ~depth:d in
-      let nv = naive_of_graph g ~root:v ~depth:d in
-      sign (Interned.compare iu iv) = sign (View.compare nu nv)
-      && sign (Interned.compare iv iu) = sign (View.compare nv nu))
-
-let prop_roundtrip_identity =
-  QCheck.Test.make ~name:"View -> Interned -> View round-trip" ~count:80
-    arb_seeded (fun (seed, n, p) ->
-      let g = Gen.label_with_ints (Gen.random_connected ~seed n p) in
-      let d = 1 + (seed mod 6) in
-      let t = naive_of_graph g ~root:(seed mod Graph.n g) ~depth:d in
-      let t' = View.of_interned (View.intern t) in
-      View.equal t t' && String.equal (View.to_string t) (View.to_string t'))
+      let nu = Naive_view.of_graph g ~root:u ~depth:d in
+      let nv = Naive_view.of_graph g ~root:v ~depth:d in
+      sign (Interned.compare iu iv) = sign (Naive_view.compare nu nv)
+      && sign (Interned.compare iv iu) = sign (Naive_view.compare nv nu))
 
 let prop_intern_of_graph_consistent =
   QCheck.Test.make ~name:"intern (naive of_graph) = Interned.of_graph" ~count:80
@@ -264,7 +276,7 @@ let prop_intern_of_graph_consistent =
       let d = 1 + (seed mod 5) in
       let root = seed mod Graph.n g in
       Interned.equal
-        (View.intern (naive_of_graph g ~root ~depth:d))
+        (intern (Naive_view.of_graph g ~root ~depth:d))
         (Interned.of_graph g ~root ~depth:d))
 
 let prop_truncate_coherent =
@@ -285,21 +297,23 @@ let prop_parallel_byte_identical =
       let roots = Array.init gn (fun v -> v) in
       let seq =
         Array.map
-          (fun v -> View.to_string (View.of_interned (Interned.of_graph g ~root:v ~depth:6)))
+          (fun v -> Interned.to_string (Interned.of_graph g ~root:v ~depth:6))
           roots
       in
       let par =
         Pool.map ~domains:4
-          (fun v -> View.to_string (View.of_interned (Interned.of_graph g ~root:v ~depth:6)))
+          (fun v -> Interned.to_string (Interned.of_graph g ~root:v ~depth:6))
           roots
       in
       Array.for_all2 String.equal seq par)
 
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_interned_compare_agrees; prop_roundtrip_identity;
-      prop_intern_of_graph_consistent; prop_truncate_coherent;
-      prop_parallel_byte_identical ]
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+    prop_interned_matches_naive
+  :: List.map QCheck_alcotest.to_alcotest
+       [ prop_interned_compare_agrees; prop_intern_of_graph_consistent;
+         prop_truncate_coherent;
+         prop_parallel_byte_identical ]
 
 let () =
   Alcotest.run "anonet_interned"
@@ -315,13 +329,16 @@ let () =
       ( "view-fast-path",
         [
           Alcotest.test_case "of_graph = naive" `Quick test_of_graph_matches_naive;
+          Alcotest.test_case "naive oracle = Figure 1" `Quick test_oracle_figure1;
           Alcotest.test_case "truncate = naive" `Quick test_truncate_matches_naive;
           Alcotest.test_case "K8 depth-16 size closed form" `Quick
             test_size_k8_depth16_closed_form;
         ] );
       ( "universal-cover",
         [ Alcotest.test_case "classes = naive on families" `Quick
-            test_uc_classes_match_naive ] );
+            test_uc_classes_match_naive;
+          Alcotest.test_case "truncation = naive on families" `Quick
+            test_uc_truncation_matches_naive ] );
       ( "encode",
         [ Alcotest.test_case "canonical = to_string(identity)" `Quick
             test_encode_canonical ] );

@@ -46,7 +46,20 @@ let test_frame_roundtrip_basic () =
       frame Frame.Event 7 "{\"ts\":1}";
       frame Frame.Result 2 "\x00text";
       frame Frame.Error 3 "\x09diverged";
-    ]
+    ];
+  (* Job outcomes: a code-0 result frame is the code byte then stdout; an
+     outcome with a diagnosis keeps its stdout on an error frame. *)
+  let ok = { Runner.code = 0; out = "valid: true\n"; err = "" } in
+  check_string "code-0 result payload" "\000valid: true\n"
+    (Frame.of_outcome ~stream:1 ok).Frame.payload;
+  let diverged =
+    { Runner.code = 9; out = "fault plan: loss=1,seed=3\n"; err = "diverged" }
+  in
+  let f = Frame.of_outcome ~stream:1 diverged in
+  check "diagnosis and stdout travel on an error frame" true
+    (f.Frame.typ = Frame.Error && Frame.to_outcome f = Ok diverged);
+  check "short error payload rejected" true
+    (Result.is_error (Frame.to_outcome (frame Frame.Error 3 "\x09\x00\x00\x00\x05ab")))
 
 let test_frame_decode_at_offset () =
   let a = Frame.encode (frame Frame.Event 1 "first") in
@@ -87,9 +100,13 @@ let test_frame_rejections () =
   | _ -> Alcotest.fail "encode accepted an oversized payload"
 
 let qcheck_frame_roundtrip =
+  (* Arbitrary frames, and arbitrary job outcomes through their frames. *)
   QCheck.Test.make ~name:"frame encode/decode round-trips" ~count:300
-    QCheck.(triple (int_range 1 5) (int_range 0 0xFFFF) string)
-    (fun (t, stream, payload) ->
+    QCheck.(
+      pair
+        (triple (int_range 1 5) (int_range 0 0xFFFF) string)
+        (triple (int_range 0 255) string string))
+    (fun ((t, stream, payload), (code, out, err)) ->
       let typ =
         match t with
         | 1 -> Frame.Submit
@@ -98,11 +115,17 @@ let qcheck_frame_roundtrip =
         | 4 -> Frame.Result
         | _ -> Frame.Error
       in
+      let roundtrip f =
+        let s = Frame.encode f in
+        match Frame.decode s ~off:0 with
+        | Frame.Decoded (f', n) when n = String.length s -> Some f'
+        | _ -> None
+      in
       let f = frame typ stream payload in
-      let s = Frame.encode f in
-      match Frame.decode s ~off:0 with
-      | Frame.Decoded (f', n) -> frame_equal f f' && n = String.length s
-      | _ -> false)
+      let outcome = { Runner.code; out; err } in
+      (match roundtrip f with Some f' -> frame_equal f f' | None -> false)
+      && Option.map Frame.to_outcome (roundtrip (Frame.of_outcome ~stream outcome))
+         = Some (Ok outcome))
 
 let qcheck_frame_truncation =
   (* No strict prefix of a valid frame ever decodes or errors: the decoder
@@ -359,12 +382,12 @@ let test_loopback_failure_code () =
         ];
     }
   in
-  let expected, _ = run_local job in
-  check_int "local run diverges" 9 expected.Runner.code;
+  let expected = run_local job in
+  check_int "local run diverges" 9 (fst expected).Runner.code;
+  check_string "local run prints its fault plan" "fault plan: loss=1,seed=3\n"
+    (fst expected).Runner.out;
   with_server @@ fun addr ->
-  let outcome, _ = submit_collecting addr job in
-  check_int "remote exit code" expected.Runner.code outcome.Runner.code;
-  check_string "remote diagnostic" expected.Runner.err outcome.Runner.err
+  check_same_run "diverging job" expected (submit_collecting addr job)
 
 (* Loss makes the unwrapped 2-hop solver reject a mangled announce: the
    served job ends with the in-process diagnosis (code 1), not as a
@@ -377,15 +400,15 @@ let test_loopback_protocol_break () =
         [ "problem", "2hop"; "graph", "cycle:6"; "faults", "loss=0.3,seed=1" ];
     }
   in
-  let expected, _ = run_local job in
-  check_int "local exit code" 1 expected.Runner.code;
+  let expected = run_local job in
+  check_int "local exit code" 1 (fst expected).Runner.code;
   check "local diagnosis" true
     (String.starts_with ~prefix:"fault injection broke the algorithm's protocol"
-       expected.Runner.err);
+       (fst expected).Runner.err);
+  check_string "local run prints its fault plan" "fault plan: loss=0.3,seed=1\n"
+    (fst expected).Runner.out;
   with_server @@ fun addr ->
-  let outcome, _ = submit_collecting addr job in
-  check_int "remote exit code" expected.Runner.code outcome.Runner.code;
-  check_string "remote diagnostic" expected.Runner.err outcome.Runner.err
+  check_same_run "broken job" expected (submit_collecting addr job)
 
 (* A* on the Petersen graph exhausts its Update-Bits state budget: the
    job must end like any other derandomization error (code 1, the

@@ -1,5 +1,6 @@
-(* Tests for the view machinery: View, Refinement, View_graph, Factor,
-   Prime, Norris — the constructions of Sections 2 and 3. *)
+(* Tests for the view machinery: local views (Interned), Refinement
+   (with Norris' bound), View_graph, Factor, Prime — the constructions of
+   Sections 2 and 3. *)
 
 open Anonet_graph
 open Anonet_views
@@ -8,28 +9,28 @@ let check = Alcotest.(check bool)
 
 let check_int = Alcotest.(check int)
 
-(* ---------- View (Figure 1) ---------- *)
+(* ---------- Local views (Figure 1) ---------- *)
 
 let test_view_figure1 () =
   (* Figure 1: the depth-3 local view of u0 in the labeled C6 is a root
      marked 1 with two children marked 2 and 3, each with two
      grandchildren. *)
   let c6 = Gen.c6_figure1 () in
-  let v = View.of_graph c6 ~root:0 ~depth:3 in
-  check "root mark" true (Label.equal v.View.mark (Label.Int 1));
-  check_int "two children" 2 (List.length v.View.children);
-  let marks = List.map (fun c -> c.View.mark) v.View.children in
+  let v = Interned.of_graph c6 ~root:0 ~depth:3 in
+  check "root mark" true (Label.equal (Interned.mark v) (Label.Int 1));
+  check_int "two children" 2 (List.length (Interned.children v));
+  let marks = List.map Interned.mark (Interned.children v) in
   check "children marks 2 and 3" true
     (List.exists (Label.equal (Label.Int 2)) marks
      && List.exists (Label.equal (Label.Int 3)) marks);
-  check_int "depth" 3 (View.depth v);
-  check_int "size 1+2+4" 7 (View.size v)
+  check_int "depth" 3 (Interned.depth v);
+  check_int "size 1+2+4" 7 (Interned.size v)
 
 let test_view_depth1 () =
   let c6 = Gen.c6_figure1 () in
-  let v = View.of_graph c6 ~root:2 ~depth:1 in
-  check "leaf" true (v.View.children = []);
-  check "mark" true (Label.equal v.View.mark (Label.Int 3))
+  let v = Interned.of_graph c6 ~root:2 ~depth:1 in
+  check "leaf" true (Interned.children v = []);
+  check "mark" true (Label.equal (Interned.mark v) (Label.Int 3))
 
 let test_view_symmetric_nodes_equal () =
   (* In Figure 1's C6, nodes u0 and u3 have the same color and the same
@@ -37,16 +38,18 @@ let test_view_symmetric_nodes_equal () =
   let c6 = Gen.c6_figure1 () in
   for d = 1 to 8 do
     check "u0 = u3" true
-      (View.equal (View.of_graph c6 ~root:0 ~depth:d) (View.of_graph c6 ~root:3 ~depth:d));
+      (Interned.equal (Interned.of_graph c6 ~root:0 ~depth:d)
+         (Interned.of_graph c6 ~root:3 ~depth:d));
     check "u0 <> u1" false
-      (View.equal (View.of_graph c6 ~root:0 ~depth:d) (View.of_graph c6 ~root:1 ~depth:d))
+      (Interned.equal (Interned.of_graph c6 ~root:0 ~depth:d)
+         (Interned.of_graph c6 ~root:1 ~depth:d))
   done
 
 let test_view_truncate () =
   let c6 = Gen.c6_figure1 () in
-  let v5 = View.of_graph c6 ~root:0 ~depth:5 in
-  let v3 = View.of_graph c6 ~root:0 ~depth:3 in
-  check "truncate 5 to 3" true (View.equal (View.truncate v5 ~depth:3) v3)
+  let v5 = Interned.of_graph c6 ~root:0 ~depth:5 in
+  let v3 = Interned.of_graph c6 ~root:0 ~depth:3 in
+  check "truncate 5 to 3" true (Interned.equal (Interned.truncate v5 ~depth:3) v3)
 
 let test_view_equal_nodes_cross_graph () =
   (* A node of C6 and its image in C3 under the Figure-2 factor have equal
@@ -55,29 +58,34 @@ let test_view_equal_nodes_cross_graph () =
   let c6 = l.Lift.graph and c3 = l.Lift.base in
   Graph.iter_nodes c6 ~f:(fun v ->
       check "view equals image view" true
-        (View.equal_nodes (c6, v) (c3, l.Lift.map.(v)) ~depth:12));
+        (Refinement.equal_nodes (c6, v) (c3, l.Lift.map.(v)) ~depth:12));
   (* and distinctly-colored nodes differ *)
-  check "distinct colors differ" false (View.equal_nodes (c6, 0) (c3, 1) ~depth:3)
+  check "distinct colors differ" false (Refinement.equal_nodes (c6, 0) (c3, 1) ~depth:3)
+
+(* [f d u v same] for depths 1..[max_depth] and every pair of nodes,
+   [same] telling whether their explicit depth-d views are equal. *)
+let iter_view_pairs g ~max_depth f =
+  for d = 1 to max_depth do
+    Graph.iter_nodes g ~f:(fun u ->
+        Graph.iter_nodes g ~f:(fun v ->
+            f d u v
+              (Interned.equal (Interned.of_graph g ~root:u ~depth:d)
+                 (Interned.of_graph g ~root:v ~depth:d))))
+  done
 
 let test_view_explicit_vs_refinement () =
   (* Cross-check: explicit tree equality matches refinement-based equality
      on a random graph at several depths. *)
   let g = Gen.random_connected ~seed:11 8 0.3 in
-  for d = 1 to 6 do
-    Graph.iter_nodes g ~f:(fun u ->
-        Graph.iter_nodes g ~f:(fun v ->
-            let tree_eq =
-              View.equal (View.of_graph g ~root:u ~depth:d)
-                (View.of_graph g ~root:v ~depth:d)
-            in
-            let ref_eq = View.equal_nodes (g, u) (g, v) ~depth:d in
-            check "tree equality = refinement equality" tree_eq ref_eq))
-  done
+  iter_view_pairs g ~max_depth:6 (fun d u v same ->
+      check "tree equality = refinement equality" same
+        (Refinement.equal_nodes (g, u) (g, v) ~depth:d))
 
 let test_view_to_string () =
   let c6 = Gen.c6_figure1 () in
-  let s = View.to_string (View.of_graph c6 ~root:0 ~depth:2) in
-  check "renders root" true (String.length s > 0 && s.[0] = '1')
+  Alcotest.(check string) "Figure 1, one vertex per line"
+    "1\n├── 2\n│   ├── 1\n│   └── 3\n└── 3\n    ├── 1\n    └── 2\n"
+    (Interned.to_string (Interned.of_graph c6 ~root:0 ~depth:3))
 
 (* ---------- Refinement ---------- *)
 
@@ -116,16 +124,9 @@ let test_refinement_classes_at_depth () =
 let test_refinement_matches_views () =
   (* Partition at depth d = equality of depth-d views (random graphs). *)
   let g = Gen.random_connected ~seed:3 7 0.4 in
-  for d = 1 to 5 do
-    let classes = Refinement.classes_at_depth g d in
-    Graph.iter_nodes g ~f:(fun u ->
-        Graph.iter_nodes g ~f:(fun v ->
-            let tree_eq =
-              View.equal (View.of_graph g ~root:u ~depth:d)
-                (View.of_graph g ~root:v ~depth:d)
-            in
-            check "class eq = view eq" tree_eq (classes.(u) = classes.(v))))
-  done
+  iter_view_pairs g ~max_depth:5 (fun d u v same ->
+      let classes = Refinement.classes_at_depth g d in
+      check "class eq = view eq" same (classes.(u) = classes.(v)))
 
 (* ---------- View_graph ---------- *)
 
@@ -238,6 +239,13 @@ let test_prime_aliases () =
   check "aliases faithful" true
     (Prime.aliases_faithful (Gen.label_with_ints (Gen.petersen ())))
 
+let test_refinement_equal_nodes_depth () =
+  let g = Gen.c6_figure1 () in
+  check "depth 1 compares labels" true (Refinement.equal_nodes (g, 0) (g, 3) ~depth:1);
+  Alcotest.check_raises "depth 0 rejected"
+    (Invalid_argument "Refinement.equal_nodes: need depth >= 1")
+    (fun () -> ignore (Refinement.equal_nodes (g, 0) (g, 3) ~depth:0))
+
 (* ---------- Norris (Theorem 3) ---------- *)
 
 let test_norris_bound_families () =
@@ -251,12 +259,13 @@ let test_norris_bound_families () =
     ]
   in
   List.iter
-    (fun (name, g) -> check (name ^ " norris bound") true (Norris.bound_holds g))
+    (fun (name, g) ->
+      check (name ^ " norris bound") true (Refinement.norris_bound_holds g))
     families
 
 let test_norris_exact_path () =
   (* On P5 the partition stabilizes at view depth 3 ({ends},{next},{mid}). *)
-  check_int "P5 stable depth" 3 (Norris.stable_view_depth (Gen.path 5))
+  check_int "P5 stable depth" 3 (Refinement.run (Gen.path 5)).Refinement.stable_view_depth
 
 (* ---------- Fibrations (Section 4) ---------- *)
 
@@ -318,12 +327,13 @@ let test_universal_cover_shapes () =
      backtracking branch that the local view keeps. *)
   let g = Gen.label_with_ints (Gen.path 3) in
   let uc = Universal_cover.truncation g ~root:0 ~depth:3 in
-  let lv = View.of_graph g ~root:0 ~depth:3 in
-  check_int "UC: root has one child" 1 (List.length uc.View.children);
-  let b = List.hd uc.View.children in
-  check_int "UC: b keeps only the non-parent child" 1 (List.length b.View.children);
-  let b' = List.hd lv.View.children in
-  check_int "view: b keeps both neighbors" 2 (List.length b'.View.children)
+  let lv = Interned.of_graph g ~root:0 ~depth:3 in
+  check_int "UC: root has one child" 1 (List.length (Interned.children uc));
+  let b = List.hd (Interned.children uc) in
+  check_int "UC: b keeps only the non-parent child" 1
+    (List.length (Interned.children b));
+  let b' = List.hd (Interned.children lv) in
+  check_int "view: b keeps both neighbors" 2 (List.length (Interned.children b'))
 
 let test_universal_cover_partition_agrees () =
   (* At depth >= n, UC truncations and local views induce the same
@@ -353,7 +363,8 @@ let arb_seeded =
 
 let prop_norris =
   QCheck.Test.make ~name:"Norris bound on random graphs" ~count:100 arb_seeded
-    (fun (seed, n, p) -> Norris.bound_holds (Gen.random_connected ~seed n p))
+    (fun (seed, n, p) ->
+      Refinement.norris_bound_holds (Gen.random_connected ~seed n p))
 
 let prop_view_graph_is_factor =
   QCheck.Test.make ~name:"view graph is a factor (2-hop colored inputs)" ~count:60
@@ -428,6 +439,8 @@ let () =
           Alcotest.test_case "path" `Quick test_refinement_path;
           Alcotest.test_case "classes at depth" `Quick test_refinement_classes_at_depth;
           Alcotest.test_case "matches explicit views" `Quick test_refinement_matches_views;
+          Alcotest.test_case "equal_nodes depth bounds" `Quick
+            test_refinement_equal_nodes_depth;
         ] );
       ( "view_graph",
         [
