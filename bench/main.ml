@@ -278,8 +278,10 @@ let bench_tests () =
     (* The incremental phase engine, measured end to end: each pair runs
        the same derandomization warm (cross-phase search/simulation cache
        on, the default) and cold (cache off — every phase restarts its
-       Update-Bits BFS from level 0).  CI asserts warm/cold >= 2x on the
-       2hop-c6 pair, the deepest phase schedule of the family.  The
+       Update-Bits BFS from level 0).  CI prints the warm/cold ratio of
+       the 2hop-c6 pair, the deepest phase schedule of the family;
+       test_incremental asserts its state ratio, which does not depend on
+       the host.  The
        instances are the C6/C12 cycle family of Figures 1-2; Petersen
        with unique colors is prime, so its generic Update-Bits search
        branches on all 10 nodes per round and blows the state budget

@@ -187,16 +187,7 @@ let intern s i exec =
 
 (* A recorded success: the chosen prefix, the level it completed at, and
    the outputs it produced.  Completing it to any length at or past
-   [max found_level max_base] appends only unprescribed zero bits.
-
-   All successes one search records share one completion length: an
-   [Exactly l] search ({!Resumable}) completes every success to [l], and a
-   length-first search ({!minimal_successful}) stops at the level of its
-   first success, or at [max_base] if that is deeper, so each success it
-   records completes to that one length.  Padding two successes to
-   [max max_base (both levels)] therefore orders them as the round-major
-   order orders the assignments the search returns: one comparison serves
-   both modes. *)
+   [max found_level max_base] appends only unprescribed zero bits. *)
 type success = {
   rev_rounds : Bitvec.t list;
   found_level : int;
@@ -205,7 +196,8 @@ type success = {
 
 (* The round-major BFS state of one search.  [level] counts fully expanded
    levels; [explored] is cumulative across every level expanded so far;
-   [best] is the round-major smallest success recorded so far.
+   [best] is the last success recorded, which is the round-major smallest
+   (see [expand_level]'s incumbent cut).
 
    Every state the search commits is interned in [store], one table for
    the whole search: stepping to a state any level already reached costs
@@ -244,29 +236,19 @@ type bfs = {
   mutable best : success option;
 }
 
-let compare_success t a b =
-  let len = max t.max_base (max a.found_level b.found_level) in
-  let complete s =
-    complete ~base:t.base ~rev_rounds:s.rev_rounds ~level:s.found_level ~len
-  in
-  Bit_assignment.compare_round_major (complete a) (complete b)
-
 (* [true] iff [entry], reached at [level], has all-output, in which case it
-   is recorded as a success (kept if round-major smaller than [t.best])
-   and pruned: its descendants cannot beat its own completion. *)
+   is recorded as the best success and pruned: its descendants cannot beat
+   its own completion. *)
 let consider t entry level =
   Executor.Incremental.all_output entry.exec
   && begin
-    let s =
-      {
-        rev_rounds = entry.rev_rounds;
-        found_level = level;
-        outputs = Executor.Incremental.outputs entry.exec;
-      }
-    in
-    (match t.best with
-     | Some cur when compare_success t s cur >= 0 -> ()
-     | Some _ | None -> t.best <- Some s);
+    t.best <-
+      Some
+        {
+          rev_rounds = entry.rev_rounds;
+          found_level = level;
+          outputs = Executor.Incremental.outputs entry.exec;
+        };
     true
   end
 
@@ -318,19 +300,17 @@ let bfs_start ~obs ~solver g ~base ~max_states ~pruning ~length_first =
   if not (consider t root 0) then t.frontier <- [ root ];
   t
 
-(* Result of expanding one level: [Truncated] means the state budget ran
-   out mid-level.  The in-budget lexicographic prefix of the level has
-   then been fully absorbed — any success in it was recorded via
-   [consider], and the explored counters hold [max_states + 1] — but
-   [level]/[frontier] are left untouched; the caller decides whether
-   truncation is fatal. *)
-type level_outcome =
-  | Complete
-  | Truncated
+exception Cut
 
-exception Budget
-
-(* Expand the frontier by one BFS level, recording its successes. *)
+(* Expand the frontier by one BFS level.  Children are generated in
+   round-major order of their prefixes, so the level stops at its first
+   success (the incumbent cut): every child not yet generated has a
+   prefix greater on rounds [<= r], and so has every completion of it, to
+   any length.  The non-success children absorbed before the success
+   become the next frontier; all of them, and every success that descends
+   from them, are round-major smaller than the success just recorded.
+   Running out of the state budget raises [Search_limit_exceeded] with
+   [explored = max_states + 1]. *)
 let expand_level t =
   let r = t.level + 1 in
   (* Per-level constants, hoisted out of the per-entry loop: the free-node
@@ -415,12 +395,12 @@ let expand_level t =
   let tick () =
     t.explored <- t.explored + 1;
     Obs.incr t.states_c;
-    if t.explored > t.max_states then raise_notrace Budget
+    if t.explored > t.max_states then raise Search_limit_exceeded
   in
   (* A child stepped to within this level: unless the level already
      absorbed it, stamp it, then either prune it as cross-level subsumed,
-     prune it as a recorded success ([consider]), or push it onto the
-     next frontier. *)
+     record it as a success ([consider]) and cut the level, or push it
+     onto the next frontier. *)
   let s = t.store in
   let absorb (entry : entry) bits id =
     let last = Array.unsafe_get s.stamps id in
@@ -432,7 +412,8 @@ let expand_level t =
         let child =
           { rev_rounds = bits :: entry.rev_rounds; id; exec = s.execs.(id) }
         in
-        if not (consider t child r) then next := child :: !next
+        if consider t child r then raise_notrace Cut;
+        next := child :: !next
       end
     end
   in
@@ -482,12 +463,9 @@ let expand_level t =
           absorb entry bits (Array.unsafe_get succ k))
         reps
   in
-  match List.iter expand t.frontier with
-  | () ->
-    t.level <- r;
-    t.frontier <- List.rev !next;
-    Complete
-  | exception Budget -> Truncated
+  (try List.iter expand t.frontier with Cut -> ());
+  t.level <- r;
+  t.frontier <- List.rev !next
 
 (* Expand levels until level [len], an empty frontier, or — length-first
    — the best success's completion length.  The frontier gauge must not
@@ -501,11 +479,9 @@ let advance t ~len =
     | Some _ | None -> len
   in
   Fun.protect ~finally:(fun () -> Obs.set t.frontier_g 0) @@ fun () ->
-  let rec go () =
-    if t.frontier = [] || t.level >= cap () then Complete
-    else match expand_level t with Complete -> go () | Truncated -> Truncated
-  in
-  go ()
+  while t.frontier <> [] && t.level < cap () do
+    expand_level t
+  done
 
 let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base
     ?(max_states = 1_000_000) ?(pruning = true) ~max_len () =
@@ -514,17 +490,7 @@ let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base
   let t =
     bfs_start ~obs ~solver g ~base ~max_states ~pruning ~length_first:true
   in
-  (* Budget exhaustion mid-level [r = level + 1] leaves its in-budget
-     lexicographic prefix expanded, so a recorded best is already the
-     global minimum when [max_base <= r]: every unexplored completion is
-     then either strictly longer (length-first domination) or a lex-later
-     same-level prefix.  A longer base keeps completion lengths tied at
-     [max_base], where unexplored lex-smaller completions could still
-     exist, so only the budget exception is sound there. *)
-  if
-    advance t ~len:max_len = Truncated
-    && (Option.is_none t.best || t.max_base > t.level + 1)
-  then raise Search_limit_exceeded;
+  advance t ~len:max_len;
   Option.bind t.best (fun s ->
       let len = max s.found_level t.max_base in
       if len <= max_len then Some (found t s ~len) else None)
@@ -555,6 +521,6 @@ module Resumable = struct
       None
     else
       Obs.span t.obs "min_search.extend" (fun () ->
-          if advance t ~len = Truncated then raise Search_limit_exceeded;
+          advance t ~len;
           Option.map (fun s -> found t s ~len) t.best)
 end

@@ -4,17 +4,22 @@
     smallest bit assignment (under a predetermined total order) whose
     induced simulation of [A_R] is successful.  The paper's lemmas only
     need {e some} predetermined total order shared by all nodes; the one
-    searched here is: assignments of smaller length first, ties broken by
-    the round-major lexicographic order of
-    {!Bit_assignment.compare_round_major}.  This order admits an efficient
+    searched here is: assignments of smaller length first, ties broken
+    round-major lexicographically (the round-1 bits of all nodes in node
+    order, then the round-2 bits, ...).  This order admits an efficient
     search: executions form a tree branching on each round's bit vector,
     explored breadth-first in lexicographic order while {e deduplicating
     equal execution states} — two prefixes leading to the same global
     state have identical futures, and the lexicographically smaller prefix
     dominates, so the frontier is bounded by the algorithm's reachable
-    state space rather than by [2^(t·k)].  The paper's literal node-major
-    order survives as a brute-force oracle in the test suite, which checks
-    that both orders find successes of the same minimal length.
+    state space rather than by [2^(t·k)].  Since a level is generated in
+    round-major order, it stops at its first success (the {e incumbent
+    cut}): every child it has not generated yet, and every completion of
+    one, to any length, is round-major greater.  Each success the search
+    records is therefore smaller than the one before.  The paper's literal
+    node-major order survives as a brute-force oracle in the test suite,
+    which checks that both orders find successes of the same minimal
+    length.
 
     The search runs sequentially on the calling domain.  Its executor
     scratch is per-domain, so independent searches (server workers,
@@ -70,18 +75,17 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     reached at an earlier (hence round-major smaller) level.  The search's
     value is unchanged — same [found] record as the
     exhaustive search, asserted in the test suite —
-    while [states_explored] drops; the skipped siblings and subsumed
-    children are counted in the [search.pruned] counter and the
-    sensitivity probes in [search.core_probes].  See DESIGN.md
+    while [states_explored] drops (the incumbent cut applies either way);
+    the skipped siblings and subsumed children are counted in the
+    [search.pruned] counter and the sensitivity probes in
+    [search.core_probes].  See DESIGN.md
     "Core-guided pruning" for the soundness argument.
 
-    @param max_states abort threshold for the breadth-first frontier
+    @param max_states abort threshold for the breadth-first search
     (default [1_000_000]).  Exhausting it raises {!Search_limit_exceeded}
-    — except when the in-budget lexicographic prefix of the truncated
-    level already recorded a success that provably dominates every
-    unexplored completion (the truncated level at or past the longest
-    base string), in which case that success is returned with
-    [states_explored = max_states + 1].
+    with [max_states + 1] states counted.  A search that returns has
+    explored at most [max_states] states, and every budget of at least
+    its [states_explored] returns the same record.
     @raise Branching_limit_exceeded if one branching step exceeds the
     enumeration limits above.
     @raise Invalid_argument if [solver] has no registered flat
@@ -102,10 +106,11 @@ val minimal_successful :
     a warm-startable handle.
 
     For an exact target [l], the breadth-first exploration — stepping,
-    state dedup, all-output pruning, and the round-major tiebreak between
-    successes — does not depend on [l]; only the completion of the
-    winning prefix does (every success completes to [l] by appending
-    zeros past the base).  A [Resumable.t] therefore owns the BFS
+    state dedup, all-output pruning, and the incumbent cut — does not
+    depend on [l]; only the completion of the winning prefix does (every
+    success completes to [l] by appending zeros past the base, and a
+    child the cut dropped compares greater than the success at every
+    length).  A [Resumable.t] therefore owns the BFS
     frontier (entries, their {!Anonet_runtime.Executor.Incremental}
     states, the running best success) and extends it level by level on
     demand: [extend t ~len:l] returns exactly what a fresh handle's

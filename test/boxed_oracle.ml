@@ -79,6 +79,11 @@ let branch (type s) (m : (module Algorithm.S with type state = s)) g (e : s exec
     end
   done
 
+(* Raised by a level's first success: the children after it in stepping
+   order have round-major greater prefixes, so no completion of them can
+   win. *)
+exception Cut
+
 type found = {
   assignment : Bits.t array;
   outputs : Label.t option array;
@@ -92,9 +97,9 @@ type found = {
    each entry branched on the vectors that are 0 on its insensitive
    nodes, in increasing order (node 0 most significant); a child dropped
    if its state occurred earlier in this level or at any earlier level
-   (the root included); an all-output child recorded as a success and not
-   expanded; the search stops at the first level holding a success.
-   [states_explored] counts every child stepped, duplicates included. *)
+   (the root included); the search stops at the first all-output child,
+   its answer.  [states_explored] counts every child stepped, duplicates
+   included. *)
 let search (type s) (module A : Algorithm.S with type state = s) g ~max_len =
   let m = (module A : Algorithm.S with type state = s) in
   let module H = Hashtbl.Make (struct
@@ -121,16 +126,17 @@ let search (type s) (module A : Algorithm.S with type state = s) g ~max_len =
                   H.add ever child ();
                   let rev_rounds = bits :: rev_rounds in
                   if all_output m child then begin
-                    if Option.is_none !found then found := Some (rev_rounds, child, r)
-                  end
-                  else next := (rev_rounds, child) :: !next
+                    found := Some (rev_rounds, child, r);
+                    raise Cut
+                  end;
+                  next := (rev_rounds, child) :: !next
                 end
               end))
         frontier;
-      if Option.is_none !found then level (r + 1) (List.rev !next)
+      level (r + 1) (List.rev !next)
     end
   in
-  if not (all_output m root) then level 1 [ [], root ];
+  if not (all_output m root) then (try level 1 [ [], root ] with Cut -> ());
   match !found with
   | None when all_output m root ->
     Some
@@ -157,7 +163,8 @@ let search (type s) (module A : Algorithm.S with type state = s) g ~max_len =
    carry the prescribed bits and are 0 on every free node that is
    insensitive (with [pruning]), in increasing order (node 0 most
    significant); a child is dropped if its state occurred earlier in this
-   level; an all-output child is recorded as a success and not expanded.
+   level; an all-output child is recorded as a success, not expanded, and
+   ends its level: the children stepped after it have greater prefixes.
    Every level runs, whatever it finds.  The answer for [len] is the
    round-major minimum over the successes of levels [<= len], each
    completed to [len] bits by the base, then zeros.
@@ -191,7 +198,7 @@ let search_exactly (type s) (module A : Algorithm.S with type state = s) g ~base
     | Some (rev_best, level_best, _) ->
       let len = max max_base (max level level_best) in
       if
-        Anonet.Bit_assignment.compare_round_major (complete rev_rounds level len)
+        Search_oracle.compare_round_major (complete rev_rounds level len)
           (complete rev_best level_best len)
         < 0
       then best := Some (rev_rounds, level, outputs m e)
@@ -222,16 +229,21 @@ let search_exactly (type s) (module A : Algorithm.S with type state = s) g ~base
         end
         else free := !free lor weight
       done;
-      List.iter
-        (fun (rev_rounds, e) ->
-          branch m g e ~free:!free ~fixed:!fixed ~pruning (fun bits child ->
-              incr explored;
-              if not (H.mem seen child) then begin
-                H.add seen child ();
-                let rev_rounds = bits :: rev_rounds in
-                if all_output m child then record rev_rounds r child
-                else next := (rev_rounds, child) :: !next
-              end))
-        !frontier;
+      (try
+         List.iter
+           (fun (rev_rounds, e) ->
+             branch m g e ~free:!free ~fixed:!fixed ~pruning (fun bits child ->
+                 incr explored;
+                 if not (H.mem seen child) then begin
+                   H.add seen child ();
+                   let rev_rounds = bits :: rev_rounds in
+                   if all_output m child then begin
+                     record rev_rounds r child;
+                     raise Cut
+                   end;
+                   next := (rev_rounds, child) :: !next
+                 end))
+           !frontier
+       with Cut -> ());
       frontier := List.rev !next;
       answer r)

@@ -1,11 +1,11 @@
 (* Brute-force oracles for the minimal-successful-simulation search.
 
    [Min_search] explores one predetermined total order on bit assignments
-   (length first, then round-major lexicographic) with a pruned,
-   deduplicated breadth-first search.  This module enumerates assignments
-   outright instead, in the paper's literal order of Section 2.2 — length
-   first, then lexicographic on [(b(u_1), ..., b(u_k))] ("node-major") —
-   and simulates every one.  Exponential in the free bits, so only for
+   (length first, then round-major lexicographic: [compare_round_major])
+   with a pruned, deduplicated breadth-first search.  This module
+   enumerates assignments outright instead, in the paper's literal order
+   of Section 2.2 — length first, then lexicographic on
+   [(b(u_1), ..., b(u_k))] ("node-major") — and simulates every one.  Exponential in the free bits, so only for
    tiny instances: it is what the efficient search is checked against. *)
 
 open Anonet_graph
@@ -14,6 +14,32 @@ open Anonet
 let compare_lengths a b =
   let lens x = List.sort Int.compare (Array.to_list (Array.map Bits.length x)) in
   List.compare Int.compare (lens a) (lens b)
+
+(* The library's order: length first, then round-major lexicographic
+   (the round-1 bits of [u_1..u_k], then the round-2 bits, ...) — the
+   order whose minimum [Min_search] returns. *)
+let compare_round_major a b =
+  let c = compare_lengths a b in
+  if c <> 0 then c
+  else begin
+    let rounds = Bit_assignment.max_length a in
+    let rec by_round r =
+      if r >= rounds then 0
+      else begin
+        let rec by_node i =
+          if i >= Array.length a then by_round (r + 1)
+          else begin
+            let bit x = if r < Bits.length x.(i) then Some (Bits.get x.(i) r) else None in
+            match bit a, bit b with
+            | Some x, Some y when x <> y -> Bool.compare x y
+            | _, _ -> by_node (i + 1)
+          end
+        in
+        by_node 0
+      end
+    in
+    by_round 0
+  end
 
 (* The paper's order: length first (uniform lengths compared as integers,
    non-uniform ones by their sorted length vectors), then node-major
@@ -31,6 +57,17 @@ let compare_node_major a b =
     in
     go 0
   end
+
+(* All strings of [b] have one length (the paper's assignments
+   [b : V -> {0,1}^t]). *)
+let is_uniform b =
+  Array.for_all (fun s -> Bits.length s = Bits.length b.(0)) b
+
+(* [b.(i)] extends [base.(i)] for all [i]: the p-extension relation of
+   Update-Bits, with uniformity checked separately. *)
+let is_extension ~base b =
+  Array.length base = Array.length b
+  && Array.for_all2 (fun p s -> Bits.is_prefix ~prefix:p s) base b
 
 (* The number of free bit positions an extension of [base] to length
    [len] must fill. *)
@@ -76,7 +113,7 @@ let round_major_exactly ~solver g ~base ~len =
   Seq.fold_left
     (fun best ((bits, _) as s) ->
       match best with
-      | Some (b, _) when Bit_assignment.compare_round_major b bits <= 0 -> best
+      | Some (b, _) when compare_round_major b bits <= 0 -> best
       | _ -> Some s)
     None
     (successes ~solver g ~base ~len)

@@ -90,19 +90,19 @@ let b s = Bits.of_string s
 let test_assignment_orders () =
   let a1 = [| b "0"; b "1" |] and a2 = [| b "1"; b "0" |] in
   check "node-major" true (Search_oracle.compare_node_major a1 a2 < 0);
-  check "round-major agrees here" true (Bit_assignment.compare_round_major a1 a2 < 0);
+  check "round-major agrees here" true (Search_oracle.compare_round_major a1 a2 < 0);
   (* length dominates *)
   let short = [| b "1"; b "1" |] and long = [| b "00"; b "00" |] in
   check "shorter first (node-major)" true (Search_oracle.compare_node_major short long < 0);
   check "shorter first (round-major)" true
-    (Bit_assignment.compare_round_major short long < 0);
+    (Search_oracle.compare_round_major short long < 0);
   (* the two orders genuinely differ: a = (01, 10), b = (10, 00).
      node-major: a < b (01 < 10).  round-major: round1 = (0,1) vs (1,0):
      a < b too... pick a = (01,00), b = (00,10): node-major: a > b;
      round-major: round1 (0,0) vs (0,1): a < b. *)
   let x = [| b "01"; b "00" |] and y = [| b "00"; b "10" |] in
   check "orders differ (node-major)" true (Search_oracle.compare_node_major x y > 0);
-  check "orders differ (round-major)" true (Bit_assignment.compare_round_major x y < 0)
+  check "orders differ (round-major)" true (Search_oracle.compare_round_major x y < 0)
 
 let test_assignment_extensions () =
   let base = [| b "1"; Bits.empty |] in
@@ -110,8 +110,8 @@ let test_assignment_extensions () =
   check_int "2^3 extensions" 8 (List.length exts);
   List.iter
     (fun e ->
-      check "extends base" true (Bit_assignment.is_extension ~base e);
-      check "uniform" true (Bit_assignment.is_uniform e);
+      check "extends base" true (Search_oracle.is_extension ~base e);
+      check "uniform" true (Search_oracle.is_uniform e);
       check_int "length" 2 (Bit_assignment.max_length e))
     exts;
   (* enumeration is sorted node-major *)
@@ -162,7 +162,7 @@ let test_min_search_cross_check_orders () =
    | None -> Alcotest.fail "BFS found nothing"
    | Some f ->
      check "BFS = brute force (round-major)" true
-       (Bit_assignment.compare_round_major f.Min_search.assignment brute_rm = 0));
+       (Search_oracle.compare_round_major f.Min_search.assignment brute_rm = 0));
   let brute_nm, _ =
     Option.get (Search_oracle.node_major_at_most ~solver g ~base ~max_len:8)
   in
@@ -185,11 +185,11 @@ let test_min_search_exact_mode () =
   | None -> Alcotest.fail "exact search found nothing"
   | Some f ->
     check "exact = brute force" true
-      (Bit_assignment.compare_round_major f.Min_search.assignment
+      (Search_oracle.compare_round_major f.Min_search.assignment
          (fst (Option.get brute))
        = 0);
     check "is extension" true
-      (Bit_assignment.is_extension ~base f.Min_search.assignment)
+      (Search_oracle.is_extension ~base f.Min_search.assignment)
 
 let test_min_search_respects_base () =
   (* With node 0 pinned to all-zeros, the search must keep it. *)

@@ -351,7 +351,7 @@ let check_found_boxed ~name (found : Min_search.found option)
   | None, None -> ()
   | Some f, Some r ->
     check Alcotest.int (name ^ ": assignment order") 0
-      (Bit_assignment.compare_round_major f.assignment r.assignment);
+      (Search_oracle.compare_round_major f.assignment r.assignment);
     check Alcotest.int (name ^ ": states_explored") r.states_explored f.states_explored;
     check Alcotest.int (name ^ ": rounds_run") r.rounds f.sim.Simulation.rounds_run;
     check outputs_t (name ^ ": outputs") r.outputs f.sim.Simulation.outputs
@@ -363,7 +363,7 @@ let check_found_equal ~name (found : Min_search.found option) oracle =
   | None, None -> ()
   | Some f, Some (bits, sim) ->
     check Alcotest.int (name ^ ": assignment order") 0
-      (Bit_assignment.compare_round_major f.assignment bits);
+      (Search_oracle.compare_round_major f.assignment bits);
     check_sim_equal ~name f.sim sim
   | Some _, None | None, Some _ ->
     Alcotest.failf "%s: search and oracle disagree on existence" name

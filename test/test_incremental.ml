@@ -238,11 +238,12 @@ let prop_a_star_warm_equals_cold =
 
 (* ---------- cache accounting and the eviction path ---------- *)
 
-let counters_after ?search_cache_cap ~gran inst =
+let counters_after ?incremental ?search_cache_cap ~gran inst =
   let registry = Metrics.create () in
   let obs = Obs.make ~metrics:registry () in
   let outcome =
-    solve_outcome ~ctx:(Run_ctx.make ~obs ()) ?search_cache_cap ~gran inst
+    solve_outcome ~ctx:(Run_ctx.make ~obs ()) ?incremental ?search_cache_cap
+      ~gran inst
   in
   let value name = Metrics.counter_value (Metrics.counter registry name) in
   outcome, value
@@ -256,6 +257,24 @@ let test_a_star_cache_counters () =
   check "levels were resumed" true (value "cache.search.resumed_levels" > 0);
   check "states counted" true (value "search.states_explored" > 0);
   check "sims counted" true (value "sim.runs" > 0)
+
+let test_a_star_warm_saves_states () =
+  (* The cross-phase frontier reuse on the deepest phase schedule of the
+     a-star-phases bench family, counted in states rather than timed:
+     restarting every phase's search must explore at least twice the
+     states that resuming it does. *)
+  let states incremental =
+    let _, value =
+      counters_after ~incremental ~gran:Bundles.two_hop_coloring (c6_instance ())
+    in
+    value "search.states_explored"
+  in
+  let warm = states true and cold = states false in
+  check
+    (Printf.sprintf "2hop on c6: cold states (%d) >= 2 x warm states (%d)" cold
+       warm)
+    true
+    (cold >= 2 * warm)
 
 let test_a_star_eviction_path () =
   (* cap 1 on an instance whose classes select different candidates:
@@ -338,6 +357,8 @@ let () =
             test_a_star_warm_equals_cold_two_hop;
           Alcotest.test_case "cache counters live" `Quick
             test_a_star_cache_counters;
+          Alcotest.test_case "warm explores half the states of cold" `Quick
+            test_a_star_warm_saves_states;
           Alcotest.test_case "eviction path stays identical" `Quick
             test_a_star_eviction_path;
           QCheck_alcotest.to_alcotest prop_a_star_warm_equals_cold;

@@ -8,11 +8,10 @@
    concurrent replicas on domain pools of 1/2/4, for both [At_most] and
    [Exactly] targets, and cross-check the minimal length against the
    brute-force node-major enumeration of [Search_oracle].  The
-   budget-exhaustion scan additionally asserts the truncation semantics:
-   at every budget value the search either raises
-   [Search_limit_exceeded] or returns the unlimited search's minimal
-   assignment, with exact states accounting when it returns from a
-   truncated level. *)
+   budget-exhaustion scans additionally assert the budget contract: a
+   budget below the unlimited search's state count raises
+   [Search_limit_exceeded], and any other budget returns the unlimited
+   search's answer. *)
 
 open Anonet_graph
 open Anonet
@@ -193,81 +192,130 @@ let prop_pruned_random =
            (search ~solver:Anonet_algorithms.Rand_mis.algorithm ~max_len:8 g));
       true)
 
-(* ---------- budget exhaustion: the truncation semantics --- *)
+(* ---------- budget exhaustion: every truncation raises --- *)
 
-type budget_outcome =
-  | Found of Min_search.found
-  | Limit
+(* A length-first search from [base] with its effort read off the
+   [search.states_explored] counter, which also counts a search that
+   raised: [Error ()] when it ran out of budget. *)
+let counted_search ?max_states ~pruning ~base ~max_len g =
+  let m = Metrics.create () in
+  let outcome =
+    match
+      Min_search.minimal_successful ~solver:Anonet_algorithms.Rand_mis.algorithm
+        g ~base ~ctx:(Run_ctx.make ~obs:(Obs.make ~metrics:m ()) ())
+        ?max_states ~pruning ~max_len ()
+    with
+    | found -> Ok found
+    | exception Min_search.Search_limit_exceeded -> Error ()
+  in
+  outcome, Metrics.counter_value (Metrics.counter m "search.states_explored")
 
-let budget_scan ~pruning ~budgets g =
-  (* The reference: the unlimited minimal assignment.  Every in-budget
-     success the scan returns must be exactly this assignment. *)
-  let unlimited =
-    match
-      search ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning
-        ~max_len:16 g
-    with
-    | Some f -> f
-    | None -> Alcotest.fail "budget scan: unlimited search found nothing"
+(* The budget contract: a search given fewer states than the unbudgeted
+   search explores raises, having counted one state past its budget; a
+   search given at least as many returns the unbudgeted answer after the
+   same effort.  A level stops at its first success, so the unbudgeted
+   search's last state decides its answer and no truncated search holds
+   one.  The unbudgeted answer must also be the brute-force round-major
+   minimum whenever enumerating it is cheap.  [budgets total] picks the
+   budgets from the unbudgeted count. *)
+let check_budget_contract ~name ~pruning ~base ~max_len ~budgets g =
+  let reference, total =
+    match counted_search ~pruning ~base ~max_len g with
+    | Ok r, total -> r, total
+    | Error (), _ -> Alcotest.fail (name ^ ": unbudgeted search ran out")
   in
-  let run budget =
-    match
-      search ~max_states:budget
-        ~solver:Anonet_algorithms.Rand_mis.algorithm ~pruning
-        ~max_len:16 g
-    with
-    | Some f -> Found f
-    | None -> Alcotest.fail "budget scan: lost the assignment"
-    | exception Min_search.Search_limit_exceeded -> Limit
-  in
-  let truncated_returns = ref 0 in
-  let limits = ref 0 in
+  (match reference with
+   | Some f
+     when Search_oracle.free_bits base
+            ~len:(Bit_assignment.max_length f.Min_search.assignment)
+          <= 12 ->
+     (match
+        Search_oracle.round_major_at_most
+          ~solver:Anonet_algorithms.Rand_mis.algorithm g ~base ~max_len
+      with
+      | Some (bits, _) ->
+        check (name ^ ": unbudgeted = brute-force minimum") true
+          (assignment_equal f.Min_search.assignment bits)
+      | None -> Alcotest.fail (name ^ ": brute force found nothing"))
+   | Some _ | None -> ());
   List.iter
     (fun budget ->
-      match run budget with
-      | Limit -> incr limits
-      | Found f ->
-        check
-          (Printf.sprintf "budget %d: returned the minimal assignment" budget)
-          true
-          (assignment_equal f.Min_search.assignment
-             unlimited.Min_search.assignment);
-        if budget < unlimited.Min_search.states_explored then begin
-          (* The budget bit mid-level yet the in-budget prefix already
-             held the winner: the early return must record the
-             overflowing probe, exactly [budget + 1]. *)
-          incr truncated_returns;
-          check_int
-            (Printf.sprintf "budget %d: truncated states accounting" budget)
-            (budget + 1) f.Min_search.states_explored
-        end)
-    budgets;
-  !truncated_returns, !limits
+      let here = Printf.sprintf "%s, budget %d of %d" name budget total in
+      match counted_search ~max_states:budget ~pruning ~base ~max_len g with
+      | Error (), states ->
+        check (here ^ ": raised below the unbudgeted count") true (budget < total);
+        check_int (here ^ ": states at the raise") (budget + 1) states
+      | Ok found, states ->
+        check (here ^ ": returned at or above the unbudgeted count") true
+          (budget >= total);
+        check_int (here ^ ": states") total states;
+        check (here ^ ": returned the unbudgeted answer") true
+          (Option.equal found_equal found reference))
+    (budgets total)
 
 let test_budget_parity_scan_pruned () =
-  (* cycle-3's pruned search explores 72 states; scanning every budget
-     from 1 up crosses the raise region, the truncated-return region
-     (minimal assignment inside the final partial level — the PR 9
-     regression fixture), and the untruncated region. *)
+  (* Every budget from 1 to past cycle-3's whole pruned search. *)
   let g = Gen.label_with_ints (Gen.cycle 3) in
-  let budgets = List.init 80 (fun i -> i + 1) in
-  let truncated, limits = budget_scan ~pruning:true ~budgets g in
-  check "scan exercised the raise region" true (limits > 0);
-  check "scan exercised the truncated-return region" true (truncated > 0)
+  check_budget_contract ~name:"cycle-3" ~pruning:true
+    ~base:(Bit_assignment.empty 3) ~max_len:16 g
+    ~budgets:(fun total -> List.init (total + 2) (fun i -> i + 1))
 
 let test_budget_parity_scan_exhaustive () =
-  (* Same scan with pruning off: the truncation semantics is a property
-     of the search skeleton, not of the pruner. *)
+  (* Same scan with pruning off: the budget contract is a property of the
+     search skeleton, not of the pruner. *)
   let g = Gen.label_with_ints (Gen.cycle 3) in
-  let budgets = List.init 50 (fun i -> (5 * i) + 1) in
-  let truncated, limits = budget_scan ~pruning:false ~budgets g in
-  check "scan exercised the raise region" true (limits > 0);
-  check "scan exercised the truncated-return region" true (truncated > 0)
+  check_budget_contract ~name:"cycle-3 exhaustive" ~pruning:false
+    ~base:(Bit_assignment.empty 3) ~max_len:16 g
+    ~budgets:(fun total -> List.init ((total / 5) + 2) (fun i -> (5 * i) + 1))
+
+let test_budget_below_base () =
+  (* A success recorded below the longest base string is not yet the
+     minimum: the level at the base's length can still beat it.  Here
+     the budget runs out inside that level, which a search that returned
+     its recorded best answered with [0000;1000;0100]. *)
+  let g = Gen.label_with_ints (Gen.cycle 3) in
+  let base = Array.map Bits.of_string [| "0"; ""; "0100" |] in
+  (match counted_search ~pruning:true ~base ~max_len:8 g with
+   | Ok (Some f), _ ->
+     check "unbudgeted minimum is [0000;0000;0100]" true
+       (assignment_equal f.Min_search.assignment
+          (Array.map Bits.of_string [| "0000"; "0000"; "0100" |]))
+   | (Ok None | Error ()), _ -> Alcotest.fail "unbudgeted search found nothing");
+  check_budget_contract ~name:"cycle-3, base 0/-/0100" ~pruning:true ~base
+    ~max_len:8 g ~budgets:(fun total -> [ 26; total - 1; total ])
+
+let test_budget_seeded_scan () =
+  (* Random paths and cycles of at most 5 nodes under random bases of
+     strings of length at most 4, each with budgets around its unbudgeted
+     count and below it. *)
+  let rng = Random.State.make [| 29 |] in
+  for case = 1 to 60 do
+    let n = 2 + Random.State.int rng 4 in
+    let cycle = n >= 3 && Random.State.bool rng in
+    let g = Gen.label_with_ints (if cycle then Gen.cycle n else Gen.path n) in
+    let base =
+      Array.init n (fun _ ->
+          Bits.of_list
+            (List.init (Random.State.int rng 5) (fun _ -> Random.State.bool rng)))
+    in
+    let pruning = Random.State.bool rng in
+    let name =
+      Printf.sprintf "case %d: %s %d, base %s, pruning %b" case
+        (if cycle then "cycle" else "path")
+        n
+        (String.concat "/" (Array.to_list (Array.map Bits.to_string base)))
+        pruning
+    in
+    check_budget_contract ~name ~pruning ~base ~max_len:6 g
+      ~budgets:(fun total ->
+        List.filter (fun b -> b >= 1)
+          ([ total - 1; total; total + 1 ]
+          @ List.init 12 (fun _ -> 1 + Random.State.int rng (max 1 total))))
+  done
 
 let test_budget_exactly_always_raises () =
-  (* [Exactly] targets never take the early return: an unexplored
-     same-level completion could still be round-major smaller once
-     padded, so only the exception is sound. *)
+  (* An [Exactly] search out of budget raises, as every truncated search
+     does. *)
   let g = Gen.label_with_ints (Gen.cycle 4) in
   match
     Cold.exactly ~max_states:40 ~solver:Anonet_algorithms.Rand_mis.algorithm
@@ -465,6 +513,10 @@ let () =
             test_budget_parity_scan_pruned;
           Alcotest.test_case "scan, exhaustive" `Quick
             test_budget_parity_scan_exhaustive;
+          Alcotest.test_case "truncated at the base's length" `Quick
+            test_budget_below_base;
+          Alcotest.test_case "seeded scan, paths and cycles" `Quick
+            test_budget_seeded_scan;
           Alcotest.test_case "Exactly always raises" `Quick
             test_budget_exactly_always_raises;
           Alcotest.test_case "replayed levels, against the oracle" `Quick
