@@ -4,9 +4,8 @@
     with {e no randomness}: it runs in phases [p = 1, 2, ...], where phase
     [p] spends [p] rounds gathering the depth-[p] local view of the
     current graph [I^p = (V, E, i, c, b^p)] (a full-information exchange
-    whose messages are hash-consed view DAGs, see
-    {!Anonet_views.Interned.to_label}) and then executes the three
-    sub-procedures of Figure 3 locally:
+    of hash-consed views) and then executes the three sub-procedures of
+    Figure 3 locally:
 
     - {b Update-Graph}: build the candidate set from the gathered view
       ({!Candidates}), keep the candidates' finite view graphs, select the
@@ -47,14 +46,40 @@
     registry as [cache.search.hits] / [cache.search.misses] /
     [cache.search.evictions] / [cache.search.resumed_levels] (the BFS
     levels skipped by warm starts).  Each {!solve} builds a fresh
-    algorithm value, so the cache serves exactly one run. *)
+    algorithm value, so the cache serves exactly one run.
+
+    {b Two renderings, one run each.}  A hook-free run — every {!solve}
+    whose context carries no fault plan, adversary or scramble — steps
+    the flat companion in place: a node's state is six ints and its
+    message one int, the sender's knowledge id + 1, which names the
+    gathered view in the run's intern arena.  A hooked run steps the
+    boxed algorithm, whose messages are the views as
+    {!Anonet_views.Interned.to_label} labels, since faults and
+    adversaries act on [Label.t] payloads (R2's [a-star/c6] row tampers
+    with them).  Both renderings call one phase computation, so they give
+    the same outputs, rounds, messages, counters and events. *)
+
+(** [make ~ctx ~gran ()] is one run's [A*]: the boxed algorithm and its
+    flat companion, built over one phase computation (memo and search
+    cache), with the options of {!solve}.  Hand the companion to
+    {!Anonet_runtime.Executor.run}'s [?flat]; it is never registered, so
+    no process-wide table keeps a run's memo alive. *)
+val make :
+  ctx:Anonet_runtime.Run_ctx.t ->
+  gran:Anonet_problems.Gran.t ->
+  ?incremental:bool ->
+  ?search_cache_cap:int ->
+  ?pruning:bool ->
+  unit ->
+  Anonet_runtime.Algorithm.t * Anonet_runtime.Algorithm.Flat.t
 
 (** [solve ?ctx ~gran g ()] runs [A*] for the GRAN bundle [gran] on the
     [Π^c]-instance [g] (labels [<i, c>] with [c] a 2-hop coloring; on
     other inputs no candidate ever passes validation and no node ever
     outputs) to completion under the synchronous executor, with a
     constant-zero tape: [A*] is deterministic and ignores its random
-    bits.  Timed under an [a_star.solve] span.
+    bits.  Timed under an [a_star.solve] span.  The run is flat unless
+    [ctx] carries hooks (see above).
 
     [ctx] is threaded both into the executor and into the phase
     computations: its observability handle receives the [search.*],

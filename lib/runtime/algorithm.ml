@@ -61,6 +61,18 @@ let silence ~degree : Anonet_graph.Label.t option array = Array.make degree None
     it; runs with faults, adversaries or scrambles (which act on
     [Label.t] payloads) step the algorithm's own {!val-S.round}.
 
+    A companion may instead be handed to the driver directly
+    ([Executor.run ?flat]), as A* does with the fresh companion it builds
+    for every solve: registering one per solve would grow the
+    process-wide registry by an entry per job and keep each solve's
+    memos reachable.  Such a companion runs only in place, for the one
+    run it was planned for, and is never a search dedup key; so its words
+    may index side tables that its [plan] creates for that run — A*'s
+    label table (its [b] strings, outputs and inputs) and its memos of
+    interned views — and its messages may be ids into the run's intern
+    arena.  A registered companion keeps no such table: its arena words
+    alone must be the state.
+
     Receivers find their messages through a port table: the message on
     port [p] starts at [inbox.(ports.(pslot + p))].  The driver's
     in-place run points the table straight into the senders' spans of

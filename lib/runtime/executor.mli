@@ -13,14 +13,15 @@
     and the per-round notes.  The driver never branches, so it updates
     one execution in place, on one of two machines.  A hook-free run of
     an algorithm with an {!Algorithm.Flat} companion (all four catalog
-    Las-Vegas solvers: coloring, 2-hop coloring, MIS, matching) packs all
+    Las-Vegas solvers: coloring, 2-hop coloring, MIS, matching — and A*,
+    whose per-solve companion is handed to the driver directly) packs all
     node states into one int array and its sends into one of two
     alternating send buffers; receivers read last round's buffer through
     a static port table, so a round neither zeroes nor copies an inbox
     and allocates nothing per node.
     Every other run — hooked runs (faults, adversaries, port scrambles
-    act on [Label.t] payloads), the [Retransmit] wrapper, A*'s own
-    algorithm — steps the algorithm's own [round] on OCaml values.
+    act on [Label.t] payloads), the [Retransmit] wrapper — steps the
+    algorithm's own [round] on OCaml values.
 
     {!Incremental} exposes a persistent execution state for the searches
     that do branch — the derandomization's minimal-simulation search
@@ -90,12 +91,15 @@ type ending = {
     [has_output v] is valid only during the call.
 
     Hook-free runs of an algorithm with a flat companion use the in-place
-    flat machine; every other run steps the algorithm's own [round].
+    flat machine; every other run steps the algorithm's own [round].  The
+    companion is [flat] when given, else the one registered for [algo]
+    ({!Algorithm.find_flat}); a hooked run ignores [flat].
     @raise Invalid_argument as {!run} does. *)
 val drive :
   ?obs:Anonet_obs.Obs.t ->
   ?span:string ->
   ?note:(round:int -> messages:int -> has_output:(int -> bool) -> unit) ->
+  ?flat:Algorithm.Flat.t ->
   hooks ->
   Algorithm.t ->
   Anonet_graph.Graph.t ->
@@ -107,8 +111,9 @@ val drive :
     output, or its failure. *)
 val to_result : ending -> (outcome, failure) result
 
-(** [run ?ctx algo g ~tape ~max_rounds] executes to completion through
-    {!drive}, with hooks instantiated from [ctx].
+(** [run ?ctx ?flat algo g ~tape ~max_rounds] executes to completion
+    through {!drive}, with hooks instantiated from [ctx] and [flat] passed
+    on: a hook-free run steps that companion in place.
 
     The context ({!Run_ctx.t}, default {!Run_ctx.default}) supplies the
     cross-cutting configuration:
@@ -144,6 +149,7 @@ val to_result : ending -> (outcome, failure) result
     (a model violation — a bug in the algorithm). *)
 val run :
   ?ctx:Run_ctx.t ->
+  ?flat:Algorithm.Flat.t ->
   Algorithm.t ->
   Anonet_graph.Graph.t ->
   tape:Tape.t ->

@@ -114,6 +114,10 @@ let children_in a t =
 
 let children t = children_in (arena ()) t
 
+let of_id i =
+  if i < 0 || i >= Tbl.length (arena ()).tbl then invalid_arg "Interned.of_id: no such view"
+  else i
+
 (* Process totals over every arena, so a caller can difference them around
    a job whose arena is gone by the time it looks. *)
 let intern_hits = Atomic.make 0

@@ -91,6 +91,12 @@ val compare : t -> t -> int
 (** [id t] is the interning identity: equal trees have equal ids. *)
 val id : t -> int
 
+(** [of_id i] is the view of the current arena whose {!id} is [i]: within
+    one arena an id names exactly one view, so an id can stand for the
+    view it names (A*'s flat knowledge messages are ids).
+    @raise Invalid_argument if the current arena has no view [i]. *)
+val of_id : int -> t
+
 (** [mark t] is the root mark. *)
 val mark : t -> Anonet_graph.Label.t
 
@@ -126,9 +132,12 @@ val to_string : t -> string
 (** {2 Serialization}
 
     [A*]'s nodes gather and exchange their local views as interned trees
-    (the full-information "knowledge" of the paper).  Trees serialize to
-    {!Anonet_graph.Label.t} values as minimal DAGs, so exchanging a view
-    costs messages polynomial in [n·p], not exponential. *)
+    (the full-information "knowledge" of the paper).  A hook-free run
+    sends {!id}s, which name views only inside the run's arena; a run
+    under faults or an adversary, which act on [Label.t] payloads, sends
+    trees serialized to {!Anonet_graph.Label.t} values as minimal DAGs,
+    so exchanging a view costs messages polynomial in [n·p], not
+    exponential. *)
 
 (** [to_label t] serializes [t] as a minimal-DAG label: entries listed
     children-first, each a pair of the mark and the indices of its

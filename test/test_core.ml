@@ -12,6 +12,10 @@ module Bundles = Anonet_algorithms.Bundles
 module Executor = Anonet_runtime.Executor
 module Interned = Anonet_views.Interned
 module View_graph = Anonet_views.View_graph
+module Run_ctx = Anonet_runtime.Run_ctx
+module Metrics = Anonet_obs.Metrics
+module Events = Anonet_obs.Events
+module Obs = Anonet_obs.Obs
 
 let check = Alcotest.(check bool)
 
@@ -473,6 +477,105 @@ let test_port_outputs_translated () =
       "c5-reversed",
       colored_instance (Gen.cycle 5) (Array.init 5 (fun v -> Label.Int (30 - v)));
     ]
+
+(* ---------- flat A* = boxed A* ---------- *)
+
+(* An NDJSON event line without its wall-clock fields: the leading "ts"
+   and a span's "ns". *)
+let scrub_clock line =
+  String.split_on_char ',' line
+  |> List.filter_map (fun field ->
+         if String.starts_with ~prefix:"{\"ts\":" field then Some "{"
+         else if String.starts_with ~prefix:"\"ns\":" field then None
+         else Some field)
+  |> String.concat ","
+
+(* Everything one fresh A* run shows, in its own arena: its result, its
+   counters and its events.  The boxed run steps A*'s own round; the
+   flat one hands A*'s companion to the driver. *)
+let a_star_run ~flat ~gran inst =
+  Interned.with_arena (fun () ->
+      let lines = ref [] in
+      let registry = Metrics.create () in
+      let events = Events.ndjson_lines (fun l -> lines := scrub_clock l :: !lines) in
+      let ctx = Run_ctx.make ~obs:(Obs.make ~metrics:registry ~events ()) () in
+      let algo, companion = A_star.make ~ctx ~gran () in
+      let flat = if flat then Some companion else None in
+      let n = Graph.n inst in
+      let result =
+        match
+          Min_search.catch_limits (fun () ->
+              Executor.run ~ctx ?flat algo inst ~tape:Anonet_runtime.Tape.zero
+                ~max_rounds:(4 * (n + 4) * (n + 4)))
+        with
+        | Error m -> m
+        | Ok (Error f) -> Format.asprintf "%a" Executor.pp_failure f
+        | Ok (Ok o) ->
+          Printf.sprintf "%s; %d rounds; %d messages"
+            (String.concat " " (Array.to_list (Array.map Label.to_string o.Executor.outputs)))
+            o.Executor.rounds o.Executor.messages
+      in
+      result, (Metrics.snapshot registry).Metrics.counters, List.rev !lines)
+
+let check_flat_equals_boxed ~name ~gran inst =
+  let name = Printf.sprintf "%s on %s" gran.Gran.problem.Problem.name name in
+  let b_result, b_counters, b_events = a_star_run ~flat:false ~gran inst in
+  let f_result, f_counters, f_events = a_star_run ~flat:true ~gran inst in
+  Alcotest.(check string) (name ^ ": result") b_result f_result;
+  Alcotest.(check (list (pair string int))) (name ^ ": counters") b_counters f_counters;
+  Alcotest.(check (list string)) (name ^ ": events") b_events f_events
+
+(* Instances whose matching outputs name ports that the alias
+   indirection renumbers: reversed unique colors put the canonical class
+   order against the node order. *)
+let reversed_instances =
+  [ "p4-reversed", colored_instance (Gen.path 4) (Array.init 4 (fun v -> Label.Int (10 - v)));
+    "star3-reversed",
+    colored_instance (Gen.star 3) (Array.init 4 (fun v -> Label.Int (20 - v)));
+  ]
+
+let test_a_star_flat_equals_boxed () =
+  List.iter
+    (fun gran ->
+      List.iter
+        (fun (name, inst) -> check_flat_equals_boxed ~name ~gran inst)
+        (a_star_instances @ reversed_instances))
+    Bundles.all
+
+let prop_a_star_flat_equals_boxed =
+  QCheck.Test.make ~name:"A* flat = boxed on random colored instances" ~count:6
+    (QCheck.make
+       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+       QCheck.Gen.(pair (int_bound 10_000) (int_range 2 5)))
+    (fun (seed, n) ->
+      let g = Gen.random_connected ~seed n 0.4 in
+      match
+        Anonet_runtime.Las_vegas.solve_msg Anonet_algorithms.Rand_two_hop.algorithm g
+          ~seed:(seed + 13) ()
+      with
+      | Error m -> QCheck.Test.fail_report m
+      | Ok r ->
+        let inst =
+          colored_instance g r.Anonet_runtime.Las_vegas.outcome.Executor.outputs
+        in
+        List.iter
+          (fun gran ->
+            check_flat_equals_boxed ~name:(Printf.sprintf "seed=%d n=%d" seed n) ~gran inst)
+          Bundles.all;
+        true)
+
+let test_a_star_leaves_no_registry_entry () =
+  (* A* hands each run's companion to the driver: registering it would
+     keep every run's memo and search handles reachable from the
+     process-wide list. *)
+  let entries () = List.length (Atomic.get Anonet_runtime.Algorithm.flat_registry) in
+  let before = entries () in
+  for _ = 1 to 50 do
+    match A_star.solve ~gran:Bundles.mis (prime_instance (Gen.path 3)) () with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m
+  done;
+  check_int "registry entries after 50 solves" before (entries ())
 
 (* ---------- Decouple ---------- *)
 
@@ -973,6 +1076,12 @@ let () =
           Alcotest.test_case "matching" `Slow test_a_star_matches_validity_on_matching;
           Alcotest.test_case "port outputs translated" `Slow
             test_port_outputs_translated;
+          Alcotest.test_case "flat = boxed, four bundles" `Slow
+            test_a_star_flat_equals_boxed;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+            prop_a_star_flat_equals_boxed;
+          Alcotest.test_case "no registry entry per solve" `Quick
+            test_a_star_leaves_no_registry_entry;
         ] );
       ( "decouple",
         [

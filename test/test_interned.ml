@@ -60,6 +60,11 @@ let test_intern_identity () =
   check "physically equal" true (a == b);
   check "equal" true (Interned.equal a b);
   check_int "compare 0" 0 (Interned.compare a b);
+  check "of_id inverts id" true (Interned.equal a (Interned.of_id (Interned.id a)));
+  Alcotest.check_raises "of_id of a negative id" (Invalid_argument "Interned.of_id: no such view")
+    (fun () -> ignore (Interned.of_id (-1)));
+  Alcotest.check_raises "of_id outside its arena" (Invalid_argument "Interned.of_id: no such view")
+    (fun () -> Interned.with_arena (fun () -> ignore (Interned.of_id (Interned.id a))));
   let c1 = Interned.leaf (Label.Int 1) and c2 = Interned.leaf (Label.Int 2) in
   check "sorted children" true
     (Interned.equal (Interned.node Label.Unit [ c1; c2 ])
