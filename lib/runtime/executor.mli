@@ -17,8 +17,9 @@
     whose per-solve companion is handed to the driver directly) packs all
     node states into one int array and its sends into one of two
     alternating send buffers; receivers read last round's buffer through
-    a static port table, so a round neither zeroes nor copies an inbox
-    and allocates nothing per node.
+    a static port table, so the driver's round neither zeroes nor copies
+    an inbox and allocates nothing per node (A*'s companion itself
+    allocates per node: its memo keys, and the views it interns).
     Every other run — hooked runs (faults, adversaries, port scrambles
     act on [Label.t] payloads), the [Retransmit] wrapper — steps the
     algorithm's own [round] on OCaml values.
