@@ -26,18 +26,14 @@ type computation = {
 type search_entry = {
   sim : Simulation.result;  (* Update-Output on the candidate *)
   search : Min_search.Resumable.t;  (* Update-Bits, warm-startable *)
-  mutable stamp : int;  (* LRU clock tick of the last use *)
 }
-
-(* Per-search frontier bound; cumulative over a warm handle's lifetime. *)
-let max_search_states = 1_000_000
 
 (* The phase computation of one solve: Update-Graph, Update-Output and
    Update-Bits on a gathered view, memoized on (view id, phase).  Both
    renderings of A* — the boxed algorithm and its flat companion — call
    the one [compute] a solve builds, so they share its memo and its
    search cache. *)
-let phase_engine ~ctx ~gran ~incremental ~search_cache_cap ~pruning =
+let phase_engine ~ctx ~gran ~incremental ~pruning =
   let is_instance_colored =
     (Problem.colored_variant gran.Gran.problem).Problem.is_instance
   in
@@ -60,53 +56,31 @@ let phase_engine ~ctx ~gran ~incremental ~search_cache_cap ~pruning =
      node class that selects it; on the benchmark's derandomize mix
      about half the lookups hit.  The cache lives in one engine, which
      serves one synchronous run ({!solve}): its phases only grow, so a
-     handle is never asked for a target below its level. *)
+     handle is never asked for a target below its level.  It is not
+     bounded: a run selects few distinct candidates (at most 23 entries
+     on any measured run), and the run's end frees them all. *)
   let search_cache : (string, search_entry) Hashtbl.t = Hashtbl.create 16 in
-  let cache_clock = ref 0 in
   let cache_hits_c = Obs.counter obs "cache.search.hits" in
   let cache_misses_c = Obs.counter obs "cache.search.misses" in
-  let cache_evictions_c = Obs.counter obs "cache.search.evictions" in
   let cache_resumed_c = Obs.counter obs "cache.search.resumed_levels" in
-  let touch e =
-    incr cache_clock;
-    e.stamp <- !cache_clock
-  in
-  let evict_lru () =
-    let victim =
-      Hashtbl.fold
-        (fun key e acc ->
-          match acc with
-          | Some (_, stamp) when stamp <= e.stamp -> acc
-          | _ -> Some (key, e.stamp))
-        search_cache None
-    in
-    match victim with
-    | Some (key, _) ->
-      Hashtbl.remove search_cache key;
-      Obs.incr cache_evictions_c
-    | None -> ()
-  in
   let fresh_entry j assignment =
     let sim = Simulation.run ~obs ~solver:gran.Gran.solver j ~bits:assignment in
     let search =
-      Min_search.Resumable.create ~ctx ~max_states:max_search_states ~pruning
-        ~solver:gran.Gran.solver j ~base:assignment ()
+      Min_search.Resumable.create ~ctx ~pruning ~solver:gran.Gran.solver j
+        ~base:assignment ()
     in
-    { sim; search; stamp = 0 }
+    { sim; search }
   in
   let lookup encoding j assignment =
     match Hashtbl.find_opt search_cache encoding with
     | Some e ->
       Obs.incr cache_hits_c;
       Obs.incr ~by:(Min_search.Resumable.level e.search) cache_resumed_c;
-      touch e;
       e
     | None ->
       Obs.incr cache_misses_c;
-      if Hashtbl.length search_cache >= search_cache_cap then evict_lru ();
       let e = fresh_entry j assignment in
-      touch e;
-      Hashtbl.replace search_cache encoding e;
+      Hashtbl.add search_cache encoding e;
       e
   in
   fun knowledge ~phase ->
@@ -126,7 +100,7 @@ let phase_engine ~ctx ~gran ~incremental ~search_cache_cap ~pruning =
           (* Update-Output and Update-Bits, warm (cached per candidate)
              or cold (a fresh handle per phase) — value-identical either
              way. *)
-          let { sim; search; _ } =
+          let { sim; search } =
             if incremental then lookup selected.Candidates.encoding j assignment
             else fresh_entry j assignment
           in
@@ -382,18 +356,14 @@ let flat ~compute _g : Algorithm.Flat.instance =
     has_output = (fun ~state ~off -> state.(off + 4) <> 0);
   }
 
-let make ~ctx ~gran ?(incremental = true) ?(search_cache_cap = 32) ?(pruning = true)
-    () =
-  let compute = phase_engine ~ctx ~gran ~incremental ~search_cache_cap ~pruning in
+let make ~ctx ~gran ?(incremental = true) ?(pruning = true) () =
+  let compute = phase_engine ~ctx ~gran ~incremental ~pruning in
   boxed ~gran compute, { Algorithm.Flat.plan = flat ~compute }
 
-let solve ?(ctx = Run_ctx.default) ~gran g ?max_rounds ?incremental
-    ?search_cache_cap ?pruning () =
-  let n = Graph.n g in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> 4 * (n + 4) * (n + 4)
-  in
-  let algo, flat = make ~ctx ~gran ?incremental ?search_cache_cap ?pruning () in
+let solve ?(ctx = Run_ctx.default) ~gran g ?incremental ?pruning () =
+  (* Round budget: generous for the quadratic phase schedule. *)
+  let max_rounds = 4 * (Graph.n g + 4) * (Graph.n g + 4) in
+  let algo, flat = make ~ctx ~gran ?incremental ?pruning () in
   Obs.span (Run_ctx.obs ctx) "a_star.solve" (fun () ->
       (* Update-Bits runs its searches inside the executor's rounds; their
          typed limits surface as the same errors A_infinity returns. *)

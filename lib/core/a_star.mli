@@ -34,19 +34,19 @@
     the {e same} selected candidate: the Update-Output simulation, and
     the Update-Bits search — whose exactly-[p+1] breadth-first tree is a
     one-level extension of the exactly-[p] tree (the prefix property
-    behind Lemma 9).  [A*] therefore keeps a bounded LRU cache of
-    {!Min_search.Resumable} handles and simulation results, keyed by the
-    selected candidate's canonical encoding (which pins the graph, its
-    [<<i, c>, b>] labels, and hence the base assignment).  A phase whose
-    selection is unchanged extends the warm frontier by one level instead
-    of re-exploring [p] levels; a changed selection misses (evicting the
-    least recently used entry at capacity) and starts cold.  Warm results
-    are value-identical to cold ones, phase for phase — the test suite
-    asserts this directly.  Cache traffic is published on the context's
-    registry as [cache.search.hits] / [cache.search.misses] /
-    [cache.search.evictions] / [cache.search.resumed_levels] (the BFS
-    levels skipped by warm starts).  Each {!solve} builds a fresh
-    algorithm value, so the cache serves exactly one run.
+    behind Lemma 9).  [A*] therefore caches {!Min_search.Resumable}
+    handles and simulation results, keyed by the selected candidate's
+    canonical encoding (which pins the graph, its [<<i, c>, b>] labels,
+    and hence the base assignment).  A phase whose selection is
+    unchanged extends the warm frontier by one level instead of
+    re-exploring [p] levels; a changed selection misses and starts cold.
+    Warm results are value-identical to cold ones, phase for phase — the
+    test suite asserts this directly.  Cache traffic is published on the
+    context's registry as [cache.search.hits] / [cache.search.misses]
+    (one miss per entry the run creates) / [cache.search.resumed_levels]
+    (the BFS levels skipped by warm starts).  Each {!solve} builds a
+    fresh algorithm value, so the cache serves exactly one run, and it
+    holds one entry per distinct candidate the run selects.
 
     {b Two renderings, one run each.}  A hook-free run — every {!solve}
     whose context carries no fault plan, adversary or scramble — steps
@@ -68,7 +68,6 @@ val make :
   ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->
   ?incremental:bool ->
-  ?search_cache_cap:int ->
   ?pruning:bool ->
   unit ->
   Anonet_runtime.Algorithm.t * Anonet_runtime.Algorithm.Flat.t
@@ -85,16 +84,15 @@ val make :
     computations: its observability handle receives the [search.*],
     [sim.*] and [cache.search.*] metrics and the [a_star.update_bits]
     events.  The Update-Bits searches run sequentially, inside each
-    node's phase computation, each bounded at [1_000_000] states
-    (cumulative over a warm handle's lifetime).
+    node's phase computation, each bounded by {!Min_search.Resumable.create}'s
+    default state budget (cumulative over a warm handle's lifetime).  The
+    run's round budget is [4 * (n + 4)^2], generous for the quadratic
+    phase schedule.
 
-    @param max_rounds round budget (default [4 * (n + 4)^2], generous for
-    the quadratic phase schedule).
     @param incremental enable the cross-phase cache (default [true]; the
     cold path, kept for ablation and for the equivalence tests, runs each
     phase's Update-Output simulation again and opens a fresh
     {!Min_search.Resumable} handle per phase).
-    @param search_cache_cap bound on live cache entries (default [32]).
     @param pruning core-guided pruning for the Update-Bits searches
     (default [true]; see {!Min_search.Resumable.create} —
     value-identical either way, kept for ablation).
@@ -109,9 +107,7 @@ val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   gran:Anonet_problems.Gran.t ->
   Anonet_graph.Graph.t ->
-  ?max_rounds:int ->
   ?incremental:bool ->
-  ?search_cache_cap:int ->
   ?pruning:bool ->
   unit ->
   (Anonet_runtime.Executor.outcome, string) result

@@ -19,9 +19,9 @@ type result = {
   stage_two_rounds : int;
 }
 
-let solve ~gran g ~seed ~stage_two ?max_rounds () =
+let solve ~gran g ~seed ~stage_two () =
   (* Stage 1: the generic randomized preprocessing — a 2-hop coloring. *)
-  match Las_vegas.solve_msg Rand_two_hop.algorithm g ~seed ?max_rounds () with
+  match Las_vegas.solve_msg Rand_two_hop.algorithm g ~seed () with
   | Error m -> Error ("stage 1 (2-hop coloring) failed: " ^ m)
   | Ok report ->
     let coloring = report.Las_vegas.outcome.Executor.outputs in
@@ -33,7 +33,7 @@ let solve ~gran g ~seed ~stage_two ?max_rounds () =
     (* Stage 2: deterministic. *)
     (match stage_two with
      | Generic_a_star ->
-       (match A_star.solve ~gran colored_instance ?max_rounds () with
+       (match A_star.solve ~gran colored_instance () with
         | Error m -> Error ("stage 2 (A*) failed: " ^ m)
         | Ok outcome ->
           finish outcome.Executor.outputs outcome.Executor.rounds)
@@ -42,9 +42,7 @@ let solve ~gran g ~seed ~stage_two ?max_rounds () =
         | Error m -> Error ("stage 2 (A_infinity) failed: " ^ m)
         | Ok r -> finish r.A_infinity.outputs 0)
      | Specific algo ->
-       let max_rounds =
-         match max_rounds with Some r -> r | None -> 64 * (Graph.n g + 4)
-       in
+       let max_rounds = 64 * (Graph.n g + 4) in
        (match Executor.run algo colored_instance ~tape:Tape.zero ~max_rounds with
         | Error f ->
           Error (Format.asprintf "stage 2 (specific) failed: %a" Executor.pp_failure f)

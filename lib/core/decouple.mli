@@ -28,12 +28,14 @@ type result = {
 
 (** [solve ~gran g ~seed ~stage_two ()] runs the two-stage pipeline on a
     [Π]-instance [g] (plain input labels, no coloring attached — the
-    pipeline creates it). *)
+    pipeline creates it).  Each stage runs on its own default round
+    budget: {!Anonet_runtime.Las_vegas.solve}'s for stage 1, {!A_star.solve}'s
+    for [Generic_a_star], and [64 * (n + 4)] rounds for a [Specific]
+    algorithm. *)
 val solve :
   gran:Anonet_problems.Gran.t ->
   Anonet_graph.Graph.t ->
   seed:int ->
   stage_two:stage_two ->
-  ?max_rounds:int ->
   unit ->
   (result, string) Stdlib.result

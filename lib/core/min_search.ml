@@ -37,6 +37,9 @@ let catch_limits f =
    and this limit keeps a runaway instance from looking like a hang. *)
 let branching_limit = 24
 
+(* The default state budget of both searches. *)
+let default_max_states = 1_000_000
+
 module Key = Executor.Incremental.Key
 
 (* ---------- round-major breadth-first search with state dedup ---------- *)
@@ -484,7 +487,7 @@ let advance t ~len =
   done
 
 let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base
-    ?(max_states = 1_000_000) ?(pruning = true) ~max_len () =
+    ?(max_states = default_max_states) ?(pruning = true) ~max_len () =
   let obs = Run_ctx.obs ctx in
   Obs.span obs "min_search.round_major" @@ fun () ->
   let t =
@@ -500,7 +503,7 @@ let minimal_successful ?(ctx = Run_ctx.default) ~solver g ~base
 module Resumable = struct
   type t = bfs
 
-  let create ?(ctx = Run_ctx.default) ?(max_states = 1_000_000)
+  let create ?(ctx = Run_ctx.default) ?(max_states = default_max_states)
       ?(pruning = true) ~solver g ~base () =
     bfs_start ~obs:(Run_ctx.obs ctx) ~solver g ~base ~max_states ~pruning
       ~length_first:false

@@ -88,5 +88,3 @@ let of_code c =
 let append_code c x =
   if c >= 1 lsl code_max_length then invalid_arg "Bits.append_code: overflow";
   (c * 2) + if x then 1 else 0
-
-let pp fmt b = Format.pp_print_string fmt (if b = "" then "ε" else b)

@@ -94,5 +94,3 @@ val of_code : int -> t
     @raise Invalid_argument if the result would exceed
     {!code_max_length} bits. *)
 val append_code : int -> bool -> int
-
-val pp : Format.formatter -> t -> unit

@@ -56,8 +56,6 @@ let rec to_string = function
 
 let pp fmt l = Format.pp_print_string fmt (to_string l)
 
-let pair a b = Pair (a, b)
-
 let fst = function
   | Pair (a, _) -> a
   | l -> invalid_arg ("Label.fst: not a pair: " ^ to_string l)

@@ -38,9 +38,6 @@ val pp : Format.formatter -> t -> unit
 
 (** {2 Composition helpers} *)
 
-(** [pair a b] is [Pair (a, b)]. *)
-val pair : t -> t -> t
-
 (** [fst l] projects the first component of a pair.
     @raise Invalid_argument if [l] is not a pair. *)
 val fst : t -> t

@@ -78,6 +78,15 @@ let float_opt_key job key =
     try Some (float_of_string v)
     with Failure _ -> bad_spec "bad %s=%S (want a float)" key v)
 
+(* A divergence factor must be > 0 (NaN is not); [inf] is accepted, and
+   the harness clamps the threshold it yields. *)
+let divergence_key job =
+  match float_opt_key job "divergence" with
+  | Some d when not (d > 0.0) ->
+    bad_spec "bad divergence=%S (want a factor > 0)"
+      (Option.value ~default:"" (Job.get job "divergence"))
+  | d -> d
+
 let bool_key job key =
   match Job.get job key with
   | None | Some "false" -> false
@@ -121,7 +130,7 @@ let run_solve ~obs job =
   let problem = required job "problem" in
   let bundle = bundle_of_spec problem in
   let seed = int_key job "seed" 1 in
-  let divergence = float_opt_key job "divergence" in
+  let divergence = divergence_key job in
   let trace = bool_key job "trace" in
   if trace && divergence <> None then
     bad_spec

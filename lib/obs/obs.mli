@@ -55,7 +55,3 @@ val span : t -> string -> (unit -> 'a) -> 'a
     close event carries [ns] and [ok]; an escaping exception closes the span
     with [ok=false] and re-raises).  On the null handle this is exactly
     [f ()]. *)
-
-val now_ns : unit -> int
-(** Wall-clock nanoseconds (microsecond granularity); monotone enough for
-    coarse task timing. *)

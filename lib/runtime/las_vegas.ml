@@ -10,7 +10,7 @@ type report = {
   rounds_spent : int;
 }
 
-type failure_reason = No_success | Gave_up | Diverged | Network_dead
+type failure_reason = No_success | Diverged | Network_dead
 
 type failure = { reason : failure_reason; message : string }
 
@@ -18,7 +18,6 @@ let fail reason message = { reason; message }
 
 let failure_reason_name = function
   | No_success -> "no_success"
-  | Gave_up -> "gave_up"
   | Diverged -> "diverged"
   | Network_dead -> "network_dead"
 
@@ -39,12 +38,6 @@ let describe_last = function
 let no_success_msg ~attempts ~spent ~last =
   Printf.sprintf "Las_vegas.solve: no success in %d attempts (%d rounds spent)%s"
     attempts spent (describe_last last)
-
-let giveup_msg ~attempts_done ~budget ~cap ~spent ~last =
-  Printf.sprintf
-    "Las_vegas.solve: giving up after %d attempts: next budget of %d rounds \
-     would exceed the %d-round cap (%d spent)%s"
-    attempts_done budget cap spent (describe_last last)
 
 let crash_msg f i seed_used =
   Format.asprintf
@@ -107,54 +100,39 @@ let attempt ~obs algo g ~seed ~faults ~adversary i ~budget =
 
 (* ---------- the attempt loop ---------- *)
 
-let run_attempts ~obs algo g ~seed ~budget_for ~attempts ~giveup ~threshold
-    ~faults ~adversary =
+let run_attempts ~obs algo g ~seed ~budget_for ~attempts ~threshold ~faults
+    ~adversary =
   let rec go i ~spent ~last_failure =
     if i > attempts then
       Error (fail No_success (no_success_msg ~attempts ~spent ~last:last_failure))
     else begin
       let budget = budget_for i in
-      match giveup with
-      | Some cap when spent ++ budget > cap && i > 1 ->
+      let seed_used = Prng.hash2 seed i in
+      match attempt ~obs algo g ~seed ~faults ~adversary i ~budget with
+      | Done outcome ->
+        Ok { outcome; attempts = i; seed_used; rounds_spent = spent ++ outcome.rounds }
+      | Crashed f ->
+        (* The fault plan is deterministic: retrying cannot help. *)
+        Error (fail Network_dead (crash_msg f i seed_used))
+      | Out_of_rounds _ when budget >= threshold ->
+        (* An attempt this generous failing is divergence, not bad luck:
+           the run is systematically prevented from stabilizing (e.g. an
+           unbounded adversary re-corrupting every round).  Terminal —
+           escalating the budget further cannot help. *)
         Error
-          (fail Gave_up
-             (giveup_msg ~attempts_done:(i - 1) ~budget ~cap ~spent
-                ~last:last_failure))
-      | _ ->
-        let seed_used = Prng.hash2 seed i in
-        (match attempt ~obs algo g ~seed ~faults ~adversary i ~budget with
-         | Done outcome ->
-           Ok
-             {
-               outcome;
-               attempts = i;
-               seed_used;
-               rounds_spent = spent ++ outcome.rounds;
-             }
-         | Crashed f ->
-           (* The fault plan is deterministic: retrying cannot help. *)
-           Error (fail Network_dead (crash_msg f i seed_used))
-         | Out_of_rounds _ when budget >= threshold ->
-           (* An attempt this generous failing is divergence, not bad luck:
-              the run is systematically prevented from stabilizing (e.g. an
-              unbounded adversary re-corrupting every round).  Terminal —
-              escalating the budget further cannot help. *)
-           Error
-             (fail Diverged
-                (diverged_msg ~attempt:i ~budget ~threshold
-                   ~spent:(spent ++ budget) ~seed_used))
-         | Out_of_rounds f ->
-           go (i + 1) ~spent:(spent ++ budget)
-             ~last_failure:(Some (f, seed_used, budget)))
+          (fail Diverged
+             (diverged_msg ~attempt:i ~budget ~threshold ~spent:(spent ++ budget)
+                ~seed_used))
+      | Out_of_rounds f ->
+        go (i + 1) ~spent:(spent ++ budget) ~last_failure:(Some (f, seed_used, budget))
     end
   in
   go 1 ~spent:0 ~last_failure:None
 
 let solve ?(ctx = Run_ctx.default) algo g ~seed ?max_rounds ?(attempts = 20)
-    ?(backoff = 2.0) ?giveup ?divergence () =
-  if backoff < 1.0 then invalid_arg "Las_vegas.solve: backoff < 1";
+    ?divergence () =
   (match divergence with
-   | Some d when d <= 0.0 -> invalid_arg "Las_vegas.solve: divergence <= 0"
+   | Some d when not (d > 0.0) -> invalid_arg "Las_vegas.solve: divergence <= 0"
    | _ -> ());
   let obs = Run_ctx.obs ctx in
   let base_rounds =
@@ -162,17 +140,18 @@ let solve ?(ctx = Run_ctx.default) algo g ~seed ?max_rounds ?(attempts = 20)
   in
   let clamp f = if f >= float_of_int (max_int / 2) then max_int / 2 else int_of_float f in
   let budget_for i =
-    (* Exponential backoff: unlucky (or faulted) attempts escalate their
+    (* Exponential backoff: unlucky (or faulted) attempts double their
        round budget instead of burning the same one [attempts] times.
-       Clamped at [max_int / 2]: [backoff ** (i-1)] overflows the integer
-       range for moderate attempt counts already, and an unclamped
-       [int_of_float] would wrap the budget negative. *)
-    clamp (float_of_int base_rounds *. (backoff ** float_of_int (i - 1)))
+       Clamped at [max_int / 2]: with enough attempts [2 ** (i-1)]
+       leaves the integer range, and an unclamped [int_of_float] would
+       wrap the budget negative. *)
+    clamp (float_of_int base_rounds *. (2.0 ** float_of_int (i - 1)))
   in
   (* Divergence threshold: an attempt whose budget reached
      [divergence * base_rounds] and still ran out of rounds is declared
-     diverged rather than retried.  [max_int] (never reached — budgets are
-     clamped below it) disables the check. *)
+     diverged rather than retried.  The clamp keeps a huge or infinite
+     [divergence] from wrapping the threshold; [max_int] (never reached —
+     budgets are clamped below it) disables the check. *)
   let threshold =
     match divergence with
     | None -> max_int
@@ -180,9 +159,8 @@ let solve ?(ctx = Run_ctx.default) algo g ~seed ?max_rounds ?(attempts = 20)
   in
   let result =
     Obs.span obs "las_vegas.solve" (fun () ->
-        run_attempts ~obs algo g ~seed ~budget_for ~attempts ~giveup
-          ~threshold ~faults:(Run_ctx.faults ctx)
-          ~adversary:(Run_ctx.adversary ctx))
+        run_attempts ~obs algo g ~seed ~budget_for ~attempts ~threshold
+          ~faults:(Run_ctx.faults ctx) ~adversary:(Run_ctx.adversary ctx))
   in
   (* The [lv.*] counters mirror the report exactly — the acceptance tests
      compare them field by field — so they are posted from it rather than
@@ -207,9 +185,7 @@ let solve ?(ctx = Run_ctx.default) algo g ~seed ?max_rounds ?(attempts = 20)
          ]));
   result
 
-let solve_msg ?ctx algo g ~seed ?max_rounds ?attempts ?backoff ?giveup
-    ?divergence () =
+let solve_msg ?ctx algo g ~seed ?max_rounds ?attempts ?divergence () =
   Result.map_error
     (fun f -> f.message)
-    (solve ?ctx algo g ~seed ?max_rounds ?attempts ?backoff ?giveup
-       ?divergence ())
+    (solve ?ctx algo g ~seed ?max_rounds ?attempts ?divergence ())

@@ -9,9 +9,8 @@
     Each attempt [i] draws its tape from [Prng.hash2 seed i] — a
     splitmix-style hash, so attempt seeds are pairwise unrelated even for
     adjacent user seeds — and runs with an exponentially backed-off round
-    budget [max_rounds * backoff^(i-1)]: unlucky or fault-injected runs
-    escalate instead of burning the same fixed budget every time.  A
-    [giveup] cap bounds the total rounds spent across attempts.
+    budget [max_rounds * 2^(i-1)]: unlucky or fault-injected runs
+    escalate instead of burning the same fixed budget every time.
 
     An attempt's outcome is a pure function of [(seed, i, budget)], and
     attempts run one after another on the calling domain, so a solve's
@@ -29,7 +28,6 @@ type report = {
     can react without parsing the message. *)
 type failure_reason =
   | No_success  (** every attempt ran out of rounds *)
-  | Gave_up  (** the [giveup] cap stopped the escalation *)
   | Diverged
       (** divergence detected: an attempt with a budget at or above the
           [divergence] threshold still failed to stabilize — escalating
@@ -46,7 +44,7 @@ type failure = {
 val pp_failure : Format.formatter -> failure -> unit
 (** Prints [message]. *)
 
-(** [solve ?ctx algo g ~seed ?max_rounds ?attempts ?backoff ?giveup ()]
+(** [solve ?ctx algo g ~seed ?max_rounds ?attempts ?divergence ()]
     runs [algo] with random tapes derived from [seed], retrying up to
     [attempts] times (default 20), and reports failures {e structured}:
     the [Error] case is a {!failure} whose [reason] distinguishes giving
@@ -54,17 +52,14 @@ val pp_failure : Format.formatter -> failure -> unit
     code via {!Run_error.exit_code} without parsing text) and whose
     [message] is the full diagnostic string.  Callers that only want the
     text can use {!solve_msg}.  Attempt [i] gets a budget of
-    [max_rounds * backoff^(i-1)] rounds ([max_rounds] defaults to
-    [64 * (n + 4)]; [backoff] to [2.0]; pass [~backoff:1.0] for the old
-    fixed-budget behavior).  When [giveup] is set, the harness stops as
-    soon as the next attempt's budget would push the total rounds spent
-    past the cap.  Error strings include the last attempt's failure,
+    [max_rounds * 2^(i-1)] rounds ([max_rounds] defaults to
+    [64 * (n + 4)]).  Error strings include the last attempt's failure,
     budget, and seed, so diagnosing does not require re-running.
 
-    Per-attempt budgets are clamped at [max_int / 2] — with a large
-    [backoff] the exponential escalation exceeds the integer range after a
-    few dozen attempts, and an unclamped conversion would wrap the budget
-    negative (and sail past a [giveup] cap).
+    Per-attempt budgets and the divergence threshold are clamped at
+    [max_int / 2] — the doubling leaves the integer range after a few
+    dozen attempts, and a huge or infinite [divergence] does at once;
+    an unclamped conversion would wrap them negative.
 
     When [divergence] is set, an attempt whose budget has escalated to at
     least [divergence *. max_rounds] and that {e still} runs out of rounds
@@ -86,7 +81,8 @@ val pp_failure : Format.formatter -> failure -> unit
     [lv.rounds_spent], [lv.rounds] and [lv.messages] counters.  The
     executor runs inside attempts are {e not} individually instrumented:
     failed attempts must not pollute the counters.
-    @raise Invalid_argument if [backoff < 1] or [divergence <= 0]. *)
+    @raise Invalid_argument if [divergence] is not [> 0] (NaN
+    included). *)
 val solve :
   ?ctx:Run_ctx.t ->
   Algorithm.t ->
@@ -94,8 +90,6 @@ val solve :
   seed:int ->
   ?max_rounds:int ->
   ?attempts:int ->
-  ?backoff:float ->
-  ?giveup:int ->
   ?divergence:float ->
   unit ->
   (report, failure) result
@@ -112,8 +106,6 @@ val solve_msg :
   seed:int ->
   ?max_rounds:int ->
   ?attempts:int ->
-  ?backoff:float ->
-  ?giveup:int ->
   ?divergence:float ->
   unit ->
   (report, string) result

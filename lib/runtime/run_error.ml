@@ -14,7 +14,9 @@ type t =
    on purpose: they mean the same thing (the prescribed tape ended before
    every node output) on different substrates.  Likewise
    [Las_vegas Network_dead] shares 4 with [All_nodes_crashed]: both mean
-   the fault plan leaves no node running. *)
+   the fault plan leaves no node running.  Code 8 is retired (it named a
+   round cap the harness no longer has); later codes keep their numbers,
+   since clients read them. *)
 let exit_code = function
   | Sync (Executor.Max_rounds_exceeded _) -> 2
   | Sync (Executor.Tape_exhausted _) | Async (Async.Tape_exhausted _) -> 3
@@ -23,7 +25,6 @@ let exit_code = function
   | Async (Async.Event_limit_exceeded _) -> 5
   | Async (Async.Stalled _) -> 6
   | Las_vegas { Las_vegas.reason = Las_vegas.No_success; _ } -> 7
-  | Las_vegas { Las_vegas.reason = Las_vegas.Gave_up; _ } -> 8
   | Las_vegas { Las_vegas.reason = Las_vegas.Diverged; _ } -> 9
   | Net (Protocol _) -> 10
   | Net (Rejected _) -> 11
@@ -47,7 +48,6 @@ let all =
     Async (Async.Tape_exhausted { round = 0 });
     Async (Async.Stalled { events = 0 });
     Las_vegas (lv Las_vegas.No_success "no success within the attempt budget");
-    Las_vegas (lv Las_vegas.Gave_up "gave up at the round cap");
     Las_vegas (lv Las_vegas.Diverged "divergence detected");
     Las_vegas (lv Las_vegas.Network_dead "fault plan leaves no node running");
     Net (Protocol { message = "malformed frame" });
@@ -63,7 +63,6 @@ let of_exit_code = function
   | 6 -> Some (Async (Async.Stalled { events = 0 }))
   | 7 ->
     Some (Las_vegas (lv Las_vegas.No_success "no success within the attempt budget"))
-  | 8 -> Some (Las_vegas (lv Las_vegas.Gave_up "gave up at the round cap"))
   | 9 -> Some (Las_vegas (lv Las_vegas.Diverged "divergence detected"))
   | 10 -> Some (Net (Protocol { message = "malformed frame" }))
   | 11 -> Some (Net (Rejected { message = "job rejected" }))

@@ -10,10 +10,12 @@
     synchronous and synchronizer-round variants mean the same thing),
     [All_nodes_crashed] = 4 (shared with [Las_vegas Network_dead]: both
     mean the fault plan leaves no node running), [Event_limit_exceeded] =
-    5, [Stalled] = 6, [Las_vegas No_success] = 7, [Las_vegas Gave_up] = 8,
-    [Las_vegas Diverged] = 9.  The [Net] band covers the service mode's
-    wire protocol: [Protocol] = 10 (a malformed frame — bad magic, bad
-    version, oversized or truncated payload), [Rejected] = 11 (a
+    5, [Stalled] = 6, [Las_vegas No_success] = 7, [Las_vegas Diverged] =
+    9; 8 is retired and never produced (it named a total-round cap the
+    harness no longer has), and no later code moved to fill it.  The
+    [Net] band covers the service mode's wire protocol: [Protocol] = 10
+    (a malformed frame — bad magic, bad version, oversized or truncated
+    payload), [Rejected] = 11 (a
     well-formed frame carrying an unacceptable job spec), [Connection] =
     12 (the transport failed mid-conversation).  Code 1 is the CLI's
     generic error; 0 is success. *)
@@ -48,6 +50,6 @@ val all : t list
 
 val of_exit_code : int -> t option
 (** The canonical representative for a code ([None] for codes the runtime
-    never produces, including 0 and 1).  For every [e] in {!all},
-    [of_exit_code (exit_code e)] maps back to a value with the same
-    [exit_code]. *)
+    never produces, including 0, 1 and the retired 8).  For every [e] in
+    {!all}, [of_exit_code (exit_code e)] maps back to a value with the
+    same [exit_code]. *)

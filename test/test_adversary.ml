@@ -299,12 +299,15 @@ let test_divergence_detection () =
     check_int "exit code 9" 9 (Run_error.exit_code (Run_error.Las_vegas f))
 
 let test_divergence_validates () =
-  (match
-     Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm
-       (Gen.cycle 4) ~seed:1 ~divergence:(-1.0) ()
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument for divergence <= 0");
+  List.iter
+    (fun divergence ->
+      match
+        Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm (Gen.cycle 4) ~seed:1
+          ~divergence ()
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "expected Invalid_argument for divergence %g" divergence)
+    [ -1.0; 0.0; Float.nan ];
   (* and a clean run with a threshold set still succeeds *)
   match
     Las_vegas.solve Anonet_algorithms.Rand_mis.algorithm (Gen.cycle 4)

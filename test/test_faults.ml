@@ -660,7 +660,6 @@ let test_run_error_consolidates () =
         (Run_error.exit_code
            (Run_error.Las_vegas { Las_vegas.reason; message = "m" })))
     [ Las_vegas.No_success, 7;
-      Las_vegas.Gave_up, 8;
       Las_vegas.Diverged, 9;
       Las_vegas.Network_dead, 4;
     ];

@@ -83,7 +83,7 @@ let test_label_order_and_encode () =
 
 let test_label_projections () =
   let open Label in
-  let p = pair (Int 1) (Str "s") in
+  let p = Pair (Int 1, Str "s") in
   check "fst" true (equal (fst p) (Int 1));
   check "snd" true (equal (snd p) (Str "s"));
   check_int "to_int" 3 (to_int (Int 3));

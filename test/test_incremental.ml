@@ -180,8 +180,8 @@ let a_star_instances () =
     "star3-prime", prime_instance (Gen.star 3);
   ]
 
-let solve_outcome ?ctx ?incremental ?search_cache_cap ~gran inst =
-  match A_star.solve ?ctx ~gran inst ?incremental ?search_cache_cap () with
+let solve_outcome ?ctx ?incremental ~gran inst =
+  match A_star.solve ?ctx ~gran inst ?incremental () with
   | Ok outcome -> outcome
   | Error m -> failwith m
 
@@ -236,15 +236,12 @@ let prop_a_star_warm_equals_cold =
         ~gran:Bundles.mis inst;
       true)
 
-(* ---------- cache accounting and the eviction path ---------- *)
+(* ---------- cache accounting ---------- *)
 
-let counters_after ?incremental ?search_cache_cap ~gran inst =
+let counters_after ?incremental ~gran inst =
   let registry = Metrics.create () in
   let obs = Obs.make ~metrics:registry () in
-  let outcome =
-    solve_outcome ~ctx:(Run_ctx.make ~obs ()) ?incremental ?search_cache_cap
-      ~gran inst
-  in
+  let outcome = solve_outcome ~ctx:(Run_ctx.make ~obs ()) ?incremental ~gran inst in
   let value name = Metrics.counter_value (Metrics.counter registry name) in
   outcome, value
 
@@ -275,18 +272,6 @@ let test_a_star_warm_saves_states () =
        warm)
     true
     (cold >= 2 * warm)
-
-let test_a_star_eviction_path () =
-  (* cap 1 on an instance whose classes select different candidates:
-     every phase alternates entries through the one slot, so the warm
-     path keeps evicting and recreating — and must stay value-identical
-     to the cold path throughout. *)
-  let inst = prime_instance (Gen.path 3) in
-  let outcome, value = counters_after ~search_cache_cap:1 ~gran:Bundles.mis inst in
-  let cold = solve_outcome ~incremental:false ~gran:Bundles.mis inst in
-  check_same_outcome "eviction run" cold outcome;
-  check "evictions happened" true (value "cache.search.evictions" > 0);
-  check "misses happened" true (value "cache.search.misses" > 1)
 
 (* ---------- budget parity, concurrently on pools of 1/2/4 ---------- *)
 
@@ -359,8 +344,6 @@ let () =
             test_a_star_cache_counters;
           Alcotest.test_case "warm explores half the states of cold" `Quick
             test_a_star_warm_saves_states;
-          Alcotest.test_case "eviction path stays identical" `Quick
-            test_a_star_eviction_path;
           QCheck_alcotest.to_alcotest prop_a_star_warm_equals_cold;
         ] );
       ( "budget",

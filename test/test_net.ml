@@ -582,6 +582,28 @@ let test_loopback_bad_job_rejected () =
       Job.Experiment, [ "id", "t3"; "jobs", "0" ];
     ]
 
+(* A divergence factor that is not > 0 (NaN included) is a spec error
+   that names the key, served as a rejection (code 11) with the text the
+   in-process run raises, never a "job failed" from the harness's
+   [Invalid_argument]; [inf] saturates and runs. *)
+let test_loopback_bad_divergence_rejected () =
+  let job d =
+    { Job.kind = Job.Solve;
+      pairs = [ "problem", "mis"; "graph", "cycle:6"; "divergence", d ] }
+  in
+  check_int "divergence=inf runs" 0 (Runner.execute (job "inf")).Runner.code;
+  with_server @@ fun addr ->
+  List.iter
+    (fun d ->
+      let expected = Printf.sprintf "bad divergence=%S (want a factor > 0)" d in
+      (match Runner.execute (job d) with
+       | _ -> Alcotest.failf "divergence=%s: accepted" d
+       | exception Runner.Bad_spec m -> check_string ("local " ^ d) expected m);
+      let outcome, _ = submit_collecting addr (job d) in
+      check_int ("rejected code " ^ d) 11 outcome.Runner.code;
+      check_string ("served " ^ d) expected outcome.Runner.err)
+    [ "nan"; "0"; "-1" ]
+
 let test_loopback_queue_full () =
   (* max_queue 0 rejects every submit before it reaches a worker *)
   with_server ~max_queue:0 @@ fun addr ->
@@ -727,5 +749,6 @@ let () =
           t "six tiny derandomize shapes on 2 domains"
             test_loopback_tiny_derandomize_concurrent;
           t "trace=true = in-process run" test_loopback_trace;
+          t "divergence=nan rejected" test_loopback_bad_divergence_rejected;
         ] );
     ]

@@ -166,19 +166,11 @@ let test_lv_equivalence_forced_retries () =
     equivalence_graphs
 
 let test_lv_equivalence_no_success_error () =
-  (* backoff 1.0 with a hopeless budget: every attempt fails, and the
+  (* A hopeless budget (1, 2, then 4 rounds): every attempt fails, and the
      no-success error string must match the sequential one verbatim. *)
   check_lv_equivalent "no-success" (fun () ->
       Las_vegas.solve Anonet_algorithms.Rand_two_hop.algorithm (Gen.cycle 6)
-        ~seed:2 ~max_rounds:1 ~backoff:1.0 ~attempts:6 ())
-
-let test_lv_equivalence_giveup_error () =
-  (* The give-up truncation point is budget arithmetic only; every replica
-     must cut the schedule at the same attempt and render the same cap
-     message. *)
-  check_lv_equivalent "giveup" (fun () ->
-      Las_vegas.solve Anonet_algorithms.Rand_two_hop.algorithm (Gen.cycle 6)
-        ~seed:2 ~max_rounds:2 ~giveup:20 ~attempts:10 ())
+        ~seed:2 ~max_rounds:1 ~attempts:3 ())
 
 let test_lv_equivalence_under_faults () =
   (* A lossy fault plan (fresh injector per attempt) behind the
@@ -192,37 +184,41 @@ let test_lv_equivalence_under_faults () =
           Las_vegas.solve ~ctx wrapped g ~seed:11 ()))
     [ "cycle-6", Gen.cycle 6; "petersen", Gen.petersen () ]
 
-let test_lv_backoff_overflow_clamped () =
-  (* Regression: backoff 10 reaches 10^29 * base_rounds long before
-     attempt 30 — budgets must clamp at max_int / 2 instead of wrapping
-     negative through int_of_float.  With a give-up cap the run must stop
-     with the cap message (a wrapped negative budget would either sail
-     past the cap or turn the budget arithmetic nonsensical). *)
-  let r =
-    Las_vegas.solve_msg Anonet_algorithms.Rand_two_hop.algorithm (Gen.cycle 6)
-      ~seed:2 ~max_rounds:1 ~backoff:10.0 ~attempts:30 ~giveup:1000 ()
-  in
-  (match r with
-   | Ok _ -> ()
-   | Error m ->
-     check "giveup message mentions the cap" true
-       (let contains s sub =
-          let n = String.length sub in
-          let rec go i =
-            i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-          in
-          go 0
-        in
-        contains m "giving up"));
-  (* And without a cap: 30 attempts with clamped budgets must terminate
-     (attempt budgets saturate at max_int / 2 — success comes quickly once
-     the budget is astronomically generous). *)
-  match
-    Las_vegas.solve_msg Anonet_algorithms.Rand_two_hop.algorithm (Gen.cycle 6)
-      ~seed:2 ~max_rounds:1 ~backoff:10.0 ~attempts:30 ()
-  with
-  | Ok r -> check "eventually succeeds" true (r.Las_vegas.attempts >= 1)
-  | Error m -> Alcotest.fail ("expected success with clamped budgets: " ^ m)
+(* Never outputs: every attempt runs out of rounds. *)
+let never : Anonet_runtime.Algorithm.t =
+  (module struct
+    type state = int
+
+    let name = "never"
+
+    let init ~input:_ ~degree = degree
+
+    let round s ~bit:_ ~inbox:_ = s, Anonet_runtime.Algorithm.silence ~degree:s
+
+    let output _ = None
+  end)
+
+let test_lv_divergence_threshold_clamped () =
+  (* Regression: a divergence factor of 1e300 (or infinity) times the base
+     budget leaves the integer range, and an unclamped int_of_float would
+     wrap the threshold to 0 or below, so the very first attempt that
+     runs out of rounds would be declared diverged.  Clamped at
+     max_int / 2, the threshold is never reached: three hopeless attempts
+     end in No_success, identically on every replica. *)
+  List.iter
+    (fun divergence ->
+      let name = Printf.sprintf "divergence %g" divergence in
+      let solve () =
+        Las_vegas.solve never (Gen.cycle 6) ~seed:2 ~max_rounds:1 ~attempts:3
+          ~divergence ()
+      in
+      (match solve () with
+       | Ok _ -> Alcotest.fail "never must not succeed"
+       | Error f ->
+         check (name ^ ": no success, not diverged") true
+           (f.Las_vegas.reason = Las_vegas.No_success));
+      check_lv_equivalent name solve)
+    [ 1e300; Float.infinity ]
 
 (* ---------- concurrent Min_search = calling domain ---------- *)
 
@@ -397,12 +393,10 @@ let () =
             test_lv_equivalence_forced_retries;
           Alcotest.test_case "equivalence: no-success error" `Quick
             test_lv_equivalence_no_success_error;
-          Alcotest.test_case "equivalence: give-up error" `Quick
-            test_lv_equivalence_giveup_error;
           Alcotest.test_case "equivalence: under fault plan" `Quick
             test_lv_equivalence_under_faults;
-          Alcotest.test_case "backoff overflow clamped" `Quick
-            test_lv_backoff_overflow_clamped;
+          Alcotest.test_case "divergence threshold clamped" `Quick
+            test_lv_divergence_threshold_clamped;
         ] );
       ( "min-search",
         [
