@@ -218,9 +218,9 @@ let solve_cmd =
   let faults_spec =
     let doc =
       "Inject faults, e.g. 'loss=0.2,seed=7' or \
-       'loss=0.1,dup=0.05,crash=2\\@4,droplink=0-1,budget=10,seed=3'.  Keys: \
-       loss, dup, corrupt (probabilities), seed, budget, crash=V\\@R or \
-       crash=V\\@R1..R2 (crash-recovery), droplink=U-V.  See README."
+       'loss=0.1,dup=0.05,crash=2@4,droplink=0-1,budget=10,seed=3'.  Keys: \
+       loss, dup, corrupt (probabilities), seed, budget, crash=V@R or \
+       crash=V@R1..R2 (crash-recovery), droplink=U-V.  See README."
     in
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
   in
