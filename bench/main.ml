@@ -61,7 +61,8 @@ open Toolkit
    output earlier).  Fails when the algorithm has no flat companion, so a
    silent run on the boxed machine cannot pass. *)
 let flat_rounds ~name algo g ~rounds =
-  if Option.is_none (Anonet_runtime.Algorithm.find_flat algo) then
+  let module A = (val algo : Anonet_runtime.Algorithm.S) in
+  if Option.is_none A.flat then
     failwith (Printf.sprintf "huge: %s has no flat path" name);
   match
     Anonet_runtime.Executor.run algo g

@@ -16,6 +16,8 @@ let always_yes : Algorithm.t =
       { s with out = Some (Label.Bool true) }, Algorithm.silence ~degree:s.degree
 
     let output s = s.out
+
+    let flat = None
   end)
 
 let two_hop_colored_variant : Algorithm.t =
@@ -43,6 +45,8 @@ let two_hop_colored_variant : Algorithm.t =
       { degree; color; step = Announce; heard = [||]; out = None }
 
     let output s = s.out
+
+    let flat = None
 
     (* A malformed node announces a unit color; its own vote is already
        doomed to "no", and unit cannot create false conflicts for properly

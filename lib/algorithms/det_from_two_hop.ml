@@ -73,6 +73,8 @@ module Mis = struct
       let round = round
 
       let output = output
+
+      let flat = None
     end)
 end
 
@@ -141,6 +143,8 @@ module Coloring = struct
       let round = round
 
       let output = output
+
+      let flat = None
     end)
 end
 
@@ -385,6 +389,8 @@ let matching : Algorithm.t =
     let round = Matching.round
 
     let output = Matching.output
+
+    let flat = None
   end)
 
 let two_hop_recoloring : Algorithm.t =
@@ -398,4 +404,6 @@ let two_hop_recoloring : Algorithm.t =
     let round = Two_hop_recoloring.round
 
     let output = Two_hop_recoloring.output
+
+    let flat = None
   end)

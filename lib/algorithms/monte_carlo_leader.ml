@@ -52,6 +52,8 @@ let make ~id_bits : Algorithm.t =
 
     let output s = s.out
 
+    let flat = None
+
     let round s ~bit ~inbox =
       let s = { s with round_no = s.round_no + 1 } in
       if s.round_no <= id_bits then begin

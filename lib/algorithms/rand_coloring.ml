@@ -39,19 +39,6 @@ let round s ~bit ~inbox =
     in
     { s with step = Announce }, Algorithm.silence ~degree:s.degree
 
-let algorithm : Algorithm.t =
-  (module struct
-    type nonrec state = state
-
-    let name = name
-
-    let init = init
-
-    let round = round
-
-    let output = output
-  end)
-
 (* Flat companion: two words per node, one word per message slot.
 
    State span: word 0 = step (bit 0: 0 Announce, 1 Decide) lor final
@@ -104,6 +91,17 @@ let flat_instance : Algorithm.Flat.instance =
     has_output = (fun ~state ~off -> Array.unsafe_get state off land 2 <> 0);
   }
 
-let () =
-  Algorithm.register_flat algorithm
-    { Algorithm.Flat.plan = (fun _g -> flat_instance) }
+let algorithm : Algorithm.t =
+  (module struct
+    type nonrec state = state
+
+    let name = name
+
+    let init = init
+
+    let round = round
+
+    let output = output
+
+    let flat = Some { Algorithm.Flat.plan = (fun _g -> flat_instance) }
+  end)

@@ -5,6 +5,4 @@
     with direct neighbors, so a phase needs just two rounds (announce,
     decide).  Output: [Label.Bits color]. *)
 
-include Anonet_runtime.Algorithm.S
-
 val algorithm : Anonet_runtime.Algorithm.t

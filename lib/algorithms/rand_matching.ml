@@ -125,19 +125,6 @@ let round s ~bit ~inbox =
      | (Active | Matched _ | Done_unmatched), _ ->
        { s with proposed_port = None }, statuses_only s)
 
-let algorithm : Algorithm.t =
-  (module struct
-    type nonrec state = state
-
-    let name = name
-
-    let init = init
-
-    let round = round
-
-    let output = output
-  end)
-
 (* Flat companion: ported, one message word per port.
 
    State span (3 + max-degree words): word 0 = step (bits 0-1: 0 Propose,
@@ -241,4 +228,17 @@ let flat_plan g =
     has_output = (fun ~state ~off -> Array.unsafe_get state off lsr 2 <> 0);
   }
 
-let () = Algorithm.register_flat algorithm { Algorithm.Flat.plan = flat_plan }
+let algorithm : Algorithm.t =
+  (module struct
+    type nonrec state = state
+
+    let name = name
+
+    let init = init
+
+    let round = round
+
+    let output = output
+
+    let flat = Some { Algorithm.Flat.plan = flat_plan }
+  end)

@@ -18,6 +18,4 @@
     Output: [Label.Int p] — matched through port [p] — or [Label.Unit]
     for unmatched. *)
 
-include Anonet_runtime.Algorithm.S
-
 val algorithm : Anonet_runtime.Algorithm.t

@@ -66,19 +66,6 @@ let round s ~bit ~inbox =
     let s = { s with my_coin = None } in
     s, Algorithm.broadcast ~degree:s.degree (msg s.status false)
 
-let algorithm : Algorithm.t =
-  (module struct
-    type nonrec state = state
-
-    let name = name
-
-    let init = init
-
-    let round = round
-
-    let output = output
-  end)
-
 (* Flat companion: one word per node, one word per message slot.
 
    State word: bits 0-1 = status (0 undecided / 1 in / 2 out), bits 2-3 =
@@ -143,6 +130,17 @@ let flat_instance : Algorithm.Flat.instance =
     has_output = (fun ~state ~off -> Array.unsafe_get state off land 3 <> 0);
   }
 
-let () =
-  Algorithm.register_flat algorithm
-    { Algorithm.Flat.plan = (fun _g -> flat_instance) }
+let algorithm : Algorithm.t =
+  (module struct
+    type nonrec state = state
+
+    let name = name
+
+    let init = init
+
+    let round = round
+
+    let output = output
+
+    let flat = Some { Algorithm.Flat.plan = (fun _g -> flat_instance) }
+  end)

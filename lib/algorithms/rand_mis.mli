@@ -11,6 +11,4 @@
 
     Output: [Label.Bool in_mis]. *)
 
-include Anonet_runtime.Algorithm.S
-
 val algorithm : Anonet_runtime.Algorithm.t

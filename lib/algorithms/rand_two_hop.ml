@@ -70,19 +70,6 @@ let round s ~bit ~inbox =
     in
     { s with step = Announce; heard = [||] }, Algorithm.silence ~degree:s.degree
 
-let algorithm : Algorithm.t =
-  (module struct
-    type nonrec state = state
-
-    let name = name
-
-    let init = init
-
-    let round = round
-
-    let output = output
-  end)
-
 (* Flat companion.
 
    A candidate bitstring packs into one word as its [Bits.to_code],
@@ -191,4 +178,17 @@ let flat_plan g =
     has_output = (fun ~state ~off -> Array.unsafe_get state off land 4 <> 0);
   }
 
-let () = Algorithm.register_flat algorithm { Algorithm.Flat.plan = flat_plan }
+let algorithm : Algorithm.t =
+  (module struct
+    type nonrec state = state
+
+    let name = name
+
+    let init = init
+
+    let round = round
+
+    let output = output
+
+    let flat = Some { Algorithm.Flat.plan = flat_plan }
+  end)

@@ -18,7 +18,5 @@
 
     The output at each node is [Label.Bits color]. *)
 
-include Anonet_runtime.Algorithm.S
-
 (** The algorithm as a first-class value. *)
 val algorithm : Anonet_runtime.Algorithm.t

@@ -46,8 +46,8 @@ type result = {
     ({!Min_search.Search_limit_exceeded} and
     {!Min_search.Branching_limit_exceeded} are caught and rendered by
     {!Min_search.catch_limits}).
-    @raise Invalid_argument if [gran.solver] has no registered
-    {!Anonet_runtime.Algorithm.Flat} companion (every solver in
+    @raise Invalid_argument if [gran.solver] has no
+    {!Anonet_runtime.Algorithm.S.flat} companion (every solver in
     [Bundles.all] has one): the search runs on flat companions only. *)
 val solve :
   ?ctx:Anonet_runtime.Run_ctx.t ->

@@ -29,10 +29,8 @@ type search_entry = {
 }
 
 (* The phase computation of one solve: Update-Graph, Update-Output and
-   Update-Bits on a gathered view, memoized on (view id, phase).  Both
-   renderings of A* — the boxed algorithm and its flat companion — call
-   the one [compute] a solve builds, so they share its memo and its
-   search cache. *)
+   Update-Bits on a gathered view, memoized on (view id, phase) for every
+   node of the run. *)
 let phase_engine ~ctx ~gran ~incremental ~pruning =
   let is_instance_colored =
     (Problem.colored_variant gran.Gran.problem).Problem.is_instance
@@ -158,83 +156,6 @@ let color_of view = Label.snd (Label.fst (Interned.mark view))
 
 let missing_message () = invalid_arg "a-star: missing knowledge message"
 
-(* The boxed A*, stepped by hooked runs (faults, adversaries, scrambles
-   act on [Label.t] payloads): its messages are the gathered views as
-   minimal-DAG labels. *)
-let boxed ~gran compute : Algorithm.t =
-  (module struct
-    let name = "a-star:" ^ gran.Gran.problem.Anonet_problems.Problem.name
-
-    type state = {
-      degree : int;
-      input : Label.t;  (* the Π^c label <i, c> *)
-      b : Bits.t;
-      phase : int;
-      round_in_phase : int;  (* 1-based; phase p has p rounds *)
-      knowledge : Interned.t;
-      port_colors : Label.t array option;
-          (* my neighbors' 2-hop colors, in my own port order — the key
-             for translating port-valued alias outputs *)
-      out : Label.t option;
-    }
-
-    let frozen_label s = Label.Pair (s.input, Label.Bits s.b)
-
-    let init ~input ~degree =
-      {
-        degree;
-        input;
-        b = Bits.empty;
-        phase = 1;
-        round_in_phase = 1;
-        knowledge = Interned.leaf Label.Unit (* replaced in round 1 *);
-        port_colors = None;
-        out = None;
-      }
-
-    let output s = s.out
-
-    let round s ~bit:_ ~inbox =
-      (* Build this round's knowledge layer. *)
-      let children =
-        if s.round_in_phase = 1 then [||]
-        else
-          Array.map
-            (function Some m -> Interned.of_label m | None -> missing_message ())
-            inbox
-      in
-      let knowledge =
-        if s.round_in_phase = 1 then Interned.leaf (frozen_label s)
-        else Interned.node (Interned.mark s.knowledge) (Array.to_list children)
-      in
-      (* The first exchange round carries the neighbors' frozen labels in
-         port order: harvest the 2-hop colors once. *)
-      let s =
-        if s.port_colors = None && s.round_in_phase = 2 then
-          { s with port_colors = Some (Array.map color_of children) }
-        else s
-      in
-      if s.round_in_phase < s.phase then
-        (* Exchange step: share the gathered view, one level deeper. *)
-        ( { s with knowledge; round_in_phase = s.round_in_phase + 1 },
-          Algorithm.broadcast ~degree:s.degree (Interned.to_label knowledge) )
-      else begin
-        (* Final round of the phase: run Update-Graph / Update-Output /
-           Update-Bits on the gathered view L_p(v, I^p). *)
-        let c = compute knowledge ~phase:s.phase in
-        let out =
-          match s.out, s.port_colors with
-          | (Some _ as o), _ -> o (* outputs are irrevocable *)
-          | None, None -> c.new_output
-          | None, Some colors ->
-            translate c ~degree:(Array.length colors) ~color:(Array.get colors)
-        in
-        let b = Option.value ~default:s.b c.new_b in
-        ( { s with knowledge; out; b; phase = s.phase + 1; round_in_phase = 1 },
-          Algorithm.silence ~degree:s.degree )
-      end
-  end)
-
 (* Labels by small index, so that one flat state word can name one. *)
 module Label_tbl = Hashtbl.Make (struct
   type t = Label.t
@@ -269,21 +190,21 @@ module Words_tbl = Hashtbl.Make (struct
   let hash l = List.fold_left (fun h w -> (h * 31) + w) 7 l land max_int
 end)
 
-(* The flat A*, stepped in place by hook-free runs.  State span: phase,
-   round in phase, the knowledge id, the index of [Label.Bits b],
-   1 + the index of the output (0 = none) and the index of the input,
-   indices into one per-run label table.  The message is one word, the
-   sender's knowledge id + 1: the run's arena is content-addressed, so
-   the id names the view the boxed A* would send as a label, and the
-   receiver rebuilds its layer from the ids without decoding.  Port
-   colors need no state: from phase 2 on, the final round's inbox holds
-   every neighbor's view, whose root mark carries its color.
+(* A*'s one transition function.  State span: phase, round in phase,
+   the knowledge id, the index of [Label.Bits b], 1 + the index of the
+   output (0 = none) and the index of the input, indices into one per-run
+   label table.  The message is one word, the sender's knowledge id + 1:
+   the run's arena is content-addressed, so the id names the gathered
+   view, and the receiver rebuilds its layer from the ids without
+   decoding.  Port colors need no state: from phase 2 on, the final
+   round's inbox holds every neighbor's view, whose root mark carries its
+   color.
 
    Nodes with equal views build equal layers, so two memos keyed by
    words answer most rounds without interning: a phase's leaf by (input,
    b) and a layer by the node's last knowledge id and its messages in
    port order. *)
-let flat ~compute _g : Algorithm.Flat.instance =
+let instance ~compute : Algorithm.Flat.instance =
   let labels = { ids = Label_tbl.create 16; values = [||] } in
   let empty_b = index labels (Label.Bits Bits.empty) in
   let leaves = Words_tbl.create 16 and layers = Words_tbl.create 64 in
@@ -356,20 +277,57 @@ let flat ~compute _g : Algorithm.Flat.instance =
     has_output = (fun ~state ~off -> state.(off + 4) <> 0);
   }
 
-let make ~ctx ~gran ?(incremental = true) ?(pruning = true) () =
-  let compute = phase_engine ~ctx ~gran ~incremental ~pruning in
-  boxed ~gran compute, { Algorithm.Flat.plan = flat ~compute }
+(* The algorithm value steps the same instance: in place on hook-free
+   runs, and through a per-node adapter on hooked runs (faults,
+   adversaries and scrambles act on [Label.t] payloads), whose state is
+   the node's span and whose messages are the views as minimal-DAG
+   labels.  A phase's first round reads no message, so a stale
+   duplicate that no longer decodes cannot fail it. *)
+let make ~ctx ~gran ?(incremental = true) ?(pruning = true) () : Algorithm.t =
+  let inst = instance ~compute:(phase_engine ~ctx ~gran ~incremental ~pruning) in
+  (module struct
+    let name = "a-star:" ^ gran.Gran.problem.Anonet_problems.Problem.name
+
+    type state = int array
+
+    let init ~input ~degree =
+      let state = Array.make inst.state_words 0 in
+      inst.init ~node:0 ~input ~degree ~state ~off:0;
+      state
+
+    let output state = inst.output ~state ~off:0
+
+    let round s ~bit ~inbox =
+      let degree = Array.length inbox and state = Array.copy s and send = [| 0 |] in
+      let words =
+        if state.(1) = 1 then [||]
+        else
+          Array.map
+            (function Some l -> Interned.id (Interned.of_label l) + 1 | None -> 0)
+            inbox
+      in
+      let sends =
+        inst.round ~node:0 ~bit ~degree ~state ~off:0 ~inbox:words
+          ~ports:(Array.init (Array.length words) Fun.id) ~pslot:0 ~send ~soff:0
+      in
+      ( state,
+        if sends then
+          Algorithm.broadcast ~degree (Interned.to_label (Interned.of_id (send.(0) - 1)))
+        else Algorithm.silence ~degree )
+
+    let flat = Some { Algorithm.Flat.plan = (fun _g -> inst) }
+  end)
 
 let solve ?(ctx = Run_ctx.default) ~gran g ?incremental ?pruning () =
   (* Round budget: generous for the quadratic phase schedule. *)
   let max_rounds = 4 * (Graph.n g + 4) * (Graph.n g + 4) in
-  let algo, flat = make ~ctx ~gran ?incremental ?pruning () in
+  let algo = make ~ctx ~gran ?incremental ?pruning () in
   Obs.span (Run_ctx.obs ctx) "a_star.solve" (fun () ->
       (* Update-Bits runs its searches inside the executor's rounds; their
          typed limits surface as the same errors A_infinity returns. *)
       match
         Min_search.catch_limits (fun () ->
-            Executor.run ~ctx ~flat algo g ~tape:Tape.zero ~max_rounds)
+            Executor.run ~ctx algo g ~tape:Tape.zero ~max_rounds)
       with
       | Error m -> Error m
       | Ok (Ok outcome) -> Ok outcome

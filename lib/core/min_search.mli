@@ -88,8 +88,7 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     its [states_explored] returns the same record.
     @raise Branching_limit_exceeded if one branching step exceeds the
     enumeration limits above.
-    @raise Invalid_argument if [solver] has no registered flat
-    companion. *)
+    @raise Invalid_argument if [solver] has no flat companion. *)
 val minimal_successful :
   ?ctx:Anonet_runtime.Run_ctx.t ->
   solver:Anonet_runtime.Algorithm.t ->
@@ -144,7 +143,7 @@ module Resumable : sig
       cross-level subsumption never applies here (completion padding to
       an exact target breaks the cross-level domination argument).
       @raise Invalid_argument if [base] does not have one string per
-      node of [g], or if [solver] has no registered flat companion. *)
+      node of [g], or if [solver] has no flat companion. *)
   val create :
     ?ctx:Anonet_runtime.Run_ctx.t ->
     ?max_states:int ->

@@ -93,10 +93,10 @@ type layout = {
 
 let send_len lay = (if lay.inst.ported then lay.total_slots else lay.n) * lay.msg_words
 
-(* The flat layout of [algo] on [g] under [flat], or under its registered
-   companion; [None] when it has neither. *)
-let flat_layout ?flat algo g =
-  match if Option.is_some flat then flat else Algorithm.find_flat algo with
+(* The flat layout of [algo] on [g] under its companion; [None] when it
+   has none. *)
+let flat_layout (module A : Algorithm.S) g =
+  match A.flat with
   | None -> None
   | Some flat ->
     let inst = flat.Algorithm.Flat.plan g in
@@ -492,7 +492,7 @@ type ending = {
   failure : failure option;
 }
 
-let drive ?(obs = Obs.null) ?(span = "executor.run") ?note ?flat hooks algo g ~tape
+let drive ?(obs = Obs.null) ?(span = "executor.run") ?note hooks algo g ~tape
     ~max_rounds =
   let n = Graph.n g in
   let rounds_c = Obs.counter obs "executor.rounds" in
@@ -503,7 +503,7 @@ let drive ?(obs = Obs.null) ?(span = "executor.run") ?note ?flat hooks algo g ~t
           let flat =
             match hooks with
             | { scramble = None; faults = None; adversary = None } ->
-              flat_layout ?flat algo g
+              flat_layout algo g
             | _ -> None
           in
           match flat with Some lay -> in_place lay g | None -> boxed hooks algo g
@@ -555,11 +555,11 @@ let to_result = function
         messages = delivered;
       }
 
-let run ?(ctx = Run_ctx.default) ?flat algo g ~tape ~max_rounds =
+let run ?(ctx = Run_ctx.default) algo g ~tape ~max_rounds =
   let obs = Run_ctx.obs ctx in
   let note ~round ~messages ~has_output:_ =
     if round > 0 then
       Obs.eventf obs "round" (fun () ->
           [ ("round", Events.Int round); ("messages", Events.Int messages) ])
   in
-  to_result (drive ~obs ~note ?flat (hooks ctx) algo g ~tape ~max_rounds)
+  to_result (drive ~obs ~note (hooks ctx) algo g ~tape ~max_rounds)

@@ -12,17 +12,18 @@
     all-crashed check, the [executor.rounds]/[executor.messages] counters
     and the per-round notes.  The driver never branches, so it updates
     one execution in place, on one of two machines.  A hook-free run of
-    an algorithm with an {!Algorithm.Flat} companion (all four catalog
-    Las-Vegas solvers: coloring, 2-hop coloring, MIS, matching — and A*,
-    whose per-solve companion is handed to the driver directly) packs all
-    node states into one int array and its sends into one of two
-    alternating send buffers; receivers read last round's buffer through
-    a static port table, so the driver's round neither zeroes nor copies
-    an inbox and allocates nothing per node (A*'s companion itself
-    allocates per node: its memo keys, and the views it interns).
+    an algorithm whose {!Algorithm.S.flat} companion is set (A* and all
+    four catalog Las-Vegas solvers: coloring, 2-hop coloring, MIS,
+    matching) packs all node states into one int array and its sends
+    into one of two alternating send buffers; receivers read last
+    round's buffer through a static port table, so the driver's round
+    neither zeroes nor copies an inbox and allocates nothing per node
+    (A*'s companion itself allocates per node: its memo keys, and the
+    views it interns).
     Every other run — hooked runs (faults, adversaries, port scrambles
-    act on [Label.t] payloads), the [Retransmit] wrapper — steps the
-    algorithm's own [round] on OCaml values.
+    act on [Label.t] payloads), algorithms without a companion such as
+    the [Retransmit] wrapper — steps the algorithm's own [round] on OCaml
+    values.
 
     {!Incremental} exposes a persistent execution state for the searches
     that do branch — the derandomization's minimal-simulation search
@@ -91,16 +92,14 @@ type ending = {
     and then every executed round with the messages delivered in it;
     [has_output v] is valid only during the call.
 
-    Hook-free runs of an algorithm with a flat companion use the in-place
-    flat machine; every other run steps the algorithm's own [round].  The
-    companion is [flat] when given, else the one registered for [algo]
-    ({!Algorithm.find_flat}); a hooked run ignores [flat].
+    Hook-free runs of an algorithm with a flat companion
+    ({!Algorithm.S.flat}) use the in-place flat machine; every other run
+    steps the algorithm's own [round].
     @raise Invalid_argument as {!run} does. *)
 val drive :
   ?obs:Anonet_obs.Obs.t ->
   ?span:string ->
   ?note:(round:int -> messages:int -> has_output:(int -> bool) -> unit) ->
-  ?flat:Algorithm.Flat.t ->
   hooks ->
   Algorithm.t ->
   Anonet_graph.Graph.t ->
@@ -112,9 +111,8 @@ val drive :
     output, or its failure. *)
 val to_result : ending -> (outcome, failure) result
 
-(** [run ?ctx ?flat algo g ~tape ~max_rounds] executes to completion
-    through {!drive}, with hooks instantiated from [ctx] and [flat] passed
-    on: a hook-free run steps that companion in place.
+(** [run ?ctx algo g ~tape ~max_rounds] executes to completion through
+    {!drive}, with hooks instantiated from [ctx].
 
     The context ({!Run_ctx.t}, default {!Run_ctx.default}) supplies the
     cross-cutting configuration:
@@ -150,7 +148,6 @@ val to_result : ending -> (outcome, failure) result
     (a model violation — a bug in the algorithm). *)
 val run :
   ?ctx:Run_ctx.t ->
-  ?flat:Algorithm.Flat.t ->
   Algorithm.t ->
   Anonet_graph.Graph.t ->
   tape:Tape.t ->
@@ -173,7 +170,7 @@ module Incremental : sig
   (** [start algo g] is the execution before round 1 on [algo]'s flat
       companion.
       @raise Invalid_argument naming the algorithm if it has no
-      registered {!Algorithm.Flat} companion. *)
+      {!Algorithm.S.flat} companion. *)
   val start : Algorithm.t -> Anonet_graph.Graph.t -> t
 
   val outputs : t -> Anonet_graph.Label.t option array

@@ -100,6 +100,8 @@ let wrap ?(obs = Obs.null) (module A : Algorithm.S) : Algorithm.t =
 
     let output s = A.output s.inner
 
+    let flat = None
+
     (* Rejected (corrupted or implausible) frames leave the port state
        untouched: the peer resends its window every round, so the next
        intact copy carries everything this one did. *)

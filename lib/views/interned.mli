@@ -132,12 +132,12 @@ val to_string : t -> string
 (** {2 Serialization}
 
     [A*]'s nodes gather and exchange their local views as interned trees
-    (the full-information "knowledge" of the paper).  A hook-free run
-    sends {!id}s, which name views only inside the run's arena; a run
-    under faults or an adversary, which act on [Label.t] payloads, sends
-    trees serialized to {!Anonet_graph.Label.t} values as minimal DAGs,
-    so exchanging a view costs messages polynomial in [n·p], not
-    exponential. *)
+    (the full-information "knowledge" of the paper).  Its transition
+    function sends {!id}s, which name views only inside the run's arena.
+    A run under faults or an adversary, which act on [Label.t] payloads,
+    carries each id as its tree serialized to an
+    {!Anonet_graph.Label.t} value, a minimal DAG, so exchanging a view
+    costs messages polynomial in [n·p], not exponential. *)
 
 (** [to_label t] serializes [t] as a minimal-DAG label: entries listed
     children-first, each a pair of the mark and the indices of its

@@ -9,6 +9,16 @@
 open Anonet_graph
 module Algorithm = Anonet_runtime.Algorithm
 
+(* [algo] without its flat companion: the driver steps its own [round]
+   on the boxed machine. *)
+let twin (algo : Algorithm.t) : Algorithm.t =
+  let module A = (val algo) in
+  (module struct
+    include A
+
+    let flat = None
+  end)
+
 (* [inboxes.(v).(p)] is the message node [v] reads on port [p] in the
    next round.  Two executions of one algorithm on one graph are the same
    execution state iff they are structurally equal ([=]). *)

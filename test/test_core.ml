@@ -491,21 +491,21 @@ let scrub_clock line =
   |> String.concat ","
 
 (* Everything one fresh A* run shows, in its own arena: its result, its
-   counters and its events.  The boxed run steps A*'s own round; the
-   flat one hands A*'s companion to the driver. *)
-let a_star_run ~flat ~gran inst =
+   counters and its events.  The [twin] run steps A*'s own round on the
+   boxed machine; an [adversary] makes the run hooked. *)
+let a_star_run ?adversary ?(twin = false) ~gran inst =
   Interned.with_arena (fun () ->
       let lines = ref [] in
       let registry = Metrics.create () in
       let events = Events.ndjson_lines (fun l -> lines := scrub_clock l :: !lines) in
-      let ctx = Run_ctx.make ~obs:(Obs.make ~metrics:registry ~events ()) () in
-      let algo, companion = A_star.make ~ctx ~gran () in
-      let flat = if flat then Some companion else None in
+      let ctx = Run_ctx.make ~obs:(Obs.make ~metrics:registry ~events ()) ?adversary () in
+      let algo = A_star.make ~ctx ~gran () in
+      let algo = if twin then Boxed_oracle.twin algo else algo in
       let n = Graph.n inst in
       let result =
         match
           Min_search.catch_limits (fun () ->
-              Executor.run ~ctx ?flat algo inst ~tape:Anonet_runtime.Tape.zero
+              Executor.run ~ctx algo inst ~tape:Anonet_runtime.Tape.zero
                 ~max_rounds:(4 * (n + 4) * (n + 4)))
         with
         | Error m -> m
@@ -517,13 +517,14 @@ let a_star_run ~flat ~gran inst =
       in
       result, (Metrics.snapshot registry).Metrics.counters, List.rev !lines)
 
+let check_same_run ~name (result, counters, events) (result', counters', events') =
+  Alcotest.(check string) (name ^ ": result") result result';
+  Alcotest.(check (list (pair string int))) (name ^ ": counters") counters counters';
+  Alcotest.(check (list string)) (name ^ ": events") events events'
+
 let check_flat_equals_boxed ~name ~gran inst =
   let name = Printf.sprintf "%s on %s" gran.Gran.problem.Problem.name name in
-  let b_result, b_counters, b_events = a_star_run ~flat:false ~gran inst in
-  let f_result, f_counters, f_events = a_star_run ~flat:true ~gran inst in
-  Alcotest.(check string) (name ^ ": result") b_result f_result;
-  Alcotest.(check (list (pair string int))) (name ^ ": counters") b_counters f_counters;
-  Alcotest.(check (list string)) (name ^ ": events") b_events f_events
+  check_same_run ~name (a_star_run ~twin:true ~gran inst) (a_star_run ~gran inst)
 
 (* Instances whose matching outputs name ports that the alias
    indirection renumbers: reversed unique colors put the canonical class
@@ -564,18 +565,28 @@ let prop_a_star_flat_equals_boxed =
           Bundles.all;
         true)
 
-let test_a_star_leaves_no_registry_entry () =
-  (* A* hands each run's companion to the driver: registering it would
-     keep every run's memo and search handles reachable from the
-     process-wide list. *)
-  let entries () = List.length (Atomic.get Anonet_runtime.Algorithm.flat_registry) in
-  let before = entries () in
-  for _ = 1 to 50 do
-    match A_star.solve ~gran:Bundles.mis (prime_instance (Gen.path 3)) () with
-    | Ok _ -> ()
-    | Error m -> Alcotest.fail m
-  done;
-  check_int "registry entries after 50 solves" before (entries ())
+(* A zero-strength adversary never alters a message, so a hooked A* —
+   the adapter exchanging views as labels — must run exactly as the
+   hook-free one, apart from the adversary's own cells. *)
+let test_a_star_hooked_equals_hook_free () =
+  let adversary = Anonet_runtime.Adversary.eavesdropper 3 ~strength:0.0 ~seed:5 in
+  let not_adversary (result, counters, events) =
+    ( result,
+      List.filter (fun (c, _) -> not (String.starts_with ~prefix:"adversary." c)) counters,
+      List.filter
+        (fun l -> not (List.mem "\"event\":\"adversary\"" (String.split_on_char ',' l)))
+        events )
+  in
+  List.iter
+    (fun gran ->
+      List.iter
+        (fun (name, inst) ->
+          check_same_run
+            ~name:(Printf.sprintf "%s on %s" gran.Gran.problem.Problem.name name)
+            (a_star_run ~gran inst)
+            (not_adversary (a_star_run ~adversary ~gran inst)))
+        (a_star_instances @ reversed_instances))
+    Bundles.all
 
 (* ---------- Decouple ---------- *)
 
@@ -1080,8 +1091,8 @@ let () =
             test_a_star_flat_equals_boxed;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
             prop_a_star_flat_equals_boxed;
-          Alcotest.test_case "no registry entry per solve" `Quick
-            test_a_star_leaves_no_registry_entry;
+          Alcotest.test_case "hooked A* = hook-free A*" `Slow
+            test_a_star_hooked_equals_hook_free;
         ] );
       ( "decouple",
         [

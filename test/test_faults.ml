@@ -44,6 +44,8 @@ let gossip : Algorithm.t =
       end
 
     let output s = s.out
+
+    let flat = None
   end)
 
 (* Bit collector: outputs its first three random bits. *)
@@ -68,6 +70,8 @@ let bit_collector : Algorithm.t =
       s, Algorithm.silence ~degree:s.degree
 
     let output s = s.out
+
+    let flat = None
   end)
 
 let labeled_path3 () = Graph.relabel (Gen.path 3) (fun v -> Label.Int (10 * v))

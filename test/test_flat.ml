@@ -1,5 +1,5 @@
-(* Flat-path equivalence suite: every registered flat companion must be
-   an injective encoding of its algorithm's boxed execution states
+(* Flat-path equivalence suite: every catalog solver's flat companion
+   must be an injective encoding of its algorithm's boxed execution states
    (checked on every bit vector of tiny graphs against the persistent
    boxed stepper in [Boxed_oracle]); the driver's in-place flat runs must
    be identical to runs of the companion-free twin on the boxed machine —
@@ -9,7 +9,7 @@
    ([Boxed_oracle.search]) returns, after as many steps, sequentially and
    side by side on pool domains, and what the brute-force
    [Search_oracle] finds on the boxed twin below a pinned prefix.  This
-   is the contract [Algorithm.register_flat] documents. *)
+   is the contract [Algorithm.Flat] documents. *)
 
 module Gen = Anonet_graph.Gen
 module Graph = Anonet_graph.Graph
@@ -26,15 +26,6 @@ module Tape = Anonet_runtime.Tape
 open Anonet
 
 let check = Alcotest.check
-
-(* [find_flat] matches companions by the algorithm module's physical
-   identity, so re-packing the same module is an exact boxed twin: same
-   transition function, no flat companion. *)
-let boxed_variant (algo : Algorithm.t) : Algorithm.t =
-  let module A = (val algo) in
-  (module struct
-    include A
-  end)
 
 let algorithms =
   [ "rand-mis", Anonet_algorithms.Rand_mis.algorithm;
@@ -170,17 +161,15 @@ let check_drive_equal ~name (flat_log, (flat : Executor.ending))
   check Alcotest.bool (name ^ ": same ending") true (boxed.failure = flat.failure)
 
 let lockstep ~name ~seed ~rounds algo g =
-  check Alcotest.bool (name ^ ": has a companion") true
-    (Option.is_some (Algorithm.find_flat algo));
-  check Alcotest.bool (name ^ ": boxed twin has none") true
-    (Option.is_none (Algorithm.find_flat (boxed_variant algo)));
+  let module A = (val algo : Algorithm.S) in
+  check Alcotest.bool (name ^ ": has a companion") true (Option.is_some A.flat);
   let tape =
     Tape.fixed
       (Array.init (Graph.n g) (fun v ->
            Bits.of_list (List.init rounds (fun r -> bit_of ~seed ~round:(r + 1) v))))
   in
   let run algo = drive_log Executor.no_hooks algo g ~tape ~max_rounds:rounds in
-  check_drive_equal ~name (run algo) (run (boxed_variant algo))
+  check_drive_equal ~name (run algo) (run (Boxed_oracle.twin algo))
 
 let test_lockstep_fixed () =
   List.iter
@@ -301,7 +290,7 @@ let prop_simulation_random =
       List.iter
         (fun (aname, algo) ->
           let flat_r = Simulation.run ~solver:algo g ~bits in
-          let boxed_r = Simulation.run ~solver:(boxed_variant algo) g ~bits in
+          let boxed_r = Simulation.run ~solver:(Boxed_oracle.twin algo) g ~bits in
           check_sim_equal
             ~name:(Printf.sprintf "%s/seed=%d" aname seed)
             flat_r boxed_r)
@@ -334,7 +323,7 @@ let test_injection_pins_boxed () =
               algo g ~tape:(Tape.random ~seed:31) ~max_rounds:12
           in
           check_drive_equal ~name:(aname ^ "/" ^ pname) (run algo)
-            (run (boxed_variant algo)))
+            (run (Boxed_oracle.twin algo)))
         [ "rand-mis", Anonet_algorithms.Rand_mis.algorithm ])
     injection_plans
 
@@ -386,7 +375,7 @@ let check_pinned ~name algo g (r : Boxed_oracle.found) =
   let pinned = max 0 (r.rounds - max 1 (12 / n)) in
   let base = Array.map (fun s -> Bits.take s pinned) r.assignment in
   let oracle =
-    Search_oracle.round_major_at_most ~solver:(boxed_variant algo) g ~base
+    Search_oracle.round_major_at_most ~solver:(Boxed_oracle.twin algo) g ~base
       ~max_len:r.rounds
   in
   check Alcotest.bool (name ^ ": pinned prefix extends to a success") true
@@ -551,7 +540,7 @@ let test_catalog_flat () =
             | r -> Ok r
             | exception Invalid_argument m -> Error m
           in
-          match run gran.solver, run (boxed_variant gran.solver) with
+          match run gran.solver, run (Boxed_oracle.twin gran.solver) with
           | Ok flat, Ok boxed -> check_drive_equal ~name:(name ^ "/" ^ pname) flat boxed
           | Error f, Error b -> check Alcotest.string (name ^ "/" ^ pname ^ ": error") b f
           | Ok _, Error _ | Error _, Ok _ ->
@@ -561,7 +550,7 @@ let test_catalog_flat () =
 
 (* Searching an algorithm without a companion is an error naming it. *)
 let test_start_rejects_boxed () =
-  let twin = boxed_variant Anonet_algorithms.Rand_mis.algorithm in
+  let twin = Boxed_oracle.twin Anonet_algorithms.Rand_mis.algorithm in
   let module A = (val twin) in
   Alcotest.check_raises "no companion"
     (Invalid_argument

@@ -196,6 +196,8 @@ let never : Anonet_runtime.Algorithm.t =
     let round s ~bit:_ ~inbox:_ = s, Anonet_runtime.Algorithm.silence ~degree:s
 
     let output _ = None
+
+    let flat = None
   end)
 
 let test_lv_divergence_threshold_clamped () =

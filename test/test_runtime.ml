@@ -24,6 +24,8 @@ let degree_reporter : Algorithm.t =
       { s with out = Some (Label.Int s.degree) }, Algorithm.silence ~degree:s.degree
 
     let output s = s.out
+
+    let flat = None
   end)
 
 (* Echo: round 1 send own label; round 2 output the multiset received. *)
@@ -51,6 +53,8 @@ let gossip : Algorithm.t =
       end
 
     let output s = s.out
+
+    let flat = None
   end)
 
 (* Bit collector: outputs its first three random bits. *)
@@ -73,6 +77,8 @@ let bit_collector : Algorithm.t =
       s, Algorithm.silence ~degree:s.degree
 
     let output s = s.out
+
+    let flat = None
   end)
 
 (* A buggy algorithm that revokes its output: must be rejected.  Degree-1
@@ -94,6 +100,8 @@ let revoker : Algorithm.t =
 
     let output s =
       if s.degree = 1 && s.round_no >= 1 then Some (Label.Int s.round_no) else None
+
+    let flat = None
   end)
 
 (* ---------- Tape ---------- *)
@@ -281,6 +289,8 @@ let never : Algorithm.t =
     let round s ~bit:_ ~inbox:_ = s, Algorithm.silence ~degree:s
 
     let output _ = None
+
+    let flat = None
   end)
 
 (* ---------- Las Vegas ---------- *)
