@@ -332,6 +332,8 @@ let expand_level t =
         ("free_bits", Events.Int f);
       ]);
   let prescribed = prescribed_vec ~base:t.base ~r in
+  let free_vec = Bitvec.create (Array.length t.base) in
+  List.iter (fun v -> Bitvec.unsafe_set free_vec v true) free;
   let vectors =
     Array.init (1 lsl f) (vector_of_code ~prescribed ~free ~f)
   in
@@ -348,10 +350,11 @@ let expand_level t =
   let full_mask = (1 lsl f) - 1 in
   let pruning = t.pruning && f > 0 in
   let mask_tables = Hashtbl.create 8 in
-  let mask_of sens =
+  let mask_of fan =
     let m = ref 0 in
     List.iteri
-      (fun pos v -> if Bitvec.get sens v then m := !m lor (1 lsl (f - 1 - pos)))
+      (fun pos v ->
+        if Executor.Incremental.sensitive fan v then m := !m lor (1 lsl (f - 1 - pos)))
       free;
     !m
   in
@@ -382,15 +385,6 @@ let expand_level t =
       let collapsed = nvec - Array.length reps in
       if collapsed > 0 then Obs.incr ~by:collapsed t.pruned_c
     end
-  in
-  let open_entry exec =
-    let reps =
-      if pruning then
-        reps_of_mask (mask_of (Executor.Incremental.bit_sensitivity exec))
-      else vectors
-    in
-    count_core reps;
-    reps
   in
   let replayable = r > t.max_base in
   let subsume = t.pruning && t.length_first && r >= t.max_base in
@@ -424,19 +418,22 @@ let expand_level t =
      frontier is sorted), this round's vectors inner.  The first
      occurrence of an execution state is its lexicographically smallest
      prefix, so deduplication must scan in exactly this order.
-     Probe/commit stepping: write the child into the per-domain probe
-     buffer, look its transient key up in the intern table, and only
-     materialize (allocate) the child when it is genuinely new —
-     duplicates, the common case on symmetric graphs, cost nothing.  A
-     recorded entry replays its children instead: no stepping, no core
+     Fan-out stepping: the entry's fan runs each node's transition once
+     per open bit value, and each child is the fan's bit-0 child with the
+     set sensitive bits' outcomes patched in, built in the per-domain
+     probe buffer.  Its transient key is looked up in the intern table,
+     and the child is materialized (allocated) only when it is genuinely
+     new.  A recorded entry replays its children instead: no fan, no
      probe, no hashing. *)
   let step_children entry ~record =
-    let reps = open_entry entry.exec in
+    let fan = Executor.Incremental.fan entry.exec ~bits:prescribed ~free:free_vec in
+    let reps = if pruning then reps_of_mask (mask_of fan) else vectors in
+    count_core reps;
     let succ = if record then Array.make (Array.length reps) 0 else [||] in
     Array.iteri
       (fun k bits ->
         tick ();
-        let probe = Executor.Incremental.probe_vec entry.exec ~bits in
+        let probe = Executor.Incremental.probe fan bits in
         let i = slot s (Executor.Incremental.probe_key probe) in
         let id = id_at s i in
         let id =

@@ -66,9 +66,12 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     {!Anonet_runtime.Algorithm.Flat} companion (every catalog solver has
     one).
 
-    [pruning] (default [true]) enables core-guided
-    pruning: per-round bit-sensitivity cores from
-    {!Anonet_runtime.Executor.Incremental.bit_sensitivity} collapse
+    Each expanded entry is stepped through one
+    {!Anonet_runtime.Executor.Incremental.fan}: n + f node transitions
+    for f free bits, after which each child is patched together from
+    the per-node outcomes with no transition run.  [pruning] (default
+    [true]) enables core-guided pruning: the fan's per-node sensitivity
+    ({!Anonet_runtime.Executor.Incremental.sensitive}) collapses
     sibling vectors that provably step an entry to the same child onto
     their lexicographically smallest representative, and a cross-level
     state table subsumes children whose execution state was already
@@ -77,7 +80,7 @@ val catch_limits : (unit -> 'a) -> ('a, string) result
     exhaustive search, asserted in the test suite —
     while [states_explored] drops (the incumbent cut applies either way);
     the skipped siblings and subsumed children are counted in the
-    [search.pruned] counter and the sensitivity probes in
+    [search.pruned] counter and the entries whose core was applied in
     [search.core_probes].  See DESIGN.md
     "Core-guided pruning" for the soundness argument.
 

@@ -131,14 +131,15 @@ let init_flat_states lay g states =
       ~state:states ~off:(v * lay.state_words)
   done
 
-(* The one flat node loop, shared by the driver's in-place run and
-   [Incremental]'s probe: run every node's transition on its span of
-   [state], reading its arrivals from [inbox] through the port table
-   [ports] and writing its sends into [send]; a silent node gets word 0
-   of its span(s) zeroed, so the tails keep whatever they held.  [bits]
-   holds each node's bit this round; it is a packed vector, not a
-   closure, so the loop pays no indirect call per node.  Returns the
-   nodes with output after the round and the messages sent in it. *)
+(* The driver's flat node loop ([Incremental.fan] runs the same
+   transitions, twice on a free node): run every node's transition on
+   its span of [state], reading its arrivals from [inbox] through the
+   port table [ports] and writing its sends into [send]; a silent node
+   gets word 0 of its span(s) zeroed, so the tails keep whatever they
+   held.  [bits] holds each node's bit this round; it is a packed
+   vector, not a closure, so the loop pays no indirect call per node.
+   Returns the nodes with output after the round and the messages sent
+   in it. *)
 let flat_nodes lay ~(bits : Bitvec.t) ~state ~inbox ~ports ~send =
   let inst = lay.inst in
   let sw = lay.state_words and mw = lay.msg_words in
@@ -166,12 +167,17 @@ module Incremental = struct
      ([msg_words] ints per directed-edge slot, all 0 when empty).  The
      arena is immutable once the state is built, so a state may be
      retained and branched from; a committed step allocates exactly one
-     array, and the arena itself is the dedup key.  [mat.(s)] is where
-     slot [s]'s span starts in the arena, the port table its readers
-     use. *)
-  type t = {
+     array, and the arena itself is the dedup key.  Every state of one
+     search shares its [geo]. *)
+  type geo = {
     lay : layout;
-    mat : int array;
+    mat : int array;  (* [mat.(s)]: where slot [s]'s span starts in the arena *)
+    feeds : int array;  (* [feeds.(slot_off.(v) + p)]: the slot node [v]'s port [p] feeds *)
+    stride : int;  (* words of one node's bit-1 outcome in a fan *)
+  }
+
+  type t = {
+    geo : geo;
     arena : int array;
     out : int;  (* nodes with output (irrevocable, so a plain count) *)
     hash : int;  (* of [arena]: the state is its own dedup key *)
@@ -191,34 +197,27 @@ module Incremental = struct
       let arena = Array.make (arena_size lay) 0 in
       init_flat_states lay g arena;
       let ssize = state_size lay in
-      let mat = Array.init lay.total_slots (fun s -> ssize + (s * lay.msg_words)) in
-      {
-        lay;
-        mat;
-        arena;
-        out = count_outputs lay arena;
-        hash = hash_int_array 17 arena;
-      }
-
-  (* Per-domain scratch: the send buffer lives only within one probe, the
-     probe buffer only until the next probe, so one growable record per
-     domain serves searches running concurrently on other domains (server
-     workers, experiment rows) without locking. *)
-  type scratch = {
-    mutable ss_send : int array;
-    mutable ss_probe : int array;  (* probe child arena, exact [arena_size] *)
-    mutable ss_sense : int array;  (* two (state span, send span) micro-runs *)
-  }
-
-  let scratch_key =
-    Domain.DLS.new_key (fun () ->
-        { ss_send = [||]; ss_probe = [||]; ss_sense = [||] })
+      let mw = lay.msg_words in
+      (* A ported layout's [twin] already is the reverse-slot table; a
+         broadcast one aliases the sources, so it is built here, where
+         only searches pay for it. *)
+      let feeds = if lay.inst.ported then lay.twin else Graph.reverse_slots g in
+      let sends = if lay.inst.ported then Array.fold_left Int.max 0 lay.degrees else 1 in
+      let geo =
+        {
+          lay;
+          mat = Array.init lay.total_slots (fun s -> ssize + (s * mw));
+          feeds;
+          stride = lay.state_words + (sends * mw);
+        }
+      in
+      { geo; arena; out = count_outputs lay arena; hash = hash_int_array 17 arena }
 
   let outputs t =
-    Array.init t.lay.n (fun v ->
-        t.lay.inst.output ~state:t.arena ~off:(v * t.lay.state_words))
+    let lay = t.geo.lay in
+    Array.init lay.n (fun v -> lay.inst.output ~state:t.arena ~off:(v * lay.state_words))
 
-  let all_output t = t.out = t.lay.n
+  let all_output t = t.out = t.geo.lay.n
 
   (* A state is its own dedup key: equality compares arenas, and the hash
      is computed once, when the state is built, so a membership check
@@ -235,107 +234,222 @@ module Incremental = struct
     let hash k = k.hash
   end
 
-  (* Probe/commit stepping: the branch searches discard most children as
-     duplicates, so stepping into a reusable per-domain buffer and only
-     materializing a fresh arena when the caller's seen-set misses makes
-     the common (duplicate) case allocation-free.  A probe is the child
-     state over the per-domain buffer (exactly [arena_size] words), valid
-     until the next [probe_vec] on the same domain; [probe_commit] copies
-     the buffer into a stable state. *)
-  type probe = t
+  (* A fan is one entry's round, run once per open bit value.  In one
+     synchronous round a node's bit changes only its own successor state
+     and its own sends, so every child of the entry is the bit-0 child
+     ([image]: every free node at bit 0) with the bit-1 outcome of each
+     free node set to 1 patched in: its state span, and the inbox slots
+     its sends feed.  Everything lives in one record per domain, reused
+     by every fan on that domain: searches running concurrently on other
+     domains (server workers, experiment rows) need no locking, and an
+     entry allocates nothing.  [image] and [child] are exactly
+     [arena_size] words, because key equality compares whole arrays. *)
+  type fan = {
+    mutable parent : t;
+    mutable send : int array;  (* the bit-0 run's sends *)
+    mutable image : int array;
+    mutable image_out : int;
+    mutable image_hash : int;
+    mutable child : int array;  (* the probe buffer *)
+    mutable one : int array;  (* per node, [stride] words: bit-1 state span, send span(s) *)
+    mutable sens : int array;  (* the sensitive free nodes, increasing *)
+    mutable dout : int array;  (* per sensitive node: bit-1 minus bit-0 output count *)
+    mutable nsens : int;
+  }
 
-  let probe_vec t ~bits =
-    let lay = t.lay in
-    if Bitvec.length bits <> lay.n then invalid_arg "Executor.probe_vec: wrong bits length";
-    let s = Domain.DLS.get scratch_key in
-    let slen = send_len lay in
-    if Array.length s.ss_send < slen then s.ss_send <- Array.make slen 0;
+  let fan_key : fan option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+  (* Writes into the domain's long-lived buffers are word loops over
+     arrays typed [int array], never [Array.blit] or a polymorphic loop:
+     on OCaml 5.1 either costs one [caml_modify] per word into a
+     major-heap array. *)
+  let copy_words (src : int array) soff (dst : int array) doff len =
+    for k = 0 to len - 1 do
+      Array.unsafe_set dst (doff + k) (Array.unsafe_get src (soff + k))
+    done
+
+  let zero_words dst doff len =
+    for k = 0 to len - 1 do
+      Array.unsafe_set dst (doff + k) 0
+    done
+
+  (* A silent node gets word 0 of its span(s) zeroed, as in [flat_nodes]. *)
+  let silence lay ~send ~soff ~degree =
+    if lay.inst.ported then
+      for p = 0 to degree - 1 do
+        Array.unsafe_set send (soff + (p * lay.msg_words)) 0
+      done
+    else Array.unsafe_set send soff 0
+
+  let fan_scratch t =
+    let lay = t.geo.lay in
+    let cell = Domain.DLS.get fan_key in
+    let f =
+      match !cell with
+      | Some f ->
+        f.parent <- t;
+        f
+      | None ->
+        let f =
+          {
+            parent = t;
+            send = [||];
+            image = [||];
+            image_out = 0;
+            image_hash = 0;
+            child = [||];
+            one = [||];
+            sens = [||];
+            dout = [||];
+            nsens = 0;
+          }
+        in
+        cell := Some f;
+        f
+    in
+    let asize = arena_size lay and slen = send_len lay in
+    if Array.length f.image <> asize then begin
+      f.image <- Array.make asize 0;
+      f.child <- Array.make asize 0
+    end;
+    if Array.length f.send < slen then f.send <- Array.make slen 0;
+    if Array.length f.one < lay.n * t.geo.stride then
+      f.one <- Array.make (lay.n * t.geo.stride) 0;
+    if Array.length f.sens < lay.n then begin
+      f.sens <- Array.make lay.n 0;
+      f.dout <- Array.make lay.n 0
+    end;
+    f
+
+  let fan t ~bits ~free =
+    let { lay; mat; stride; _ } = t.geo in
+    let n = lay.n in
+    if Bitvec.length bits <> n || Bitvec.length free <> n then
+      invalid_arg "Executor.Incremental.fan: wrong bits length";
+    let f = fan_scratch t in
+    let inst = lay.inst in
+    let sw = lay.state_words and mw = lay.msg_words in
+    let parent = t.arena and image = f.image and send = f.send and one = f.one in
     let ssize = state_size lay in
-    let asize = arena_size lay in
-    (* Key equality compares whole arrays, so the buffer must be the exact
-       arena size; every word of it is overwritten below. *)
-    if Array.length s.ss_probe <> asize then s.ss_probe <- Array.make asize 0;
-    let buf = s.ss_probe in
-    (* Manual word loop rather than [Array.blit]: arenas are a few dozen
-       words, far below where memmove's call overhead pays for itself. *)
-    let parent = t.arena in
-    for i = 0 to ssize - 1 do
-      Array.unsafe_set buf i (Array.unsafe_get parent i)
+    copy_words parent 0 image 0 ssize;
+    let out = ref 0 and nsens = ref 0 in
+    for v = 0 to n - 1 do
+      let pslot = Array.unsafe_get lay.slot_off v in
+      let degree = Array.unsafe_get lay.degrees v in
+      let off = v * sw in
+      let soff = (if inst.ported then pslot else v) * mw in
+      let is_free = Bitvec.unsafe_get free v in
+      let bit = (not is_free) && Bitvec.unsafe_get bits v in
+      let b0 =
+        inst.round ~node:v ~bit ~degree ~state:image ~off ~inbox:parent ~ports:mat ~pslot
+          ~send ~soff
+      in
+      if not b0 then silence lay ~send ~soff ~degree;
+      let h0 = inst.has_output ~state:image ~off in
+      if h0 then incr out;
+      if is_free then begin
+        let base = v * stride in
+        copy_words parent off one base sw;
+        let b1 =
+          inst.round ~node:v ~bit:true ~degree ~state:one ~off:base ~inbox:parent
+            ~ports:mat ~pslot ~send:one ~soff:(base + sw)
+        in
+        if not b1 then silence lay ~send:one ~soff:(base + sw) ~degree;
+        (* The two outcomes are equal iff both send or both stay silent,
+           their states agree, and so do their sends when they send: a
+           silent node's send span is scratch by contract.  The encoding
+           is injective, so this comparison is exact. *)
+        let acc = ref (Bool.to_int (b0 <> b1)) in
+        for k = 0 to sw - 1 do
+          acc := !acc lor (Array.unsafe_get image (off + k) lxor Array.unsafe_get one (base + k))
+        done;
+        if b0 && b1 then
+          for k = 0 to (if inst.ported then degree * mw else mw) - 1 do
+            acc :=
+              !acc lor (Array.unsafe_get send (soff + k) lxor Array.unsafe_get one (base + sw + k))
+          done;
+        if !acc <> 0 then begin
+          let h1 = inst.has_output ~state:one ~off:base in
+          Array.unsafe_set f.sens !nsens v;
+          Array.unsafe_set f.dout !nsens (Bool.to_int h1 - Bool.to_int h0);
+          incr nsens
+        end
+      end
     done;
-    let send = s.ss_send and mw = lay.msg_words in
-    let out, _ = flat_nodes lay ~bits ~state:buf ~inbox:parent ~ports:t.mat ~send in
     (* Materialize the inbox: each slot gets the span that feeds it when
        that span carries a message (word 0 nonzero), zeros otherwise. *)
     for s = 0 to lay.total_slots - 1 do
-      let src_off = Array.unsafe_get lay.twin s * mw and dst_off = ssize + (s * mw) in
-      if Array.unsafe_get send src_off <> 0 then
-        for k = 0 to mw - 1 do
-          Array.unsafe_set buf (dst_off + k) (Array.unsafe_get send (src_off + k))
-        done
-      else
-        for k = 0 to mw - 1 do
-          Array.unsafe_set buf (dst_off + k) 0
-        done
+      let src = Array.unsafe_get lay.twin s * mw and dst = ssize + (s * mw) in
+      if Array.unsafe_get send src <> 0 then copy_words send src image dst mw
+      else zero_words image dst mw
     done;
-    { t with arena = buf; out; hash = hash_int_array 17 buf }
+    f.image_out <- !out;
+    f.image_hash <- hash_int_array 17 image;
+    f.nsens <- !nsens;
+    f
+
+  let sensitive f v =
+    let k = ref 0 in
+    while !k < f.nsens && Array.unsafe_get f.sens !k <> v do
+      incr k
+    done;
+    !k < f.nsens
+
+  (* A probe is the child state over [image] (no sensitive bit set) or
+     over the probe buffer; it is valid until the next probe or fan on
+     this domain, and [probe_commit] copies it into a stable state.
+     Building one allocates only its 5-word record.  The loops are
+     written out rather than calls to [copy_words]: ocamlopt without
+     flambda does not inline those, and the calls cost a fifth of a
+     probe on a 28-word arena. *)
+  type probe = t
+
+  let probe f bits =
+    let t = f.parent in
+    let { lay; feeds; stride; _ } = t.geo in
+    if Bitvec.length bits <> lay.n then
+      invalid_arg "Executor.Incremental.probe: wrong bits length";
+    let sw = lay.state_words and mw = lay.msg_words and ported = lay.inst.ported in
+    let ssize = state_size lay in
+    let image = f.image and child = f.child and one = f.one in
+    let patched = ref false and out = ref f.image_out in
+    for k = 0 to f.nsens - 1 do
+      let v = Array.unsafe_get f.sens k in
+      if Bitvec.unsafe_get bits v then begin
+        if not !patched then begin
+          for i = 0 to Array.length child - 1 do
+            Array.unsafe_set child i (Array.unsafe_get image i)
+          done;
+          patched := true
+        end;
+        let base = v * stride in
+        for i = 0 to sw - 1 do
+          Array.unsafe_set child ((v * sw) + i) (Array.unsafe_get one (base + i))
+        done;
+        let pslot = Array.unsafe_get lay.slot_off v in
+        for p = 0 to Array.unsafe_get lay.degrees v - 1 do
+          let src = base + sw + if ported then p * mw else 0 in
+          let dst = ssize + (Array.unsafe_get feeds (pslot + p) * mw) in
+          if Array.unsafe_get one src <> 0 then
+            for i = 0 to mw - 1 do
+              Array.unsafe_set child (dst + i) (Array.unsafe_get one (src + i))
+            done
+          else
+            for i = 0 to mw - 1 do
+              Array.unsafe_set child (dst + i) 0
+            done
+        done;
+        out := !out + Array.unsafe_get f.dout k
+      end
+    done;
+    if !patched then { t with arena = child; out = !out; hash = hash_int_array 17 child }
+    else { t with arena = image; out = !out; hash = f.image_hash }
 
   let probe_key p = p
 
   let probe_commit p =
     let t = { p with arena = Array.copy p.arena } in
     t, t
-
-  (* Per-node bit sensitivity: in one synchronous round a node's random
-     bit can only influence that node's own successor state and the
-     messages it emits — never another node's transition within the same
-     round — so sensitivity factors per node.  Each node's transition is
-     re-run with both bit values against the *same* parent state and the
-     results compared word for word; the companion's encoding is
-     injective, so the comparison is exact: a clear bit certifies that
-     every setting of that node's bit yields the identical successor
-     execution state, and a set bit that it does not. *)
-  let bit_sensitivity t =
-    let lay = t.lay in
-    let inst = lay.inst in
-    let sw = lay.state_words and mw = lay.msg_words in
-    (* A node sends [degree] spans when ported, one otherwise. *)
-    let span =
-      sw + if inst.ported then Array.fold_left Int.max 0 lay.degrees * mw else mw
-    in
-    let scratch = Domain.DLS.get scratch_key in
-    if Array.length scratch.ss_sense < 2 * span then
-      scratch.ss_sense <- Array.make (2 * span) 0;
-    let buf = scratch.ss_sense in
-    let sens = Bitvec.create lay.n in
-    for v = 0 to lay.n - 1 do
-      let pslot = Array.unsafe_get lay.slot_off v in
-      let degree = Array.unsafe_get lay.degrees v in
-      let run ~bit off =
-        for k = 0 to sw - 1 do
-          Array.unsafe_set buf (off + k) (Array.unsafe_get t.arena ((v * sw) + k))
-        done;
-        inst.round ~node:v ~bit ~degree ~state:buf ~off ~inbox:t.arena ~ports:t.mat
-          ~pslot ~send:buf ~soff:(off + sw)
-      in
-      let b0 = run ~bit:false 0 in
-      let b1 = run ~bit:true span in
-      let equal =
-        b0 = b1
-        &&
-        let acc = ref 0 in
-        (* Send words only count when the node sends: a silent node's
-           send span is scratch garbage by contract. *)
-        let words =
-          if not b0 then sw else if inst.ported then sw + (degree * mw) else span
-        in
-        for k = 0 to words - 1 do
-          acc := !acc lor (Array.unsafe_get buf k lxor Array.unsafe_get buf (span + k))
-        done;
-        !acc = 0
-      in
-      if not equal then Bitvec.set sens v true
-    done;
-    sens
 end
 
 (* ---------- the round driver ---------- *)

@@ -29,9 +29,11 @@
     that do branch — the derandomization's minimal-simulation search
     explores a tree of executions and backtracks without re-simulating
     shared prefixes.  It runs on the flat representation only, with the
-    same node loop as the driver's flat machine, writing each round —
-    node states and the materialized inbox — into an immutable arena
-    that doubles as a dedup key.
+    same transitions as the driver's flat machine: a {!Incremental.fan}
+    runs each node once per bit value the round leaves open, and every
+    child — node states and the materialized inbox, in an immutable
+    arena that doubles as a dedup key — is patched together from those
+    per-node outcomes without running a transition.
     [test/test_flat.ml] checks the two machines and the searches against
     each other. *)
 
@@ -158,8 +160,8 @@ val run :
     than run with a shared injector instance. *)
 
 module Incremental : sig
-  (** Values of type [t] are persistent: stepping (a {!probe_vec} then
-      {!probe_commit}) never mutates its argument, so a [t] may be
+  (** Values of type [t] are persistent: stepping (a {!fan}, a {!probe}
+      then {!probe_commit}) never mutates its argument, so a [t] may be
       retained, branched from, and stepped again arbitrarily later.  This
       retention contract is load-bearing for [Min_search.Resumable]-style
       incremental searches, which park whole BFS frontiers of executions
@@ -191,39 +193,53 @@ module Incremental : sig
 
   module Key : Hashtbl.HashedType with type t = key
 
-  (** Probe/commit stepping for dedup-heavy searches.  [probe_vec t ~bits]
-      performs one round — bit [v] of [bits] is node [v]'s random bit —
-      writing the child arena into a reusable per-domain buffer instead
-      of a fresh allocation; {!probe_key} then gives a dedup key for a
-      seen-set membership test, and {!probe_commit} materializes the
-      stable child state (plus a stable key safe to retain) only when the
-      caller decides to keep it.  A probe — and its [probe_key] — is
-      invalidated by the next [probe_vec] call on the same domain, so
-      check membership before probing again and never store a probe key
-      in a table.  Duplicate children (the common case on symmetric
-      graphs) thus never allocate an arena.
+  (** Fan-out stepping for branching searches.  In one synchronous round
+      a node's random bit changes only its own successor state and its
+      own sends, never another node's transition, so one round from [t]
+      is fully described by each node's outcome under each bit value the
+      round leaves open.  [fan t ~bits ~free] runs every node's
+      transition once with its prescribed bit ([bits], read only where
+      [free] is clear) or, for a [free] node, with bit 0 and then bit 1:
+      n + f transitions for f free nodes.  It keeps, in a per-domain
+      scratch record, the bit-0 child (every free node at 0) and each
+      free node's bit-1 state and sends.  A fan is invalidated by the
+      next [fan] on the same domain.
+      @raise Invalid_argument on a wrong vector length. *)
+  type fan
+
+  val fan : t -> bits:Anonet_graph.Bitvec.t -> free:Anonet_graph.Bitvec.t -> fan
+
+  (** [sensitive fan v] holds iff [v] is free and its two bit values
+      yield different outcomes: a different successor state for [v], or
+      different messages on [v]'s out-ports.  Exact in both directions,
+      because the flat encoding is injective: a search may pin every
+      insensitive bit to a canonical value without losing any reachable
+      outcome.  Always [false] on a prescribed node. *)
+  val sensitive : fan -> int -> bool
+
+  (** [probe fan bits] is the child for the round vector [bits], which
+      must carry the fan's prescribed bits outside its free nodes (only
+      the free nodes' bits are read).  It copies the bit-0 child into a
+      per-domain buffer, patches in the bit-1 outcome of every sensitive
+      node whose bit is set (its state span and the inbox slots its sends
+      feed), and hashes the result: no transition runs.  {!probe_key}
+      then gives a dedup key for a seen-set membership test, and
+      {!probe_commit} materializes the stable child state (plus a stable
+      key safe to retain) only when the caller decides to keep it.  A
+      probe — and its [probe_key] — is invalidated by the next [probe]
+      or [fan] on the same domain, so check membership before probing
+      again and never store a probe key in a table.  A probe allocates
+      only its 5-word record; a duplicate child costs nothing more.
       @raise Invalid_argument on a wrong vector length. *)
   type probe
 
-  val probe_vec : t -> bits:Anonet_graph.Bitvec.t -> probe
+  val probe : fan -> Anonet_graph.Bitvec.t -> probe
 
-  (** Transient key aliasing the per-domain probe buffer — valid for
-      membership tests only, until the next [probe_vec] on this domain. *)
+  (** Transient key aliasing the per-domain buffers — valid for
+      membership tests only, until the next [probe] or [fan] on this
+      domain. *)
   val probe_key : probe -> key
 
   (** The stable child state and a stable (retainable) dedup key for it. *)
   val probe_commit : probe -> t * key
-
-  (** Per-node sensitivity of the {e next} round to each node's random
-      bit: bit [v] of the result is clear iff both settings of node [v]'s
-      bit — all other bits held fixed — yield the identical successor
-      execution state (same successor state for [v] and the same messages
-      on [v]'s out-ports; within one synchronous round a node's bit
-      cannot influence any other node's transition, so sensitivity
-      factors per node).  Exact in both directions, because the flat
-      encoding is injective: a search may pin every clear bit to a
-      canonical value without losing any reachable outcome.  Cost: two
-      single-node transition re-runs per node into per-domain scratch
-      (≈ one round per call). *)
-  val bit_sensitivity : t -> Anonet_graph.Bitvec.t
 end

@@ -7,7 +7,7 @@
 open Anonet_graph
 module Algorithm = Anonet_runtime.Algorithm
 
-(* Flat transitions run so far, by searches and sensitivity probes alike. *)
+(* Flat transitions run so far, by searches' fans. *)
 let rounds = Atomic.make 0
 
 module Last_coin = struct

@@ -60,6 +60,16 @@ let bits_vec ~seed ~round n =
   done;
   vec
 
+(* Bit [v] of [code] is node [v]'s bit. *)
+let vec_of_code n code =
+  let bits = Bitvec.create n in
+  for v = 0 to n - 1 do
+    Bitvec.set bits v ((code lsr v) land 1 = 1)
+  done;
+  bits
+
+let all_free n = vec_of_code n ((1 lsl n) - 1)
+
 let label_opt = Alcotest.testable (Fmt.option Label.pp) (Option.equal Label.equal)
 
 let outputs_t = Alcotest.array label_opt
@@ -87,13 +97,13 @@ let injectivity ~name algo g ~rounds =
     let next = ref [] in
     List.iter
       (fun (flat, boxed) ->
+        let fan =
+          Executor.Incremental.fan flat ~bits:(Bitvec.create n) ~free:(all_free n)
+        in
         for code = 0 to (1 lsl n) - 1 do
-          let bits = Bitvec.create n in
-          for v = 0 to n - 1 do
-            Bitvec.set bits v ((code lsr v) land 1 = 1)
-          done;
+          let bits = vec_of_code n code in
           let flat, key =
-            Executor.Incremental.probe_commit (Executor.Incremental.probe_vec flat ~bits)
+            Executor.Incremental.probe_commit (Executor.Incremental.probe fan bits)
           in
           let boxed = Boxed_oracle.step m g boxed ~bits in
           let here = Printf.sprintf "%s r%d bits=%d" name r code in
@@ -196,14 +206,20 @@ let prop_lockstep_random =
         algorithms;
       true)
 
-(* ---------- probe/commit = the driver's rounds ---------- *)
+(* ---------- fan + probe/commit = the driver's rounds ---------- *)
 
+(* Each round fans with a seeded half of the nodes free, so both the
+   prescribed bits a fan runs once and the free bits it patches in are
+   on the path. *)
 let probe_matches_step ~name ~seed ~rounds algo g =
   let n = Graph.n g in
   let exec = ref (Executor.Incremental.start algo g) in
   for r = 1 to rounds do
     let bits = bits_vec ~seed ~round:r n in
-    let probe = Executor.Incremental.probe_vec !exec ~bits in
+    let free = bits_vec ~seed:(seed + 7) ~round:r n in
+    let probe =
+      Executor.Incremental.probe (Executor.Incremental.fan !exec ~bits ~free) bits
+    in
     let transient = Executor.Incremental.probe_key probe in
     let committed, stable = Executor.Incremental.probe_commit probe in
     (* The transient key already identifies the committed state... *)
@@ -211,9 +227,14 @@ let probe_matches_step ~name ~seed ~rounds algo g =
       (Printf.sprintf "%s r%d: probe key = committed key" name r)
       true
       (Executor.Incremental.Key.equal transient stable);
-    (* ...and the stable key survives the next probe overwriting the
-       shared buffer. *)
-    let _ = Executor.Incremental.probe_vec !exec ~bits:(bits_vec ~seed:(seed + 1) ~round:r n) in
+    (* ...and the stable key survives the next fan and probe overwriting
+       the shared buffers. *)
+    let other = bits_vec ~seed:(seed + 1) ~round:r n in
+    let _ =
+      Executor.Incremental.probe
+        (Executor.Incremental.fan !exec ~bits:other ~free:(all_free n))
+        (Bitvec.copy other)
+    in
     check Alcotest.bool
       (Printf.sprintf "%s r%d: stable key survives next probe" name r)
       true
@@ -262,6 +283,130 @@ let prop_probe_random =
             ~name:(Printf.sprintf "%s/seed=%d" aname seed)
             ~seed ~rounds:5 algo g)
         algorithms;
+      true)
+
+(* ---------- a fan's children = the boxed stepper's ---------- *)
+
+(* No catalog solver's bit decides whether it sends, so the property
+   below also runs a test algorithm whose bit does: a node stays silent
+   on bit 1 and broadcasts on bit 0, and its state is the number of
+   messages it heard.  A fan must zero the slots a silent bit-1 outcome
+   feeds, where the bit-0 child carries a message. *)
+module Whisper = struct
+  type state = int
+
+  let name = "whisper"
+
+  let init ~input:_ ~degree:_ = 0
+
+  let round _ ~bit ~inbox =
+    let heard = Array.fold_left (fun k m -> if m = None then k else k + 1) 0 inbox in
+    let degree = Array.length inbox in
+    ( heard,
+      if bit then Algorithm.silence ~degree
+      else Algorithm.broadcast ~degree (Label.Int 1) )
+
+  let output _ : Label.t option = None
+
+  let flat =
+    Some
+      {
+        Algorithm.Flat.plan =
+          (fun _ ->
+            {
+              Algorithm.Flat.state_words = 1;
+              msg_words = 1;
+              ported = false;
+              init = (fun ~node:_ ~input:_ ~degree:_ ~state:_ ~off:_ -> ());
+              round =
+                (fun ~node:_ ~bit ~degree ~state ~off ~inbox ~ports ~pslot ~send ~soff ->
+                  let heard = ref 0 in
+                  for p = 0 to degree - 1 do
+                    if inbox.(ports.(pslot + p)) <> 0 then incr heard
+                  done;
+                  state.(off) <- !heard;
+                  (not bit)
+                  && begin
+                    send.(soff) <- 1;
+                    true
+                  end);
+              output = (fun ~state:_ ~off:_ -> None);
+              has_output = (fun ~state:_ ~off:_ -> false);
+            });
+      }
+end
+
+(* At each entry a random tape reaches, fan with every node free and
+   build all [2^n] children: each has the boxed stepper's outputs, two
+   children share a key iff their boxed states are equal, and flipping
+   node [v]'s bit changes the child's key iff the fan marks [v]
+   sensitive. *)
+let fan_children ~name ~seed ~rounds algo g =
+  let module A = (val algo : Algorithm.S) in
+  let m = (module A : Algorithm.S with type state = A.state) in
+  let n = Graph.n g in
+  let flat = ref (Executor.Incremental.start algo g) in
+  let boxed = ref (Boxed_oracle.start m g) in
+  for r = 1 to rounds do
+    let here = Printf.sprintf "%s r%d" name r in
+    let fan =
+      Executor.Incremental.fan !flat ~bits:(Bitvec.create n) ~free:(all_free n)
+    in
+    let children =
+      Array.init (1 lsl n) (fun code ->
+          let bits = vec_of_code n code in
+          let t, key =
+            Executor.Incremental.probe_commit (Executor.Incremental.probe fan bits)
+          in
+          let b = Boxed_oracle.step m g !boxed ~bits in
+          check outputs_t
+            (Printf.sprintf "%s bits=%d: outputs" here code)
+            (Boxed_oracle.outputs m b) (Executor.Incremental.outputs t);
+          t, key, b)
+    in
+    let key c =
+      let _, k, _ = children.(c) in
+      k
+    in
+    Array.iteri
+      (fun c (_, kc, bc) ->
+        Array.iteri
+          (fun d (_, kd, bd) ->
+            if c < d then
+              check Alcotest.bool
+                (Printf.sprintf "%s bits=%d,%d: equal keys iff equal boxed states" here c d)
+                (bc = bd) (Executor.Incremental.Key.equal kc kd))
+          children;
+        for v = 0 to n - 1 do
+          check Alcotest.bool
+            (Printf.sprintf "%s bits=%d node %d: key moves iff sensitive" here c v)
+            (Executor.Incremental.sensitive fan v)
+            (not (Executor.Incremental.Key.equal kc (key (c lxor (1 lsl v)))))
+        done)
+      children;
+    let code = ref 0 in
+    for v = 0 to n - 1 do
+      if bit_of ~seed ~round:r v then code := !code lor (1 lsl v)
+    done;
+    let t, _, b = children.(!code) in
+    flat := t;
+    boxed := b
+  done
+
+let prop_fan_random =
+  QCheck.Test.make ~name:"fan children = boxed steps on random graphs" ~count:20
+    (QCheck.make
+       ~print:(fun (seed, n, p) -> Printf.sprintf "seed=%d n=%d p=%f" seed n p)
+       QCheck.Gen.(
+         triple (int_bound 10_000) (int_range 2 7) (float_bound_inclusive 0.6)))
+    (fun (seed, n, p) ->
+      let g = Gen.label_with_ints (Gen.random_connected ~seed n p) in
+      List.iter
+        (fun (aname, algo) ->
+          fan_children
+            ~name:(Printf.sprintf "%s/seed=%d" aname seed)
+            ~seed ~rounds:6 algo g)
+        (("whisper", (module Whisper : Algorithm.S)) :: algorithms);
       true)
 
 (* ---------- simulation fast path = boxed reference ---------- *)
@@ -576,6 +721,7 @@ let () =
           Alcotest.test_case "probe/commit = step on fixed graphs" `Quick
             test_probe_fixed;
           QCheck_alcotest.to_alcotest prop_probe_random;
+          QCheck_alcotest.to_alcotest prop_fan_random;
         ] );
       ( "simulation",
         [ QCheck_alcotest.to_alcotest prop_simulation_random ] );

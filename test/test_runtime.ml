@@ -214,9 +214,11 @@ let test_incremental_persistence () =
   let g = Gen.path 3 in
   let mis = Anonet_algorithms.Rand_mis.algorithm in
   let step e bits =
+    let bits = Bitvec.of_bool_array bits in
+    let free = Bitvec.of_bool_array (Array.make (Bitvec.length bits) true) in
     fst
       (Executor.Incremental.probe_commit
-         (Executor.Incremental.probe_vec e ~bits:(Bitvec.of_bool_array bits)))
+         (Executor.Incremental.probe (Executor.Incremental.fan e ~bits ~free) bits))
   in
   let driven rows =
     (Anonet.Simulation.run ~solver:mis g ~bits:(Array.map Bits.of_string rows))
