@@ -313,8 +313,9 @@ let bench_tests () =
        off.  Wall-clock complements the states-explored ratios in the
        JSON's [search_states] section — pruning pays a sensitivity
        comparison and a representative table per expanded entry, so the
-       time win is smaller than the state win but must not invert it.  Fixtures: the two largest ablate-bits
-       searches, and the deepest a-star-phases schedule end to end.  A
+       time win is smaller than the state win but must not invert it.
+       Fixtures: the two largest ablate-bits searches, and the deepest
+       a-star-phases schedule end to end.  A
        last row times the [Exactly] search A*'s Update-Bits runs, on a
        graph whose states recur level after level, so levels 5..8 replay
        their recorded children. *)

@@ -172,7 +172,8 @@ module Incremental = struct
   type geo = {
     lay : layout;
     mat : int array;  (* [mat.(s)]: where slot [s]'s span starts in the arena *)
-    feeds : int array;  (* [feeds.(slot_off.(v) + p)]: the slot node [v]'s port [p] feeds *)
+    feeds : int array;
+        (* [feeds.(slot_off.(v) + p)]: the slot that node [v]'s port [p] feeds *)
     stride : int;  (* words of one node's bit-1 outcome in a fan *)
   }
 
@@ -238,8 +239,8 @@ module Incremental = struct
      synchronous round a node's bit changes only its own successor state
      and its own sends, so every child of the entry is the bit-0 child
      ([image]: every free node at bit 0) with the bit-1 outcome of each
-     free node set to 1 patched in: its state span, and the inbox slots
-     its sends feed.  Everything lives in one record per domain, reused
+     free node whose bit is 1 patched in: its state span, and the inbox
+     slots its sends feed.  Everything lives in one record per domain, reused
      by every fan on that domain: searches running concurrently on other
      domains (server workers, experiment rows) need no locking, and an
      entry allocates nothing.  [image] and [child] are exactly
@@ -251,7 +252,8 @@ module Incremental = struct
     mutable image_out : int;
     mutable image_hash : int;
     mutable child : int array;  (* the probe buffer *)
-    mutable one : int array;  (* per node, [stride] words: bit-1 state span, send span(s) *)
+    mutable one : int array;
+        (* per node, [stride] words: its bit-1 state span, then send span(s) *)
     mutable sens : int array;  (* the sensitive free nodes, increasing *)
     mutable dout : int array;  (* per sensitive node: bit-1 minus bit-0 output count *)
     mutable nsens : int;
@@ -361,12 +363,14 @@ module Incremental = struct
            is injective, so this comparison is exact. *)
         let acc = ref (Bool.to_int (b0 <> b1)) in
         for k = 0 to sw - 1 do
-          acc := !acc lor (Array.unsafe_get image (off + k) lxor Array.unsafe_get one (base + k))
+          acc :=
+            !acc lor (Array.unsafe_get image (off + k) lxor Array.unsafe_get one (base + k))
         done;
         if b0 && b1 then
           for k = 0 to (if inst.ported then degree * mw else mw) - 1 do
             acc :=
-              !acc lor (Array.unsafe_get send (soff + k) lxor Array.unsafe_get one (base + sw + k))
+              !acc
+              lor (Array.unsafe_get send (soff + k) lxor Array.unsafe_get one (base + sw + k))
           done;
         if !acc <> 0 then begin
           let h1 = inst.has_output ~state:one ~off:base in

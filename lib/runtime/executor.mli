@@ -222,7 +222,8 @@ module Incremental : sig
       the free nodes' bits are read).  It copies the bit-0 child into a
       per-domain buffer, patches in the bit-1 outcome of every sensitive
       node whose bit is set (its state span and the inbox slots its sends
-      feed), and hashes the result: no transition runs.  {!probe_key}
+      feed), and hashes the result: no transition runs.  With no
+      sensitive bit set, the child is the bit-0 child itself.  {!probe_key}
       then gives a dedup key for a seen-set membership test, and
       {!probe_commit} materializes the stable child state (plus a stable
       key safe to retain) only when the caller decides to keep it.  A
